@@ -330,10 +330,12 @@ class UnifiedPrefetchProtocol(CoherenceProtocol):
         round-trip path keeps failing.
         """
         src = region.last_writer_location or HOST_LOCATION
-        span = self._obs.tracer.begin(
-            "coherence.copy", "coherence", cat="coherence", flow=region.flow,
-            region=region.region_id, bytes=region.dirty_bytes,
-        )
+        obs = self._obs
+        if obs.enabled:
+            span = obs.tracer.begin(
+                "coherence.copy", "coherence", cat="coherence", flow=region.flow,
+                region=region.region_id, bytes=region.dirty_bytes,
+            )
         for _ in range(self.MAX_MAINTENANCE_ROUNDS):
             ctl = self.degradation
             level = ctl.plan_level() if ctl is not None else 0
@@ -355,7 +357,8 @@ class UnifiedPrefetchProtocol(CoherenceProtocol):
                     raise
                 ctl.note_failure(level, reason=type(err).__name__)
                 if level >= LEVEL_GUEST_ROUNDTRIP:
-                    self._obs.tracer.end(span, path="failed")
+                    if obs.enabled:
+                        obs.tracer.end(span, path="failed")
                     raise DegradedModeError(
                         f"region {region.region_id}: maintenance failed even on "
                         f"the {LEVEL_NAMES[LEVEL_GUEST_ROUNDTRIP]} path"
@@ -364,8 +367,9 @@ class UnifiedPrefetchProtocol(CoherenceProtocol):
             if ctl is not None:
                 ctl.note_success(level)
             region.note_copy(reader_loc)
-            self._obs.tracer.end(span, path=tag, duration=duration)
-            self._obs.registry.histogram("coherence.duration_ms", path=tag).observe(duration)
+            if obs.enabled:
+                obs.tracer.end(span, path=tag, duration=duration)
+                obs.registry.histogram("coherence.duration_ms", path=tag).observe(duration)
             self._trace.record(
                 self._sim.now,
                 "coherence.maintenance",
@@ -375,7 +379,8 @@ class UnifiedPrefetchProtocol(CoherenceProtocol):
                 region=region.region_id,
             )
             return duration
-        self._obs.tracer.end(span, path="failed")
+        if obs.enabled:
+            obs.tracer.end(span, path="failed")
         raise DegradedModeError(
             f"region {region.region_id}: maintenance did not converge within "
             f"{self.MAX_MAINTENANCE_ROUNDS} ladder rounds"
@@ -457,20 +462,23 @@ class UnifiedWriteInvalidate(CoherenceProtocol):
         ):
             yield region.write_fence.wait()
         if not region.is_valid_at(reader_loc):
-            span = self._obs.tracer.begin(
-                "coherence.copy", "coherence", cat="coherence", flow=region.flow,
-                region=region.region_id, bytes=region.dirty_bytes,
-            )
+            obs = self._obs
+            if obs.enabled:
+                span = obs.tracer.begin(
+                    "coherence.copy", "coherence", cat="coherence", flow=region.flow,
+                    region=region.region_id, bytes=region.dirty_bytes,
+                )
             duration = yield from self._planner.copy_unified_resilient(
                 region.last_writer_location or HOST_LOCATION,
                 reader_loc,
                 region.dirty_bytes,
             )
             region.note_copy(reader_loc)
-            self._obs.tracer.end(span, path="write-invalidate", duration=duration)
-            self._obs.registry.histogram(
-                "coherence.duration_ms", path="write-invalidate"
-            ).observe(duration)
+            if obs.enabled:
+                obs.tracer.end(span, path="write-invalidate", duration=duration)
+                obs.registry.histogram(
+                    "coherence.duration_ms", path="write-invalidate"
+                ).observe(duration)
             self._trace.record(
                 self._sim.now,
                 "coherence.maintenance",
@@ -487,20 +495,23 @@ class UnifiedWriteInvalidate(CoherenceProtocol):
 
     def executor_before_read(self, region, reader_vdev, reader_loc):
         if not region.is_valid_at(reader_loc):
-            span = self._obs.tracer.begin(
-                "coherence.copy", "coherence", cat="coherence", flow=region.flow,
-                region=region.region_id, bytes=region.dirty_bytes,
-            )
+            obs = self._obs
+            if obs.enabled:
+                span = obs.tracer.begin(
+                    "coherence.copy", "coherence", cat="coherence", flow=region.flow,
+                    region=region.region_id, bytes=region.dirty_bytes,
+                )
             duration = yield from self._planner.copy_unified_resilient(
                 region.last_writer_location or HOST_LOCATION,
                 reader_loc,
                 region.dirty_bytes,
             )
             region.note_copy(reader_loc)
-            self._obs.tracer.end(span, path="write-invalidate-net", duration=duration)
-            self._obs.registry.histogram(
-                "coherence.duration_ms", path="write-invalidate-net"
-            ).observe(duration)
+            if obs.enabled:
+                obs.tracer.end(span, path="write-invalidate-net", duration=duration)
+                obs.registry.histogram(
+                    "coherence.duration_ms", path="write-invalidate-net"
+                ).observe(duration)
             self._trace.record(
                 self._sim.now,
                 "coherence.maintenance",
@@ -593,10 +604,12 @@ class UnifiedBroadcast(CoherenceProtocol):
         yield  # pragma: no cover - generator form required by the interface
 
     def _push(self, region, src, dst):
-        span = self._obs.tracer.begin(
-            "coherence.copy", "coherence", cat="coherence", flow=region.flow,
-            region=region.region_id, bytes=region.dirty_bytes, dst=dst,
-        )
+        obs = self._obs
+        if obs.enabled:
+            span = obs.tracer.begin(
+                "coherence.copy", "coherence", cat="coherence", flow=region.flow,
+                region=region.region_id, bytes=region.dirty_bytes, dst=dst,
+            )
         try:
             duration = yield from self._planner.copy_unified_resilient(
                 src, dst, region.dirty_bytes
@@ -605,7 +618,8 @@ class UnifiedBroadcast(CoherenceProtocol):
             # A failed push only costs bandwidth savings: the reader-side
             # safety net re-copies on demand. Never poison the joiners.
             self.broadcast_failures += 1
-            self._obs.tracer.end(span, path="broadcast", failed=type(err).__name__)
+            if obs.enabled:
+                obs.tracer.end(span, path="broadcast", failed=type(err).__name__)
             self._trace.record(
                 self._sim.now, "broadcast.failed",
                 bytes=region.dirty_bytes, region=region.region_id,
@@ -614,10 +628,11 @@ class UnifiedBroadcast(CoherenceProtocol):
             return 0.0
         region.note_copy(dst)
         self.broadcast_copies += 1
-        self._obs.tracer.end(span, path="broadcast", duration=duration)
-        self._obs.registry.histogram(
-            "coherence.duration_ms", path="broadcast"
-        ).observe(duration)
+        if obs.enabled:
+            obs.tracer.end(span, path="broadcast", duration=duration)
+            obs.registry.histogram(
+                "coherence.duration_ms", path="broadcast"
+            ).observe(duration)
         self._trace.record(
             self._sim.now, "coherence.maintenance",
             duration=duration, bytes=region.dirty_bytes,
@@ -698,14 +713,17 @@ class GuestMemoryWriteInvalidate(CoherenceProtocol):
             region.note_copy(GUEST_LOCATION)
             region.last_flush_duration = 0.0
             return
-        span = self._obs.tracer.begin(
-            "coherence.flush", "coherence", cat="coherence", flow=region.flow,
-            region=region.region_id, bytes=region.dirty_bytes,
-        )
+        obs = self._obs
+        if obs.enabled:
+            span = obs.tracer.begin(
+                "coherence.flush", "coherence", cat="coherence", flow=region.flow,
+                region=region.region_id, bytes=region.dirty_bytes,
+            )
         duration = yield from self._planner.copy_via_boundary_resilient(region.dirty_bytes)
         region.note_copy(GUEST_LOCATION)
         region.last_flush_duration = duration
-        self._obs.tracer.end(span, duration=duration)
+        if obs.enabled:
+            obs.tracer.end(span, duration=duration)
         self._trace.record(
             self._sim.now,
             "coherence.flush",
@@ -719,18 +737,21 @@ class GuestMemoryWriteInvalidate(CoherenceProtocol):
         valid = self._valid_vdevs.setdefault(region.region_id, set())
         if reader_vdev in valid or reader_vdev == "cpu":
             return  # guest CPU reads its own memory mapping for free
-        span = self._obs.tracer.begin(
-            "coherence.copy", "coherence", cat="coherence", flow=region.flow,
-            region=region.region_id, bytes=region.dirty_bytes,
-        )
+        obs = self._obs
+        if obs.enabled:
+            span = obs.tracer.begin(
+                "coherence.copy", "coherence", cat="coherence", flow=region.flow,
+                region=region.region_id, bytes=region.dirty_bytes,
+            )
         duration = yield from self._planner.copy_via_boundary_resilient(region.dirty_bytes)
         valid.add(reader_vdev)
         region.note_copy(reader_loc)
         flush_cost = region.last_flush_duration
-        self._obs.tracer.end(span, path="guest-memory", duration=duration)
-        self._obs.registry.histogram(
-            "coherence.duration_ms", path="guest-memory"
-        ).observe(duration)
+        if obs.enabled:
+            obs.tracer.end(span, path="guest-memory", duration=duration)
+            obs.registry.histogram(
+                "coherence.duration_ms", path="guest-memory"
+            ).observe(duration)
         self._trace.record(
             self._sim.now,
             "coherence.maintenance",

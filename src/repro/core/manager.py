@@ -137,10 +137,12 @@ class SvmManager:
         # Slack is defined from write retirement to access *arrival*, so
         # sample it before the mapping work consumes time.
         slack = self._slack_for(region) if usage.reads else None
-        access_span = self._obs.tracer.begin(
-            "svm.begin_access", vdev, cat="svm", flow=region.flow,
-            region=region_id, usage=usage.value, bytes=window,
-        )
+        obs = self._obs
+        if obs.enabled:
+            access_span = obs.tracer.begin(
+                "svm.begin_access", vdev, cat="svm", flow=region.flow,
+                region=region_id, usage=usage.value, bytes=window,
+            )
 
         mapping_cost = self.page_map_cost + self.extra_access_overhead
         if mapping_cost > 0:
@@ -184,8 +186,9 @@ class SvmManager:
             region.write_in_flight = True
 
         latency = self._sim.now - start
-        self._obs.tracer.end(access_span, latency=latency)
-        self._obs.registry.histogram("svm.access_latency_ms", vdev=vdev).observe(latency)
+        if obs.enabled:
+            obs.tracer.end(access_span, latency=latency)
+            obs.registry.histogram("svm.access_latency_ms", vdev=vdev).observe(latency)
         if self._trace.wants("svm.access_latency"):
             extra = {}
             if self.degradation is not None and self.degradation.degraded:
@@ -258,10 +261,11 @@ class SvmManager:
         self._trace.record(
             self._sim.now, "svm.write_retired", region=region_id, vdev=vdev, bytes=nbytes
         )
-        self._obs.tracer.instant(
-            "svm.write_retired", vdev, cat="svm", flow=region.flow,
-            region=region_id, bytes=nbytes,
-        )
+        if self._obs.enabled:
+            self._obs.tracer.instant(
+                "svm.write_retired", vdev, cat="svm", flow=region.flow,
+                region=region_id, bytes=nbytes,
+            )
         yield from self.protocol.executor_after_write(region, vdev, location)
 
     def host_before_read(

@@ -178,7 +178,8 @@ class PrefetchEngine:
             )
         region.prefetch_targets = targets
         self.stats.launched += 1
-        self._obs.registry.counter("prefetch.launched").inc()
+        if self._obs.enabled:
+            self._obs.registry.counter("prefetch.launched").inc()
         self._trace.record(
             self._sim.now,
             "prefetch.start",
@@ -201,16 +202,19 @@ class PrefetchEngine:
         )
 
     def _prefetch_copy(self, region: SvmRegion, src: str, dst: str, pedge):
-        span = self._obs.tracer.begin(
-            "prefetch.copy", "prefetch", cat="coherence", flow=region.flow,
-            region=region.region_id, src=src, dst=dst, bytes=region.dirty_bytes,
-        )
+        obs = self._obs
+        if obs.enabled:
+            span = obs.tracer.begin(
+                "prefetch.copy", "prefetch", cat="coherence", flow=region.flow,
+                region=region.region_id, src=src, dst=dst, bytes=region.dirty_bytes,
+            )
         try:
             duration = yield from self._planner.copy_unified_resilient(
                 src, dst, region.dirty_bytes
             )
         except RECOVERABLE_COPY_ERRORS as err:
-            self._obs.tracer.end(span, failed=type(err).__name__)
+            if obs.enabled:
+                obs.tracer.end(span, failed=type(err).__name__)
             # A dead prefetch must not poison its joiners: readers re-check
             # validity after the join and fall back to sync maintenance.
             self.stats.prefetch_failures += 1
@@ -227,7 +231,8 @@ class PrefetchEngine:
                 error=type(err).__name__,
             )
             return None
-        self._obs.tracer.end(span, duration=duration)
+        if obs.enabled:
+            obs.tracer.end(span, duration=duration)
         region.note_copy(dst)
         if self.degradation is not None:
             self.degradation.note_success(LEVEL_PREFETCHED)
@@ -351,9 +356,13 @@ class PrefetchEngine:
                     self._trace.record(
                         self._sim.now, "prefetch.suspend", flow=str(vkey)
                     )
-                    self._obs.tracer.instant(
-                        "prefetch.suspend", "prefetch", cat="coherence", vkey=str(vkey),
-                    )
+                    if self._obs.enabled:
+                        self._obs.tracer.instant(
+                            "prefetch.suspend", "prefetch", cat="coherence",
+                            vkey=str(vkey),
+                        )
+        if not self._obs.enabled:
+            return
         registry = self._obs.registry
         registry.gauge("prefetch.mispredict_rate").set(
             self.stats.misses / self.stats.predictions, time=self._sim.now
@@ -392,7 +401,8 @@ class PrefetchEngine:
             return
         elapsed = self._sim.now - since
         self.suspension_time_ms += elapsed
-        self._obs.registry.counter("prefetch.suspension_time_ms").inc(elapsed)
+        if self._obs.enabled:
+            self._obs.registry.counter("prefetch.suspension_time_ms").inc(elapsed)
 
     # -- crash recovery ----------------------------------------------------------
     def reset_vdev_history(self, vdev: str) -> int:

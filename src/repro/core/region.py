@@ -55,13 +55,10 @@ class AccessUsage(enum.Enum):
     WRITE = "wo"
     READ_WRITE = "rw"
 
-    @property
-    def writes(self) -> bool:
-        return self in (AccessUsage.WRITE, AccessUsage.READ_WRITE)
-
-    @property
-    def reads(self) -> bool:
-        return self in (AccessUsage.READ, AccessUsage.READ_WRITE)
+    def __init__(self, value: str) -> None:
+        # Plain attributes, not properties: every SVM access reads them.
+        self.reads = value in ("ro", "rw")
+        self.writes = value in ("wo", "rw")
 
 
 class _OpenAccess:
@@ -172,6 +169,10 @@ class SvmRegion:
     @property
     def open_accessors(self) -> Set[str]:
         return set(self._open)
+
+    def is_open_by(self, vdev: str) -> bool:
+        """True while ``vdev`` holds an open access bracket on this region."""
+        return vdev in self._open
 
     # -- coherence state ------------------------------------------------------
     def note_write(self, vdev: str, location: str, nbytes: int) -> None:

@@ -217,6 +217,7 @@ class Emulator:
         self.fence_table = VirtualFenceTable(sim)
         self._vdevs: Dict[str, _VirtualDevice] = {}
         self._vdev_location_overrides: Dict[str, str] = {}
+        self._vdev_locations: Dict[str, str] = {}
         for vdev_name in VDEV_NAMES:
             physical = self._resolve_physical(vdev_name)
             if physical is None:
@@ -365,13 +366,20 @@ class Emulator:
         formats (§4). This is exactly why video pipelines have a per-frame
         host→GPU coherence maintenance (the 2.38 ms of Table 2) instead of
         being free.
+
+        The binding is static, so each answer is memoized.
         """
-        override = self._vdev_location_overrides.get(vdev)
-        if override is not None:
-            return override
-        if vdev == "codec":
-            return HOST_LOCATION
-        return location_of(self.physical_for(vdev))
+        location = self._vdev_locations.get(vdev)
+        if location is not None:
+            return location
+        location = self._vdev_location_overrides.get(vdev)
+        if location is None:
+            if vdev == "codec":
+                location = HOST_LOCATION
+            else:
+                location = location_of(self.physical_for(vdev))
+        self._vdev_locations[vdev] = location
+        return location
 
     def supports_encoding(self) -> bool:
         """Livestream/camera recording capability (Trinity lacks it)."""
@@ -432,10 +440,12 @@ class Emulator:
         if flow != NO_FLOW:
             for region in (*read_regions, *write_regions):
                 region.flow = flow
-        stage_span = self.obs.tracer.begin(
-            f"stage:{op}", vdev, cat="stage", flow=flow,
-            op=op, reads=len(read_regions), writes=len(write_regions),
-        )
+        obs = self.obs
+        if obs.enabled:
+            stage_span = obs.tracer.begin(
+                f"stage:{op}", vdev, cat="stage", flow=flow,
+                op=op, reads=len(read_regions), writes=len(write_regions),
+            )
 
         access_latency = 0.0
         for region in read_regions:
@@ -528,14 +538,15 @@ class Emulator:
                 )
 
         for region in (*read_regions, *write_regions):
-            if region.open_accessors and vdev in region.open_accessors:
+            if region.is_open_by(vdev):
                 self.manager.end_access(vdev, region.region_id)
 
-        self.obs.tracer.end(
-            stage_span,
-            access_latency=access_latency,
-            compensation=compensation,
-        )
+        if obs.enabled:
+            obs.tracer.end(
+                stage_span,
+                access_latency=access_latency,
+                compensation=compensation,
+            )
         return StageResult(
             access_latency=access_latency,
             dispatch_latency=self.sim.now - dispatch_start,
@@ -565,6 +576,7 @@ class Emulator:
     def _executor(self, vdev: _VirtualDevice):
         """Host-side thread of one virtual device: drain its command queue."""
         manager = self.manager
+        observed = self.obs.enabled
         tracer = self.obs.tracer
         location = self.vdev_location(vdev.name)
         exec_track = f"{vdev.name}/exec"
@@ -576,26 +588,32 @@ class Emulator:
                 # accounted; executing it would double-fire ``done``.
                 continue
             if isinstance(command, WaitFenceCommand):
-                span = tracer.begin(
-                    "fence.wait", exec_track, cat="fence", flow=command.flow
-                )
+                if observed:
+                    span = tracer.begin(
+                        "fence.wait", exec_track, cat="fence", flow=command.flow
+                    )
                 yield command.fence.wait()
-                tracer.end(span)
+                if observed:
+                    tracer.end(span)
             elif isinstance(command, SignalFenceCommand):
                 command.fence.signal()
-                tracer.instant(
-                    "fence.signal", exec_track, cat="fence", flow=command.flow
-                )
+                if observed:
+                    tracer.instant(
+                        "fence.signal", exec_track, cat="fence", flow=command.flow
+                    )
             elif isinstance(command, ExecCommand):
-                span = tracer.begin(
-                    f"exec:{command.op}", exec_track, cat="exec",
-                    flow=command.flow, op=command.op, bytes=command.nbytes,
-                )
+                if observed:
+                    span = tracer.begin(
+                        f"exec:{command.op}", exec_track, cat="exec",
+                        flow=command.flow, op=command.op, bytes=command.nbytes,
+                    )
                 for region in command.reads:
                     yield from manager.host_before_read(
                         region.region_id, vdev.name, location
                     )
-                yield from self._context_switch(vdev)
+                stall = self._context_switch(vdev)
+                if stall > 0:
+                    yield Timeout(stall)
                 yield from vdev.physical.run_op(
                     command.op, command.nbytes, scale=command.scale
                 )
@@ -606,7 +624,8 @@ class Emulator:
                 command.done.fire(self.sim.now)
                 vdev.flow.complete()
                 vdev.outstanding.pop(command, None)
-                tracer.end(span, queue_delay=self.sim.now - command.dispatched_at)
+                if observed:
+                    tracer.end(span, queue_delay=self.sim.now - command.dispatched_at)
                 if self.trace.wants("host.op_retired"):
                     self.trace.record(
                         self.sim.now,
@@ -618,8 +637,8 @@ class Emulator:
             else:  # pragma: no cover - defensive
                 raise ConfigurationError(f"unknown command {command!r}")
 
-    def _context_switch(self, vdev: _VirtualDevice):
-        """GPU context-switch stall (§3.4) — deferred for free under fences.
+    def _context_switch(self, vdev: _VirtualDevice) -> float:
+        """GPU context-switch stall (§3.4) in ms — free under fences.
 
         The physical GPU serves several virtual devices (codec engine,
         render, compose); each hand-over re-binds its context. With the
@@ -628,16 +647,14 @@ class Emulator:
         """
         physical = vdev.physical
         if physical.kind is not DeviceKind.GPU:
-            return
+            return 0.0
         previous = self._gpu_context.get(physical.name)
         self._gpu_context[physical.name] = vdev.name
         if previous is None or previous == vdev.name:
-            return
+            return 0.0
         if self.config.ordering is OrderingMode.FENCES and not self.config.atomic_svm_stages:
-            return  # deferred: the switch overlaps queued work
-        cost = self.config.gpu_context_switch_ms
-        if cost > 0:
-            yield Timeout(cost)
+            return 0.0  # deferred: the switch overlaps queued work
+        return self.config.gpu_context_switch_ms
 
     def _op_scale(self, op: str) -> float:
         config = self.config

@@ -13,8 +13,10 @@ hot-path optimization pass:
 
 ``repro.experiments.bench`` drives this copy and the live kernel with an
 identical synthetic workload to measure the speedup honestly, against a
-fixed reference rather than a moving one. Nothing else may import it; it
-is not part of the simulation API and receives no new features.
+fixed reference rather than a moving one. ``tests/test_sim_resume_oracle.py``
+uses it as the oracle for the live kernel's in-place resume: this copy
+round-trips every resume through the heap. Nothing else may import it;
+it is not part of the simulation API and receives no new features.
 """
 
 from __future__ import annotations

@@ -161,10 +161,12 @@ class SurfaceFlinger:
         meta = submission.meta
         done_at = yield present.done
         self.frames_rendered += 1
-        self._emulator.obs.tracer.instant(
-            "frame.presented", "display", cat="frame", flow=meta.flow,
-            sequence=meta.sequence, latency=done_at - meta.birth,
-        )
+        obs = self._emulator.obs
+        if obs.enabled:
+            obs.tracer.instant(
+                "frame.presented", "display", cat="frame", flow=meta.flow,
+                sequence=meta.sequence, latency=done_at - meta.birth,
+            )
         self._fps.note_presented(done_at)
         if self._latency is not None:
             self._latency.note(done_at - meta.birth)

@@ -75,9 +75,10 @@ class VirtioTransport:
         :attr:`amortized_cost` keeps its meaning under fault injection.
         ``flow`` stamps the kick's trace span with the frame it carries.
         """
-        tracer = self._obs.tracer
-        span = tracer.begin("transport.kick", "transport", cat="transport",
-                            flow=flow, batch=batch_size)
+        obs = self._obs
+        if obs.enabled:
+            span = obs.tracer.begin("transport.kick", "transport", cat="transport",
+                                    flow=flow, batch=batch_size)
         cost = self.dispatch_cost(batch_size)
         self.kick_attempts += 1
         verdict = self.fault_hook(self, batch_size) if self.fault_hook is not None else None
@@ -90,16 +91,17 @@ class VirtioTransport:
             yield Timeout(cost)
         if verdict is not None and verdict[0] == "drop":
             self.kicks_dropped += 1
-            tracer.end(span, dropped=True)
+            if obs.enabled:
+                obs.tracer.end(span, dropped=True)
             raise TransportDropError(
                 f"kick of {batch_size} command(s) lost across the boundary"
             )
         self.kicks += 1
         self.commands += batch_size
-        tracer.end(span)
-        registry = self._obs.registry
-        registry.counter("transport.kicks").inc()
-        registry.counter("transport.commands").inc(batch_size)
+        if obs.enabled:
+            obs.tracer.end(span)
+            obs.registry.counter("transport.kicks").inc()
+            obs.registry.counter("transport.commands").inc(batch_size)
         return cost
 
     def kick_reliable(

@@ -16,9 +16,10 @@ so instrumentation cannot perturb a run: simulated results are identical
 with tracing enabled or disabled (tests assert this bit-for-bit).
 
 A disabled tracer (``Tracer(enabled=False)``, or :data:`NULL_TRACER` when
-no simulator is at hand) allocates nothing: every ``begin`` returns the
-shared :data:`NULL_SPAN` sentinel and every other method is a no-op, so
-un-observed runs pay a single predicate per instrumentation site.
+no simulator is at hand) records nothing: every ``begin`` returns the
+shared :data:`NULL_SPAN` sentinel and every other method is a no-op. The
+call itself still builds its arguments, so call sites on per-access and
+per-frame paths test ``obs.enabled`` first and skip it (DESIGN.md §7).
 """
 
 from __future__ import annotations

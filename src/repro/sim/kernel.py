@@ -53,10 +53,11 @@ from repro.sim.eventq import (
     resolve_queue_spec,
     wheel_from_heap,
 )
-from repro.sim.primitives import Timeout, Waitable
+from repro.sim.primitives import SimEvent, Timeout, Waitable
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
+_INF = float("inf")
 
 ProcessGenerator = Generator[Any, Any, Any]
 
@@ -84,7 +85,9 @@ class ScheduledCall:
     Supports cancellation: a cancelled call stays in the heap but is
     skipped when popped (lazy deletion), which keeps ``cancel`` O(1). The
     live-event counter backing :meth:`Simulator.pending_events` is adjusted
-    here, at cancel time, so the skip-on-pop needs no bookkeeping.
+    here, at cancel time, so the skip-on-pop needs no bookkeeping. Dispatch
+    unbinds the call from its simulator, so cancelling a call that already
+    ran (a watchdog disarmed after it fired) leaves the counter alone.
     """
 
     __slots__ = ("time", "fn", "args", "cancelled", "_sim")
@@ -115,7 +118,7 @@ class ScheduledCall:
 
 
 #: Allocate a ScheduledCall without the Python-level ``__init__`` frame —
-#: used on the two hottest construction sites (Timeout resume, schedule).
+#: used on the hottest construction site, the resume push in ``Process._step``.
 _new_call = ScheduledCall.__new__
 
 
@@ -203,61 +206,97 @@ class Process(Waitable):
             self._sim._processes.pop(self, None)
 
     def _step(self, value: Any, exc: Optional[BaseException]) -> None:
-        """Advance the generator by one yield, wiring up the next waitable."""
+        """Advance the generator by one yield, wiring up the next waitable.
+
+        Inside :meth:`Simulator.run`, a yield whose wake-up would be the very
+        next event dispatched resumes the generator here, in place, instead
+        of pushing an entry that the dispatch loop pops straight back (see
+        :meth:`Simulator.run` for why the order of events is unchanged).
+        """
         if not self.alive:
             # A stale waitable callback for a killed process: drop it.
             return
         sim = self._sim
         hooks = sim._hooks
-        if hooks:
-            for hook in hooks:
-                hook.on_process_resume(sim._now, self)
-        try:
-            if exc is not None:
-                target = self._throw(exc)
-            else:
-                target = self._send(value)
-        except StopIteration as stop:
-            self._finish(stop.value, None)
-            return
-        except BaseException as err:  # noqa: BLE001 - captured and re-raised by run()
-            self._finish(None, err)
-            return
+        while True:
+            if hooks:
+                for hook in hooks:
+                    hook.on_process_resume(sim._now, self)
+            try:
+                if exc is not None:
+                    target = self._throw(exc)
+                else:
+                    target = self._send(value)
+            except StopIteration as stop:
+                self._finish(stop.value, None)
+                return
+            except BaseException as err:  # noqa: BLE001 - captured and re-raised by run()
+                self._finish(None, err)
+                return
 
-        if hooks:
-            for hook in hooks:
-                hook.on_process_yield(sim._now, self, target)
-        # Timeout is by far the most common yield (every modelled latency),
-        # so the exact-type fast path runs before the generic isinstance —
-        # and pushes onto the queue directly: Timeout's constructor already
-        # rejected negative delays, and nobody holds the handle to cancel.
-        # ``sim._qpush`` is re-read (not hoisted) so an adaptive heap→wheel
-        # promotion mid-run takes effect on the very next push.
-        if type(target) is Timeout:
+            if hooks:
+                for hook in hooks:
+                    hook.on_process_yield(sim._now, self, target)
+            # Timeout (every modelled latency) and SimEvent (queues, locks,
+            # fences) are by far the most common yields, so their exact-type
+            # checks run before the generic isinstance.
+            kind = type(target)
+            if kind is Timeout:
+                when = sim._now + target.delay
+                value = target.value
+                exc = None
+            elif kind is SimEvent:
+                if not target.fired:
+                    target._callbacks.append(self._step)
+                    return
+                when = sim._now
+                value = target.value
+                exc = target._exception
+            elif isinstance(target, Waitable):
+                target.add_callback(self._step)
+                return
+            elif isinstance(target, Timeout):  # pragma: no cover - Timeout subclass
+                self._schedule(target.delay, self._step, target.value, None)
+                return
+            else:
+                bad = SimulationError(
+                    f"process {self.name!r} yielded {target!r}; expected a Waitable or Timeout"
+                )
+                self._finish(None, bad)
+                return
+
+            queue = sim._queue
+            if type(queue) is not HeapEventQueue:
+                queue.push(when, ScheduledCall(when, self._step, (value, exc), sim))
+                sim._live_events += 1
+                return
+            heap = queue._heap
+            if (
+                when <= sim._resume_until
+                and (not heap or when < heap[0][0])
+                and sim._failure is None
+            ):
+                # The wake-up would be the next entry the dispatch loop pops:
+                # dispatch it here. Hooks see the same event as before.
+                sim._now = when
+                if hooks:
+                    call = ScheduledCall(when, self._step, (value, exc))
+                    for hook in hooks:
+                        hook.on_event_dispatch(when, call)
+                continue
+            # Inline HeapEventQueue.push, allocating the call without its
+            # Python-level ``__init__``: this is the hottest push site, and
+            # nobody holds the handle to cancel it.
             call = _new_call(ScheduledCall)
-            call.time = when = sim._now + target.delay
+            call.time = when
             call.fn = self._step
-            call.args = (target.value, None)
+            call.args = (value, exc)
             call.cancelled = False
             call._sim = sim
-            queue = sim._queue
-            if type(queue) is HeapEventQueue:
-                # Inline HeapEventQueue.push: this is the hottest push site
-                # and the C heappush beats a Python-level method call.
-                queue._seq = seq = queue._seq + 1
-                _heappush(queue._heap, (when, seq, call))
-            else:
-                queue.push(when, call)
+            queue._seq = seq = queue._seq + 1
+            _heappush(heap, (when, seq, call))
             sim._live_events += 1
-        elif isinstance(target, Waitable):
-            target.add_callback(self._step)
-        elif isinstance(target, Timeout):  # pragma: no cover - Timeout subclass
-            self._schedule(target.delay, self._step, target.value, None)
-        else:
-            bad = SimulationError(
-                f"process {self.name!r} yielded {target!r}; expected a Waitable or Timeout"
-            )
-            self._finish(None, bad)
+            return
 
     def _finish(self, value: Any, exc: Optional[BaseException]) -> None:
         self.alive = False
@@ -313,6 +352,9 @@ class Simulator:
         self._failure: Optional[Tuple[Process, BaseException]] = None
         self._hooks: List[SimHook] = []
         self._live_events = 0
+        # Latest wake-up a process may resume in place at: ``run``'s horizon
+        # while it runs, -inf otherwise (``step`` dispatches one event only).
+        self._resume_until = -_INF
         self._ff_vetoes: List[str] = []
 
     # -- observability hooks -------------------------------------------------
@@ -382,6 +424,7 @@ class Simulator:
             raise SimulationError("event queue time went backwards")
         self._now = time
         self._live_events -= 1
+        call._sim = None
         if self._hooks:
             for hook in self._hooks:
                 hook.on_event_dispatch(time, call)
@@ -405,66 +448,77 @@ class Simulator:
         re-validates ``self._queue`` identity after every dispatch, so an
         adaptive heap→wheel promotion or a fast-forward jump from inside a
         dispatched event restarts the loop on the fresh structure.
+
+        While this loop runs on the heap, :meth:`Process._step` resumes a
+        process in place when its wake-up is strictly earlier than the heap
+        head and not past ``until``. That is exact: ``_step`` only runs as a
+        dispatched event and returns straight here after its push, so an
+        entry that is the heap minimum is the next one popped, with nothing
+        in between. A tie goes to the earlier entry, hence "strictly".
         """
-        now = self._now
-        while True:
-            queue = self._queue
-            if type(queue) is HeapEventQueue:
-                heap = queue._heap
-                promote_at = self._promote_at
-                if promote_at is not None and len(heap) >= promote_at:
-                    self._promote_queue(queue)
-                    continue
-                swapped = False
-                while heap:
-                    entry = heap[0]
-                    if until is not None and entry[0] > until:
-                        break
-                    _heappop(heap)
-                    call = entry[2]
-                    if call.cancelled:
-                        continue
-                    time = entry[0]
-                    if time < now:
-                        raise SimulationError("event queue time went backwards")
-                    self._now = now = time
-                    self._live_events -= 1
-                    hooks = self._hooks
-                    if hooks:
-                        for hook in hooks:
-                            hook.on_event_dispatch(time, call)
-                    call.fn(*call.args)
-                    if self._failure is not None:
-                        self._raise_pending_failure()
-                    if self._queue is not queue or queue._heap is not heap:
-                        # Promoted or fast-forwarded from inside the event.
-                        swapped = True
-                        now = self._now
-                        break
+        outer = self._resume_until
+        self._resume_until = _INF if until is None else until
+        try:
+            while True:
+                queue = self._queue
+                if type(queue) is HeapEventQueue:
+                    heap = queue._heap
+                    promote_at = self._promote_at
                     if promote_at is not None and len(heap) >= promote_at:
                         self._promote_queue(queue)
-                        swapped = True
-                        break
-                if swapped:
-                    continue
-                break
-            entry = queue.pop_due(until)
-            if entry is None:
-                break
-            time = entry[0]
-            call = entry[2]
-            if time < now:
-                raise SimulationError("event queue time went backwards")
-            self._now = now = time
-            self._live_events -= 1
-            hooks = self._hooks
-            if hooks:
-                for hook in hooks:
-                    hook.on_event_dispatch(time, call)
-            call.fn(*call.args)
-            if self._failure is not None:
-                self._raise_pending_failure()
-            now = self._now  # a fast-forward jump inside the event moves the clock
+                        continue
+                    swapped = False
+                    while heap:
+                        entry = heap[0]
+                        if until is not None and entry[0] > until:
+                            break
+                        _heappop(heap)
+                        call = entry[2]
+                        if call.cancelled:
+                            continue
+                        time = entry[0]
+                        if time < self._now:
+                            raise SimulationError("event queue time went backwards")
+                        self._now = time
+                        self._live_events -= 1
+                        call._sim = None
+                        hooks = self._hooks
+                        if hooks:
+                            for hook in hooks:
+                                hook.on_event_dispatch(time, call)
+                        call.fn(*call.args)
+                        if self._failure is not None:
+                            self._raise_pending_failure()
+                        if self._queue is not queue or queue._heap is not heap:
+                            # Promoted or fast-forwarded from inside the event.
+                            swapped = True
+                            break
+                        if promote_at is not None and len(heap) >= promote_at:
+                            self._promote_queue(queue)
+                            swapped = True
+                            break
+                    if swapped:
+                        continue
+                    break
+                entry = queue.pop_due(until)
+                if entry is None:
+                    break
+                time = entry[0]
+                call = entry[2]
+                if time < self._now:
+                    raise SimulationError("event queue time went backwards")
+                self._now = time
+                self._live_events -= 1
+                call._sim = None
+                hooks = self._hooks
+                if hooks:
+                    for hook in hooks:
+                        hook.on_event_dispatch(time, call)
+                call.fn(*call.args)
+                if self._failure is not None:
+                    self._raise_pending_failure()
+        finally:
+            self._resume_until = outer
         if until is not None and self._now < until:
             self._now = until
         if check_deadlock and not len(self._queue):

@@ -163,6 +163,7 @@ class Semaphore:
             raise SimulationError("semaphore permits must be >= 0")
         self._sim = sim
         self.name = name
+        self._acquire_name = f"{name}.acquire"
         self._permits = permits
         self._waiters: Deque[SimEvent] = deque()
 
@@ -173,7 +174,7 @@ class Semaphore:
 
     def acquire(self) -> Waitable:
         """Return a waitable that fires once a permit has been granted."""
-        event = SimEvent(self._sim, name=f"{self.name}.acquire")
+        event = SimEvent(self._sim, name=self._acquire_name)
         if self._permits > 0:
             self._permits -= 1
             event.fire(None)
@@ -217,6 +218,8 @@ class FifoQueue:
             raise SimulationError("queue capacity must be positive or None")
         self._sim = sim
         self.name = name
+        self._put_name = f"{name}.put"
+        self._get_name = f"{name}.get"
         self.capacity = capacity
         self._items: Deque[Any] = deque()
         self._getters: Deque[SimEvent] = deque()
@@ -227,7 +230,7 @@ class FifoQueue:
 
     def put(self, item: Any) -> Waitable:
         """Enqueue ``item``; the returned waitable fires once it is accepted."""
-        event = SimEvent(self._sim, name=f"{self.name}.put")
+        event = SimEvent(self._sim, name=self._put_name)
         if self._getters:
             # Hand the item straight to the longest-waiting consumer.
             self._getters.popleft().fire(item)
@@ -252,7 +255,7 @@ class FifoQueue:
 
     def get(self) -> Waitable:
         """Dequeue one item; the returned waitable fires with the item."""
-        event = SimEvent(self._sim, name=f"{self.name}.get")
+        event = SimEvent(self._sim, name=self._get_name)
         if self._items:
             item = self._items.popleft()
             self._admit_parked_putter()

@@ -454,6 +454,36 @@ def test_disabled_observability_adds_zero_records():
     assert len(DISABLED.registry) == 0
 
 
+def test_unobserved_catalog_runs_skip_every_observation_call(monkeypatch):
+    # Hot observation sites test ``obs.enabled`` before building their
+    # arguments, so an unobserved run never reaches the null objects.
+    from repro.apps.catalog import emerging_app_params
+    from repro.experiments.engine import execute_spec, specs_for_apps
+
+    calls = []
+
+    def count(target, name):
+        method = getattr(target, name)
+
+        def counting(*args, **kwargs):
+            calls.append(name)
+            return method(*args, **kwargs)
+
+        monkeypatch.setitem(vars(target), name, counting)
+
+    for name in ("begin", "instant", "end"):
+        count(NULL_TRACER, name)
+    for name in ("counter", "gauge", "histogram"):
+        count(NULL_REGISTRY, name)
+
+    params = emerging_app_params(0, per_category=1)[:1]
+    for emulator in ("vSoC", "GAE"):
+        (spec,) = specs_for_apps(params, emulator, duration_ms=1_000.0)
+        out = execute_spec(spec)
+        assert out.result.presented > 0
+    assert calls == []
+
+
 # -- observe CLI --------------------------------------------------------------
 
 def test_observe_cli_writes_artifacts(tmp_path):

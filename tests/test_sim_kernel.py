@@ -313,3 +313,36 @@ def test_pending_events_tracks_dispatch():
     assert counts[-1] == 0
     # Each dispatched event left the live count consistent with the heap.
     assert all(c >= 0 for c in counts)
+
+
+def test_cancel_after_dispatch_leaves_pending_count_alone():
+    sim = Simulator()
+    call = sim.schedule(1.0, lambda: None)
+    sim.run()
+    call.cancel()
+    assert sim.pending_events() == 0
+
+
+def test_expired_watchdog_leaves_pending_count_alone():
+    from repro.errors import DeadlineExceededError
+    from repro.sim import with_deadline
+
+    sim = Simulator()
+
+    def slow():
+        yield Timeout(10.0)
+
+    def waiter():
+        try:
+            yield from with_deadline(sim, slow(), 1.0, name="slow")
+        except DeadlineExceededError:
+            return "expired"
+
+    proc = sim.spawn(waiter(), name="waiter")
+    sim.run(until=5.0)
+    # The watchdog fired and was then cancelled in with_deadline's
+    # ``finally``; only the orphaned inner process's wake-up is live.
+    assert proc.value == "expired"
+    assert sim.pending_events() == 1
+    sim.run()
+    assert sim.pending_events() == 0
