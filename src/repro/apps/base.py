@@ -20,7 +20,6 @@ from repro.errors import CapabilityError
 from repro.guest.vsync import VSyncSource
 from repro.metrics.collectors import FpsCollector, LatencyCollector
 from repro.sim import Simulator
-from repro.units import VSYNC_PERIOD_MS
 
 
 @dataclass
@@ -70,12 +69,6 @@ class App:
     #: *allocations* are small — the sub-1-MiB mass of Figure 4).
     ipc_regions = 7
 
-    #: Display pacing. Experiments may override this per app; the
-    #: fast-forward controller uses it as the anchor period, so an app
-    #: whose period is off the dyadic grid (the real 1000/60 default)
-    #: simply never engages the skip — correct, just not accelerated.
-    vsync_period = VSYNC_PERIOD_MS
-
     # -- harness API --------------------------------------------------------
     def install(self, sim: Simulator, emulator: Emulator) -> bool:
         """Spawn the workload; returns False when the emulator can't run it."""
@@ -84,33 +77,12 @@ class App:
         except CapabilityError as err:
             self._fail_reason = str(err)
             return False
-        vsync = VSyncSource(sim, period=self.vsync_period)
-        self.vsync = vsync
+        vsync = VSyncSource(sim)
         self.build(sim, emulator, vsync)
         if self.ipc_regions:
             self._spawn_ipc_traffic(sim, emulator)
         self._installed = True
         return True
-
-    def ff_register(self, controller) -> None:
-        """Register collector state with a fast-forward controller.
-
-        Subclasses extend this (calling ``super().ff_register``) with
-        their services and buffer queues. The base class covers the
-        pieces every app owns: the vsync tick counter and the frame /
-        latency collectors. A collector with a metrics registry attached
-        vetoes fast-forward — registry instruments are not journaled.
-        """
-        if getattr(self, "vsync", None) is not None:
-            self.vsync.ff_register(controller)
-        if self.fps._registry is not None:
-            controller.sim.veto_fast_forward("metrics-registry-attached")
-            return
-        controller.track_counter(self.fps, "presented")
-        controller.track_list(self.fps.present_times)
-        controller.track_counts(self.fps.dropped)
-        if self.latency is not None:
-            controller.track_list(self.latency.samples)
 
     def _spawn_ipc_traffic(self, sim: Simulator, emulator: Emulator) -> None:
         """Background CPU-only shared-memory use (binder parcels, ashmem

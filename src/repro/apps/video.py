@@ -66,22 +66,10 @@ class UhdVideoApp(App):
             frame_bytes=self.frame_bytes,
             deadline_ms=self.deadline_vsyncs * VSYNC_PERIOD_MS,
         )
-        self._queue = queue
-        self._flinger = flinger
-        self._media = media
         sim.spawn(flinger.run(), name=f"{self.name}:sf")
         sim.spawn(media.run_source(), name=f"{self.name}:source")
         sim.spawn(media.run_decoder(), name=f"{self.name}:decoder")
         sim.spawn(media.run_callbacks(), name=f"{self.name}:callbacks")
-
-    def ff_register(self, controller) -> None:
-        super().ff_register(controller)
-        if getattr(self, "_queue", None) is not None:
-            self._queue.ff_register(controller)
-        if getattr(self, "_flinger", None) is not None:
-            self._flinger.ff_register(controller)
-        if getattr(self, "_media", None) is not None:
-            self._media.ff_register(controller)
 
 
 class ShortFormVideoApp(UhdVideoApp):
@@ -112,7 +100,6 @@ class ShortFormVideoApp(UhdVideoApp):
             display_bytes=UHD_DISPLAY_BUFFER_BYTES,
             compose_dirty_fraction=self.compose_dirty_fraction,
         )
-        self._flinger = flinger
         sim.spawn(flinger.run(), name=f"{self.name}:sf")
         sim.spawn(self._clip_loop(sim, emulator, flinger), name=f"{self.name}:clips")
 

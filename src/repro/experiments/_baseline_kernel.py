@@ -187,7 +187,12 @@ class Simulator:
 
     def run(self, until: Optional[float] = None) -> None:
         while self._heap:
-            time = self._heap[0][0]
+            time, _seq, call = self._heap[0]
+            if call.cancelled:
+                # Drop it here: ``step`` would skip it and dispatch the next
+                # live entry, even one past ``until``.
+                heapq.heappop(self._heap)
+                continue
             if until is not None and time > until:
                 break
             self.step()

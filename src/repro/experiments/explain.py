@@ -145,7 +145,6 @@ def attribution_report(
         "seed": seed,
         "frames": len(budget.frames),
         "skipped_flows": len(budget.skipped_flows),
-        "ff_multiplier": budget.ff_multiplier,
         "latency": {
             "p50_ms": percentile(latencies, 50.0, default=None),
             "p95_ms": percentile(latencies, 95.0, default=None),
@@ -295,9 +294,7 @@ def validate_attribution_diff(data: Any) -> List[str]:
 def _print_budget(report: Dict[str, Any]) -> None:
     print(f"Latency budget — {report['app']!r} on {report['emulator']!r} "
           f"({report['frames']} frames, "
-          f"{report['latency']['total_ms']:.1f} ms total latency"
-          + (f", x{report['ff_multiplier']:.1f} fast-forward scale"
-             if report["ff_multiplier"] > 1.0 else "") + "):")
+          f"{report['latency']['total_ms']:.1f} ms total latency):")
     for cell in sorted(report["cells"], key=lambda c: -c["ms"]):
         bar = "#" * max(1, round(24 * cell["share"]))
         print(f"  {cell['category']:18s} {cell['device']:10s} "

@@ -93,9 +93,6 @@ class FaultInjector:
             raise ConfigurationError("this injector is already installed")
         self._installed = True
         self.plan.validate()
-        # An armed fault plan makes the run aperiodic by design: no
-        # steady-state cycle may ever be skipped past an injection point.
-        self._sim.veto_fast_forward("fault-injection")
         machine = emulator.machine
         buses: Dict[str, Bus] = {}
         for bus in (machine.memctl, machine.pcie, machine.boundary, emulator.planner.boundary):

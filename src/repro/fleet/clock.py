@@ -36,10 +36,10 @@ drain deadlines with the same watchdog class the copy planner uses.
 from __future__ import annotations
 
 import asyncio
+import heapq
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.errors import FleetError
-from repro.sim.eventq import make_event_queue
 
 #: Upper bound on settle iterations between two timer firings. A chain of
 #: synchronous wake-ups this long means a task is blocked on a non-clock
@@ -63,15 +63,12 @@ class ClockHandle:
 
 
 class VirtualClock:
-    """Virtual-time timer wheel driving an asyncio loop deterministically."""
+    """Virtual-time timer heap driving an asyncio loop deterministically."""
 
-    def __init__(self, queue: Any = "wheel") -> None:
+    def __init__(self) -> None:
         self.now = 0.0
-        # The shared EventQueue abstraction from the DES kernel. Fleet runs
-        # are the workload the timing wheel exists for (thousands of
-        # concurrent session timers), so the wheel is the default; any
-        # kernel-compatible spec or instance is accepted.
-        self._queue = make_event_queue(queue)
+        self._heap: List[Tuple[float, int, ClockHandle]] = []
+        self._seq = 0
         self._tasks: List["asyncio.Task[Any]"] = []
         self._runnable = 0
         self._parked: set = set()
@@ -84,7 +81,8 @@ class VirtualClock:
         if delay < 0:
             raise FleetError(f"cannot schedule into the past (delay={delay})")
         handle = ClockHandle(self.now + delay, fn, args)
-        self._queue.push(handle.time, handle)
+        self._seq += 1
+        heapq.heappush(self._heap, (handle.time, self._seq, handle))
         return handle
 
     def spawn(self, coro: Any, name: str = "task") -> "asyncio.Task[Any]":
@@ -163,11 +161,10 @@ class VirtualClock:
     async def run_until(self, t_end: float) -> None:
         """Advance virtual time to ``t_end``, firing due timers in order."""
         await self._settle()
-        while True:
-            entry = self._queue.pop_due(t_end)
-            if entry is None:
-                break
-            time_ms, _seq, handle = entry
+        while self._heap and self._heap[0][0] <= t_end:
+            time_ms, _seq, handle = heapq.heappop(self._heap)
+            if handle.cancelled:
+                continue
             if time_ms > self.now:
                 self.now = time_ms
             self.timers_fired += 1
@@ -178,7 +175,7 @@ class VirtualClock:
         await self._settle()
 
     def pending_timers(self) -> int:
-        return sum(1 for _ in self._queue.iter_pending())
+        return sum(1 for _, _, h in self._heap if not h.cancelled)
 
     def raise_task_failures(self) -> None:
         """Re-raise the first background-task failure, if any."""

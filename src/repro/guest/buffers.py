@@ -91,20 +91,6 @@ class BufferQueue:
     def free_depth(self) -> int:
         return len(self._free)
 
-    def ff_register(self, controller) -> None:
-        """Fingerprint the rotation state for the fast-forward detector.
-
-        Buffer *identities* matter, not just depths: with N buffers
-        rotating strictly, the pattern of which region is where repeats
-        with period N frames — including indices makes the detector find
-        that multiple instead of engaging on a false one-frame cycle.
-        """
-        free, filled = self._free, self._filled
-        controller.watch(lambda: (
-            tuple(b.index for b in free._items),
-            tuple(b.index for b in filled._items),
-        ))
-
     def destroy(self) -> None:
         """Free every SVM region owned by the queue."""
         for buffer in self._buffers:

@@ -94,19 +94,6 @@ class SurfaceFlinger:
         """Producer side: queue a filled buffer for composition."""
         self._inbox.put(_Submission(buffer, queue, meta))
 
-    def ff_register(self, controller: Any) -> None:
-        """Expose compositor state to the fast-forward fixed-point detector.
-
-        ``frames_rendered`` is journaled (it strides by one per frame);
-        the inbox depth and the framebuffer flip state are fingerprints —
-        a cycle only counts as repeating when both return to the same
-        value, which is what makes double-buffer flip-flop runs engage at
-        a cycle multiple of two.
-        """
-        controller.track_counter(self, "frames_rendered")
-        inbox = self._inbox
-        controller.watch(lambda: (len(inbox), self._fb_index, self._stopped))
-
     @property
     def backlog(self) -> int:
         return len(self._inbox)
@@ -220,14 +207,6 @@ class MediaService:
     def stop(self) -> None:
         self._stopped = True
 
-    def ff_register(self, controller: Any) -> None:
-        """Journal the frame sequence counter; fingerprint the queue depths."""
-        controller.track_counter(self, "_sequence")
-        jitter, decoded = self._jitter, self._decoded
-        controller.watch(
-            lambda: (len(jitter), len(decoded), self._stopped)
-        )
-
     def run_source(self) -> Generator[Any, Any, None]:
         """Process: deliver encoded frames at the native rate (± jitter)."""
         yield Timeout(self._rng.uniform(0.0, self.frame_interval))  # phase
@@ -311,14 +290,6 @@ class CameraService:
 
     def stop(self) -> None:
         self._stopped = True
-
-    def ff_register(self, controller: Any) -> None:
-        """Camera runs never actually engage (the sensor clock is jittered
-        and skewed off any dyadic grid), but registering keeps the detector
-        honest if a test pins the sensor to a grid-exact cadence."""
-        controller.track_counter(self, "_sequence")
-        pending = self._pending
-        controller.watch(lambda: (len(pending), self._stopped))
 
     def run_sensor(self) -> Generator[Any, Any, None]:
         """Process: the sensor ticks at its native rate, never pausing.

@@ -39,11 +39,6 @@ class VSyncSource:
         event.fire(self._sim.now)
         self._sim.schedule(self.period, self._tick)
 
-    def ff_register(self, controller) -> None:
-        """Journal the tick counter; fingerprint the waiter population."""
-        controller.track_counter(self, "ticks")
-        controller.watch(lambda: len(self._next_event._callbacks))
-
     def wait_next(self) -> Waitable:
         """Waitable firing at the next tick, with the tick time as value."""
         return self._next_event

@@ -181,56 +181,17 @@ def tracelog_events(
     return events
 
 
-def fastforward_events(
-    stats: Mapping[str, Any], table: _TrackTable
-) -> List[Dict[str, Any]]:
-    """Instant events marking an analytic fast-forward jump.
-
-    A steady-state jump leaves no spans behind — simulated time moves
-    without events — so a Perfetto timeline would show a silent gap.
-    This marks the jump edge with an ``i`` event carrying the skip
-    arithmetic (cycles, multiplicity, skipped ms) so the gap reads as
-    "proven periodic, skipped analytically" instead of "nothing ran".
-    """
-    if not stats or not stats.get("skipped_cycles"):
-        return []
-    pid, tid = table.ids_for("fastforward")
-    events = []
-    for name, ts in (("fastforward.jump", stats.get("jump_at")),
-                     ("fastforward.land", stats.get("jump_to"))):
-        if ts is None:
-            continue
-        events.append({
-            "ph": "i",
-            "s": "g",  # global scope: the whole timeline jumped
-            "name": name,
-            "cat": "fastforward",
-            "ts": float(ts) * _MS_TO_US,
-            "pid": pid,
-            "tid": tid,
-            "args": {
-                "skipped_cycles": stats.get("skipped_cycles"),
-                "skipped_ms": stats.get("skipped_ms"),
-                "cycle_multiple": stats.get("cycle_multiple"),
-            },
-        })
-    return events
-
-
 def chrome_trace(
     tracer: Tracer,
     track_groups: Optional[Mapping[str, str]] = None,
     tracelog: Optional[TraceLog] = None,
     end_time: Optional[float] = None,
-    fast_forward: Optional[Mapping[str, Any]] = None,
 ) -> Dict[str, Any]:
     """Export a tracer (and optionally a TraceLog) as a Chrome trace dict.
 
     ``track_groups`` maps track names to their process group (physical
     device); unmapped tracks join the ``host`` group. ``end_time`` clamps
     spans still open at export time (defaults to the latest span edge).
-    ``fast_forward`` is a :meth:`FastForwardController.stats` dict; when
-    the run jumped, the skipped region is annotated with instant events.
     """
     table = _TrackTable(track_groups)
     if end_time is None:
@@ -259,8 +220,6 @@ def chrome_trace(
         events.extend(_flow_events(flow, chain, table))
     if tracelog is not None:
         events.extend(tracelog_events(tracelog, table))
-    if fast_forward is not None:
-        events.extend(fastforward_events(fast_forward, table))
     # Stable sort on ts only: flow events are appended in chain order, so
     # s → t → f survives timestamp ties (a (ts, pid, tid) key would not).
     events.sort(key=lambda e: e.get("ts", 0.0))

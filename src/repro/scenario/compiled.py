@@ -151,14 +151,3 @@ class GraphApp(App):
             if self.deadline_vsyncs is not None:
                 meta.deadline = meta.birth + self.deadline_vsyncs * VSYNC_PERIOD_MS
             self._flinger.submit(buffer, self._queue, meta)
-
-    def ff_register(self, controller) -> None:
-        super().ff_register(controller)
-        controller.track_counter(self, "_sequence")
-        if getattr(self, "_queue", None) is not None:
-            self._queue.ff_register(controller)
-        if getattr(self, "_flinger", None) is not None:
-            self._flinger.ff_register(controller)
-        pending = getattr(self, "_pending", None)
-        if pending is not None:
-            controller.watch(lambda: len(pending))

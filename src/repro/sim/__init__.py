@@ -14,12 +14,6 @@ Public surface:
 * :mod:`~repro.sim.tracing` — structured trace records.
 """
 
-from repro.sim.eventq import (
-    HeapEventQueue,
-    TimingWheelEventQueue,
-    make_event_queue,
-)
-from repro.sim.fastforward import FastForwardController
 from repro.sim.kernel import Process, ScheduledCall, Simulator
 from repro.sim.primitives import (
     AllOf,
@@ -37,10 +31,6 @@ __all__ = [
     "Simulator",
     "Process",
     "ScheduledCall",
-    "HeapEventQueue",
-    "TimingWheelEventQueue",
-    "make_event_queue",
-    "FastForwardController",
     "Waitable",
     "Timeout",
     "SimEvent",

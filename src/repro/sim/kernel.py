@@ -45,14 +45,6 @@ import heapq
 from typing import Any, Callable, Dict, Generator, Iterable, List, Optional, Tuple
 
 from repro.errors import DeadlockError, SimulationError
-from repro.sim.eventq import (
-    ADAPTIVE_PROMOTE_AT,
-    Entry,
-    HeapEventQueue,
-    make_event_queue,
-    resolve_queue_spec,
-    wheel_from_heap,
-)
 from repro.sim.primitives import SimEvent, Timeout, Waitable
 
 _heappush = heapq.heappush
@@ -265,12 +257,7 @@ class Process(Waitable):
                 self._finish(None, bad)
                 return
 
-            queue = sim._queue
-            if type(queue) is not HeapEventQueue:
-                queue.push(when, ScheduledCall(when, self._step, (value, exc), sim))
-                sim._live_events += 1
-                return
-            heap = queue._heap
+            heap = sim._heap
             if (
                 when <= sim._resume_until
                 and (not heap or when < heap[0][0])
@@ -284,7 +271,7 @@ class Process(Waitable):
                     for hook in hooks:
                         hook.on_event_dispatch(when, call)
                 continue
-            # Inline HeapEventQueue.push, allocating the call without its
+            # Inline Simulator.schedule, allocating the call without its
             # Python-level ``__init__``: this is the hottest push site, and
             # nobody holds the handle to cancel it.
             call = _new_call(ScheduledCall)
@@ -293,7 +280,7 @@ class Process(Waitable):
             call.args = (value, exc)
             call.cancelled = False
             call._sim = sim
-            queue._seq = seq = queue._seq + 1
+            sim._seq = seq = sim._seq + 1
             _heappush(heap, (when, seq, call))
             sim._live_events += 1
             return
@@ -335,16 +322,12 @@ class Simulator:
         assert sim.now == 5.0 and proc.value == "done"
     """
 
-    def __init__(self, queue: Any = None) -> None:
+    def __init__(self) -> None:
         self._now = 0.0
-        # ``queue`` may be a spec string ("heap" | "wheel" | "adaptive"), a
-        # pre-built EventQueue, or None (env override / adaptive default).
-        # Adaptive starts on the heap; the dispatch loop promotes it to a
-        # timing wheel once the pending population crosses the threshold.
-        spec = resolve_queue_spec(queue)
-        self._promote_at = ADAPTIVE_PROMOTE_AT if spec == "adaptive" else None
-        self._queue = make_event_queue(spec)
-        self._qpush = self._queue.push
+        # ``(time, seq, call)`` entries; ``seq`` increases with every push,
+        # so events at equal times dispatch in scheduling order.
+        self._heap: List[Tuple[float, int, ScheduledCall]] = []
+        self._seq = 0
         # Insertion-ordered registry of *live* processes (finished ones are
         # pruned by Process._finish). A dict-as-ordered-set keeps removal
         # O(1) while the deadlock report still lists names in spawn order.
@@ -355,7 +338,6 @@ class Simulator:
         # Latest wake-up a process may resume in place at: ``run``'s horizon
         # while it runs, -inf otherwise (``step`` dispatches one event only).
         self._resume_until = -_INF
-        self._ff_vetoes: List[str] = []
 
     # -- observability hooks -------------------------------------------------
     def add_hook(self, hook: SimHook) -> None:
@@ -373,30 +355,15 @@ class Simulator:
         """Current simulated time in milliseconds."""
         return self._now
 
-    @property
-    def queue_kind(self) -> str:
-        """Which EventQueue back-end is currently active ("heap"/"wheel")."""
-        return self._queue.kind
-
-    def _promote_queue(self, heap_queue: HeapEventQueue) -> None:
-        """Adaptive escalation: swap the heap for a timing wheel in place.
-
-        Called from the dispatch loop once the pending population crosses
-        the adaptive threshold. Sequence numbers carry over, so dispatch
-        order is unchanged — the property tests assert bit-identical
-        traces across the promotion boundary.
-        """
-        self._promote_at = None
-        self._queue = wheel_from_heap(heap_queue)
-        self._qpush = self._queue.push
-
     # -- scheduling ------------------------------------------------------------
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> ScheduledCall:
         """Run ``fn(*args)`` after ``delay`` ms of simulated time."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        call = ScheduledCall(self._now + delay, fn, args, self)
-        self._qpush(call.time, call)
+        time = self._now + delay
+        call = ScheduledCall(time, fn, args, self)
+        self._seq = seq = self._seq + 1
+        _heappush(self._heap, (time, seq, call))
         self._live_events += 1
         return call
 
@@ -415,96 +382,57 @@ class Simulator:
     # -- execution ---------------------------------------------------------
     def step(self) -> bool:
         """Execute the single next event. Returns False if the queue is empty."""
-        entry = self._queue.pop_due(None)
-        if entry is None:
-            return False
-        time = entry[0]
-        call = entry[2]
-        if time < self._now:
-            raise SimulationError("event queue time went backwards")
-        self._now = time
-        self._live_events -= 1
-        call._sim = None
-        if self._hooks:
-            for hook in self._hooks:
-                hook.on_event_dispatch(time, call)
-        call.fn(*call.args)
-        if self._failure is not None:
-            self._raise_pending_failure()
-        return True
+        heap = self._heap
+        while heap:
+            time, _seq, call = _heappop(heap)
+            if call.cancelled:
+                continue
+            if time < self._now:
+                raise SimulationError("event queue time went backwards")
+            self._now = time
+            self._live_events -= 1
+            call._sim = None
+            if self._hooks:
+                for hook in self._hooks:
+                    hook.on_event_dispatch(time, call)
+            call.fn(*call.args)
+            if self._failure is not None:
+                self._raise_pending_failure()
+            return True
+        return False
 
     def run(self, until: Optional[float] = None, check_deadlock: bool = False) -> None:
         """Run events until the queue drains or simulated time passes ``until``.
 
         With ``until`` set, the clock is advanced to exactly ``until`` even if
         the last event fires earlier, so back-to-back ``run`` calls compose.
-        ``check_deadlock=True`` raises :class:`DeadlockError` if the queue
-        drains while processes are still alive (useful in unit tests).
+        ``check_deadlock=True`` raises :class:`DeadlockError` if no live
+        event is left while processes are still alive (useful in unit tests).
 
         The dispatch loop is the single hottest path of the whole library
-        (every simulated event passes through it), so the heap back-end is
-        inlined here rather than delegating to ``pop_due``: locals replace
-        attribute lookups and the per-event method call. The inlined loop
-        re-validates ``self._queue`` identity after every dispatch, so an
-        adaptive heap→wheel promotion or a fast-forward jump from inside a
-        dispatched event restarts the loop on the fresh structure.
+        (every simulated event passes through it), so it pops the heap
+        inline, with locals in place of attribute lookups.
 
-        While this loop runs on the heap, :meth:`Process._step` resumes a
-        process in place when its wake-up is strictly earlier than the heap
-        head and not past ``until``. That is exact: ``_step`` only runs as a
-        dispatched event and returns straight here after its push, so an
-        entry that is the heap minimum is the next one popped, with nothing
-        in between. A tie goes to the earlier entry, hence "strictly".
+        While this loop runs, :meth:`Process._step` resumes a process in
+        place when its wake-up is strictly earlier than the heap head and not
+        past ``until``. That is exact: ``_step`` only runs as a dispatched
+        event and returns straight here after its push, so an entry that is
+        the heap minimum is the next one popped, with nothing in between. A
+        tie goes to the earlier entry, hence "strictly".
         """
         outer = self._resume_until
-        self._resume_until = _INF if until is None else until
+        self._resume_until = limit = _INF if until is None else until
+        heap = self._heap
         try:
-            while True:
-                queue = self._queue
-                if type(queue) is HeapEventQueue:
-                    heap = queue._heap
-                    promote_at = self._promote_at
-                    if promote_at is not None and len(heap) >= promote_at:
-                        self._promote_queue(queue)
-                        continue
-                    swapped = False
-                    while heap:
-                        entry = heap[0]
-                        if until is not None and entry[0] > until:
-                            break
-                        _heappop(heap)
-                        call = entry[2]
-                        if call.cancelled:
-                            continue
-                        time = entry[0]
-                        if time < self._now:
-                            raise SimulationError("event queue time went backwards")
-                        self._now = time
-                        self._live_events -= 1
-                        call._sim = None
-                        hooks = self._hooks
-                        if hooks:
-                            for hook in hooks:
-                                hook.on_event_dispatch(time, call)
-                        call.fn(*call.args)
-                        if self._failure is not None:
-                            self._raise_pending_failure()
-                        if self._queue is not queue or queue._heap is not heap:
-                            # Promoted or fast-forwarded from inside the event.
-                            swapped = True
-                            break
-                        if promote_at is not None and len(heap) >= promote_at:
-                            self._promote_queue(queue)
-                            swapped = True
-                            break
-                    if swapped:
-                        continue
-                    break
-                entry = queue.pop_due(until)
-                if entry is None:
-                    break
+            while heap:
+                entry = heap[0]
                 time = entry[0]
+                if time > limit:
+                    break
+                _heappop(heap)
                 call = entry[2]
+                if call.cancelled:
+                    continue
                 if time < self._now:
                     raise SimulationError("event queue time went backwards")
                 self._now = time
@@ -521,41 +449,10 @@ class Simulator:
             self._resume_until = outer
         if until is not None and self._now < until:
             self._now = until
-        if check_deadlock and not len(self._queue):
+        if check_deadlock and not self._live_events:
             stuck = [p.name for p in self._processes if p.alive]
             if stuck:
                 raise DeadlockError(f"no events left but processes blocked: {stuck}")
-
-    # -- fast-forward support ----------------------------------------------
-    def fast_forward(self, dt: float) -> None:
-        """Jump the clock ``dt`` ms into the future without dispatching.
-
-        Every pending event is shifted by exactly ``dt`` so relative timing
-        is untouched; the caller (:class:`repro.sim.fastforward.
-        FastForwardController`) is responsible for advancing any state the
-        skipped events would have produced. Only sound when the pending set
-        is exactly periodic — which the controller proves before calling.
-        """
-        if dt < 0:
-            raise SimulationError(f"cannot fast-forward into the past (dt={dt})")
-        if dt == 0.0:
-            return
-        self._queue.shift_all(dt)
-        self._now += dt
-
-    def veto_fast_forward(self, reason: str) -> None:
-        """Mark this run as ineligible for fast-forward (chaos, tracing...).
-
-        Irrevocable for the life of the simulator: the fast-forward
-        controller checks the veto list at every anchor, so a veto placed
-        mid-run (e.g. by a fault injector installing late) still lands
-        before any jump.
-        """
-        self._ff_vetoes.append(reason)
-
-    @property
-    def fast_forward_vetoes(self) -> Tuple[str, ...]:
-        return tuple(self._ff_vetoes)
 
     # -- failure propagation -------------------------------------------------
     def _note_failure(self, proc: Process, exc: BaseException) -> None:
@@ -583,11 +480,3 @@ class Simulator:
         that poll it.
         """
         return self._live_events
-
-    def pending_entries(self) -> List[Entry]:
-        """Sorted ``(time, seq, call)`` snapshot of every live event.
-
-        O(n log n) introspection for the fast-forward fixed-point detector;
-        not used on any dispatch path.
-        """
-        return sorted(self._queue.iter_pending())

@@ -99,11 +99,6 @@ class TraceLog:
         self._counts: Dict[str, int] = {}
         self.dropped_records = 0
         self.recorded_total = 0
-        # Fast-forward journal hook: when the fixed-point detector is
-        # watching this log it sets ``ff_mirror`` to a list and every
-        # accepted record is appended there too (one attribute check per
-        # record when inactive). See repro.sim.fastforward.TraceChannel.
-        self.ff_mirror: Optional[List[TraceRecord]] = None
 
     def wants(self, kind: str) -> bool:
         """Whether :meth:`record` would retain a record of ``kind``.
@@ -135,33 +130,6 @@ class TraceLog:
         self._records.append(record)
         # One dict probe in the common (kind already seen) case; the
         # _by_kind/_counts invariant guarantees both hit or both miss.
-        try:
-            self._by_kind[kind].append(record)
-            self._counts[kind] += 1
-        except KeyError:
-            bucket = self._by_kind[kind] = deque()
-            bucket.append(record)
-            self._counts[kind] = 1
-        self.recorded_total += 1
-        mirror = self.ff_mirror
-        if mirror is not None:
-            mirror.append(record)
-        if self.max_records is not None and len(self._records) > self.max_records:
-            self._evict_oldest()
-
-    def ff_append(self, time: float, kind: str, fields: Dict[str, Any]) -> None:
-        """Append one record during a fast-forward replay.
-
-        Identical bookkeeping to :meth:`record` (per-kind index, counts,
-        eviction) except it never consults the enable/kind filters — the
-        replayed rows were captured *after* filtering — and never feeds the
-        ``ff_mirror``, so a replay cannot journal itself.
-        """
-        record = _new_record(TraceRecord)
-        record.time = time
-        record.kind = kind
-        record.fields = fields
-        self._records.append(record)
         try:
             self._by_kind[kind].append(record)
             self._counts[kind] += 1

@@ -216,6 +216,22 @@ def test_deadlock_detection():
         sim.run(check_deadlock=True)
 
 
+def test_cancelled_timer_past_until_does_not_hide_deadlock():
+    sim = Simulator()
+    from repro.sim import SimEvent
+
+    never = SimEvent(sim, name="never")
+
+    def stuck():
+        yield never
+
+    sim.spawn(stuck(), name="stuck")
+    sim.schedule(100.0, lambda: None).cancel()
+    with pytest.raises(DeadlockError):
+        sim.run(until=50.0, check_deadlock=True)
+    assert sim.pending_events() == 0
+
+
 def test_live_processes_and_pending_events():
     sim = Simulator()
 

@@ -5,7 +5,9 @@ round trip when its wake-up would be the very next event dispatched. The
 frozen kernel in ``repro.experiments._baseline_kernel`` always round-trips.
 Seeded random process mixes run through both must give identical resume
 logs, clocks and pending-event counts, and an attached ``SelfProfiler``
-must fill an identical table.
+must fill an identical table. The mixes also schedule and cancel plain
+timers; the reference counts pending events by scanning its heap, so the
+comparison checks the live kernel's counter too.
 """
 
 from __future__ import annotations
@@ -26,6 +28,12 @@ REFERENCE = (ref.Simulator, ref.Timeout, ref.SimEvent)
 DELAYS = (0.0, 0.0, 0.5, 1.0, 1.0, 1.5, 2.0, 3.0)
 #: ``run(until=now + offset)`` offsets on the same grid: they land on wake-ups.
 OFFSETS = (0.0, 0.5, 1.0, 2.0, 2.5, 4.0)
+#: The last ``run`` either drains the queue or stops at ``now + HORIZON``,
+#: which every process finishes well before; timers at ``FAR`` outlive it.
+HORIZON = 100.0
+FAR = 1_000.0
+#: How many actions later a timer is cancelled; None = never.
+CANCEL_AFTER = (0, 1, 2, None)
 
 SEEDS = range(300)
 
@@ -40,9 +48,12 @@ def random_mix(seed):
         actions = []
         for _ in range(rng.randint(1, 8)):
             kind = rng.choice(("timeout", "timeout", "timeout", "wait", "fire",
-                               "join", "spawn"))
+                               "join", "spawn", "timer"))
             if kind in ("timeout", "spawn"):
                 actions.append((kind, rng.choice(DELAYS)))
+            elif kind == "timer":
+                actions.append((kind, (rng.choice(DELAYS + (FAR,)),
+                                       rng.choice(CANCEL_AFTER))))
             elif kind in ("wait", "fire"):
                 actions.append((kind, rng.randrange(events)))
             elif index:
@@ -56,7 +67,7 @@ def random_mix(seed):
             plan.append(("step", rng.randint(1, 5)))
         else:
             plan.append(("run", rng.choice(OFFSETS)))
-    plan.append(("run", None))
+    plan.append(("run", rng.choice((None, HORIZON))))
     return events, scripts, plan
 
 
@@ -71,8 +82,23 @@ def drive(kernel, mix, hook=None):
     procs = []
     log = []
 
+    def ring(name, step):
+        log.append((sim.now, name, ("timer", step)))
+
     def body(name, actions):
+        cancels = []  # (action index to cancel at, timer handle)
         for step, (kind, arg) in enumerate(actions):
+            for due, timer in cancels:
+                if due == step:
+                    timer.cancel()
+            if kind == "timer":
+                delay, cancel_after = arg
+                timer = sim.schedule(delay, ring, name, step)
+                if cancel_after == 0:
+                    timer.cancel()
+                elif cancel_after is not None:
+                    cancels.append((step + cancel_after, timer))
+                continue
             if kind == "fail":
                 raise ValueError(name)
             if kind == "fire":
@@ -152,7 +178,7 @@ def test_random_mixes_resume_in_place():
     live_pushes = reference_pushes = 0
     for seed in SEEDS:
         mix = random_mix(seed)
-        live_pushes += drive(LIVE, mix)[1]._queue._seq
+        live_pushes += drive(LIVE, mix)[1]._seq
         reference_pushes += drive(REFERENCE, mix)[1]._seq
     assert live_pushes < reference_pushes
 
