@@ -98,12 +98,3 @@ class SnapshotMismatchError(SnapshotError):
     """Deterministic replay reached the cut point in a different state
     than the snapshot recorded — the run recipe and the snapshot disagree."""
 
-
-class FleetError(ReproError):
-    """The fleet session service hit an inconsistent control-plane state
-    (a wedged virtual clock, a session placed on a dead worker, ...)."""
-
-
-class AdmissionRejectedError(FleetError):
-    """A session request was refused by admission control (window closed,
-    no worker capacity, or priority shed under saturation)."""

@@ -15,10 +15,6 @@ Usage::
         [--strict-audit]
     python -m repro.experiments fuzz [--max-samples 50] [--seed 0] \
         [--fuzz-dir fuzz-reproducers] [--replay repro.json]
-    python -m repro.experiments fleetserve [--quick] [--seed 0] \
-        [--out fleet.html] [--report fleet.json] [--live out/]
-    python -m repro.experiments flightdeck --events out/events.jsonl \
-        [--out flightdeck.html]
     python -m repro.experiments explain --app ar --emulator vsoc \
         [--against qemu_kvm] [--out attribution.json] [--deadline 50]
 
@@ -491,8 +487,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument("experiment",
                         choices=[*COMMANDS, "all", "observe", "bench",
-                                 "dashboard", "recover", "fleetserve",
-                                 "flightdeck", "fuzz", "explain"])
+                                 "dashboard", "recover", "fuzz", "explain"])
     parser.add_argument("--quick", action="store_true",
                         help="shorter runs, fewer apps (same shapes)")
     parser.add_argument("--jobs", type=int, default=None, metavar="N",
@@ -515,7 +510,7 @@ def main(argv=None) -> int:
                                   "(default 0.25)")
     dashboard_group = parser.add_argument_group("dashboard options")
     dashboard_group.add_argument("--snapshot", metavar="PATH", default=None,
-                                 help="also write the canonical fleet "
+                                 help="also write the canonical run-telemetry "
                                       "aggregate JSON here")
     observe_group = parser.add_argument_group("observe options")
     observe_group.add_argument("--app", default="ar",
@@ -556,8 +551,7 @@ def main(argv=None) -> int:
                                     "(default 50 ms)")
     recover_group = parser.add_argument_group("recover options")
     recover_group.add_argument("--report", metavar="PATH", default=None,
-                               help="write the recovery/audit JSON report here "
-                                    "(recover/fleetserve)")
+                               help="write the recovery/audit JSON report here")
     chaos_group = parser.add_argument_group("chaos options")
     chaos_group.add_argument("--fault-class", metavar="LABEL", default=None,
                              help="run only this fault class (plus the "
@@ -580,19 +574,6 @@ def main(argv=None) -> int:
     fuzz_group.add_argument("--no-shrink", action="store_true",
                             help="report findings without delta-debugging "
                                  "them to minimal reproducers")
-    fleet_group = parser.add_argument_group("fleetserve options")
-    fleet_group.add_argument("--workers", type=int, default=None, metavar="N",
-                             help="override the simulation-worker pool size")
-    fleet_group.add_argument("--crashes", type=int, default=None, metavar="N",
-                             help="override the injected worker-crash count")
-    fleet_group.add_argument("--live", metavar="DIR", default=None,
-                             help="record the run: streaming event log, "
-                                  "live-refreshing dashboard, and "
-                                  "Chrome/Perfetto trace land in DIR")
-    deck_group = parser.add_argument_group("flightdeck options")
-    deck_group.add_argument("--events", metavar="PATH", default=None,
-                            help="recorded event log (JSONL) to replay "
-                                 "into the dashboard")
     args = parser.parse_args(argv)
     from repro.experiments import engine
 
@@ -655,21 +636,6 @@ def main(argv=None) -> int:
             quick=args.quick, report_path=args.report, seed=args.seed,
             strict_audit=args.strict_audit,
         )
-    if args.experiment == "fleetserve":
-        from repro.experiments.fleetserve import cmd_fleetserve
-
-        return cmd_fleetserve(
-            quick=args.quick, seed=args.seed, out_path=args.out,
-            report_path=args.report, crashes=args.crashes,
-            workers=args.workers, live_dir=args.live,
-        )
-    if args.experiment == "flightdeck":
-        from repro.experiments.fleetserve import cmd_flightdeck
-
-        if not args.events:
-            parser.error("flightdeck needs --events PATH (a recorded "
-                         "events.jsonl)")
-        return cmd_flightdeck(events_path=args.events, out_path=args.out)
     if args.experiment == "chaos":
         return cmd_chaos(args.quick, seed=args.seed,
                          fault_class=args.fault_class,

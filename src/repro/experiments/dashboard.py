@@ -1,13 +1,14 @@
-"""``dashboard``: fleet sweep → deterministic aggregate → one HTML file.
+"""``dashboard``: telemetry sweep → deterministic aggregate → one HTML file.
 
 The command runs the standard telemetry grid — every emulator × two
 representative apps (UHD video and AR, the paper's most demanding
 categories) — through the parallel engine with per-run telemetry capture
-on, folds the snapshots with :class:`repro.obs.fleet.FleetAggregator`, and
-renders :mod:`repro.obs.dashboard`'s single-file report::
+on, folds the snapshots with
+:class:`repro.obs.telemetry.TelemetryAggregator`, and renders
+:mod:`repro.obs.dashboard`'s single-file report::
 
     python -m repro.experiments dashboard --out report.html \
-        [--snapshot fleet.json] [--history BENCH_history.jsonl] \
+        [--snapshot telemetry.json] [--history BENCH_history.jsonl] \
         [--quick] [--jobs N]
 
 Because snapshots ride the run cache, a warm rerun regenerates the exact
@@ -24,8 +25,8 @@ from typing import Any, Dict, List, Optional
 from repro.experiments.engine import EngineReport, RunSpec, run_many
 
 #: The telemetry grid: every emulator × the two heaviest app categories.
-FLEET_EMULATORS = ("vSoC", "GAE", "QEMU-KVM")
-FLEET_APPS = (
+TELEMETRY_EMULATORS = ("vSoC", "GAE", "QEMU-KVM")
+TELEMETRY_APPS = (
     ("video", "repro.apps.video:UhdVideoApp"),
     ("ar", "repro.apps.ar:ArApp"),
 )
@@ -34,14 +35,14 @@ DEFAULT_DURATION_MS = 6_000.0
 QUICK_DURATION_MS = 2_000.0
 
 
-def fleet_specs(duration_ms: float = DEFAULT_DURATION_MS,
+def telemetry_specs(duration_ms: float = DEFAULT_DURATION_MS,
                 seed: int = 0) -> List[RunSpec]:
     """The dashboard's run grid, telemetry + latency attribution on.
 
     Attribution mirrors per-(category × device) budget totals into
     ``budget.ms`` counters on each snapshot, which the aggregator rolls
-    up like any other counter — the dashboard's per-session budget bars
-    come for free from the ordinary fleet pipeline.
+    up like any other counter — the dashboard's per-cell budget bars
+    come for free from the ordinary aggregation pipeline.
     """
     return [
         RunSpec(
@@ -53,16 +54,16 @@ def fleet_specs(duration_ms: float = DEFAULT_DURATION_MS,
             telemetry=True,
             attribution=True,
         )
-        for emulator in FLEET_EMULATORS
-        for _label, factory in FLEET_APPS
+        for emulator in TELEMETRY_EMULATORS
+        for _label, factory in TELEMETRY_APPS
     ]
 
 
-def run_fleet(duration_ms: float = DEFAULT_DURATION_MS,
-              jobs: Optional[int] = None, cache=True,
-              seed: int = 0) -> EngineReport:
+def run_telemetry_grid(duration_ms: float = DEFAULT_DURATION_MS,
+                       jobs: Optional[int] = None, cache=True,
+                       seed: int = 0) -> EngineReport:
     """Run the telemetry grid through the engine."""
-    return run_many(fleet_specs(duration_ms, seed), jobs=jobs, cache=cache)
+    return run_many(telemetry_specs(duration_ms, seed), jobs=jobs, cache=cache)
 
 
 def cmd_dashboard(
@@ -77,18 +78,19 @@ def cmd_dashboard(
     """CLI body: sweep, aggregate, validate, render, write."""
     from repro.obs.baseline import DEFAULT_HISTORY_PATH, RegressionSentinel
     from repro.obs.dashboard import render_dashboard, write_dashboard
-    from repro.obs.fleet import aggregate_results, validate_fleet_snapshot
+    from repro.obs.telemetry import aggregate_results, validate_telemetry_aggregate
 
     duration = QUICK_DURATION_MS if quick else DEFAULT_DURATION_MS
-    report = run_fleet(duration_ms=duration, jobs=jobs, cache=cache, seed=seed)
+    report = run_telemetry_grid(duration_ms=duration, jobs=jobs, cache=cache,
+                                seed=seed)
     observed = sum(1 for r in report.results if r.telemetry is not None)
-    print(f"Fleet sweep: {len(report.results)} runs "
+    print(f"Telemetry sweep: {len(report.results)} runs "
           f"({report.cache_hits} cached, {report.executed} executed, "
           f"jobs {report.jobs} requested / {report.effective_jobs} effective, "
           f"{report.wall_s:.2f}s wall), {observed} with telemetry")
 
     aggregate: Dict[str, Any] = aggregate_results(report.results)
-    problems = validate_fleet_snapshot(aggregate)
+    problems = validate_telemetry_aggregate(aggregate)
     for problem in problems:
         print(f"SNAPSHOT PROBLEM: {problem}")
 
@@ -111,5 +113,5 @@ def cmd_dashboard(
         with open(snapshot_path, "w", encoding="utf-8") as fh:
             json.dump(aggregate, fh, sort_keys=True, separators=(",", ":"))
             fh.write("\n")
-        print(f"Wrote {snapshot_path} (canonical fleet aggregate)")
+        print(f"Wrote {snapshot_path} (canonical telemetry aggregate)")
     return 1 if problems else 0

@@ -85,7 +85,7 @@ class RunSpec:
     trace_kinds: Optional[Tuple[str, ...]] = None
     emulator_factory: Optional[str] = None
     emulator_kwargs: Mapping[str, Any] = field(default_factory=dict)
-    #: Capture a TelemetrySnapshot in the worker (see repro.obs.fleet).
+    #: Capture a TelemetrySnapshot in the worker (see repro.obs.telemetry).
     telemetry: bool = False
     #: Fold the run's spans into a LatencyBudget on the snapshot (implies
     #: telemetry; see repro.obs.critical).
@@ -169,7 +169,7 @@ class StatsSummary:
 class RunResult:
     """What one :class:`RunSpec` produces (and what the cache stores).
 
-    ``telemetry`` is the worker's :class:`~repro.obs.fleet.TelemetrySnapshot`
+    ``telemetry`` is the worker's :class:`~repro.obs.telemetry.TelemetrySnapshot`
     when the spec asked for one — cached alongside the result, so a
     warm-cache rerun replays telemetry bit-for-bit without simulating.
     """

@@ -4,7 +4,7 @@ The front door of the latency-attribution engine
 (:mod:`repro.obs.critical`).  One command runs a single (app, emulator)
 pair with attribution enabled — or replays it from the engine's run
 cache, since the :class:`~repro.obs.critical.LatencyBudget` rides the
-cached :class:`~repro.obs.fleet.TelemetrySnapshot` — and prints:
+cached :class:`~repro.obs.telemetry.TelemetrySnapshot` — and prints:
 
 * the per-category × device **latency budget** (ms and share), with the
   conservation invariant checked (cells must sum to measured latency);

@@ -22,7 +22,7 @@ number matches a run with observability off, bit for bit.
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, Dict, Optional
+from typing import Callable, Dict, Optional
 
 from repro.apps.ar import ArApp
 from repro.apps.base import App

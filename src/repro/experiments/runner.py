@@ -40,7 +40,7 @@ class AppRun:
     :class:`~repro.experiments.engine.StatsSummary` (same read API) when it
     came back from a worker or the cache — in which case ``emulator`` is
     ``None``. ``telemetry`` is a picklable
-    :class:`~repro.obs.fleet.TelemetrySnapshot` when the run was executed
+    :class:`~repro.obs.telemetry.TelemetrySnapshot` when the run was executed
     with ``telemetry=True``.
     """
 
@@ -67,14 +67,14 @@ def run_app(
     overrides the emulator constructor (used for the §5.4 ablations).
     ``telemetry`` attaches the observability stack (tracer + registry +
     self-profiler) and captures a picklable
-    :class:`~repro.obs.fleet.TelemetrySnapshot` onto the returned
+    :class:`~repro.obs.telemetry.TelemetrySnapshot` onto the returned
     :class:`AppRun` — observability only reads the clock, so the
     simulated results are bit-identical either way.
 
     ``attribution`` (implies ``telemetry``) additionally folds the run's
     causal spans into a :class:`~repro.obs.critical.LatencyBudget` on the
     snapshot and mirrors the per-(category × device) totals into
-    ``budget.ms`` counters so fleet rollups see them.  Attribution is
+    ``budget.ms`` counters so telemetry rollups see them.  Attribution is
     post-hoc analysis of spans that were recorded anyway: it cannot
     perturb the run, and FPS/latency digests stay bit-identical with it
     on or off.
@@ -137,7 +137,7 @@ def _capture_telemetry(obs, trace, app, emulator_name, duration_ms, seed, result
     if obs is None:
         return None
     from repro.metrics.collectors import ResilienceStats
-    from repro.obs.fleet import TelemetrySnapshot
+    from repro.obs.telemetry import TelemetrySnapshot
 
     ResilienceStats(trace).to_registry(obs.registry)
     budget = None
@@ -145,7 +145,7 @@ def _capture_telemetry(obs, trace, app, emulator_name, duration_ms, seed, result
         from repro.obs.critical import analyze_tracer
 
         budget = analyze_tracer(obs.tracer)
-        # Mirror the per-cell totals into counters: fleet rollups and the
+        # Mirror the per-cell totals into counters: telemetry rollups and the
         # dashboard then aggregate budgets with zero aggregator changes.
         for (category, device), ms in budget.totals().items():
             obs.registry.counter(

@@ -15,7 +15,6 @@ from repro.faults.plan import (
     DeviceStallEvent,
     FaultPlan,
     TransportFaultWindow,
-    WorkerFaultEvent,
 )
 
 __all__ = [
@@ -28,5 +27,4 @@ __all__ = [
     "DeviceStallEvent",
     "DeviceResetEvent",
     "TransportFaultWindow",
-    "WorkerFaultEvent",
 ]

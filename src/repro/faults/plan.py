@@ -85,37 +85,6 @@ class DeviceCrashEvent:
     downtime_ms: float
 
 
-#: Legal ``kind`` values for a :class:`WorkerFaultEvent`.
-WORKER_FAULT_KINDS = ("crash", "hang", "slow-heartbeat")
-
-
-@dataclass(frozen=True)
-class WorkerFaultEvent:
-    """At ``time_ms``, disturb fleet worker ``worker`` for ``duration_ms``.
-
-    Three kinds, matching the failure modes a supervisor must tell apart:
-
-    * ``crash`` — the worker process dies: heartbeats stop, sessions are
-      stranded until the supervisor drains them; ``duration_ms`` is the
-      minimum downtime before a restart can succeed.
-    * ``hang`` — the worker wedges (no ticks, no beats) but comes back by
-      itself after ``duration_ms`` — the supervisor may have declared it
-      dead in the meantime, and the revenant must stand down.
-    * ``slow-heartbeat`` — beats keep flowing but ``factor``× late for the
-      window, probing the supervisor's false-positive margin.
-
-    Worker faults are consumed by :class:`repro.fleet.service.FleetService`
-    (the :class:`~repro.faults.injector.FaultInjector` targets emulator
-    internals and ignores them).
-    """
-
-    time_ms: float
-    worker: str
-    kind: str
-    duration_ms: float
-    factor: float = 1.0
-
-
 @dataclass(frozen=True)
 class TransportFaultWindow:
     """During [start_ms, end_ms), kicks drop or stretch with given odds."""
@@ -148,7 +117,6 @@ class FaultPlan:
         self.resets: List[DeviceResetEvent] = []
         self.transport_windows: List[TransportFaultWindow] = []
         self.crashes: List[DeviceCrashEvent] = []
-        self.worker_faults: List[WorkerFaultEvent] = []
 
     # -- bus degradation -----------------------------------------------------
     def set_bus_load(self, time_ms: float, bus: str, load: float) -> "FaultPlan":
@@ -236,43 +204,6 @@ class FaultPlan:
         self.crashes.append(DeviceCrashEvent(time_ms, vdev, downtime_ms))
         return self
 
-    # -- fleet-worker faults -------------------------------------------------
-    def _worker_fault(
-        self, time_ms: float, worker: str, kind: str,
-        duration_ms: float, factor: float = 1.0,
-    ) -> "FaultPlan":
-        _check_time(f"worker {kind} time", time_ms)
-        if kind not in WORKER_FAULT_KINDS:
-            raise ConfigurationError(
-                f"worker fault kind must be one of {WORKER_FAULT_KINDS}, got {kind!r}"
-            )
-        if not math.isfinite(duration_ms) or duration_ms <= 0:
-            raise ConfigurationError(
-                f"worker {kind} duration must be finite and > 0, got {duration_ms}"
-            )
-        if not math.isfinite(factor) or factor < 1.0:
-            raise ConfigurationError(
-                f"worker fault factor must be finite and >= 1, got {factor}"
-            )
-        self.worker_faults.append(
-            WorkerFaultEvent(time_ms, worker, kind, duration_ms, factor)
-        )
-        return self
-
-    def crash_worker(self, time_ms: float, worker: str, downtime_ms: float) -> "FaultPlan":
-        """Kill fleet worker ``worker``: sessions strand, beats stop."""
-        return self._worker_fault(time_ms, worker, "crash", downtime_ms)
-
-    def hang_worker(self, time_ms: float, worker: str, duration_ms: float) -> "FaultPlan":
-        """Wedge fleet worker ``worker`` (no ticks/beats) for ``duration_ms``."""
-        return self._worker_fault(time_ms, worker, "hang", duration_ms)
-
-    def slow_heartbeat(
-        self, time_ms: float, worker: str, duration_ms: float, factor: float = 3.0
-    ) -> "FaultPlan":
-        """Stretch ``worker``'s heartbeat interval by ``factor`` for a window."""
-        return self._worker_fault(time_ms, worker, "slow-heartbeat", duration_ms, factor)
-
     # -- transport faults ----------------------------------------------------
     def transport_faults(
         self,
@@ -318,9 +249,6 @@ class FaultPlan:
         self._check_ordered("resets", self.resets, lambda r: (r.device, r.time_ms))
         self._check_ordered("crashes", self.crashes, lambda c: (c.vdev, c.time_ms))
         self._check_ordered("transport_faults", self.transport_windows, lambda w: (None, w.start_ms))
-        self._check_ordered(
-            "worker_faults", self.worker_faults, lambda f: (f.worker, f.time_ms)
-        )
 
         seen_loads = {}
         for event in self.bus_loads:
@@ -369,16 +297,6 @@ class FaultPlan:
                     f"crash at t={b.time_ms} on vdev {b.vdev!r} lands inside the "
                     f"recovery downtime of {a} — one recovery at a time per device"
                 )
-        worker_windows = sorted(
-            self.worker_faults, key=lambda f: (f.worker, f.time_ms)
-        )
-        for a, b in zip(worker_windows, worker_windows[1:]):
-            if a.worker == b.worker and b.time_ms < a.time_ms + a.duration_ms:
-                raise ConfigurationError(
-                    f"worker fault {b.kind!r} at t={b.time_ms} on {b.worker!r} "
-                    f"lands inside the window of {a} — one fault at a time "
-                    "per worker"
-                )
         return self
 
     @staticmethod
@@ -422,7 +340,6 @@ class FaultPlan:
         "resets",
         "transport_windows",
         "crashes",
-        "worker_faults",
     )
 
     def to_dict(self) -> Dict[str, List[Dict[str, Any]]]:
@@ -523,18 +440,10 @@ class FaultPlan:
                 delay_probability=float(entry.get("delay_probability", 0.0)),
                 delay_ms=float(entry.get("delay_ms", 0.0)),
             )
-        elif section == "crashes":
+        else:  # crashes
             need(("time_ms", "vdev", "downtime_ms"))
             self.crash_device(float(entry["time_ms"]), str(entry["vdev"]),
                               float(entry["downtime_ms"]))
-        else:  # worker_faults
-            need(("time_ms", "worker", "kind", "duration_ms"),
-                 optional=("factor",))
-            self._worker_fault(
-                float(entry["time_ms"]), str(entry["worker"]),
-                str(entry["kind"]), float(entry["duration_ms"]),
-                factor=float(entry.get("factor", 1.0)),
-            )
 
     # -- introspection --------------------------------------------------------
     def last_fault_time(self) -> float:
@@ -549,7 +458,6 @@ class FaultPlan:
         times += [r.time_ms + r.downtime_ms for r in self.resets]
         times += [w.end_ms for w in self.transport_windows]
         times += [c.time_ms + c.downtime_ms for c in self.crashes]
-        times += [f.time_ms + f.duration_ms for f in self.worker_faults]
         return max(times, default=0.0)
 
     def is_empty(self) -> bool:
@@ -560,5 +468,4 @@ class FaultPlan:
             or self.resets
             or self.transport_windows
             or self.crashes
-            or self.worker_faults
         )

@@ -120,7 +120,13 @@ class Bus:
         exactly as on a real link.
         """
         start = self._sim.now
-        yield self._lock.acquire()
+        grant = self._lock.acquire()
+        try:
+            yield grant
+        except GeneratorExit:
+            # Killed while queued (a crashed executor): give the turn back.
+            self._lock.cancel(grant)
+            raise
         try:
             duration = self.transfer_time(nbytes)
             fraction = self.fault_hook(self, nbytes) if self.fault_hook is not None else None

@@ -120,7 +120,13 @@ class PhysicalDevice:
         itself hot while loaded.
         """
         duration = self.op_time(op, nbytes, scale)
-        yield self._exec_lock.acquire()
+        grant = self._exec_lock.acquire()
+        try:
+            yield grant
+        except GeneratorExit:
+            # Killed while queued (a crashed executor): give the turn back.
+            self._exec_lock.cancel(grant)
+            raise
         try:
             if duration > 0:
                 yield Timeout(duration)

@@ -38,12 +38,6 @@ from repro.obs.critical import (
     budget_from_snapshot,
 )
 from repro.obs.diff import align_frames, diff_budgets
-from repro.obs.events import (
-    EVENTS_SCHEMA,
-    EventLog,
-    read_event_log,
-    validate_fleet_events,
-)
 from repro.obs.export import (
     chrome_trace,
     connected_flows,
@@ -51,12 +45,6 @@ from repro.obs.export import (
     validate_chrome_trace,
     write_chrome_trace,
     write_metrics,
-)
-from repro.obs.fleet import (
-    FleetAggregator,
-    TelemetrySnapshot,
-    aggregate_results,
-    validate_fleet_snapshot,
 )
 from repro.obs.profile import SelfProfiler
 from repro.obs.registry import (
@@ -67,14 +55,18 @@ from repro.obs.registry import (
     NULL_INSTRUMENT,
     NULL_REGISTRY,
 )
-from repro.obs.slo import SloReport, SloSpec, evaluate_frames, fleet_burn
+from repro.obs.slo import SloReport, SloSpec, evaluate_frames
 from repro.obs.span import NO_FLOW, NULL_SPAN, NULL_TRACER, Span, Tracer
+from repro.obs.telemetry import (
+    TelemetryAggregator,
+    TelemetrySnapshot,
+    aggregate_results,
+    validate_telemetry_aggregate,
+)
 
 __all__ = [
     "BUDGET_CATEGORIES",
     "BudgetCell",
-    "EVENTS_SCHEMA",
-    "EventLog",
     "FrameBudget",
     "LatencyBudget",
     "NO_FLOW",
@@ -84,7 +76,6 @@ __all__ = [
     "NULL_TRACER",
     "Counter",
     "DISABLED",
-    "FleetAggregator",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
@@ -96,6 +87,7 @@ __all__ = [
     "SloReport",
     "SloSpec",
     "Span",
+    "TelemetryAggregator",
     "TelemetrySnapshot",
     "Tracer",
     "TruncatedTraceError",
@@ -107,12 +99,9 @@ __all__ = [
     "connected_flows",
     "diff_budgets",
     "evaluate_frames",
-    "fleet_burn",
     "metrics_json",
-    "read_event_log",
     "validate_chrome_trace",
-    "validate_fleet_events",
-    "validate_fleet_snapshot",
+    "validate_telemetry_aggregate",
     "write_chrome_trace",
     "write_metrics",
 ]

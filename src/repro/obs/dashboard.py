@@ -1,7 +1,7 @@
-"""Self-contained HTML dashboard for fleet telemetry.
+"""Self-contained HTML dashboard for run telemetry.
 
-``render_dashboard`` turns one fleet aggregate (see
-:mod:`repro.obs.fleet`), the bench history and an optional sentinel
+``render_dashboard`` turns one telemetry aggregate (see
+:mod:`repro.obs.telemetry`), the bench history and an optional sentinel
 verdict into a **single HTML file with zero external references** — no
 CDN scripts, no fonts, no images. Every chart is server-rendered inline
 SVG; styling is one embedded stylesheet with light and dark modes; the
@@ -342,7 +342,7 @@ def _flamegraph(aggregate: Dict[str, Any]) -> str:
 
 
 #: Fixed category → color-slot assignment for the budget bars, so the
-#: same category is the same color in every session's bar.
+#: same category is the same color in every cell's bar.
 _BUDGET_SLOTS = {
     "coherence_copy": 0,
     "prefetch_penalty": 1,
@@ -359,7 +359,7 @@ def _budget_bars(aggregate: Dict[str, Any]) -> str:
     Runs executed with attribution mirror their per-(category × device)
     budget totals into ``budget.ms`` counters (see
     :func:`repro.experiments.runner.run_app`), so they arrive here through
-    the ordinary fleet rollup — no bespoke plumbing. Sections render only
+    the ordinary telemetry rollup — no bespoke plumbing. Sections render only
     when at least one run attributed.
     """
     groups = aggregate.get("groups", {})
@@ -400,7 +400,7 @@ def _budget_bars(aggregate: Dict[str, Any]) -> str:
         for category, slot in _BUDGET_SLOTS.items()
     )
     return (
-        "<h2>Latency budget per session (attribution)</h2>"
+        "<h2>Latency budget per cell (attribution)</h2>"
         f'<div class="card flame">{"".join(rows)}'
         f'<div class="legend">{legend}</div>'
         '<div class="note">each bar partitions the cell\'s total frame '
@@ -429,7 +429,7 @@ def _timelines(aggregate: Dict[str, Any]) -> str:
            '<div class="card">',
            _line_chart(mis_series, y_fmt="{:.1f}%"),
            "</div>",
-           "<h2>Bus utilization over simulated time (fleet)</h2>",
+           "<h2>Bus utilization over simulated time (all runs)</h2>",
            '<div class="card">',
            _line_chart(bus_series, y_fmt="{:.1f}%"),
            "</div>"]
@@ -552,28 +552,15 @@ def render_dashboard(
     aggregate: Dict[str, Any],
     history: Optional[List[Dict[str, Any]]] = None,
     sentinel: Optional[Dict[str, Any]] = None,
-    title: str = "vSoC fleet telemetry",
-    refresh_s: Optional[float] = None,
-    extra_html: str = "",
+    title: str = "vSoC run telemetry",
 ) -> str:
-    """One self-contained HTML page from the fleet aggregate.
-
-    ``refresh_s`` adds a ``<meta http-equiv="refresh">`` header — the live
-    mid-run dashboard sets it so a browser pointed at the file re-reads
-    each incremental render, and the final render drops it. ``extra_html``
-    is injected after the stat tiles (the flight recorder's ops section).
-    """
+    """One self-contained HTML page from the telemetry aggregate."""
     history = history or []
     payload = json.dumps(aggregate, sort_keys=True, separators=(",", ":"))
-    refresh = (
-        f'<meta http-equiv="refresh" content="{refresh_s:g}">'
-        if refresh_s is not None else ""
-    )
     parts = [
         "<!DOCTYPE html>",
         '<html lang="en"><head><meta charset="utf-8">',
-        '<meta name="viewport" content="width=device-width, initial-scale=1">'
-        + refresh,
+        '<meta name="viewport" content="width=device-width, initial-scale=1">',
         f"<title>{_esc(title)}</title>",
         f"<style>{_series_css()}</style>",
         "</head><body><main>",
@@ -583,7 +570,6 @@ def render_dashboard(
         f'{len(aggregate.get("groups", {}))} emulator × app cells; '
         "deterministic aggregate (parallel ≡ serial ≡ warm cache)</p>",
         _tiles(aggregate),
-        extra_html,
         "<h2>Per-cell rollup</h2>",
         _group_table(aggregate),
         "<h2>Where simulated time goes (self-profile flamegraph)</h2>",

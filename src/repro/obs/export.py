@@ -82,19 +82,12 @@ class _TrackTable:
         return events
 
 
-#: Span-arg keys the exporter lifts to the event top level: a span
-#: carrying ``bind_id=...`` plus ``flow_out``/``flow_in`` becomes one end
-#: of a v2 flow arrow (the cross-worker migration links use this).
-_BIND_KEYS = ("bind_id", "flow_out", "flow_in")
-
-
 def _span_event(span: Span, pid: int, tid: int, end_time: float) -> Dict[str, Any]:
     end = span.end if span.end is not None else end_time
-    args = {k: _jsonable(v) for k, v in span.args.items()
-            if k not in _BIND_KEYS}
+    args = {k: _jsonable(v) for k, v in span.args.items()}
     if span.flow != NO_FLOW:
         args["flow"] = span.flow
-    event = {
+    return {
         "ph": "X",
         "name": span.name,
         "cat": span.cat,
@@ -104,12 +97,6 @@ def _span_event(span: Span, pid: int, tid: int, end_time: float) -> Dict[str, An
         "tid": tid,
         "args": args,
     }
-    if "bind_id" in span.args:
-        event["bind_id"] = _jsonable(span.args["bind_id"])
-        for key in ("flow_out", "flow_in"):
-            if span.args.get(key):
-                event[key] = True
-    return event
 
 
 def _instant_event(span: Span, pid: int, tid: int) -> Dict[str, Any]:
@@ -207,7 +194,7 @@ def chrome_trace(
         events.append(_instant_event(span, pid, tid))
     # Single pass over the spans to group by flow (equivalent to calling
     # spans_of_flow per flow, but O(spans) instead of O(flows × spans) —
-    # a fleet trace has one flow per session, so the quadratic walk bites).
+    # a run has one flow per frame, so the quadratic walk bites).
     by_flow: Dict[int, List[Span]] = {}
     for span in tracer.spans:
         if span.flow != NO_FLOW:

@@ -2,8 +2,7 @@
 
 An :class:`SloSpec` states the promise ("99% of frames present within
 50 ms"); :func:`evaluate_frames` grades one run's per-frame latencies
-against it, and :func:`fleet_burn` rolls per-session grades up to a
-fleet view.  Burn rate is the SRE convention: the rate at which a window
+against it.  Burn rate is the SRE convention: the rate at which a window
 consumes the error budget, normalized so 1.0 means "exactly on budget" —
 a window with miss rate ``m`` against target ``t`` burns ``m / (1 - t)``.
 Tumbling (non-overlapping) windows keep the accounting deterministic and
@@ -14,8 +13,9 @@ Pure data → data; no clocks, no randomness, nothing to perturb.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 #: Default present-latency deadline, in ms.  Frame latency is measured
 #: birth → present and healthy pipelines take ~2–3 vsync periods, so the
@@ -41,8 +41,10 @@ class SloSpec:
     def __post_init__(self) -> None:
         if not 0.0 < self.target < 1.0:
             raise ValueError(f"target must be in (0, 1), got {self.target}")
-        if self.deadline_ms <= 0:
-            raise ValueError(f"deadline_ms must be > 0, got {self.deadline_ms}")
+        if not (math.isfinite(self.deadline_ms) and self.deadline_ms > 0):
+            raise ValueError(
+                f"deadline_ms must be finite and > 0, got {self.deadline_ms}"
+            )
         if self.window_frames < 1:
             raise ValueError(
                 f"window_frames must be >= 1, got {self.window_frames}"
@@ -128,45 +130,3 @@ def evaluate_frames(
         misses=misses,
         burn_rates=tuple(burns),
     )
-
-
-def fleet_burn(
-    sessions: Mapping[str, Sequence[float]], spec: Optional[SloSpec] = None
-) -> Dict[str, Any]:
-    """Grade many sessions and roll them up into one fleet verdict.
-
-    ``sessions`` maps session/group keys to per-frame latency series.
-    The rollup pools every frame (a fleet SLO is a promise about frames,
-    not about sessions), and also reports the worst per-session burn so
-    a single pathological session cannot hide inside a healthy average.
-    """
-    spec = spec if spec is not None else SloSpec()
-    per_session: Dict[str, SloReport] = {
-        key: evaluate_frames(latencies, spec)
-        for key, latencies in sessions.items()
-    }
-    total_frames = sum(r.frames for r in per_session.values())
-    total_misses = sum(r.misses for r in per_session.values())
-    budget = 1.0 - spec.target
-    fleet_miss_rate = total_misses / total_frames if total_frames else 0.0
-    worst = max(
-        sorted(per_session.items()),
-        key=lambda kv: (kv[1].overall_burn, kv[0]),
-        default=None,
-    )
-    return {
-        "spec": spec.to_dict(),
-        "sessions": {
-            key: per_session[key].to_dict() for key in sorted(per_session)
-        },
-        "fleet": {
-            "frames": total_frames,
-            "misses": total_misses,
-            "miss_rate": fleet_miss_rate,
-            "compliance": 1.0 - fleet_miss_rate,
-            "met": (1.0 - fleet_miss_rate) >= spec.target,
-            "overall_burn": fleet_miss_rate / budget,
-            "worst_session": worst[0] if worst else None,
-            "worst_session_burn": worst[1].overall_burn if worst else 0.0,
-        },
-    }

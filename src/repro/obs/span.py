@@ -96,7 +96,7 @@ class Tracer:
     ``max_spans`` bounds retention (mirroring ``TraceLog``'s ring mode):
     spans and instants each keep only the newest ``max_spans`` entries,
     evicting the oldest, and :attr:`dropped_spans` counts every eviction —
-    so a multi-hour fleet run cannot grow tracer memory without bound.
+    so a long observed run cannot grow tracer memory without bound.
     The default (``None``) retains everything, unchanged from before.
     """
 

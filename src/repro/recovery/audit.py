@@ -33,7 +33,7 @@ trace bit-identical.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.errors import InvariantViolation
 from repro.sim.kernel import SimHook

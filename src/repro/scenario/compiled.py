@@ -14,7 +14,7 @@ instead of a Python class.
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, Generator, List, Mapping, Optional
+from typing import Any, Generator, List, Mapping, Optional
 
 from repro.apps.base import App
 from repro.emulators.base import Emulator

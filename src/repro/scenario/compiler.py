@@ -41,9 +41,6 @@ from repro.scenario.schema import (
     validate_scenario,
 )
 
-#: Default fleet priority for app stanzas that don't set one.
-DEFAULT_PRIORITY = 1
-
 #: factory path -> pipeline name, for re-serialization.
 _FACTORY_TO_PIPELINE = {
     pipeline.factory: name for name, pipeline in PIPELINES.items()
@@ -62,8 +59,6 @@ class CompiledScenario:
     seed: int
     #: One ``(factory_path, kwargs)`` per app stanza, in document order.
     app_params: List[AppParams] = field(default_factory=list)
-    #: Fleet priority per app, parallel to ``app_params``.
-    app_priorities: List[int] = field(default_factory=list)
     plan: FaultPlan = field(default_factory=FaultPlan)
     #: ``(time_ms, device, busy_ms)`` thermal events.
     thermal: List[Tuple[float, str, float]] = field(default_factory=list)
@@ -80,16 +75,10 @@ def compile_scenario(doc: Mapping[str, Any]) -> CompiledScenario:
     out = validate_scenario(doc)
 
     app_params: List[AppParams] = []
-    app_priorities: List[int] = []
     for stanza in out["apps"]:
         pipeline = PIPELINES[stanza["pipeline"]]
-        kwargs = {
-            key: value
-            for key, value in stanza.items()
-            if key not in ("pipeline", "priority")
-        }
+        kwargs = {key: value for key, value in stanza.items() if key != "pipeline"}
         app_params.append((pipeline.factory, kwargs))
-        app_priorities.append(int(stanza.get("priority", DEFAULT_PRIORITY)))
 
     env = out.get("environment", {})
     plan = FaultPlan.from_dict(env.get("faults", {}))
@@ -117,7 +106,6 @@ def compile_scenario(doc: Mapping[str, Any]) -> CompiledScenario:
         duration_ms=float(out["duration_ms"]),
         seed=int(out["seed"]),
         app_params=app_params,
-        app_priorities=app_priorities,
         plan=plan,
         thermal=thermal,
         audit_interval_ms=float(audit.get("interval_ms",
@@ -136,15 +124,12 @@ def scenario_document(compiled: CompiledScenario) -> Dict[str, Any]:
     property the digest tests pin down.
     """
     apps: List[Dict[str, Any]] = []
-    for (factory, kwargs), priority in zip(compiled.app_params,
-                                           compiled.app_priorities):
+    for factory, kwargs in compiled.app_params:
         pipeline_name = _FACTORY_TO_PIPELINE.get(factory)
         if pipeline_name is None:
             raise ValueError(f"no pipeline lowers to factory {factory!r}")
         stanza: Dict[str, Any] = dict(kwargs)
         stanza["pipeline"] = pipeline_name
-        if priority != DEFAULT_PRIORITY:
-            stanza["priority"] = priority
         apps.append(stanza)
 
     doc: Dict[str, Any] = {

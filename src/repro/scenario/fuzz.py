@@ -36,7 +36,6 @@ from repro.scenario.schema import (
     MACHINE_DEVICES,
     PIPELINES,
     canonical_json,
-    normalize_scenario,
     scenario_digest,
     validate_scenario,
 )
@@ -109,8 +108,6 @@ def _sample_app(rng: random.Random, index: int, duration_ms: float) -> Dict[str,
             stanza["compose_dirty_fraction"] = round(rng.uniform(0.1, 1.0), 3)
         if "warmup_ms" in fields and rng.random() < 0.2:
             stanza["warmup_ms"] = rng.choice((500.0, 1_000.0, 2_000.0))
-    if rng.random() < 0.2:
-        stanza["priority"] = rng.randint(0, 2)
     return stanza
 
 
@@ -245,16 +242,6 @@ def sample_fault_plan_dict(seed: int) -> Dict[str, Any]:
              "downtime_ms": rng.uniform(-50.0, 400.0)}
             for _ in range(rng.randint(1, 2))
         ]
-    if rng.random() < 0.2:
-        entry: Dict[str, Any] = {
-            "time_ms": rng.uniform(0.0, 2_000.0),
-            "worker": f"worker-{rng.randint(0, 3)}",
-            "kind": rng.choice(("crash", "hang", "slow-heartbeat", "vanish")),
-            "duration_ms": rng.uniform(-10.0, 500.0),
-        }
-        if rng.random() < 0.5:
-            entry["factor"] = rng.uniform(0.5, 4.0)
-        doc["worker_faults"] = [entry]
     if rng.random() < 0.1 and "bus_loads" in doc:
         doc["bus_loads"].append({"time": 1.0})  # wrong keys entirely
     return doc

@@ -37,7 +37,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.emulators import EMULATOR_FACTORIES
 from repro.emulators.base import VDEV_NAMES
@@ -164,8 +164,6 @@ class _Pipeline:
 
     factory: str
     fields: Dict[str, Any] = field(default_factory=dict)
-    #: App-profile key used when the scenario feeds the fleet service.
-    fleet_profile: str = "video"
 
 
 PIPELINES: Dict[str, _Pipeline] = {
@@ -178,7 +176,6 @@ PIPELINES: Dict[str, _Pipeline] = {
             "deadline_vsyncs": _DEADLINE,
             "warmup_ms": _WARMUP,
         },
-        fleet_profile="video",
     ),
     "video360": _Pipeline(
         "repro.apps.video:Video360App",
@@ -189,7 +186,6 @@ PIPELINES: Dict[str, _Pipeline] = {
             "deadline_vsyncs": _Num(0.0, 20.0, lo_open=True, default=3.5),
             "warmup_ms": _WARMUP,
         },
-        fleet_profile="video",
     ),
     "camera": _Pipeline(
         "repro.apps.camera:CameraApp",
@@ -200,7 +196,6 @@ PIPELINES: Dict[str, _Pipeline] = {
             "compose_dirty_fraction": _DIRTY,
             "warmup_ms": _WARMUP,
         },
-        fleet_profile="camera",
     ),
     "ar": _Pipeline(
         "repro.apps.ar:ArApp",
@@ -212,7 +207,6 @@ PIPELINES: Dict[str, _Pipeline] = {
             "render_overdraw": _Num(0.0, 4.0, default=1.0),
             "warmup_ms": _WARMUP,
         },
-        fleet_profile="ar",
     ),
     "livestream": _Pipeline(
         "repro.apps.livestream:LivestreamApp",
@@ -224,7 +218,6 @@ PIPELINES: Dict[str, _Pipeline] = {
             "compose_dirty_fraction": _DIRTY,
             "warmup_ms": _WARMUP,
         },
-        fleet_profile="video",
     ),
     "popular": _Pipeline(
         "repro.apps.popular:PopularApp",
@@ -237,7 +230,6 @@ PIPELINES: Dict[str, _Pipeline] = {
             "atlas_bytes": _Num(0, 256 * MIB, integer=True),
             "warmup_ms": _WARMUP,
         },
-        fleet_profile="social",
     ),
     "heavy3d": _Pipeline(
         "repro.apps.popular:Heavy3dApp",
@@ -246,7 +238,6 @@ PIPELINES: Dict[str, _Pipeline] = {
                                  default=420 * MIB),
             "warmup_ms": _WARMUP,
         },
-        fleet_profile="game",
     ),
     "graph": _Pipeline(
         "repro.scenario.compiled:GraphApp",
@@ -262,21 +253,14 @@ PIPELINES: Dict[str, _Pipeline] = {
             "warmup_ms": _WARMUP,
             # "stages" is required and checked structurally below.
         },
-        fleet_profile="game",
     ),
 }
 
 _TOP_KEYS = ("name", "emulator", "machine", "duration_ms", "seed", "apps",
              "environment", "audit")
-_APP_COMMON = ("name", "pipeline", "priority")
+_APP_COMMON = ("name", "pipeline")
 _ENV_KEYS = ("bus_load", "thermal", "faults")
 _AUDIT_KEYS = ("interval_ms", "fence_wait_deadline_ms")
-
-
-def _check_app(path: str, stanza: Any) -> None:
-    stanza = _require_mapping(path, stanza)
-    _check_keys(path, stanza, (), required=("name", "pipeline"))  # placeholder
-    # (re-check with the pipeline's own field set once we know it)
 
 
 def _validate_app(path: str, stanza: Mapping) -> None:
@@ -295,8 +279,6 @@ def _validate_app(path: str, stanza: Mapping) -> None:
     name = stanza["name"]
     if not isinstance(name, str) or not name:
         _fail(f"{path}.name", "expected a non-empty string")
-    if "priority" in stanza:
-        _Num(0, 2, integer=True).check(f"{path}.priority", stanza["priority"])
     for key, checker in pipeline.fields.items():
         if key in stanza:
             checker.check(f"{path}.{key}", stanza[key])

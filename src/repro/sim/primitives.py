@@ -196,6 +196,18 @@ class Semaphore:
         else:
             self._permits += 1
 
+    def cancel(self, grant: SimEvent) -> None:
+        """Withdraw an :meth:`acquire` whose process was killed at its yield.
+
+        A grant still queued is dropped, so a later :meth:`release` cannot
+        hand the permit to a process that will never return it; a grant
+        that already fired holds a permit, which is passed on.
+        """
+        if grant.fired:
+            self.release()
+        else:
+            self._waiters.remove(grant)
+
 
 class Mutex(Semaphore):
     """Binary semaphore — a host-side lock."""

@@ -38,42 +38,8 @@ def test_package_metadata():
 
 
 # ---------------------------------------------------------------------------
-# fleetserve + chaos reproducer lines
+# chaos reproducer lines
 # ---------------------------------------------------------------------------
-
-def test_fleetserve_quick_cli(tmp_path, capsys):
-    out = tmp_path / "fleet.html"
-    report = tmp_path / "fleet.json"
-    rc = main(["fleetserve", "--quick", "--seed", "0",
-               "--out", str(out), "--report", str(report)])
-    captured = capsys.readouterr().out
-    assert rc == 0
-    assert "PASS: zero lost sessions" in captured
-    assert "REPRODUCE" not in captured
-    assert out.stat().st_size > 0
-
-    import json
-
-    data = json.loads(report.read_text())
-    assert data["summary"]["recovery"]["lost_sessions"] == 0
-    assert data["summary"]["balanced"]
-
-
-def test_fleetserve_failure_prints_seeded_reproducer(capsys):
-    # An impossible concurrency bar forces a failure deterministically.
-    from repro.experiments.fleetserve import QUICK_SHAPE, cmd_fleetserve
-
-    bar = QUICK_SHAPE["min_peak"]
-    try:
-        QUICK_SHAPE["min_peak"] = 10**9
-        rc = cmd_fleetserve(quick=True, seed=3)
-    finally:
-        QUICK_SHAPE["min_peak"] = bar
-    captured = capsys.readouterr().out
-    assert rc == 1
-    assert ("REPRODUCE: python -m repro.experiments fleetserve "
-            "--seed 3 --quick") in captured
-
 
 def test_chaos_fault_class_filter(capsys):
     rc = main(["chaos", "--quick", "--fault-class", "device-stall"])

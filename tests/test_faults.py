@@ -309,70 +309,3 @@ def test_injector_installs_only_once():
     with pytest.raises(ConfigurationError):
         injector.install(_Emu())
 
-
-# ---------------------------------------------------------------------------
-# Worker faults (fleet target)
-# ---------------------------------------------------------------------------
-
-def test_worker_fault_builders_chain_and_record():
-    plan = (
-        FaultPlan()
-        .crash_worker(1_000.0, "w0", downtime_ms=500.0)
-        .hang_worker(2_000.0, "w1", duration_ms=300.0)
-        .slow_heartbeat(3_000.0, "w2", duration_ms=800.0, factor=2.5)
-    )
-    assert [f.kind for f in plan.worker_faults] == [
-        "crash", "hang", "slow-heartbeat"
-    ]
-    assert plan.worker_faults[2].factor == 2.5
-    assert not plan.is_empty()
-    # duration counts toward the last-fault clearance time
-    assert plan.last_fault_time() == 3_800.0
-    plan.validate()
-
-
-def test_worker_fault_rejects_bad_arguments():
-    with pytest.raises(ConfigurationError, match="kind"):
-        FaultPlan()._worker_fault(1_000.0, "w0", "explode", 100.0)
-    with pytest.raises(ConfigurationError, match="duration"):
-        FaultPlan().hang_worker(1_000.0, "w0", duration_ms=0.0)
-    with pytest.raises(ConfigurationError, match="factor"):
-        FaultPlan().slow_heartbeat(1_000.0, "w0", duration_ms=100.0, factor=0.5)
-    with pytest.raises(ConfigurationError, match="time"):
-        FaultPlan().crash_worker(-5.0, "w0", downtime_ms=100.0)
-
-
-def test_overlapping_worker_faults_rejected():
-    plan = (
-        FaultPlan()
-        .crash_worker(1_000.0, "w0", downtime_ms=800.0)
-        .hang_worker(1_500.0, "w0", duration_ms=200.0)
-    )
-    with pytest.raises(ConfigurationError, match="one fault at a time"):
-        plan.validate()
-    # Same window on a different worker is fine.
-    (
-        FaultPlan()
-        .crash_worker(1_000.0, "w0", downtime_ms=800.0)
-        .hang_worker(1_500.0, "w1", duration_ms=200.0)
-    ).validate()
-
-
-def test_worker_faults_invisible_to_emulator_injector():
-    """The injector targets emulator internals and skips worker faults."""
-    sim = Simulator()
-    plan = FaultPlan().crash_worker(1_000.0, "w0", downtime_ms=500.0)
-    injector = FaultInjector(sim, plan, seed=0, trace=TraceLog())
-
-    class _Planner:
-        boundary = None
-
-    class _Emu:
-        def __init__(self):
-            self.machine = build_machine(sim)
-            self.planner = _Planner()
-            self.transport = VirtioTransport(sim)
-
-    injector.install(_Emu())
-    sim.run(until=5_000.0)
-    assert injector.stats.as_dict().get("worker_faults", 0) == 0

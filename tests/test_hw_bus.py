@@ -50,6 +50,23 @@ def test_contending_transfers_serialize_fifo():
     assert done == [("a", 1.0), ("b", 2.0)]
 
 
+def test_killed_queued_transfer_does_not_wedge_the_bus():
+    sim = Simulator()
+    bus = Bus(sim, "b", bandwidth=1000.0, latency=0.0)
+    done = []
+
+    def proc(label):
+        yield from bus.transfer(10_000)
+        done.append((label, sim.now))
+
+    sim.spawn(proc("holder"))
+    victim = sim.spawn(proc("victim"))
+    sim.spawn(proc("third"))
+    sim.schedule(5.0, victim.kill)
+    sim.run()
+    assert done == [("holder", 10.0), ("third", 20.0)]
+
+
 def test_statistics_accumulate():
     sim = Simulator()
     bus = Bus(sim, "b", bandwidth=1000.0, latency=0.0)

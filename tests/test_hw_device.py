@@ -94,6 +94,25 @@ def test_ops_on_one_device_serialize():
     assert done[1][1] == pytest.approx(0.10)
 
 
+def test_killed_queued_op_does_not_wedge_the_engine():
+    sim = Simulator()
+    dev = PhysicalDevice(
+        sim, "widget", DeviceKind.ISP, op_costs={"work": OpCost(fixed=10.0)}
+    )
+    done = []
+
+    def proc(label):
+        yield from dev.run_op("work")
+        done.append((label, sim.now))
+
+    sim.spawn(proc("holder"))
+    victim = sim.spawn(proc("victim"))
+    sim.spawn(proc("third"))
+    sim.schedule(5.0, victim.kill)
+    sim.run()
+    assert done == [("holder", 10.0), ("third", 20.0)]
+
+
 def test_gpu_decode_time_in_realistic_band():
     """UHD hw decode should land in the low single-digit ms (NVDEC-like)."""
     sim = Simulator()

@@ -85,6 +85,37 @@ def test_span_context_manager():
     assert tracer.spans[0].finished
 
 
+class _FakeClock:
+    def __init__(self):
+        self.now = 0.0
+
+
+def test_tracer_ring_cap_bounds_spans_and_counts_drops():
+    clock = _FakeClock()
+    tracer = Tracer(clock, max_spans=4)
+    for i in range(10):
+        clock.now = float(i)
+        span = tracer.begin(f"s{i}", "t")
+        tracer.end(span)
+        tracer.instant(f"i{i}", "t")
+    assert len(tracer.spans) == 4
+    assert len(tracer.instants) == 4
+    assert tracer.dropped_spans == 12  # 6 from each store
+    # The ring keeps the newest spans.
+    assert [s.name for s in tracer.spans] == ["s6", "s7", "s8", "s9"]
+
+
+def test_tracer_ring_cap_validated_and_off_by_default():
+    clock = _FakeClock()
+    with pytest.raises(ValueError):
+        Tracer(clock, max_spans=0)
+    unbounded = Tracer(clock)
+    for i in range(100):
+        unbounded.end(unbounded.begin(f"s{i}", "t"))
+    assert len(unbounded.spans) == 100
+    assert unbounded.dropped_spans == 0
+
+
 # -- metrics registry ---------------------------------------------------------
 
 def test_registry_counter_gauge_histogram():

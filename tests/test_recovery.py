@@ -327,3 +327,30 @@ def test_fifo_queue_reset_returns_lost_items_and_wakes_parked_putters():
     queue.try_put("fresh")
     sim.run(until=3.0)
     assert parked == ["admitted", ("got", "fresh")]
+
+
+def test_gpu_crash_while_queued_on_the_shared_engine_does_not_wedge_it():
+    """Fuzz-shrunk reproducer (fuzz seed 282): on vSoC the gpu, codec and
+    display virtual devices share the physical GPU. Killing the gpu
+    executor while it waits for that engine must not leave the engine
+    granted to the dead process, or the codec's fences never signal."""
+    from repro.scenario import run_scenario
+
+    doc = {
+        "name": "gpu-crash-shared-engine",
+        "emulator": "vSoC",
+        "duration_ms": 2000.0,
+        "seed": 0,
+        "apps": [
+            {"name": "app0-graph", "pipeline": "graph", "stages": [
+                {"device": "codec", "op": "encode", "bytes": 4194304},
+                {"device": "modem", "op": "send", "bytes": 4194304},
+            ]},
+            {"name": "app1-video", "pipeline": "video"},
+        ],
+        "environment": {"faults": {"crashes": [
+            {"time_ms": 1003.0, "vdev": "gpu", "downtime_ms": 178.2},
+        ]}},
+    }
+    result = run_scenario(doc, strict_audit=True)
+    assert result.crashes == 1 and result.recoveries == 1

@@ -9,7 +9,6 @@ the fuzz CLI (campaign + reproducer replay).
 """
 
 import json
-import random
 
 import pytest
 
@@ -272,7 +271,7 @@ def test_fuzz_cli_campaign_and_replay(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# CLI strict-audit plumbing + fleet integration
+# CLI strict-audit plumbing
 # ---------------------------------------------------------------------------
 
 def test_run_chaos_strict_audit_clean_baseline():
@@ -291,17 +290,3 @@ def test_recover_reproduce_line_convention():
     assert line == ("REPRODUCE: python -m repro.experiments recover "
                     "--seed 4 --quick --strict-audit")
 
-
-def test_trace_from_scenario_feeds_fleet_service():
-    from repro.fleet import FleetService, trace_from_scenario
-
-    doc = minimal_doc(apps=[{"name": "v", "pipeline": "video"},
-                            {"name": "a", "pipeline": "ar", "priority": 0}])
-    trace = trace_from_scenario(doc, cohorts=2, spacing_ms=1_500.0)
-    assert len(trace) == 4
-    assert trace == trace_from_scenario(doc, cohorts=2, spacing_ms=1_500.0)
-    priorities = {s.session_id: s.priority for s in trace.sessions}
-    assert priorities["t-c00-a"] == 0 and priorities["t-c00-v"] == 1
-    summary = FleetService(n_workers=2).serve(trace)
-    assert summary["stats"]["offered"] == 4
-    assert summary["stats"]["completed"] == 4

@@ -181,6 +181,20 @@ def test_release_without_waiters_increments_permits():
     assert sem.available == 1
 
 
+def test_cancel_drops_a_queued_grant_and_passes_on_a_fired_one():
+    sim = Simulator()
+    sem = Semaphore(sim, permits=1)
+    held = sem.acquire()
+    queued = sem.acquire()
+    sem.cancel(queued)
+    sem.release()  # nobody queued: the permit goes back to the pool
+    assert held.fired and not queued.fired and sem.available == 1
+    fired = sem.acquire()
+    assert fired.fired
+    sem.cancel(fired)
+    assert sem.available == 1
+
+
 def test_mutex_is_binary():
     sim = Simulator()
     mutex = Mutex(sim)
