@@ -369,7 +369,6 @@ class UnifiedPrefetchProtocol(CoherenceProtocol):
             region.note_copy(reader_loc)
             if obs.enabled:
                 obs.tracer.end(span, path=tag, duration=duration)
-                obs.registry.histogram("coherence.duration_ms", path=tag).observe(duration)
             self._trace.record(
                 self._sim.now,
                 "coherence.maintenance",
@@ -476,9 +475,6 @@ class UnifiedWriteInvalidate(CoherenceProtocol):
             region.note_copy(reader_loc)
             if obs.enabled:
                 obs.tracer.end(span, path="write-invalidate", duration=duration)
-                obs.registry.histogram(
-                    "coherence.duration_ms", path="write-invalidate"
-                ).observe(duration)
             self._trace.record(
                 self._sim.now,
                 "coherence.maintenance",
@@ -509,9 +505,6 @@ class UnifiedWriteInvalidate(CoherenceProtocol):
             region.note_copy(reader_loc)
             if obs.enabled:
                 obs.tracer.end(span, path="write-invalidate-net", duration=duration)
-                obs.registry.histogram(
-                    "coherence.duration_ms", path="write-invalidate-net"
-                ).observe(duration)
             self._trace.record(
                 self._sim.now,
                 "coherence.maintenance",
@@ -630,9 +623,6 @@ class UnifiedBroadcast(CoherenceProtocol):
         self.broadcast_copies += 1
         if obs.enabled:
             obs.tracer.end(span, path="broadcast", duration=duration)
-            obs.registry.histogram(
-                "coherence.duration_ms", path="broadcast"
-            ).observe(duration)
         self._trace.record(
             self._sim.now, "coherence.maintenance",
             duration=duration, bytes=region.dirty_bytes,
@@ -749,9 +739,6 @@ class GuestMemoryWriteInvalidate(CoherenceProtocol):
         flush_cost = region.last_flush_duration
         if obs.enabled:
             obs.tracer.end(span, path="guest-memory", duration=duration)
-            obs.registry.histogram(
-                "coherence.duration_ms", path="guest-memory"
-            ).observe(duration)
         self._trace.record(
             self._sim.now,
             "coherence.maintenance",

@@ -188,37 +188,34 @@ class SvmManager:
         latency = self._sim.now - start
         if obs.enabled:
             obs.tracer.end(access_span, latency=latency)
-            obs.registry.histogram("svm.access_latency_ms", vdev=vdev).observe(latency)
-        if self._trace.wants("svm.access_latency"):
-            extra = {}
-            if self.degradation is not None and self.degradation.degraded:
-                # Tag accesses made under degraded coherence so metrics can
-                # attribute latency spikes to the fault, not the workload.
-                extra["degraded_level"] = self.degradation.level
-            self._trace.record(
-                self._sim.now,
-                "svm.access_latency",
-                region=region_id,
-                vdev=vdev,
-                usage=usage.value,
-                latency=latency,
-                bytes=window,
-                **extra,
-            )
+        extra = {}
+        if self.degradation is not None and self.degradation.degraded:
+            # Tag accesses made under degraded coherence so metrics can
+            # attribute latency spikes to the fault, not the workload.
+            extra["degraded_level"] = self.degradation.level
+        self._trace.record(
+            self._sim.now,
+            "svm.access_latency",
+            region=region_id,
+            vdev=vdev,
+            usage=usage.value,
+            latency=latency,
+            bytes=window,
+            **extra,
+        )
         return latency
 
     def end_access(self, vdev: str, region_id: int) -> None:
         """Close an access bracket opened by ``begin_access``."""
         region = self.get(region_id)
         opened = region.close_access(vdev)
-        if self._trace.wants("svm.access_end"):
-            self._trace.record(
-                self._sim.now,
-                "svm.access_end",
-                region=region_id,
-                vdev=vdev,
-                held=self._sim.now - opened.start_time,
-            )
+        self._trace.record(
+            self._sim.now,
+            "svm.access_end",
+            region=region_id,
+            vdev=vdev,
+            held=self._sim.now - opened.start_time,
+        )
 
     def _slack_for(self, region: SvmRegion) -> Optional[float]:
         """*Natural* slack: write retirement → read arrival, minus any

@@ -178,8 +178,6 @@ class PrefetchEngine:
             )
         region.prefetch_targets = targets
         self.stats.launched += 1
-        if self._obs.enabled:
-            self._obs.registry.counter("prefetch.launched").inc()
         self._trace.record(
             self._sim.now,
             "prefetch.start",
@@ -395,14 +393,11 @@ class PrefetchEngine:
         return True
 
     def _note_suspension_end(self, vkey) -> None:
-        """Fold a finished cooldown into the suspension-time instrument."""
+        """Fold a finished cooldown into :attr:`suspension_time_ms`."""
         since = self._suspended_since.pop(vkey, None)
         if since is None:
             return
-        elapsed = self._sim.now - since
-        self.suspension_time_ms += elapsed
-        if self._obs.enabled:
-            self._obs.registry.counter("prefetch.suspension_time_ms").inc(elapsed)
+        self.suspension_time_ms += self._sim.now - since
 
     # -- crash recovery ----------------------------------------------------------
     def reset_vdev_history(self, vdev: str) -> int:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List, Optional, Sequence
+from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro.core.coherence import (
     CoherenceProtocol,
@@ -238,13 +238,15 @@ class Emulator:
             sim.spawn(self._stall_injector(), name=f"{config.name}:stalls")
 
         if self.obs.enabled:
-            registry = self.obs.registry
-            self._boundary.attach_metrics(registry)
-            machine.memctl.attach_metrics(registry)
-            machine.pcie.attach_metrics(registry)
+            for bus in self.metered_buses():
+                bus.attach_metrics(self.obs.registry)
             self.obs.map_devices(
                 {name: vdev.physical.name for name, vdev in self._vdevs.items()}
             )
+
+    def metered_buses(self) -> Tuple[Bus, ...]:
+        """The links an observed run reports on, one instrument set per link."""
+        return (self._boundary, self.machine.memctl, self.machine.pcie)
 
     # -- construction helpers -----------------------------------------------
     def _build_protocol(self) -> CoherenceProtocol:
@@ -626,14 +628,13 @@ class Emulator:
                 vdev.outstanding.pop(command, None)
                 if observed:
                     tracer.end(span, queue_delay=self.sim.now - command.dispatched_at)
-                if self.trace.wants("host.op_retired"):
-                    self.trace.record(
-                        self.sim.now,
-                        "host.op_retired",
-                        vdev=vdev.name,
-                        op=command.op,
-                        queue_delay=self.sim.now - command.dispatched_at,
-                    )
+                self.trace.record(
+                    self.sim.now,
+                    "host.op_retired",
+                    vdev=vdev.name,
+                    op=command.op,
+                    queue_delay=self.sim.now - command.dispatched_at,
+                )
             else:  # pragma: no cover - defensive
                 raise ConfigurationError(f"unknown command {command!r}")
 

@@ -39,8 +39,8 @@ def telemetry_specs(duration_ms: float = DEFAULT_DURATION_MS,
                 seed: int = 0) -> List[RunSpec]:
     """The dashboard's run grid, telemetry + latency attribution on.
 
-    Attribution mirrors per-(category × device) budget totals into
-    ``budget.ms`` counters on each snapshot, which the aggregator rolls
+    Attribution adds per-(category × device) budget totals as
+    ``budget.ms`` counters to each snapshot, which the aggregator rolls
     up like any other counter — the dashboard's per-cell budget bars
     come for free from the ordinary aggregation pipeline.
     """

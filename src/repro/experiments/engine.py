@@ -82,7 +82,6 @@ class RunSpec:
     machine_spec: MachineSpec = HIGH_END_DESKTOP
     duration_ms: float = 22_000.0
     seed: int = 0
-    trace_kinds: Optional[Tuple[str, ...]] = None
     emulator_factory: Optional[str] = None
     emulator_kwargs: Mapping[str, Any] = field(default_factory=dict)
     #: Capture a TelemetrySnapshot in the worker (see repro.obs.telemetry).
@@ -298,7 +297,8 @@ class RunCache:
 # Execution
 # ---------------------------------------------------------------------------
 
-def _resolve(path: str) -> Callable[..., Any]:
+def resolve_factory(path: str) -> Callable[..., Any]:
+    """The callable a dotted ``"pkg.mod:name"`` path names."""
     module_name, _, attr = path.partition(":")
     module = __import__(module_name, fromlist=[attr])
     return getattr(module, attr)
@@ -307,20 +307,21 @@ def _resolve(path: str) -> Callable[..., Any]:
 def execute_spec(spec: Spec) -> Any:
     """Run one spec to completion in *this* process (the worker body)."""
     if isinstance(spec, PointSpec):
-        return _resolve(spec.fn)(**dict(spec.kwargs))
+        return resolve_factory(spec.fn)(**dict(spec.kwargs))
     from repro.experiments.runner import run_app
 
-    app = _resolve(spec.app_factory)(**dict(spec.app_kwargs))
+    app = resolve_factory(spec.app_factory)(**dict(spec.app_kwargs))
     factory = None
     if spec.emulator_factory is not None:
-        factory = partial(_resolve(spec.emulator_factory), **dict(spec.emulator_kwargs))
+        factory = partial(
+            resolve_factory(spec.emulator_factory), **dict(spec.emulator_kwargs)
+        )
     run = run_app(
         app,
         spec.emulator,
         machine_spec=spec.machine_spec,
         duration_ms=spec.duration_ms,
         seed=spec.seed,
-        trace_kinds=list(spec.trace_kinds) if spec.trace_kinds is not None else None,
         factory=factory,
         telemetry=spec.telemetry,
         attribution=spec.attribution,
@@ -491,14 +492,12 @@ def specs_for_apps(
     machine_spec: MachineSpec = HIGH_END_DESKTOP,
     duration_ms: float = 22_000.0,
     seed: int = 0,
-    trace_kinds: Optional[Sequence[str]] = None,
     emulator_factory: Optional[str] = None,
     emulator_kwargs: Optional[Mapping[str, Any]] = None,
     telemetry: bool = False,
     attribution: bool = False,
 ) -> List[RunSpec]:
     """RunSpecs for a catalog parameter list on one emulator/machine."""
-    kinds = tuple(trace_kinds) if trace_kinds is not None else None
     return [
         RunSpec(
             app_factory=path,
@@ -507,7 +506,6 @@ def specs_for_apps(
             machine_spec=machine_spec,
             duration_ms=duration_ms,
             seed=seed,
-            trace_kinds=kinds,
             emulator_factory=emulator_factory,
             emulator_kwargs=dict(emulator_kwargs or {}),
             telemetry=telemetry,

@@ -11,8 +11,13 @@ enabled, then writes:
   flow of arrows;
 * a metrics JSON with the registry's counters/gauges/histograms (prefetch
   mispredict rate, slack-estimate error, per-link bus utilization, frame
-  accounting) plus the kernel self-profile attributing simulated time per
-  device and subsystem.
+  accounting, coherence cost per path) plus the kernel self-profile
+  attributing simulated time per device and subsystem.
+
+The run goes through the experiment runner's own path
+(:func:`~repro.experiments.runner.build_rig` and
+:func:`~repro.experiments.runner.drive`), so its metrics are the same
+capture-time view a telemetry run records.
 
 The run itself is the same deterministic simulation the experiment
 commands use: observability only *reads* the clock, so FPS and every other
@@ -21,17 +26,13 @@ number matches a run with observability off, bit for bit.
 
 from __future__ import annotations
 
-import random
-from typing import Callable, Dict, Optional
+from typing import Optional
 
-from repro.apps.ar import ArApp
-from repro.apps.base import App
-from repro.apps.camera import CameraApp
-from repro.apps.livestream import LivestreamApp
-from repro.apps.video import UhdVideoApp
 from repro.emulators import EMULATOR_FACTORIES
-from repro.hw.machine import HIGH_END_DESKTOP, build_machine
-from repro.metrics.collectors import ResilienceStats
+from repro.experiments.engine import resolve_factory
+from repro.experiments.explain import APP_FACTORIES
+from repro.experiments.runner import build_rig, drive
+from repro.hw.machine import HIGH_END_DESKTOP
 from repro.obs import (
     Observability,
     connected_flows,
@@ -40,15 +41,6 @@ from repro.obs import (
     write_metrics,
 )
 from repro.sim import Simulator
-from repro.sim.tracing import TraceLog
-
-#: Observable workloads, one representative app per Table 1 category.
-APPS: Dict[str, Callable[[], App]] = {
-    "video": UhdVideoApp,
-    "camera": CameraApp,
-    "ar": ArApp,
-    "livestream": LivestreamApp,
-}
 
 DEFAULT_DURATION_MS = 8_000.0
 
@@ -88,40 +80,30 @@ def run_observe(
     ``include_tracelog`` digests the legacy :class:`TraceLog` records into
     the exported trace as instant events (one thread per record ``vdev``),
     so pre-observability instrumentation shows up alongside the spans.
-    ``reservoir`` overrides the registry's per-instrument sample retention
-    (gauge timelines and histogram reservoirs; default 512).
+    ``reservoir`` sets the registry's sample retention for every gauge
+    timeline and histogram reservoir (default 512).
     ``max_spans`` puts the tracer in bounded ring mode: only the newest N
     spans/instants survive and :attr:`Tracer.dropped_spans` counts the
     evictions (surfaced in the CLI summary and export metadata).
     """
-    if app not in APPS:
-        raise ValueError(f"unknown app {app!r}; choose from {sorted(APPS)}")
+    if app not in APP_FACTORIES:
+        raise ValueError(f"unknown app {app!r}; choose from {sorted(APP_FACTORIES)}")
     if emulator not in EMULATOR_FACTORIES:
         raise ValueError(
             f"unknown emulator {emulator!r}; choose from {sorted(EMULATOR_FACTORIES)}"
         )
 
-    sim = Simulator()
-    machine = build_machine(sim, machine_spec)
-    tracelog = TraceLog()
-    obs = Observability(sim, reservoir=reservoir, max_spans=max_spans)
-    make = EMULATOR_FACTORIES[emulator]
-    emu = make(sim, machine, trace=tracelog, rng=random.Random(seed), obs=obs)
+    obs = Observability(Simulator(), reservoir=reservoir, max_spans=max_spans)
+    rig = build_rig(emulator, machine_spec, seed, obs=obs)
+    installed, result, _ = drive(
+        rig, resolve_factory(APP_FACTORIES[app])(), emulator, duration_ms
+    )
+    if not installed:
+        raise SystemExit(f"{app!r} cannot run on {emulator!r}: {result.fail_reason}")
 
-    workload = APPS[app]()
-    workload.fps.attach_registry(obs.registry)
-    if not workload.install(sim, emu):
-        raise SystemExit(
-            f"{app!r} cannot run on {emulator!r}: "
-            f"{getattr(workload, '_fail_reason', 'install failed')}"
-        )
-    sim.run(until=duration_ms)
-    result = workload.collect(emulator, duration_ms)
-
-    ResilienceStats(tracelog).to_registry(obs.registry)
     trace_dict = obs.export_trace(
-        track_groups=emu.track_groups(),
-        tracelog=tracelog if include_tracelog else None,
+        track_groups=rig.emulator.track_groups(),
+        tracelog=rig.trace if include_tracelog else None,
     )
     metrics_dict = obs.export_metrics(extra={
         "app": result.app,

@@ -4,23 +4,26 @@ Every run builds a fresh simulator, machine and emulator, installs the app
 and runs for a fixed simulated duration. Runs are pure functions of their
 seeds — rerunning an experiment reproduces its numbers bit-for-bit.
 
-:func:`run_app` is the in-process primitive (it is what the engine's
-workers execute); :func:`run_category` and :func:`run_emulator_suite` are
-sweep helpers that route through :mod:`repro.experiments.engine` for
-parallelism and memoization when given declarative app parameters.
+:func:`build_rig` is the one construction path (app runs, the ``observe``
+command and scenarios all use it) and :func:`drive` the one run path for
+a single app, observed or not. :func:`run_app` is the in-process primitive
+(it is what the engine's workers execute); :func:`run_category` and
+:func:`run_emulator_suite` are sweep helpers that route through
+:mod:`repro.experiments.engine` for parallelism and memoization when given
+declarative app parameters.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.apps.base import App, AppResult
 from repro.apps.catalog import AppParams, can_run
 from repro.emulators import EMULATOR_FACTORIES
 from repro.emulators.base import Emulator
-from repro.hw.machine import HIGH_END_DESKTOP, MachineSpec, build_machine
+from repro.hw.machine import HIGH_END_DESKTOP, HostMachine, MachineSpec, build_machine
 from repro.metrics.collectors import SvmStats
 from repro.sim import Simulator
 from repro.sim.tracing import TraceLog
@@ -50,56 +53,102 @@ class AppRun:
     telemetry: Optional["TelemetrySnapshot"] = None  # noqa: F821
 
 
+@dataclass
+class RunRig:
+    """What one run is built from: clock, machine, trace log, emulator.
+
+    ``obs`` is the run's :class:`~repro.obs.Observability`, or None for an
+    unobserved run.
+    """
+
+    sim: Simulator
+    machine: HostMachine
+    trace: TraceLog
+    obs: Optional["Observability"]  # noqa: F821
+    emulator: Emulator
+
+
+def build_rig(
+    emulator_name: str,
+    machine_spec: MachineSpec = HIGH_END_DESKTOP,
+    seed: int = 0,
+    factory: Optional[Callable] = None,
+    obs: Optional["Observability"] = None,  # noqa: F821
+) -> RunRig:
+    """Build the simulator, machine, trace log and emulator for one run.
+
+    ``obs`` observes the run: its simulator becomes the run's clock, so a
+    caller configures it (the ``observe`` command sets the reservoir and
+    the span cap) and hands it over. Without it the run is unobserved on
+    a fresh simulator. ``factory`` overrides the emulator constructor
+    (used for the §5.4 ablations); like every registered factory it takes
+    ``obs=``.
+    """
+    sim = obs.sim if obs is not None else Simulator()
+    machine = build_machine(sim, machine_spec)
+    trace = TraceLog()
+    make = factory if factory is not None else EMULATOR_FACTORIES[emulator_name]
+    emulator = make(sim, machine, trace=trace, rng=random.Random(seed), obs=obs)
+    return RunRig(sim=sim, machine=machine, trace=trace, obs=obs, emulator=emulator)
+
+
+def drive(
+    rig: RunRig,
+    app: App,
+    emulator_name: str,
+    duration_ms: float,
+    attribution: bool = False,
+) -> Tuple[bool, AppResult, Optional["LatencyBudget"]]:  # noqa: F821
+    """Install ``app`` on the rig, run the clock, collect the result.
+
+    Returns ``(installed, result, budget)``. On an observed rig this is
+    also where the run's metrics view is derived
+    (:func:`~repro.obs.telemetry.derive_run_metrics`), after the clock
+    stops. ``attribution`` folds the run's causal spans into a
+    :class:`~repro.obs.critical.LatencyBudget` first, whose totals the
+    view counts as ``budget.ms``. Both are post-hoc reads of what the run
+    recorded anyway, so FPS/latency digests are bit-identical either way.
+    """
+    installed = app.install(rig.sim, rig.emulator)
+    if installed:
+        rig.sim.run(until=duration_ms)
+    result = app.collect(emulator_name, duration_ms)
+    budget = None
+    if rig.obs is not None:
+        from repro.obs.telemetry import derive_run_metrics
+
+        if attribution:
+            from repro.obs.critical import analyze_tracer
+
+            budget = analyze_tracer(rig.obs.tracer)
+        derive_run_metrics(rig.obs.registry, rig.trace, rig.emulator, app.fps,
+                           budget=budget)
+    return installed, result, budget
+
+
 def run_app(
     app: App,
     emulator_name: str,
     machine_spec: MachineSpec = HIGH_END_DESKTOP,
     duration_ms: float = DEFAULT_DURATION_MS,
     seed: int = 0,
-    trace_kinds: Optional[Sequence[str]] = None,
     factory: Optional[Callable] = None,
     telemetry: bool = False,
     attribution: bool = False,
 ) -> AppRun:
     """Run one app on one emulator for ``duration_ms`` of simulated time.
 
-    ``trace_kinds`` narrows instrumentation for speed; ``factory``
-    overrides the emulator constructor (used for the §5.4 ablations).
-    ``telemetry`` attaches the observability stack (tracer + registry +
-    self-profiler) and captures a picklable
+    ``factory`` overrides the emulator constructor (used for the §5.4
+    ablations). ``telemetry`` attaches the observability stack (tracer +
+    registry + self-profiler) and captures a picklable
     :class:`~repro.obs.telemetry.TelemetrySnapshot` onto the returned
     :class:`AppRun` — observability only reads the clock, so the
     simulated results are bit-identical either way.
 
-    ``attribution`` (implies ``telemetry``) additionally folds the run's
-    causal spans into a :class:`~repro.obs.critical.LatencyBudget` on the
-    snapshot and mirrors the per-(category × device) totals into
-    ``budget.ms`` counters so telemetry rollups see them.  Attribution is
-    post-hoc analysis of spans that were recorded anyway: it cannot
-    perturb the run, and FPS/latency digests stay bit-identical with it
-    on or off.
+    ``attribution`` (implies ``telemetry``) additionally puts the run's
+    :class:`~repro.obs.critical.LatencyBudget` on the snapshot (see
+    :func:`drive`).
     """
-    sim = Simulator()
-    machine = build_machine(sim, machine_spec)
-    trace = TraceLog(kinds=list(trace_kinds) if trace_kinds is not None else None)
-    obs = None
-    if telemetry or attribution:
-        from repro.obs import Observability
-
-        obs = Observability(sim)
-    make = factory if factory is not None else EMULATOR_FACTORIES[emulator_name]
-    rng = random.Random(seed)
-    if obs is not None:
-        try:
-            emulator = make(sim, machine, trace=trace, rng=rng, obs=obs)
-        except TypeError:
-            # Custom factories (ablation partials) may not take ``obs``;
-            # run them unobserved rather than failing the whole point.
-            obs = None
-            emulator = make(sim, machine, trace=trace, rng=rng)
-    else:
-        emulator = make(sim, machine, trace=trace, rng=rng)
-
     if not can_run(app.name, emulator_name):
         result = AppResult(
             app=app.name,
@@ -111,46 +160,30 @@ def run_app(
         )
         return AppRun(result=result, emulator=None, stats=None)
 
-    if obs is not None:
-        app.fps.attach_registry(obs.registry)
-    if not app.install(sim, emulator):
-        return AppRun(
-            result=app.collect(emulator_name, duration_ms), emulator=None, stats=None,
-            telemetry=_capture_telemetry(obs, trace, app, emulator_name,
-                                         duration_ms, seed, result=None,
-                                         attribution=attribution),
-        )
+    obs = None
+    if telemetry or attribution:
+        from repro.obs import Observability
 
-    sim.run(until=duration_ms)
-    result = app.collect(emulator_name, duration_ms)
+        obs = Observability(Simulator())
+    rig = build_rig(emulator_name, machine_spec, seed, factory=factory, obs=obs)
+    installed, result, budget = drive(
+        rig, app, emulator_name, duration_ms, attribution=attribution
+    )
     return AppRun(
-        result=result, emulator=emulator, stats=SvmStats(trace, duration_ms),
-        telemetry=_capture_telemetry(obs, trace, app, emulator_name,
-                                     duration_ms, seed, result=result,
-                                     attribution=attribution),
+        result=result,
+        emulator=rig.emulator if installed else None,
+        stats=SvmStats(rig.trace, duration_ms) if installed else None,
+        telemetry=None if obs is None else _capture_telemetry(
+            obs, app, emulator_name, duration_ms, seed,
+            result if installed else None, budget,
+        ),
     )
 
 
-def _capture_telemetry(obs, trace, app, emulator_name, duration_ms, seed, result,
-                       attribution=False):
+def _capture_telemetry(obs, app, emulator_name, duration_ms, seed, result, budget):
     """Freeze an observed run's state into a picklable snapshot."""
-    if obs is None:
-        return None
-    from repro.metrics.collectors import ResilienceStats
     from repro.obs.telemetry import TelemetrySnapshot
 
-    ResilienceStats(trace).to_registry(obs.registry)
-    budget = None
-    if attribution:
-        from repro.obs.critical import analyze_tracer
-
-        budget = analyze_tracer(obs.tracer)
-        # Mirror the per-cell totals into counters: telemetry rollups and the
-        # dashboard then aggregate budgets with zero aggregator changes.
-        for (category, device), ms in budget.totals().items():
-            obs.registry.counter(
-                "budget.ms", category=category, device=device
-            ).inc(ms)
     meta = {
         "app": app.name,
         "category": app.category,

@@ -100,8 +100,6 @@ class VirtioTransport:
         self.commands += batch_size
         if obs.enabled:
             obs.tracer.end(span)
-            obs.registry.counter("transport.kicks").inc()
-            obs.registry.counter("transport.commands").inc(batch_size)
         return cost
 
     def kick_reliable(

@@ -70,12 +70,14 @@ class Bus:
 
     # -- observability -------------------------------------------------------
     def attach_metrics(self, registry) -> None:
-        """Report live per-link instruments into a metrics registry.
+        """Sample this link's utilization into a metrics registry.
 
-        Per completed transfer the bus updates ``bus.bytes_moved`` and
-        ``bus.transfers`` counters plus a ``bus.utilization`` gauge
-        (busy time / elapsed time, labelled by link name). Attaching a
-        registry never alters transfer timing.
+        Per completed transfer the bus sets a ``bus.utilization`` gauge
+        (busy time / elapsed time, labelled by link name) onto its
+        timeline. The byte and transfer totals need no live instrument:
+        the capture-time view reads :attr:`bytes_moved` and
+        :attr:`transfer_count`. Attaching a registry never alters
+        transfer timing.
         """
         self._registry = registry
 
@@ -83,8 +85,6 @@ class Bus:
         registry = self._registry
         if registry is None or not registry.enabled:
             return
-        registry.counter("bus.bytes_moved", link=self.name).value = float(self.bytes_moved)
-        registry.counter("bus.transfers", link=self.name).value = float(self.transfer_count)
         now = self._sim.now
         utilization = self.busy_time / now if now > 0 else 0.0
         registry.gauge("bus.utilization", link=self.name).set(utilization, time=now)

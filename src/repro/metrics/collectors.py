@@ -23,32 +23,21 @@ from repro.units import SECOND
 class FpsCollector:
     """Frame accounting for one app run.
 
-    With a :class:`~repro.obs.registry.MetricsRegistry` attached, every
-    presentation/drop is mirrored into named ``frames.*`` instruments —
-    the ad-hoc dict counters stay authoritative so behaviour (and FPS
-    numbers) are identical with and without observability.
+    An observed run's ``frames.*`` instruments are derived from these
+    counters at capture (:func:`repro.obs.telemetry.derive_run_metrics`).
     """
 
-    def __init__(self, registry=None) -> None:
+    def __init__(self) -> None:
         self.presented = 0
         self.present_times: List[float] = []
         self.dropped: Dict[str, int] = {}
-        self._registry = registry
-
-    def attach_registry(self, registry) -> None:
-        """Mirror future frame accounting into ``registry``."""
-        self._registry = registry
 
     def note_presented(self, now: float) -> None:
         self.presented += 1
         self.present_times.append(now)
-        if self._registry is not None:
-            self._registry.counter("frames.presented").inc()
 
     def note_dropped(self, reason: str) -> None:
         self.dropped[reason] = self.dropped.get(reason, 0) + 1
-        if self._registry is not None:
-            self._registry.counter("frames.dropped", reason=reason).inc()
 
     @property
     def dropped_total(self) -> int:
@@ -225,16 +214,3 @@ class ResilienceStats:
             "replayed_copies": self.replayed_copies,
             "audit_violations": self.audit_violations,
         }
-
-    def to_registry(self, registry) -> None:
-        """Publish the resilience accounting as named instruments."""
-        for kind, count in sorted(self.fault_counts().items()):
-            registry.counter("resilience.faults", kind=kind).inc(count)
-        registry.counter("resilience.retries").inc(self.retries)
-        registry.counter("resilience.prefetch_failures").inc(self.prefetch_failures)
-        registry.counter("resilience.degrades").inc(self.degrades)
-        registry.counter("resilience.restores").inc(self.restores)
-        registry.counter("resilience.crashes").inc(self.crashes)
-        registry.counter("resilience.recoveries").inc(self.recoveries)
-        registry.counter("resilience.replayed_copies").inc(self.replayed_copies)
-        registry.counter("audit.violations_total").inc(self.audit_violations)

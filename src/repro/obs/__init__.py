@@ -121,8 +121,7 @@ class Observability:
     variant components default to.
     """
 
-    def __init__(self, sim=None, profile: bool = True,
-                 reservoir: Optional[int] = None,
+    def __init__(self, sim=None, reservoir: Optional[int] = None,
                  max_spans: Optional[int] = None):
         self.sim = sim
         enabled = sim is not None
@@ -134,7 +133,7 @@ class Observability:
             MetricsRegistry(reservoir=reservoir) if enabled else NULL_REGISTRY
         )
         self.profiler: Optional[SelfProfiler] = None
-        if enabled and profile:
+        if enabled:
             self.profiler = SelfProfiler()
             sim.add_hook(self.profiler)
 

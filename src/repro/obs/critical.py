@@ -437,8 +437,7 @@ def analyze_tracer(tracer: Any) -> LatencyBudget:
     frames: List[FrameBudget] = []
     skipped: List[int] = []
     worst: Optional[Tuple[float, int, Sequence[Any], Any]] = None
-    for flow in tracer.flows():
-        spans = tracer.spans_of_flow(flow)
+    for flow, spans in tracer.flow_chains().items():
         presented = None
         for span in spans:
             if span.name == "frame.presented":

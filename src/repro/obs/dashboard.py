@@ -356,9 +356,9 @@ _BUDGET_SLOTS = {
 def _budget_bars(aggregate: Dict[str, Any]) -> str:
     """Per-(emulator × app) stacked latency-budget bars.
 
-    Runs executed with attribution mirror their per-(category × device)
-    budget totals into ``budget.ms`` counters (see
-    :func:`repro.experiments.runner.run_app`), so they arrive here through
+    Runs executed with attribution carry their per-(category × device)
+    budget totals as ``budget.ms`` counters (see
+    :func:`repro.obs.telemetry.derive_run_metrics`), so they arrive here through
     the ordinary telemetry rollup — no bespoke plumbing. Sections render only
     when at least one run attributed.
     """

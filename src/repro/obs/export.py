@@ -192,18 +192,7 @@ def chrome_trace(
     for span in tracer.instants:
         pid, tid = table.ids_for(span.track)
         events.append(_instant_event(span, pid, tid))
-    # Single pass over the spans to group by flow (equivalent to calling
-    # spans_of_flow per flow, but O(spans) instead of O(flows × spans) —
-    # a run has one flow per frame, so the quadratic walk bites).
-    by_flow: Dict[int, List[Span]] = {}
-    for span in tracer.spans:
-        if span.flow != NO_FLOW:
-            by_flow.setdefault(span.flow, []).append(span)
-    for span in tracer.instants:
-        if span.flow != NO_FLOW:
-            by_flow.setdefault(span.flow, []).append(span)
-    for flow in sorted(by_flow):
-        chain = sorted(by_flow[flow], key=lambda s: (s.start, s.span_id))
+    for flow, chain in tracer.flow_chains().items():
         events.extend(_flow_events(flow, chain, table))
     if tracelog is not None:
         events.extend(tracelog_events(tracelog, table))
@@ -339,8 +328,8 @@ def connected_flows(
     """
     required = list(required_names)
     found: List[int] = []
-    for flow in tracer.flows():
-        names = {s.name for s in tracer.spans_of_flow(flow)}
+    for flow, chain in tracer.flow_chains().items():
+        names = {s.name for s in chain}
         if all(any(name == r or name.startswith(r) for name in names) for r in required):
             found.append(flow)
     return found

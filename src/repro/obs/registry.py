@@ -209,17 +209,15 @@ NULL_INSTRUMENT = _NullInstrument()
 
 
 class MetricsRegistry:
-    """Keyed store of instruments; the single sink the stack reports into.
+    """Keyed store of instruments; the one metrics sink of an observed run.
 
-    ``registry.counter("bus.bytes", link="pcie")`` returns the one counter
+    ``counter("frames.dropped", reason="late")`` returns the one counter
     for that (name, labels) pair, creating it on first use — call sites
     never coordinate. Instruments of the same name must keep one kind.
 
-    ``reservoir`` sets the default timeline/reservoir capacity for every
-    gauge and histogram this registry creates (instead of the shared
-    :data:`DEFAULT_RESERVOIR`); the ``reservoir=`` keyword on
-    :meth:`gauge` / :meth:`histogram` overrides it per instrument at
-    first-creation time.
+    ``reservoir`` sets the timeline/reservoir capacity for every gauge and
+    histogram this registry creates (instead of the shared
+    :data:`DEFAULT_RESERVOIR`).
     """
 
     def __init__(self, enabled: bool = True, reservoir: Optional[int] = None):
@@ -231,27 +229,23 @@ class MetricsRegistry:
     def counter(self, name: str, **labels: Any) -> Counter:
         return self._get(Counter, name, labels)
 
-    def gauge(self, name: str, *, reservoir: Optional[int] = None,
-              **labels: Any) -> Gauge:
-        return self._get(Gauge, name, labels, reservoir)
+    def gauge(self, name: str, **labels: Any) -> Gauge:
+        return self._get(Gauge, name, labels)
 
-    def histogram(self, name: str, *, reservoir: Optional[int] = None,
-                  **labels: Any) -> Histogram:
-        return self._get(Histogram, name, labels, reservoir)
+    def histogram(self, name: str, **labels: Any) -> Histogram:
+        return self._get(Histogram, name, labels)
 
-    def _get(self, cls, name: str, labels: Dict[str, Any],
-             reservoir: Optional[int] = None):
+    def _get(self, cls, name: str, labels: Dict[str, Any]):
         if not self.enabled:
             return NULL_INSTRUMENT
         key = (name, _label_key(labels))
         instrument = self._instruments.get(key)
         if instrument is None:
             clean = {k: str(v) for k, v in labels.items()}
-            capacity = reservoir if reservoir is not None else self.reservoir
             if cls is Gauge:
-                instrument = Gauge(name, clean, timeline_capacity=capacity)
+                instrument = Gauge(name, clean, timeline_capacity=self.reservoir)
             elif cls is Histogram:
-                instrument = Histogram(name, clean, reservoir_capacity=capacity)
+                instrument = Histogram(name, clean, reservoir_capacity=self.reservoir)
             else:
                 instrument = cls(name, clean)
             self._instruments[key] = instrument

@@ -93,11 +93,11 @@ class Tracer:
     still-open spans live in :attr:`spans` (exporters clamp open spans to
     the export time); :attr:`instants` holds zero-duration point events.
 
-    ``max_spans`` bounds retention (mirroring ``TraceLog``'s ring mode):
-    spans and instants each keep only the newest ``max_spans`` entries,
-    evicting the oldest, and :attr:`dropped_spans` counts every eviction —
-    so a long observed run cannot grow tracer memory without bound.
-    The default (``None``) retains everything, unchanged from before.
+    ``max_spans`` bounds retention: spans and instants each keep only the
+    newest ``max_spans`` entries, evicting the oldest, and
+    :attr:`dropped_spans` counts every eviction — so a long observed run
+    cannot grow tracer memory without bound. The default (``None``)
+    retains everything.
     """
 
     def __init__(self, sim=None, enabled: bool = True,
@@ -118,6 +118,9 @@ class Tracer:
         self.dropped_spans = 0
         self._next_span = 1
         self._next_flow = 1
+        # flow_chains() cache, valid while _next_span equals _chains_at.
+        self._chains: Dict[int, List[Span]] = {}
+        self._chains_at = 0
 
     def _append(self, store, span: Span) -> None:
         if self.max_spans is not None and len(store) == self.max_spans:
@@ -207,22 +210,35 @@ class Tracer:
     def __len__(self) -> int:
         return len(self.spans) + len(self.instants)
 
-    def spans_of_flow(self, flow: int) -> List[Span]:
-        """Every span and instant stamped with ``flow``, in start order."""
-        found = [s for s in self.spans if s.flow == flow]
-        found += [s for s in self.instants if s.flow == flow]
-        found.sort(key=lambda s: (s.start, s.span_id))
-        return found
+    def flow_chains(self) -> Dict[int, List[Span]]:
+        """Every flow's spans and instants, grouped in one pass.
+
+        Flow ids ascend, and each chain is in start order (ties broken by
+        span id). The grouping is cached until the next span or instant is
+        recorded, so the post-run readers (attribution, the exporter, the
+        snapshot digest) share one pass; callers must not mutate it.
+        """
+        if self._chains_at != self._next_span:
+            by_flow: Dict[int, List[Span]] = {}
+            for store in (self.spans, self.instants):
+                for span in store:
+                    if span.flow != NO_FLOW:
+                        by_flow.setdefault(span.flow, []).append(span)
+            self._chains = {
+                flow: sorted(by_flow[flow], key=lambda s: (s.start, s.span_id))
+                for flow in sorted(by_flow)
+            }
+            self._chains_at = self._next_span
+        return self._chains
 
     def flows(self) -> List[int]:
         """Flow ids that stamped at least one span, ascending."""
-        seen = {s.flow for s in self.spans if s.flow != NO_FLOW}
-        seen |= {s.flow for s in self.instants if s.flow != NO_FLOW}
-        return sorted(seen)
+        return list(self.flow_chains())
 
     def clear(self) -> None:
         self.spans.clear()
         self.instants.clear()
+        self._chains_at = 0
 
     def _alloc_id(self) -> int:
         span_id = self._next_span

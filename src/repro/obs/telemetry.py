@@ -19,6 +19,10 @@ layers meet:
   JSON.
 * :func:`validate_telemetry_aggregate` — the schema check CI runs on the
   exported aggregate, mirroring ``validate_chrome_trace``.
+* :func:`derive_run_metrics` — the capture-time metrics view: it builds an
+  observed run's registry instruments from the stores that already hold
+  each fact (the ``TraceLog``, the frame collector, component counters),
+  so no component mirrors them into the registry while the run is live.
 
 Everything here is pure data manipulation: no simulator, no wall clock,
 no randomness.
@@ -30,6 +34,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
+from repro.metrics.collectors import ResilienceStats
 from repro.obs.registry import (
     Counter,
     DEFAULT_RESERVOIR,
@@ -51,6 +56,81 @@ LabelKey = Tuple[Tuple[str, str], ...]
 
 def _labels_key(labels: Mapping[str, Any]) -> LabelKey:
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
+
+
+# ---------------------------------------------------------------------------
+# The capture-time metrics view
+# ---------------------------------------------------------------------------
+
+def derive_run_metrics(registry: MetricsRegistry, trace, emulator, fps,
+                       budget=None) -> None:
+    """Build an observed run's instruments once, at capture.
+
+    Reads the run's :class:`~repro.sim.tracing.TraceLog` in record order
+    (so each histogram's reservoir keeps the same samples a live mirror
+    would), the app's :class:`~repro.metrics.collectors.FpsCollector`, and
+    the emulator's own counters. ``budget`` (a
+    :class:`~repro.obs.critical.LatencyBudget`) adds its per-cell totals
+    as ``budget.ms`` counters so telemetry rollups see them.
+
+    An event-driven instrument appears only once its source saw an event;
+    the ``resilience.*`` / ``audit.violations_total`` summary always
+    appears. The instruments no other store holds — the
+    ``bus.utilization`` and ``prefetch.mispredict_rate`` timelines and
+    ``prefetch.slack_error_ms`` — stay live at their sites.
+    """
+    if fps.presented:
+        registry.counter("frames.presented").inc(fps.presented)
+    for reason, count in fps.dropped.items():
+        registry.counter("frames.dropped", reason=reason).inc(count)
+    for name, label, record_kind, field_name in (
+        ("svm.access_latency_ms", "vdev", "svm.access_latency", "latency"),
+        ("coherence.duration_ms", "path", "coherence.maintenance", "duration"),
+    ):
+        per_label: Dict[Any, Histogram] = {}
+        for record in trace.of_kind(record_kind):
+            fields = record.fields
+            histogram = per_label.get(fields[label])
+            if histogram is None:
+                histogram = per_label[fields[label]] = registry.histogram(
+                    name, **{label: fields[label]}
+                )
+            histogram.observe(fields[field_name])
+
+    transport = emulator.transport
+    if transport.kicks:
+        registry.counter("transport.kicks").inc(transport.kicks)
+        registry.counter("transport.commands").inc(transport.commands)
+    engine = emulator.engine
+    if engine is not None:
+        if engine.stats.launched:
+            registry.counter("prefetch.launched").inc(engine.stats.launched)
+        if engine.suspension_time_ms:
+            registry.counter("prefetch.suspension_time_ms").inc(
+                engine.suspension_time_ms
+            )
+    for bus in emulator.metered_buses():
+        if bus.transfer_count:
+            registry.counter("bus.bytes_moved", link=bus.name).inc(bus.bytes_moved)
+            registry.counter("bus.transfers", link=bus.name).inc(bus.transfer_count)
+
+    resilience = ResilienceStats(trace)
+    for kind, count in sorted(resilience.fault_counts().items()):
+        registry.counter("resilience.faults", kind=kind).inc(count)
+    registry.counter("resilience.retries").inc(resilience.retries)
+    registry.counter("resilience.prefetch_failures").inc(resilience.prefetch_failures)
+    registry.counter("resilience.degrades").inc(resilience.degrades)
+    registry.counter("resilience.restores").inc(resilience.restores)
+    registry.counter("resilience.crashes").inc(resilience.crashes)
+    registry.counter("resilience.recoveries").inc(resilience.recoveries)
+    registry.counter("resilience.replayed_copies").inc(resilience.replayed_copies)
+    registry.counter("audit.violations_total").inc(resilience.audit_violations)
+    for record in trace.of_kind("audit.violation"):
+        registry.counter("audit.violations", invariant=record["invariant"]).inc()
+
+    if budget is not None:
+        for (category, device), ms in budget.totals().items():
+            registry.counter("budget.ms", category=category, device=device).inc(ms)
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +356,7 @@ def _digest_tracer(tracer) -> TraceDigest:
     return TraceDigest(
         spans=len(tracer.spans),
         instants=len(tracer.instants),
-        flows=len(tracer.flows()),
+        flows=len(tracer.flow_chains()),
         names=tuple(
             SpanNameStat(name, count, total, peak)
             for name, (count, total, peak) in kept

@@ -21,8 +21,9 @@ design rests on:
   just admitted must observe an up-to-date copy at the reader's location.
 
 Violations become structured :class:`~repro.errors.InvariantViolation`
-records: appended to :attr:`violations`, traced as ``audit.violation``,
-counted into the ``repro.obs`` metrics registry, and — in CI strict mode
+records: appended to :attr:`violations`, traced as ``audit.violation``
+(an observed run's metrics view counts those records into
+``audit.violations{invariant}``), and — in CI strict mode
 (``raise_on_violation=True``) — raised, failing the run on the spot.
 
 Hooks must not mutate simulator state; the auditor only reads the emulator
@@ -241,9 +242,6 @@ class InvariantAuditor(SimHook):
         self._emulator.trace.record(
             self._sim.now, "audit.violation", invariant=invariant
         )
-        self._emulator.obs.registry.counter(
-            "audit.violations", invariant=invariant
-        ).inc()
         if self.raise_on_violation:
             raise InvariantViolation(invariant, message, **context)
 

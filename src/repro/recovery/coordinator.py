@@ -165,6 +165,11 @@ class RecoveryCoordinator:
                 src = region.last_writer_location
                 if src is None or src not in region.valid_locations:
                     src = sorted(region.valid_locations)[0]
+                    if region.last_writer_location is not None:
+                        # The provenance named the torn copy: point it at
+                        # the replay source, so maintenance before the
+                        # replay lands copies consistent bytes.
+                        region.last_writer_location = src
                 replays.append(
                     sim.spawn(
                         self._replay_copy(region, src, location),

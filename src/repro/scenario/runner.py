@@ -22,14 +22,11 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Union
 
-import random
-
 from repro.apps.base import AppResult
 from repro.apps.catalog import build_app
-from repro.emulators import EMULATOR_FACTORIES
 from repro.errors import InvariantViolation, ReproError
+from repro.experiments.runner import build_rig
 from repro.faults import FaultInjector
-from repro.hw.machine import build_machine
 from repro.metrics.collectors import ResilienceStats
 from repro.recovery.audit import install_auditor
 from repro.scenario.compiler import CompiledScenario, compile_scenario
@@ -118,24 +115,13 @@ def run_scenario(
     )
     horizon = float(duration_ms) if duration_ms is not None else compiled.duration_ms
 
-    sim = Simulator()
-    machine = build_machine(sim, compiled.machine_spec)
-    trace = TraceLog()
     obs = None
     if attribution:
         from repro.obs import Observability
 
-        obs = Observability(sim)
-    make = EMULATOR_FACTORIES[compiled.emulator]
-    rng = random.Random(compiled.seed)
-    if obs is not None:
-        try:
-            emulator = make(sim, machine, trace=trace, rng=rng, obs=obs)
-        except TypeError:
-            obs = None  # factory predates the obs= hook; run unobserved
-            emulator = make(sim, machine, trace=trace, rng=rng)
-    else:
-        emulator = make(sim, machine, trace=trace, rng=rng)
+        obs = Observability(Simulator())
+    rig = build_rig(compiled.emulator, compiled.machine_spec, compiled.seed, obs=obs)
+    sim, machine, trace, emulator = rig.sim, rig.machine, rig.trace, rig.emulator
 
     injector = FaultInjector(sim, compiled.plan, seed=compiled.seed, trace=trace)
     if not compiled.plan.is_empty():

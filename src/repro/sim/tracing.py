@@ -8,22 +8,15 @@ experiment layer filters and aggregates them into the paper's CDFs and
 tables.
 
 The log keeps a per-kind index alongside the time-ordered record list, so
-the hot analysis paths (:meth:`TraceLog.of_kind`, :meth:`TraceLog.values`,
-:meth:`TraceLog.count`) are O(records of that kind) instead of O(all
-records), and :meth:`TraceLog.kind_counts` is an O(kinds) dict copy kept
-incrementally rather than a re-walk.
-
-For long chaos/density runs a bounded-memory mode caps retention:
-``TraceLog(max_records=N)`` keeps the newest N records as a ring buffer
-and counts evictions in :attr:`TraceLog.dropped_records`. Queries then see
-a trailing window; :attr:`TraceLog.recorded_total` still counts every
-record ever accepted.
+the hot analysis paths (:meth:`TraceLog.of_kind`, :meth:`TraceLog.values`)
+are O(records of that kind) instead of O(all records), and
+:meth:`TraceLog.count` / :meth:`TraceLog.kind_counts` are O(1) / O(kinds)
+rather than a re-walk.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Callable, Deque, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional
 
 
 class TraceRecord:
@@ -77,50 +70,17 @@ _new_record = TraceRecord.__new__
 class TraceLog:
     """Append-only event log with indexed filtering helpers.
 
-    Recording can be disabled wholesale (``enabled=False``) or narrowed to a
-    set of kinds, so long benchmark runs don't pay for instrumentation they
-    do not read. ``max_records`` bounds memory: the oldest records are
-    evicted ring-buffer style and tallied in :attr:`dropped_records`.
+    Every record is kept: the paper metrics and the capture-time metrics
+    view (:func:`repro.obs.telemetry.derive_run_metrics`) read the whole
+    run.
     """
 
-    def __init__(
-        self,
-        enabled: bool = True,
-        kinds: Optional[List[str]] = None,
-        max_records: Optional[int] = None,
-    ):
-        if max_records is not None and max_records <= 0:
-            raise ValueError(f"max_records must be positive, got {max_records}")
-        self.enabled = enabled
-        self._kinds = set(kinds) if kinds is not None else None
-        self.max_records = max_records
-        self._records: Deque[TraceRecord] = deque()
-        self._by_kind: Dict[str, Deque[TraceRecord]] = {}
-        self._counts: Dict[str, int] = {}
-        self.dropped_records = 0
-        self.recorded_total = 0
-
-    def wants(self, kind: str) -> bool:
-        """Whether :meth:`record` would retain a record of ``kind``.
-
-        Hot call sites check this before assembling an expensive payload —
-        when recording is disabled or the kind is filtered out, the caller
-        skips even the keyword-argument packing.
-        """
-        if not self.enabled:
-            return False
-        kinds = self._kinds
-        return kinds is None or kind in kinds
+    def __init__(self) -> None:
+        self._records: List[TraceRecord] = []
+        self._by_kind: Dict[str, List[TraceRecord]] = {}
 
     def record(self, time: float, kind: str, **fields: Any) -> None:
-        """Append one record (allocation-light no-op when disabled or
-        kind-filtered out — nothing beyond the call's own kwargs dict is
-        built before the filter check)."""
-        if not self.enabled:
-            return
-        kinds = self._kinds
-        if kinds is not None and kind not in kinds:
-            return
+        """Append one record."""
         # Allocate without the Python-level __init__ frame: this is the
         # single hottest allocation site in a simulation run.
         record = _new_record(TraceRecord)
@@ -128,32 +88,15 @@ class TraceLog:
         record.kind = kind
         record.fields = fields
         self._records.append(record)
-        # One dict probe in the common (kind already seen) case; the
-        # _by_kind/_counts invariant guarantees both hit or both miss.
         try:
             self._by_kind[kind].append(record)
-            self._counts[kind] += 1
         except KeyError:
-            bucket = self._by_kind[kind] = deque()
-            bucket.append(record)
-            self._counts[kind] = 1
-        self.recorded_total += 1
-        if self.max_records is not None and len(self._records) > self.max_records:
-            self._evict_oldest()
+            self._by_kind[kind] = [record]
 
-    def _evict_oldest(self) -> None:
-        oldest = self._records.popleft()
-        # Records enter both structures in the same order, so the evicted
-        # record is necessarily at the head of its kind's bucket.
-        bucket = self._by_kind[oldest.kind]
-        bucket.popleft()
-        remaining = self._counts[oldest.kind] - 1
-        if remaining:
-            self._counts[oldest.kind] = remaining
-        else:
-            del self._counts[oldest.kind]
-            del self._by_kind[oldest.kind]
-        self.dropped_records += 1
+    @property
+    def recorded_total(self) -> int:
+        """Records accepted since construction or the last :meth:`clear`."""
+        return len(self._records)
 
     def __len__(self) -> int:
         return len(self._records)
@@ -162,29 +105,22 @@ class TraceLog:
         return iter(self._records)
 
     def of_kind(self, kind: str) -> List[TraceRecord]:
-        """All retained records of one kind, in time order. O(k)."""
+        """All records of one kind, in time order. O(k)."""
         return list(self._by_kind.get(kind, ()))
-
-    def where(self, predicate: Callable[[TraceRecord], bool]) -> List[TraceRecord]:
-        """All records matching an arbitrary predicate."""
-        return [r for r in self._records if predicate(r)]
 
     def values(self, kind: str, field_name: str) -> List[Any]:
         """Extract one payload field from every record of ``kind``. O(k)."""
         return [r.fields[field_name] for r in self._by_kind.get(kind, ())]
 
     def count(self, kind: str) -> int:
-        """Number of retained records of one kind. O(1)."""
-        return self._counts.get(kind, 0)
+        """Number of records of one kind. O(1)."""
+        return len(self._by_kind.get(kind, ()))
 
     def kind_counts(self) -> Dict[str, int]:
         """Histogram of record kinds — the summary chaos reports print."""
-        return dict(self._counts)
+        return {kind: len(records) for kind, records in self._by_kind.items()}
 
     def clear(self) -> None:
-        """Drop every record (keeps enablement and capacity settings)."""
+        """Drop every record."""
         self._records.clear()
         self._by_kind.clear()
-        self._counts.clear()
-        self.dropped_records = 0
-        self.recorded_total = 0

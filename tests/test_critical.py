@@ -26,12 +26,18 @@ EMULATORS = ("vSoC", "GAE", "QEMU-KVM")
 DURATION_MS = 1_500.0
 
 
+def _app(app_name: str):
+    from repro.experiments.engine import resolve_factory
+    from repro.experiments.explain import APP_FACTORIES
+
+    return resolve_factory(APP_FACTORIES[app_name])()
+
+
 def _attributed_run(app_name: str, emulator: str, seed: int = 0):
-    from repro.experiments.observe import APPS as APP_FACTORIES
     from repro.experiments.runner import run_app
 
     return run_app(
-        APP_FACTORIES[app_name](), emulator,
+        _app(app_name), emulator,
         duration_ms=DURATION_MS, seed=seed, attribution=True,
     )
 
@@ -73,13 +79,11 @@ def test_attribution_rides_the_snapshot_dict():
 # -- zero perturbation --------------------------------------------------------
 
 def test_attribution_digest_is_bit_identical_on_and_off():
-    from repro.experiments.observe import APPS as APP_FACTORIES
     from repro.experiments.runner import run_app
     from repro.scenario.runner import app_digest
 
-    plain = run_app(APP_FACTORIES["video"](), "vSoC",
-                    duration_ms=DURATION_MS, seed=0)
-    attributed = run_app(APP_FACTORIES["video"](), "vSoC",
+    plain = run_app(_app("video"), "vSoC", duration_ms=DURATION_MS, seed=0)
+    attributed = run_app(_app("video"), "vSoC",
                          duration_ms=DURATION_MS, seed=0, attribution=True)
     assert app_digest([plain.result]) == app_digest([attributed.result])
     assert repr(float(plain.result.fps)) == repr(float(attributed.result.fps))

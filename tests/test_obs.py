@@ -50,7 +50,7 @@ def test_tracer_spans_and_flows():
     span = tracer.spans[0]
     assert span.start == 0.0 and span.end == 5.0 and span.duration == 5.0
     assert span.args["duration"] == 5.0
-    chain = tracer.spans_of_flow(flow)
+    chain = tracer.flow_chains()[flow]
     assert [s.name for s in chain] == ["stage:decode", "frame.presented"]
     assert tracer.flows() == [flow]
 
@@ -372,7 +372,7 @@ def test_observability_enabled_installs_hook():
     assert metrics["profile"]["timeouts_attributed"] == 1
 
 
-# -- TraceLog satellites: per-kind index + ring mode --------------------------
+# -- TraceLog satellites: per-kind index --------------------------------------
 
 def test_tracelog_index_consistency():
     log = TraceLog()
@@ -384,35 +384,6 @@ def test_tracelog_index_consistency():
     assert [r.kind for r in log.of_kind("b")] == ["b"] * 10
     assert log.kind_counts() == {"a": 10, "b": 10}
     assert log.recorded_total == 20
-
-
-def test_tracelog_ring_mode_evicts_oldest():
-    log = TraceLog(max_records=5)
-    for i in range(12):
-        log.record(float(i), "k", v=i)
-    assert len(log) == 5
-    assert log.dropped_records == 7
-    assert log.recorded_total == 12
-    assert log.values("k", "v") == [7, 8, 9, 10, 11]
-    assert log.count("k") == 5
-
-
-def test_tracelog_ring_mode_keeps_index_in_sync_across_kinds():
-    log = TraceLog(max_records=3)
-    log.record(0.0, "a")
-    log.record(1.0, "b")
-    log.record(2.0, "a")
-    log.record(3.0, "c")  # evicts the t=0 "a"
-    log.record(4.0, "c")  # evicts the t=1 "b"
-    assert log.kind_counts() == {"a": 1, "c": 2}
-    assert log.count("b") == 0
-    assert log.of_kind("b") == []
-    assert [r.time for r in log.of_kind("a")] == [2.0]
-
-
-def test_tracelog_rejects_nonpositive_capacity():
-    with pytest.raises(ValueError):
-        TraceLog(max_records=0)
 
 
 # -- end-to-end: observed emulator runs ---------------------------------------
@@ -436,19 +407,16 @@ def test_observed_run_is_bit_identical_and_connected():
     # baseline: no observability
     _, _, plain = _run_video(obs=None)
 
-    # observed: full tracing + metrics + profiling on its own sim
+    # observed: full tracing + metrics + profiling, on the runner's path
     from repro.apps.video import UhdVideoApp
+    from repro.experiments.runner import build_rig, drive
 
-    sim = Simulator()
-    machine = build_machine(sim, HIGH_END_DESKTOP)
-    obs = Observability(sim)
-    emulator = EMULATOR_FACTORIES["vSoC"](
-        sim, machine, trace=TraceLog(), rng=random.Random(0), obs=obs
-    )
+    obs = Observability(Simulator())
+    rig = build_rig("vSoC", HIGH_END_DESKTOP, seed=0, obs=obs)
+    emulator = rig.emulator
     app = UhdVideoApp()
-    app.fps.attach_registry(obs.registry)
-    assert app.install(sim, emulator)
-    sim.run(until=1_500.0)
+    installed, _, _ = drive(rig, app, "vSoC", 1_500.0)
+    assert installed
 
     # observability never perturbs the simulation: identical frame times
     assert app.fps.present_times == plain.fps.present_times
@@ -471,7 +439,7 @@ def test_observed_run_is_bit_identical_and_connected():
     assert "bus.utilization" in names
     assert "frames.presented" in names
     assert metrics["profile"]["device_ms"]  # per-device attribution
-    # frame counters mirror the authoritative collector
+    # frame counters are read from the authoritative collector
     presented = next(
         m for m in metrics["metrics"] if m["name"] == "frames.presented"
     )
@@ -558,17 +526,10 @@ def test_registry_reservoir_override():
     assert len(hist.samples()) <= 8
     assert len(gauge.timeline()) <= 8
 
-    mixed = MetricsRegistry()
-    wide = mixed.histogram("wide", reservoir=2_048)
-    narrow = mixed.histogram("narrow", reservoir=4)
-    default = mixed.histogram("default")
+    default = MetricsRegistry().histogram("default")
     for i in range(5_000):
-        wide.observe(float(i))
-        narrow.observe(float(i))
         default.observe(float(i))
-    assert len(narrow.samples()) <= 4
     assert len(default.samples()) <= DEFAULT_RESERVOIR
-    assert len(wide.samples()) > DEFAULT_RESERVOIR
 
 
 def test_observe_reservoir_threads_through():

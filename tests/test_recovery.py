@@ -354,3 +354,26 @@ def test_gpu_crash_while_queued_on_the_shared_engine_does_not_wedge_it():
     }
     result = run_scenario(doc, strict_audit=True)
     assert result.crashes == 1 and result.recoveries == 1
+
+
+def test_codec_crash_quarantine_points_provenance_at_the_replay_source():
+    """Fuzz-shrunk reproducer (fuzz seed 1077): UHD video on vSoC with the
+    codec crashing mid-write. Quarantine drops the torn copy at the codec's
+    location; the region's last-writer provenance must follow the replay
+    source, or the auditor sees a writer location outside the valid set
+    and maintenance would copy from the torn bytes."""
+    from repro.scenario import run_scenario
+
+    doc = {
+        "name": "video-codec-crash",
+        "emulator": "vSoC",
+        "duration_ms": 8000.0,
+        "seed": 0,
+        "apps": [{"name": "uhd-video", "pipeline": "video"}],
+        "environment": {"faults": {"crashes": [
+            {"time_ms": 1616.0, "vdev": "codec", "downtime_ms": 362.1},
+        ]}},
+    }
+    result = run_scenario(doc, strict_audit=True)
+    assert result.violations == []
+    assert result.crashes == 1 and result.recoveries == 1

@@ -64,6 +64,69 @@ def test_telemetry_does_not_change_results():
 
 
 # ---------------------------------------------------------------------------
+# The capture-time metrics view: each derived instrument equals its source
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module", params=["vSoC", "QEMU-KVM"])
+def observed_ar(request):
+    run = run_app(ArApp(), request.param, duration_ms=4_000.0, telemetry=True)
+    assert run.result.ran
+    histograms = {(h.name, h.labels): h for h in run.telemetry.histograms}
+    counters = {(c.name, c.labels): c.value for c in run.telemetry.counters}
+    return run, histograms, counters
+
+
+def _by_label(histograms, name, label):
+    return {
+        dict(labels)[label]: hist
+        for (hist_name, labels), hist in histograms.items()
+        if hist_name == name
+    }
+
+
+def _group(records, label, field):
+    groups = {}
+    for record in records:
+        groups.setdefault(record[label], []).append(record[field])
+    return groups
+
+
+def test_coherence_duration_equals_maintenance_records(observed_ar):
+    run, histograms, _ = observed_ar
+    derived = _by_label(histograms, "coherence.duration_ms", "path")
+    source = _group(run.emulator.trace.of_kind("coherence.maintenance"),
+                    "path", "duration")
+    assert source and set(derived) == set(source)
+    for path, durations in source.items():
+        assert derived[path].count == len(durations), path
+        assert derived[path].sum == sum(durations), path
+
+
+def test_access_latency_equals_svm_stats(observed_ar):
+    run, histograms, _ = observed_ar
+    derived = _by_label(histograms, "svm.access_latency_ms", "vdev")
+    source = _group(run.emulator.trace.of_kind("svm.access_latency"),
+                    "vdev", "latency")
+    assert set(derived) == set(source)
+    for vdev, latencies in source.items():
+        assert derived[vdev].count == len(latencies), vdev
+        assert derived[vdev].sum == sum(latencies), vdev
+    latencies = run.stats.access_latencies()
+    assert sum(h.count for h in derived.values()) == len(latencies)
+    assert sum(h.sum for h in derived.values()) == pytest.approx(sum(latencies))
+
+
+def test_frame_and_transport_counters_equal_their_sources(observed_ar):
+    run, _, counters = observed_ar
+    transport = run.emulator.transport
+    assert counters[("frames.presented", ())] == run.result.presented
+    for reason, count in run.result.dropped.items():
+        assert counters[("frames.dropped", (("reason", reason),))] == count
+    assert counters[("transport.kicks", ())] == transport.kicks
+    assert counters[("transport.commands", ())] == transport.commands
+
+
+# ---------------------------------------------------------------------------
 # Aggregation
 # ---------------------------------------------------------------------------
 
