@@ -150,13 +150,21 @@ class SvmManager:
         self._ensure_backing(region, location)
 
         if usage.reads:
+            predicted = None
             if self.engine is not None:
-                self.engine.on_read(region, vdev, location, slack=slack)
+                predicted = self.engine.on_read(region, vdev, location)
             self.twin.on_read(region_id, vdev, location, slack)
             if slack is not None:
-                self._trace.record(
-                    self._sim.now, "svm.slack", region=region_id, slack=slack
-                )
+                if predicted is None:
+                    self._trace.record(
+                        self._sim.now, "svm.slack", region=region_id, slack=slack
+                    )
+                else:
+                    # Only a scored read carries the engine's prediction.
+                    self._trace.record(
+                        self._sim.now, "svm.slack", region=region_id,
+                        slack=slack, predicted=predicted,
+                    )
             blocked = yield from self.protocol.begin_access_read(region, vdev, location)
             if self.auditor is not None:
                 # "No access observes stale bytes": once the protocol has

@@ -317,22 +317,19 @@ class PrefetchEngine:
 
     # -- read-side: accuracy accounting and suspension -----------------------------
     def on_read(
-        self,
-        region: SvmRegion,
-        reader_vdev: str,
-        reader_loc: str,
-        slack: Optional[float] = None,
-    ) -> None:
+        self, region: SvmRegion, reader_vdev: str, reader_loc: str
+    ) -> Optional[float]:
         """Score the generation's prediction on its first read.
 
-        ``slack`` is the *observed* natural slack (write retirement → this
-        read's arrival) the manager measured; scored against the slack the
-        engine predicted at launch time, it feeds the live slack-estimate
-        error instrument of §5.2.
+        Returns the slack the engine predicted at launch time for the
+        generation it scored (None when it scored nothing). The manager
+        puts it on the read's ``svm.slack`` record as ``predicted``, next
+        to the observed slack, and the capture-time metrics view turns the
+        pair into the §5.2 slack-estimate error.
         """
         predicted = region.prefetch_predicted_vdevs
         if predicted is None:
-            return
+            return None
         region.prefetch_predicted_vdevs = None  # score once per generation
         self.stats.predictions += 1
         vkey = region.prefetch_vkey
@@ -359,16 +356,7 @@ class PrefetchEngine:
                             "prefetch.suspend", "prefetch", cat="coherence",
                             vkey=str(vkey),
                         )
-        if not self._obs.enabled:
-            return
-        registry = self._obs.registry
-        registry.gauge("prefetch.mispredict_rate").set(
-            self.stats.misses / self.stats.predictions, time=self._sim.now
-        )
-        if slack is not None and region.prefetch_predicted_slack is not None:
-            registry.histogram("prefetch.slack_error_ms").observe(
-                abs(region.prefetch_predicted_slack - slack)
-            )
+        return region.prefetch_predicted_slack
 
     def _is_suspended(self, vkey, consume: bool = True) -> bool:
         """Whether this flow's prefetching is in cooldown.

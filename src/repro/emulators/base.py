@@ -238,8 +238,6 @@ class Emulator:
             sim.spawn(self._stall_injector(), name=f"{config.name}:stalls")
 
         if self.obs.enabled:
-            for bus in self.metered_buses():
-                bus.attach_metrics(self.obs.registry)
             self.obs.map_devices(
                 {name: vdev.physical.name for name, vdev in self._vdevs.items()}
             )

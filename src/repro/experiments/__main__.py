@@ -8,7 +8,6 @@ Usage::
     python -m repro.experiments bench --jobs 4 [--check]
     python -m repro.experiments observe --app ar --export trace.json \
         --metrics metrics.json
-    python -m repro.experiments dashboard --out report.html
     python -m repro.experiments recover [--quick] [--report audit.json] \
         [--strict-audit]
     python -m repro.experiments chaos [--seed 0] [--fault-class device-crash] \
@@ -26,9 +25,8 @@ over N worker processes and ``--no-cache`` disables the on-disk run cache
 observability stack enabled and exports a Perfetto-compatible trace plus
 a metrics/self-profile JSON; ``bench`` measures the engine itself, writes
 ``BENCH_engine.json``, appends to ``BENCH_history.jsonl`` and — with
-``--check`` — gates on the history's EWMA baselines; ``dashboard`` sweeps
-the telemetry grid and renders a self-contained HTML report (all three are
-excluded from ``all``).
+``--check`` — gates on the history's EWMA baselines (both are excluded
+from ``all``).
 """
 
 from __future__ import annotations
@@ -487,7 +485,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument("experiment",
                         choices=[*COMMANDS, "all", "observe", "bench",
-                                 "dashboard", "recover", "fuzz", "explain"])
+                                 "recover", "fuzz", "explain"])
     parser.add_argument("--quick", action="store_true",
                         help="shorter runs, fewer apps (same shapes)")
     parser.add_argument("--jobs", type=int, default=None, metavar="N",
@@ -496,11 +494,11 @@ def main(argv=None) -> int:
                         help="disable the on-disk run cache (.repro-cache/)")
     parser.add_argument("--history", metavar="PATH", default=None,
                         help="bench-history JSONL for the regression sentinel "
-                             "(default BENCH_history.jsonl; bench/dashboard)")
+                             "(default BENCH_history.jsonl; bench)")
     bench_group = parser.add_argument_group("bench options")
     bench_group.add_argument("--out", metavar="PATH", default=None,
                              help="output path (bench: BENCH_engine.json; "
-                                  "dashboard: report.html)")
+                                  "explain: the attribution JSON)")
     bench_group.add_argument("--check", action="store_true",
                              help="exit nonzero when a metric regresses "
                                   "beyond tolerance vs the EWMA baseline")
@@ -508,10 +506,6 @@ def main(argv=None) -> int:
                              metavar="FRAC",
                              help="relative regression tolerance "
                                   "(default 0.25)")
-    dashboard_group = parser.add_argument_group("dashboard options")
-    dashboard_group.add_argument("--snapshot", metavar="PATH", default=None,
-                                 help="also write the canonical run-telemetry "
-                                      "aggregate JSON here")
     observe_group = parser.add_argument_group("observe options")
     observe_group.add_argument("--app", default="ar",
                                help="workload to observe (ar/video/camera/livestream)")
@@ -530,9 +524,9 @@ def main(argv=None) -> int:
                                     "the exported trace")
     observe_group.add_argument("--reservoir", type=int, default=None,
                                metavar="N",
-                               help="per-instrument sample retention (gauge "
-                                    "timelines / histogram reservoirs; "
-                                    "default 512)")
+                               help="histogram reservoir size, the samples "
+                                    "each histogram keeps for its "
+                                    "percentiles (default 512)")
     observe_group.add_argument("--max-spans", type=int, default=None,
                                metavar="N",
                                help="bounded ring mode: keep only the newest "
@@ -587,15 +581,6 @@ def main(argv=None) -> int:
                          quick=args.quick, cache=not args.no_cache,
                          check=args.check, history_path=args.history,
                          tolerance=args.tolerance)
-    if args.experiment == "dashboard":
-        from repro.experiments.dashboard import cmd_dashboard
-
-        return cmd_dashboard(out_path=args.out or "report.html",
-                             snapshot_path=args.snapshot,
-                             history_path=args.history,
-                             quick=args.quick, jobs=args.jobs,
-                             cache=not args.no_cache,
-                             seed=args.seed)
     if args.experiment == "observe":
         from repro.experiments.observe import DEFAULT_DURATION_MS, cmd_observe
 

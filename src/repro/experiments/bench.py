@@ -229,34 +229,6 @@ def bench_suite(jobs: int, duration_ms: float = 4_000.0, per_category: int = 1,
         shutil.rmtree(tmp, ignore_errors=True)
 
 
-def bench_budget(duration_ms: float = 4_000.0) -> Dict[str, float]:
-    """Latency-budget category totals of one attributed run (untimed).
-
-    A short UHD-video-on-vSoC run with attribution on, reduced to
-    ``budget.<category>_ms`` history metrics. Deterministic — the run is a
-    pure function of its seed — so the sentinel can EWMA-baseline each
-    category and, when ``--check`` gates a regression, answer *where* the
-    time went (see :meth:`repro.obs.baseline.RegressionSentinel.attribution_diff`).
-    """
-    from repro.experiments.engine import RunSpec
-    from repro.obs.baseline import budget_history_metrics
-    from repro.obs.critical import budget_from_snapshot
-
-    spec = RunSpec(
-        app_factory="repro.apps.video:UhdVideoApp",
-        app_kwargs={},
-        emulator="vSoC",
-        duration_ms=duration_ms,
-        telemetry=True,
-        attribution=True,
-    )
-    run = execute_spec(spec)
-    budget = budget_from_snapshot(run.telemetry)
-    if budget is None:
-        return {}
-    return budget_history_metrics(budget)
-
-
 def run_bench(jobs: Optional[int] = None, quick: bool = False,
               warm: bool = True) -> Dict[str, Any]:
     """All three benchmarks → the BENCH_engine.json payload."""
@@ -393,11 +365,8 @@ def cmd_bench(jobs: Optional[int] = None, out_path: str = "BENCH_engine.json",
         path=history_path or DEFAULT_HISTORY_PATH,
         tolerance=tolerance if tolerance is not None else DEFAULT_TOLERANCE,
     )
-    budget_metrics = bench_budget(duration_ms=2_000.0 if quick else 4_000.0)
     verdict = sentinel.check(report)
-    prior_history = sentinel.load()  # baseline for triage excludes this run
-    sentinel.append(report, extra_metrics=budget_metrics,
-                    note="quick" if quick else None)
+    sentinel.append(report, note="quick" if quick else None)
     print(f"Sentinel ({verdict.history_len} prior runs, "
           f"tolerance ±{100 * sentinel.tolerance:.0f}%):")
     if verdict.skipped_mismatched:
@@ -411,15 +380,6 @@ def cmd_bench(jobs: Optional[int] = None, out_path: str = "BENCH_engine.json",
         print(f"REGRESSION: {len(verdict.regressions)} metric(s) beyond "
               "tolerance" + ("" if check else " (advisory; rerun with --check "
                              "to gate on this)"))
-        # Regression triage: diff this run's latency budget against the
-        # per-category EWMA baselines and name where the time went.
-        triage = sentinel.attribution_diff(budget_metrics, history=prior_history)
-        print(f"  attribution: {triage['headline']}")
-        attribution_path = out_path + ".attribution.json"
-        with open(attribution_path, "w", encoding="utf-8") as fh:
-            json.dump(triage, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"  wrote attribution diff: {attribution_path}")
 
     if problems:
         for problem in problems:

@@ -12,12 +12,14 @@ enabled, then writes:
 * a metrics JSON with the registry's counters/gauges/histograms (prefetch
   mispredict rate, slack-estimate error, per-link bus utilization, frame
   accounting, coherence cost per path) plus the kernel self-profile
-  attributing simulated time per device and subsystem.
+  attributing simulated time per device and subsystem (this JSON is the
+  self-profile's only reader).
 
 The run goes through the experiment runner's own path
 (:func:`~repro.experiments.runner.build_rig` and
 :func:`~repro.experiments.runner.drive`), so its metrics are the same
-capture-time view a telemetry run records.
+capture-time view a telemetry run records: every instrument is derived
+after the clock stops, from the trace log and component counters.
 
 The run itself is the same deterministic simulation the experiment
 commands use: observability only *reads* the clock, so FPS and every other
@@ -80,8 +82,8 @@ def run_observe(
     ``include_tracelog`` digests the legacy :class:`TraceLog` records into
     the exported trace as instant events (one thread per record ``vdev``),
     so pre-observability instrumentation shows up alongside the spans.
-    ``reservoir`` sets the registry's sample retention for every gauge
-    timeline and histogram reservoir (default 512).
+    ``reservoir`` sets how many samples each histogram keeps for its
+    percentiles (default 512).
     ``max_spans`` puts the tracer in bounded ring mode: only the newest N
     spans/instants survive and :attr:`Tracer.dropped_spans` counts the
     evictions (surfaced in the CLI summary and export metadata).

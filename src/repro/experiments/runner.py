@@ -104,10 +104,10 @@ def drive(
     Returns ``(installed, result, budget)``. On an observed rig this is
     also where the run's metrics view is derived
     (:func:`~repro.obs.telemetry.derive_run_metrics`), after the clock
-    stops. ``attribution`` folds the run's causal spans into a
-    :class:`~repro.obs.critical.LatencyBudget` first, whose totals the
-    view counts as ``budget.ms``. Both are post-hoc reads of what the run
-    recorded anyway, so FPS/latency digests are bit-identical either way.
+    stops, and where ``attribution`` folds the run's causal spans into a
+    :class:`~repro.obs.critical.LatencyBudget`. Both are post-hoc reads
+    of what the run recorded anyway, so FPS/latency digests are
+    bit-identical either way.
     """
     installed = app.install(rig.sim, rig.emulator)
     if installed:
@@ -117,12 +117,11 @@ def drive(
     if rig.obs is not None:
         from repro.obs.telemetry import derive_run_metrics
 
+        derive_run_metrics(rig.obs.registry, rig.trace, rig.emulator, app.fps)
         if attribution:
             from repro.obs.critical import analyze_tracer
 
             budget = analyze_tracer(rig.obs.tracer)
-        derive_run_metrics(rig.obs.registry, rig.trace, rig.emulator, app.fps,
-                           budget=budget)
     return installed, result, budget
 
 
@@ -195,10 +194,7 @@ def _capture_telemetry(obs, app, emulator_name, duration_ms, seed, result, budge
     if result is not None:
         meta["fps"] = round(result.fps, 6)
         meta["presented"] = result.presented
-    return TelemetrySnapshot.capture(
-        obs.registry, profiler=obs.profiler, tracer=obs.tracer, meta=meta,
-        attribution=budget,
-    )
+    return TelemetrySnapshot.capture(obs.registry, meta=meta, attribution=budget)
 
 
 def run_category(

@@ -66,28 +66,6 @@ class Bus:
         self.transfer_count = 0
         self.transfer_failures = 0
         self.fault_hook: Optional[FaultHook] = None
-        self._registry = None  # optional MetricsRegistry (attach_metrics)
-
-    # -- observability -------------------------------------------------------
-    def attach_metrics(self, registry) -> None:
-        """Sample this link's utilization into a metrics registry.
-
-        Per completed transfer the bus sets a ``bus.utilization`` gauge
-        (busy time / elapsed time, labelled by link name) onto its
-        timeline. The byte and transfer totals need no live instrument:
-        the capture-time view reads :attr:`bytes_moved` and
-        :attr:`transfer_count`. Attaching a registry never alters
-        transfer timing.
-        """
-        self._registry = registry
-
-    def _report_metrics(self) -> None:
-        registry = self._registry
-        if registry is None or not registry.enabled:
-            return
-        now = self._sim.now
-        utilization = self.busy_time / now if now > 0 else 0.0
-        registry.gauge("bus.utilization", link=self.name).set(utilization, time=now)
 
     # -- contention injection ------------------------------------------------
     def set_load(self, load: float) -> None:
@@ -147,8 +125,6 @@ class Bus:
             self.bytes_moved += nbytes
             self.busy_time += duration
             self.transfer_count += 1
-            if self._registry is not None:
-                self._report_metrics()
         finally:
             self._lock.release()
         return self._sim.now - start

@@ -17,9 +17,11 @@ Chrome ``trace_event`` / Perfetto JSON file and a metrics JSON file.
 The :class:`Observability` context bundles one tracer + registry +
 profiler so a single ``obs=`` handle threads through emulator factories
 and components. The module-level :data:`DISABLED` instance is the default
-everywhere: it hands out null tracer/registry, registers no kernel hooks,
-and makes every instrumentation site a cheap no-op — results are identical
-with observability on or off.
+everywhere: it hands out the null tracer, registers no kernel hooks, and
+makes every instrumentation site a cheap no-op — results are identical
+with observability on or off. The registry is never written while a run
+is live; :func:`repro.obs.telemetry.derive_run_metrics` fills it at
+capture.
 """
 
 from __future__ import annotations
@@ -47,22 +49,10 @@ from repro.obs.export import (
     write_metrics,
 )
 from repro.obs.profile import SelfProfiler
-from repro.obs.registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NULL_INSTRUMENT,
-    NULL_REGISTRY,
-)
+from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.slo import SloReport, SloSpec, evaluate_frames
 from repro.obs.span import NO_FLOW, NULL_SPAN, NULL_TRACER, Span, Tracer
-from repro.obs.telemetry import (
-    TelemetryAggregator,
-    TelemetrySnapshot,
-    aggregate_results,
-    validate_telemetry_aggregate,
-)
+from repro.obs.telemetry import TelemetrySnapshot
 
 __all__ = [
     "BUDGET_CATEGORIES",
@@ -70,8 +60,6 @@ __all__ = [
     "FrameBudget",
     "LatencyBudget",
     "NO_FLOW",
-    "NULL_INSTRUMENT",
-    "NULL_REGISTRY",
     "NULL_SPAN",
     "NULL_TRACER",
     "Counter",
@@ -87,13 +75,11 @@ __all__ = [
     "SloReport",
     "SloSpec",
     "Span",
-    "TelemetryAggregator",
     "TelemetrySnapshot",
     "Tracer",
     "TruncatedTraceError",
     "align_frames",
     "analyze_tracer",
-    "aggregate_results",
     "budget_from_snapshot",
     "chrome_trace",
     "connected_flows",
@@ -101,7 +87,6 @@ __all__ = [
     "evaluate_frames",
     "metrics_json",
     "validate_chrome_trace",
-    "validate_telemetry_aggregate",
     "write_chrome_trace",
     "write_metrics",
 ]
@@ -118,7 +103,8 @@ class Observability:
         trace = obs.export_trace(track_groups=emulator.track_groups())
 
     Construct with no simulator (or use :data:`DISABLED`) for the inert
-    variant components default to.
+    variant components default to. ``reservoir`` caps every histogram
+    reservoir of the run's registry.
     """
 
     def __init__(self, sim=None, reservoir: Optional[int] = None,
@@ -129,9 +115,7 @@ class Observability:
         self.tracer = (
             Tracer(sim, max_spans=max_spans) if enabled else NULL_TRACER
         )
-        self.registry = (
-            MetricsRegistry(reservoir=reservoir) if enabled else NULL_REGISTRY
-        )
+        self.registry = MetricsRegistry(reservoir=reservoir)
         self.profiler: Optional[SelfProfiler] = None
         if enabled:
             self.profiler = SelfProfiler()

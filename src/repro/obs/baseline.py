@@ -1,7 +1,6 @@
 """The regression sentinel: EWMA baselines over ``BENCH_history.jsonl``.
 
-Every ``bench`` (and optionally ``observe``) run appends one JSONL record
-of its headline metrics. The sentinel replays that history through the
+Every ``bench`` run appends one JSONL record of its headline metrics. The sentinel replays that history through the
 paper's own forecasting algorithm — single exponential smoothing with
 α = 0.5 (:mod:`repro.core.smoothing`, §3.3), the same predictor vSoC uses
 for slack intervals and bus bandwidth — and flags the current run when a
@@ -15,9 +14,10 @@ Design points:
   skipped, never trusted (the run-cache's paranoia, applied to history);
 * an empty or too-short history soft-passes — the first run on a fresh
   checkout (or a freshly added metric) can never fail;
-* wall-clock metrics are host-dependent, so records carry the host's CPU
-  count and the check only consumes records from a matching host shape
-  unless told otherwise.
+* wall-clock metrics are host-dependent. Records carry the host's CPU
+  count, but the check does not filter on it: it skips only records whose
+  engine ``parallel_mode`` differs from the current run's, so a record
+  from a different host shape still counts toward the baseline.
 """
 
 from __future__ import annotations
@@ -43,14 +43,6 @@ DEFAULT_TOLERANCE = 0.25
 #: Prior observations required before a metric can flag at all.
 DEFAULT_MIN_HISTORY = 3
 
-#: History-metric prefix for latency-budget categories (see
-#: :meth:`RegressionSentinel.attribution_diff`).
-BUDGET_METRIC_PREFIX = "budget."
-
-#: Schema stamped into the attribution diff the sentinel emits on a
-#: gated regression.
-SENTINEL_ATTRIBUTION_SCHEMA = "repro-sentinel-attribution-v1"
-
 
 def report_parallel_mode(report: Any) -> Optional[str]:
     """The engine parallel mode a bench report ran its suites under.
@@ -71,19 +63,6 @@ def report_parallel_mode(report: Any) -> Optional[str]:
         return sorted(modes)[0]
     mode = report.get("parallel_mode")
     return mode if isinstance(mode, str) else None
-
-
-def budget_history_metrics(budget: Any) -> Dict[str, float]:
-    """Flatten a LatencyBudget's category totals into history metric keys.
-
-    ``budget.<category>_ms`` entries ride each bench history record as
-    extra metrics, giving the sentinel an EWMA baseline *per latency
-    category* — the raw material for :meth:`RegressionSentinel.attribution_diff`.
-    """
-    return {
-        f"{BUDGET_METRIC_PREFIX}{category}_ms": float(ms)
-        for category, ms in budget.category_totals().items()
-    }
 
 
 @dataclass(frozen=True)
@@ -240,7 +219,6 @@ class RegressionSentinel:
         self,
         report: Dict[str, Any],
         kind: str = "bench",
-        extra_metrics: Optional[Dict[str, float]] = None,
         note: Optional[str] = None,
     ) -> Dict[str, Any]:
         """Append one run's metrics to the history; returns the record."""
@@ -249,8 +227,6 @@ class RegressionSentinel:
             value = extract_metric(report, spec.key)
             if value is not None:
                 metrics[spec.key] = value
-        if extra_metrics:
-            metrics.update({k: float(v) for k, v in extra_metrics.items()})
         host: Dict[str, Any] = {"cpu_count": os.cpu_count()}
         report_host = report.get("host") if isinstance(report, dict) else None
         if isinstance(report_host, dict) and "available_cpus" in report_host:
@@ -294,19 +270,6 @@ class RegressionSentinel:
                     seen += 1
             out[spec.key] = (ewma.predict(), ewma.std_error, seen)
         return out
-
-    def series(
-        self, metric: str, history: Optional[List[Dict[str, Any]]] = None
-    ) -> List[float]:
-        """The raw observation series for one metric, oldest first."""
-        if history is None:
-            history = self.load()
-        values: List[float] = []
-        for record in history:
-            value = record["metrics"].get(metric)
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
-                values.append(float(value))
-        return values
 
     # -- the gate ----------------------------------------------------------
     def check(self, report: Dict[str, Any]) -> SentinelReport:
@@ -362,67 +325,3 @@ class RegressionSentinel:
                 higher_is_better=spec.higher_is_better, status=status,
             ))
         return result
-
-    # -- regression triage -------------------------------------------------
-    def attribution_diff(
-        self,
-        current: Dict[str, float],
-        history: Optional[List[Dict[str, Any]]] = None,
-    ) -> Dict[str, Any]:
-        """Localize a gated regression to latency-budget categories.
-
-        ``current`` maps ``budget.<category>_ms`` history keys (see
-        :func:`budget_history_metrics`) to this run's totals; each is
-        diffed against its own EWMA over the recorded history, and the
-        dominant positively-shifted category is named — the sentinel's
-        answer to "the bench regressed, *where* did the time go?".
-        """
-        from repro.core.smoothing import ExponentialSmoothing
-
-        if history is None:
-            history = self.load()
-        cells: List[Dict[str, Any]] = []
-        for key in sorted(current):
-            ewma = ExponentialSmoothing(alpha=self.alpha)
-            seen = 0
-            for record in history:
-                value = record["metrics"].get(key)
-                if isinstance(value, (int, float)) and not isinstance(value, bool):
-                    ewma.update(float(value))
-                    seen += 1
-            baseline = ewma.predict()
-            value = float(current[key])
-            cells.append({
-                "metric": key,
-                "category": key[len(BUDGET_METRIC_PREFIX):].rsplit("_ms", 1)[0]
-                if key.startswith(BUDGET_METRIC_PREFIX) else key,
-                "baseline_ms": baseline,
-                "value_ms": value,
-                "delta_ms": None if baseline is None else value - baseline,
-                "observations": seen,
-            })
-        regressed = [
-            c for c in cells
-            if c["delta_ms"] is not None and c["delta_ms"] > 0.0
-        ]
-        total = sum(c["delta_ms"] for c in regressed)
-        dominant = None
-        headline = "no budget category regressed against its baseline"
-        if regressed:
-            top = max(regressed, key=lambda c: (c["delta_ms"], c["metric"]))
-            share = top["delta_ms"] / total if total > 0 else 0.0
-            dominant = {
-                "category": top["category"],
-                "delta_ms": top["delta_ms"],
-                "share": share,
-            }
-            headline = (
-                f"budget +{total:.1f} ms vs EWMA, {share:.0%} from "
-                f"{top['category']}"
-            )
-        return {
-            "schema": SENTINEL_ATTRIBUTION_SCHEMA,
-            "cells": cells,
-            "dominant": dominant,
-            "headline": headline,
-        }

@@ -5,8 +5,7 @@ Three instrument kinds cover everything the stack reports:
 * :class:`Counter` — monotonically increasing totals (bytes moved, frames
   presented, prefetch launches);
 * :class:`Gauge` — last-write-wins level readings (mispredict rate, bus
-  utilization), optionally with a bounded *timeline* of (time, value)
-  samples for plotting;
+  utilization);
 * :class:`Histogram` — value distributions (slack-estimate error, copy
   durations) with exact count/sum/min/max and a bounded *reservoir* of
   samples for percentiles.
@@ -15,9 +14,9 @@ Everything is deterministic: the reservoir is a decimating sampler (when
 full it drops every other retained sample and doubles its stride) rather
 than a randomized one, so a rerun reproduces its metrics bit-for-bit.
 
-A disabled registry (``MetricsRegistry(enabled=False)``) hands out shared
-no-op instruments and registers nothing — the zero-overhead mode the
-overhead tests pin down.
+Instruments are written once, at capture, by
+:func:`repro.obs.telemetry.derive_run_metrics`; nothing writes to a
+registry while a run is live.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.metrics.stats import percentile
 
-#: Default cap on retained histogram samples / timeline points.
+#: Default cap on retained histogram samples.
 DEFAULT_RESERVOIR = 512
 
 
@@ -67,31 +66,20 @@ class Counter(Instrument):
 
 
 class Gauge(Instrument):
-    """A level reading, optionally sampled onto a bounded timeline."""
+    """A level reading."""
 
     kind = "gauge"
 
-    def __init__(self, name: str, labels: Dict[str, str],
-                 timeline_capacity: int = DEFAULT_RESERVOIR):
+    def __init__(self, name: str, labels: Dict[str, str]):
         super().__init__(name, labels)
         self.value: Optional[float] = None
-        self._timeline = _DecimatingSampler(timeline_capacity)
 
-    def set(self, value: float, time: Optional[float] = None) -> None:
+    def set(self, value: float) -> None:
         self.value = value
-        if time is not None:
-            self._timeline.offer((time, value))
-
-    def timeline(self) -> List[Tuple[float, float]]:
-        """Retained (time, value) samples, in record order."""
-        return list(self._timeline.samples)
 
     def to_dict(self) -> Dict[str, Any]:
-        out: Dict[str, Any] = {"name": self.name, "type": self.kind,
-                               "labels": dict(self.labels), "value": self.value}
-        if self._timeline.samples:
-            out["timeline"] = [[t, v] for t, v in self._timeline.samples]
-        return out
+        return {"name": self.name, "type": self.kind, "labels": dict(self.labels),
+                "value": self.value}
 
 
 class Histogram(Instrument):
@@ -169,45 +157,6 @@ class _DecimatingSampler:
             self.stride *= 2
 
 
-class _NullInstrument(Counter, Gauge, Histogram):
-    """Absorbs every update; handed out by a disabled registry."""
-
-    kind = "null"
-
-    def __init__(self) -> None:  # pylint: disable=super-init-not-called
-        self.name = "null"
-        self.labels: Dict[str, str] = {}
-        self.value = 0.0
-        self.count = 0
-        self.sum = 0.0
-        self.min: Optional[float] = None
-        self.max: Optional[float] = None
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def set(self, value: float, time: Optional[float] = None) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def timeline(self) -> List[Tuple[float, float]]:
-        return []
-
-    def samples(self) -> List[float]:
-        return []
-
-    def percentile(self, q: float) -> Optional[float]:
-        return None
-
-    def to_dict(self) -> Dict[str, Any]:  # pragma: no cover - never exported
-        return {"name": "null", "type": "null"}
-
-
-NULL_INSTRUMENT = _NullInstrument()
-
-
 class MetricsRegistry:
     """Keyed store of instruments; the one metrics sink of an observed run.
 
@@ -215,13 +164,11 @@ class MetricsRegistry:
     for that (name, labels) pair, creating it on first use — call sites
     never coordinate. Instruments of the same name must keep one kind.
 
-    ``reservoir`` sets the timeline/reservoir capacity for every gauge and
-    histogram this registry creates (instead of the shared
-    :data:`DEFAULT_RESERVOIR`).
+    ``reservoir`` sets the reservoir capacity for every histogram this
+    registry creates (instead of the shared :data:`DEFAULT_RESERVOIR`).
     """
 
-    def __init__(self, enabled: bool = True, reservoir: Optional[int] = None):
-        self.enabled = enabled
+    def __init__(self, reservoir: Optional[int] = None):
         self.reservoir = reservoir if reservoir is not None else DEFAULT_RESERVOIR
         self._instruments: Dict[Tuple[str, Tuple[Tuple[str, str], ...]], Instrument] = {}
 
@@ -236,15 +183,11 @@ class MetricsRegistry:
         return self._get(Histogram, name, labels)
 
     def _get(self, cls, name: str, labels: Dict[str, Any]):
-        if not self.enabled:
-            return NULL_INSTRUMENT
         key = (name, _label_key(labels))
         instrument = self._instruments.get(key)
         if instrument is None:
             clean = {k: str(v) for k, v in labels.items()}
-            if cls is Gauge:
-                instrument = Gauge(name, clean, timeline_capacity=self.reservoir)
-            elif cls is Histogram:
+            if cls is Histogram:
                 instrument = Histogram(name, clean, reservoir_capacity=self.reservoir)
             else:
                 instrument = cls(name, clean)
@@ -279,6 +222,3 @@ class MetricsRegistry:
         """JSON-ready export of every instrument."""
         return {"metrics": [i.to_dict() for i in self.instruments()]}
 
-
-#: Shared disabled registry for components constructed without observability.
-NULL_REGISTRY = MetricsRegistry(enabled=False)

@@ -215,8 +215,8 @@ class Tracer:
 
         Flow ids ascend, and each chain is in start order (ties broken by
         span id). The grouping is cached until the next span or instant is
-        recorded, so the post-run readers (attribution, the exporter, the
-        snapshot digest) share one pass; callers must not mutate it.
+        recorded, so the post-run readers (attribution, the exporter,
+        ``connected_flows``) share one pass; callers must not mutate it.
         """
         if self._chains_at != self._next_span:
             by_flow: Dict[int, List[Span]] = {}

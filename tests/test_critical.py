@@ -1,5 +1,5 @@
 """Tests for latency attribution: conservation, critical path, diff, SLO,
-the regression sentinel's triage, and the ``explain`` CLI."""
+the regression sentinel's parallel-mode filter, and the ``explain`` CLI."""
 
 from __future__ import annotations
 
@@ -225,31 +225,7 @@ def test_slo_spec_validation():
         SloSpec(deadline_ms=float("inf"))
 
 
-# -- the regression sentinel's triage -----------------------------------------
-
-def test_sentinel_attribution_diff_names_the_category(tmp_path):
-    from repro.obs.baseline import HISTORY_SCHEMA, RegressionSentinel
-
-    sentinel = RegressionSentinel(path=str(tmp_path / "history.jsonl"))
-    history = [
-        {"schema": HISTORY_SCHEMA, "kind": "bench",
-         "metrics": {"budget.bus_transfer_ms": 10.0,
-                     "budget.device_compute_ms": 30.0}}
-        for _ in range(4)
-    ]
-    triage = sentinel.attribution_diff(
-        {"budget.bus_transfer_ms": 22.0, "budget.device_compute_ms": 30.5},
-        history=history,
-    )
-    assert triage["schema"] == "repro-sentinel-attribution-v1"
-    assert triage["dominant"]["category"] == "bus_transfer"
-    assert triage["dominant"]["delta_ms"] == pytest.approx(12.0)
-    assert "bus_transfer" in triage["headline"]
-    no_shift = sentinel.attribution_diff(
-        {"budget.bus_transfer_ms": 10.0}, history=history
-    )
-    assert no_shift["dominant"] is None
-
+# -- the regression sentinel ---------------------------------------------------
 
 def test_sentinel_skips_history_with_mismatched_parallel_mode(tmp_path):
     from repro.obs.baseline import RegressionSentinel
@@ -276,16 +252,6 @@ def test_sentinel_skips_history_with_mismatched_parallel_mode(tmp_path):
     record = sentinel.append(inline_report)
     assert record["parallel_mode"] == "inline"
     assert "cpu_count" in record["host"]
-
-
-def test_budget_history_metrics_flatten():
-    from repro.obs.baseline import budget_history_metrics
-
-    budget = analyze_tracer(_synthetic_tracer())
-    metrics = budget_history_metrics(budget)
-    assert metrics["budget.bus_transfer_ms"] == pytest.approx(1.0)
-    assert metrics["budget.device_compute_ms"] == pytest.approx(3.0)
-    assert set(metrics) == {f"budget.{c}_ms" for c in BUDGET_CATEGORIES}
 
 
 # -- ring-cap surfacing --------------------------------------------------------

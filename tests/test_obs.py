@@ -13,7 +13,6 @@ from repro.hw.machine import HIGH_END_DESKTOP, build_machine
 from repro.metrics.stats import percentile
 from repro.obs import (
     DISABLED,
-    NULL_REGISTRY,
     NULL_SPAN,
     NULL_TRACER,
     MetricsRegistry,
@@ -122,7 +121,7 @@ def test_registry_counter_gauge_histogram():
     registry = MetricsRegistry()
     registry.counter("bytes", link="pcie").inc(100)
     registry.counter("bytes", link="pcie").inc(50)
-    registry.gauge("util", link="pcie").set(0.5, time=10.0)
+    registry.gauge("util", link="pcie").set(0.5)
     for v in (1.0, 2.0, 3.0, 4.0):
         registry.histogram("lat").observe(v)
 
@@ -148,16 +147,6 @@ def test_registry_kind_conflict():
         registry.gauge("x")
 
 
-def test_disabled_registry_registers_nothing():
-    registry = NULL_REGISTRY
-    registry.counter("c").inc(5)
-    registry.gauge("g").set(1.0, time=0.0)
-    registry.histogram("h").observe(3.0)
-    assert len(registry) == 0
-    assert registry.find("c") is None
-    assert registry.to_dict() == {"metrics": []}
-
-
 def test_decimating_sampler_bounded_and_deterministic():
     def fill(n):
         sampler = _DecimatingSampler(capacity=8)
@@ -169,16 +158,6 @@ def test_decimating_sampler_bounded_and_deterministic():
     assert len(samples) < 8
     assert samples == fill(1000)  # rerun retains identical samples
     assert samples == sorted(samples)
-
-
-def test_gauge_timeline_export():
-    registry = MetricsRegistry()
-    gauge = registry.gauge("g")
-    for t in range(5):
-        gauge.set(float(t), time=float(t))
-    exported = gauge.to_dict()
-    assert exported["value"] == 4.0
-    assert exported["timeline"][0] == [0.0, 0.0]
 
 
 # -- percentile edge cases (metrics.stats satellite) --------------------------
@@ -352,7 +331,7 @@ def test_metrics_json_bundles_profile_and_extra():
 def test_observability_disabled_is_inert():
     assert not DISABLED.enabled
     assert DISABLED.tracer is NULL_TRACER
-    assert DISABLED.registry is NULL_REGISTRY
+    assert len(DISABLED.registry) == 0
     assert DISABLED.profiler is None
     DISABLED.map_devices({"gpu": "x"})  # no-op, no crash
 
@@ -455,7 +434,7 @@ def test_disabled_observability_adds_zero_records():
 
 def test_unobserved_catalog_runs_skip_every_observation_call(monkeypatch):
     # Hot observation sites test ``obs.enabled`` before building their
-    # arguments, so an unobserved run never reaches the null objects.
+    # arguments, so an unobserved run never reaches the null tracer.
     from repro.apps.catalog import emerging_app_params
     from repro.experiments.engine import execute_spec, specs_for_apps
 
@@ -472,8 +451,6 @@ def test_unobserved_catalog_runs_skip_every_observation_call(monkeypatch):
 
     for name in ("begin", "instant", "end"):
         count(NULL_TRACER, name)
-    for name in ("counter", "gauge", "histogram"):
-        count(NULL_REGISTRY, name)
 
     params = emerging_app_params(0, per_category=1)[:1]
     for emulator in ("vSoC", "GAE"):
@@ -519,12 +496,9 @@ def test_registry_reservoir_override():
 
     small = MetricsRegistry(reservoir=8)
     hist = small.histogram("h")
-    gauge = small.gauge("g")
     for i in range(1_000):
         hist.observe(float(i))
-        gauge.set(float(i), time=float(i))
     assert len(hist.samples()) <= 8
-    assert len(gauge.timeline()) <= 8
 
     default = MetricsRegistry().histogram("default")
     for i in range(5_000):
@@ -532,13 +506,30 @@ def test_registry_reservoir_override():
     assert len(default.samples()) <= DEFAULT_RESERVOIR
 
 
-def test_observe_reservoir_threads_through():
-    from repro.experiments.observe import run_observe
+def test_observe_reservoir_threads_through(monkeypatch):
+    from repro.experiments import observe
+    from repro.obs import Histogram
 
-    run = run_observe(app="video", duration_ms=1_500.0, reservoir=16)
-    for metric in run.metrics["metrics"]:
-        samples = metric.get("samples") or metric.get("timeline") or []
-        assert len(samples) <= 16, metric["name"]
+    observed = []
+    real = observe.Observability
+
+    def keep(*args, **kwargs):
+        obs = real(*args, **kwargs)
+        observed.append(obs)
+        return obs
+
+    monkeypatch.setattr(observe, "Observability", keep)
+    observe.run_observe(app="video", duration_ms=1_500.0, reservoir=16)
+    (obs,) = observed
+    histograms = [
+        inst for inst in obs.registry.instruments() if isinstance(inst, Histogram)
+    ]
+    assert histograms
+    for hist in histograms:
+        assert len(hist.samples()) <= 16, hist.name
+    # The cap is exercised, not just respected: some histogram saw more
+    # values than it could keep.
+    assert max(hist.count for hist in histograms) > 16
 
 
 # -- bind_id flow validation ---------------------------------------------------

@@ -1,4 +1,4 @@
-"""Tests for run telemetry: snapshots, aggregation, sentinel, dashboard."""
+"""Tests for run telemetry: snapshots, the capture-time view, sentinel."""
 
 import json
 import pickle
@@ -7,22 +7,13 @@ import pytest
 
 from repro.apps.ar import ArApp
 from repro.apps.video import UhdVideoApp
-from repro.experiments.dashboard import telemetry_specs
-from repro.experiments.engine import run_many
+from repro.experiments.engine import RunCache, RunSpec, run_many
 from repro.experiments.runner import run_app
 from repro.obs.baseline import (
     HISTORY_SCHEMA,
     MetricSpec,
     RegressionSentinel,
     extract_metric,
-)
-from repro.obs.dashboard import render_dashboard
-from repro.obs.telemetry import (
-    HistogramSample,
-    TelemetryAggregator,
-    TelemetrySnapshot,
-    aggregate_results,
-    validate_telemetry_aggregate,
 )
 
 
@@ -42,7 +33,8 @@ def test_snapshot_pickles_and_compares_structurally():
     snap = _snapshot()
     clone = pickle.loads(pickle.dumps(snap))
     assert clone == snap
-    assert clone.group_key == "vSoC/uhd-video"
+    assert clone.meta_dict["emulator"] == "vSoC"
+    assert clone.meta_dict["app"] == "uhd-video"
     assert json.dumps(clone.to_dict(), sort_keys=True) == \
         json.dumps(snap.to_dict(), sort_keys=True)
 
@@ -67,13 +59,21 @@ def test_telemetry_does_not_change_results():
 # The capture-time metrics view: each derived instrument equals its source
 # ---------------------------------------------------------------------------
 
+OBSERVED_AR_MS = 4_000.0
+
+
 @pytest.fixture(scope="module", params=["vSoC", "QEMU-KVM"])
 def observed_ar(request):
-    run = run_app(ArApp(), request.param, duration_ms=4_000.0, telemetry=True)
+    run = run_app(ArApp(), request.param, duration_ms=OBSERVED_AR_MS,
+                  telemetry=True)
     assert run.result.ran
     histograms = {(h.name, h.labels): h for h in run.telemetry.histograms}
     counters = {(c.name, c.labels): c.value for c in run.telemetry.counters}
     return run, histograms, counters
+
+
+def _gauges(run):
+    return {(g.name, g.labels): g.value for g in run.telemetry.gauges}
 
 
 def _by_label(histograms, name, label):
@@ -126,85 +126,74 @@ def test_frame_and_transport_counters_equal_their_sources(observed_ar):
     assert counters[("transport.commands", ())] == transport.commands
 
 
-# ---------------------------------------------------------------------------
-# Aggregation
-# ---------------------------------------------------------------------------
-
-def test_aggregate_is_order_independent():
-    snaps = [_snapshot(UhdVideoApp, "vSoC"), _snapshot(ArApp, "vSoC"),
-             _snapshot(UhdVideoApp, "GAE")]
-    forward = TelemetryAggregator()
-    forward.add_all(snaps)
-    backward = TelemetryAggregator()
-    backward.add_all(reversed(snaps))
-    assert forward.aggregate_json() == backward.aggregate_json()
-
-
-def test_aggregate_validates_clean():
-    agg = TelemetryAggregator()
-    agg.add(_snapshot())
-    data = agg.aggregate()
-    assert validate_telemetry_aggregate(data) == []
-    assert data["runs"] == 1
-    assert "vSoC/uhd-video" in data["groups"]
+def test_slack_error_equals_scored_slack_records(observed_ar):
+    run, histograms, _ = observed_ar
+    scored = [
+        abs(record["predicted"] - record["slack"])
+        for record in run.emulator.trace.of_kind("svm.slack")
+        if "predicted" in record.fields
+    ]
+    derived = histograms.get(("prefetch.slack_error_ms", ()))
+    if run.emulator.engine is None:
+        assert not scored and derived is None
+        return
+    assert scored
+    assert derived.count == len(scored)
+    assert derived.sum == sum(scored)
 
 
-def test_histogram_merge_is_exact():
-    a = HistogramSample("m", (), count=3, sum=6.0, min=1.0, max=3.0,
-                        samples=(1.0, 2.0, 3.0))
-    b = HistogramSample("m", (), count=2, sum=9.0, min=4.0, max=5.0,
-                        samples=(4.0, 5.0))
-    agg = TelemetryAggregator()
-    agg.add(TelemetrySnapshot(meta=(("app", "x"), ("emulator", "e")),
-                              histograms=(a,)))
-    agg.add(TelemetrySnapshot(meta=(("app", "x"), ("emulator", "e")),
-                              histograms=(b,)))
-    merged = agg.aggregate()["fleet"]["histograms"][0]
-    assert merged["count"] == 5
-    assert merged["sum"] == 15.0
-    assert merged["min"] == 1.0 and merged["max"] == 5.0
-    assert merged["samples"] == [1.0, 2.0, 3.0, 4.0, 5.0]
+def test_mispredict_rate_equals_engine_stats(observed_ar):
+    run, _, _ = observed_ar
+    derived = _gauges(run).get(("prefetch.mispredict_rate", ()))
+    engine = run.emulator.engine
+    if engine is None:
+        assert derived is None
+        return
+    assert engine.stats.predictions > 0
+    assert derived == engine.stats.misses / engine.stats.predictions
 
 
-def test_validator_flags_broken_aggregates():
-    assert validate_telemetry_aggregate([]) != []
-    assert any("schema" in p for p in validate_telemetry_aggregate({"runs": 1}))
-    agg = TelemetryAggregator()
-    agg.add(_snapshot())
-    data = agg.aggregate()
-    data["fleet"]["histograms"][0]["samples"] = [0.0] * 10_000
-    data["fleet"]["histograms"][0]["count"] = 1
-    assert any("exceed count" in p for p in validate_telemetry_aggregate(data))
+def test_bus_utilization_equals_busy_time_over_duration(observed_ar):
+    run, _, _ = observed_ar
+    derived = {
+        dict(labels)["link"]: value
+        for (name, labels), value in _gauges(run).items()
+        if name == "bus.utilization"
+    }
+    busy = {
+        bus.name: bus.busy_time
+        for bus in run.emulator.metered_buses() if bus.transfer_count
+    }
+    assert busy and set(derived) == set(busy)
+    for link, busy_time in busy.items():
+        assert derived[link] == busy_time / OBSERVED_AR_MS, link
 
 
 # ---------------------------------------------------------------------------
-# The acceptance criterion: parallel == serial == warm, byte for byte
+# The acceptance criterion: parallel == serial == warm, snapshot for snapshot
 # ---------------------------------------------------------------------------
 
-def test_aggregate_parallel_serial_warm_identical(tmp_path, monkeypatch):
+def test_snapshots_parallel_serial_warm_identical(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_ENGINE_OVERSUBSCRIBE", "1")
-    specs = telemetry_specs(duration_ms=1_200.0)
-    assert len(specs) == 6  # 3 emulators x 2 apps
+    specs = [
+        RunSpec(app_factory=factory, app_kwargs={}, emulator=emulator,
+                duration_ms=1_200.0, telemetry=True, attribution=True)
+        for emulator in ("vSoC", "GAE", "QEMU-KVM")
+        for factory in ("repro.apps.video:UhdVideoApp", "repro.apps.ar:ArApp")
+    ]
 
-    serial = run_many(specs, jobs=1, cache=False)
-    parallel = run_many(specs, jobs=4, cache=False)
-    serial_json = json.dumps(aggregate_results(serial.results),
-                             sort_keys=True, separators=(",", ":"))
-    parallel_json = json.dumps(aggregate_results(parallel.results),
-                               sort_keys=True, separators=(",", ":"))
-    assert serial_json == parallel_json
+    def snapshots(report):
+        return [result.telemetry for result in report.results]
 
-    from repro.experiments.engine import RunCache
+    serial = snapshots(run_many(specs, jobs=1, cache=False))
+    assert all(s is not None and s.attribution is not None for s in serial)
+    assert snapshots(run_many(specs, jobs=4, cache=False)) == serial
 
     store = RunCache(tmp_path / "cache")
     cold = run_many(specs, jobs=1, cache=store)
     warm = run_many(specs, jobs=1, cache=store)
     assert warm.executed == 0 and warm.cache_hits == len(specs)
-    warm_json = json.dumps(aggregate_results(warm.results),
-                           sort_keys=True, separators=(",", ":"))
-    cold_json = json.dumps(aggregate_results(cold.results),
-                           sort_keys=True, separators=(",", ":"))
-    assert warm_json == cold_json == serial_json
+    assert snapshots(cold) == snapshots(warm) == serial
 
 
 # ---------------------------------------------------------------------------
@@ -282,78 +271,3 @@ def test_sentinel_honors_custom_metrics(tmp_path):
     sentinel.append({"fps": 60.0})
     verdict = sentinel.check({"fps": 30.0})
     assert [v.metric for v in verdict.regressions] == ["fps"]
-
-
-# ---------------------------------------------------------------------------
-# Dashboard
-# ---------------------------------------------------------------------------
-
-@pytest.fixture(scope="module")
-def small_aggregate():
-    agg = TelemetryAggregator()
-    agg.add(_snapshot(UhdVideoApp, "vSoC"))
-    agg.add(_snapshot(ArApp, "GAE"))
-    return agg.aggregate()
-
-
-def test_dashboard_is_single_small_self_contained_file(small_aggregate):
-    html = render_dashboard(small_aggregate)
-    assert len(html.encode("utf-8")) < 2 * 1024 * 1024
-    for marker in ("http://", "https://", "src=", "href=", "@import"):
-        assert marker not in html
-    assert html.startswith("<!DOCTYPE html>")
-    assert "</html>" in html
-
-
-def test_dashboard_embeds_machine_readable_aggregate(small_aggregate):
-    import re
-
-    html = render_dashboard(small_aggregate)
-    match = re.search(
-        r'<script type="application/json" id="fleet-aggregate">\n(.*)\n</script>',
-        html, re.S)
-    assert match is not None
-    payload = json.loads(match.group(1).replace("<\\/", "</"))
-    assert payload == json.loads(
-        json.dumps(small_aggregate, sort_keys=True, separators=(",", ":")))
-
-
-def test_dashboard_renders_history_and_verdicts(small_aggregate, tmp_path):
-    sentinel = RegressionSentinel(str(tmp_path / "h.jsonl"))
-    for sp in (3.0, 3.1, 2.9, 3.2):
-        sentinel.append(_sample_report(speedup=sp))
-    history = sentinel.load()
-    verdict = sentinel.check(_sample_report(speedup=1.0)).to_dict()
-    html = render_dashboard(small_aggregate, history=history,
-                            sentinel=verdict)
-    assert "kernel.speedup" in html
-    assert "regression" in html
-    assert "EWMA" in html
-
-
-def test_dashboard_tolerates_empty_aggregate():
-    empty = TelemetryAggregator().aggregate()
-    html = render_dashboard(empty)
-    assert "no bench history yet" in html
-    assert "</html>" in html
-
-
-# ---------------------------------------------------------------------------
-# CLI exit codes
-# ---------------------------------------------------------------------------
-
-def test_cmd_dashboard_writes_report(tmp_path, monkeypatch):
-    from repro.experiments.dashboard import cmd_dashboard
-
-    monkeypatch.chdir(tmp_path)
-    out = tmp_path / "report.html"
-    snap = tmp_path / "telemetry.json"
-    rc = cmd_dashboard(out_path=str(out), snapshot_path=str(snap),
-                       history_path=str(tmp_path / "h.jsonl"),
-                       quick=True, jobs=1, cache=False)
-    assert rc == 0
-    assert out.stat().st_size < 2 * 1024 * 1024
-    data = json.loads(snap.read_text())
-    assert validate_telemetry_aggregate(data) == []
-    assert data["runs"] == 6
-
