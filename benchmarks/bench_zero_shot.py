@@ -13,8 +13,8 @@ from repro.emulators import make_vsoc
 from repro.experiments.runner import run_app
 
 
-def _factory_without_zero_shot(sim, machine, trace=None, rng=None):
-    emulator = make_vsoc(sim, machine, trace=trace, rng=rng)
+def _factory_without_zero_shot(sim, machine, trace=None, rng=None, obs=None):
+    emulator = make_vsoc(sim, machine, trace=trace, rng=rng, obs=obs)
     emulator.engine.zero_shot = False
     return emulator
 

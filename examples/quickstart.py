@@ -3,28 +3,24 @@
 
 This walks the core loop of the paper in ~40 lines of user code:
 
-1. build a simulated host machine (the §5.1 high-end desktop);
-2. build a vSoC emulator on it (unified SVM + prefetch + fences);
-3. allocate a shared-memory region and drive write→read cycles across two
+1. build a run rig: a simulator, the §5.1 high-end desktop and a vSoC
+   emulator on it (unified SVM + prefetch + fences);
+2. allocate a shared-memory region and drive write→read cycles across two
    devices with a realistic slack interval between them;
-4. print what the SVM framework did: prediction accuracy, coherence cost,
+3. print what the SVM framework did: prediction accuracy, coherence cost,
    and the access latency the guest actually observed.
 
 Run:  python examples/quickstart.py
 """
 
-import random
-
-from repro.emulators import make_vsoc
-from repro.hw import HIGH_END_DESKTOP, build_machine
-from repro.sim import Simulator, Timeout
+from repro.experiments.runner import build_rig
+from repro.sim import Timeout
 from repro.units import MIB, UHD_FRAME_BYTES
 
 
 def main() -> None:
-    sim = Simulator()
-    machine = build_machine(sim, HIGH_END_DESKTOP)
-    emulator = make_vsoc(sim, machine, rng=random.Random(0))
+    rig = build_rig("vSoC")
+    sim, emulator = rig.sim, rig.emulator
 
     read_latencies = []
 

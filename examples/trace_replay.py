@@ -2,10 +2,10 @@
 """Record once, replay everywhere: the §2.3 methodology as a tool.
 
 Records the exact shared-memory access pattern a UHD video app produces on
-vSoC, saves it to JSON, then replays that identical pattern (open loop)
-against all three instrumentable emulators. With the workload held
-constant, the remaining difference is purely the memory architecture's
-coherence bill.
+vSoC, saves it to JSON, then replays that identical sequence against all
+three instrumentable emulators, each event no earlier than its recorded
+time. With the workload held constant, the remaining difference is purely
+the memory architecture's coherence bill.
 
 Run:  python examples/trace_replay.py
 """

@@ -20,13 +20,10 @@ Package map:
 
 Quick start::
 
-    import random
-    from repro.sim import Simulator
-    from repro.hw import build_machine
-    from repro.emulators import make_vsoc
+    from repro.experiments.runner import build_rig
 
-    sim = Simulator()
-    emulator = make_vsoc(sim, build_machine(sim), rng=random.Random(0))
+    rig = build_rig("vSoC")  # simulator, host machine, trace log, emulator
+    sim, emulator = rig.sim, rig.emulator
 
 See README.md for the full tour and DESIGN.md for the system inventory.
 """

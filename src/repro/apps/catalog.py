@@ -19,7 +19,7 @@ GAE's.
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 from repro.apps.ar import ArApp
 from repro.apps.base import App
@@ -53,8 +53,12 @@ def app_factory_path(cls: type) -> str:
         return f"{cls.__module__}:{cls.__qualname__}"
 
 
-def resolve_app_factory(path: str):
-    """``"pkg.mod:Name"`` → the callable (used by the experiment engine)."""
+def resolve_callable(path: str) -> Callable[..., Any]:
+    """The callable a dotted ``"pkg.mod:name"`` path names.
+
+    Specs address app constructors, emulator factories and point
+    functions this way, so they stay plain picklable data.
+    """
     module_name, _, attr = path.partition(":")
     module = __import__(module_name, fromlist=[attr])
     return getattr(module, attr)
@@ -63,7 +67,7 @@ def resolve_app_factory(path: str):
 def build_app(params: AppParams) -> App:
     """Instantiate one app from its declarative (factory, kwargs) form."""
     path, kwargs = params
-    return resolve_app_factory(path)(**kwargs)
+    return resolve_callable(path)(**kwargs)
 
 #: Table 1 categories, in the paper's row order.
 EMERGING_CATEGORIES = ("UHD Video", "360 Video", "Camera", "AR", "Livestream")

@@ -23,12 +23,10 @@ from dataclasses import dataclass
 from typing import Any, Dict, Generator, List, Sequence
 
 from repro.core.smoothing import ExponentialSmoothing
-from repro.emulators import EMULATOR_FACTORIES
+from repro.experiments.runner import build_rig
 from repro.guest.vsync import VSyncSource
-from repro.hw.machine import HIGH_END_DESKTOP, build_machine
 from repro.metrics.collectors import SvmStats
-from repro.sim import FifoQueue, Simulator, Timeout
-from repro.sim.tracing import TraceLog
+from repro.sim import FifoQueue, Timeout
 from repro.units import UHD_FRAME_BYTES, VSYNC_PERIOD_MS
 
 
@@ -101,9 +99,8 @@ def compensation_ablation(
     """Reads in a tight-slack pipeline, with and without Figure 8's delta."""
     results: Dict[bool, CompensationResult] = {}
     for enabled in (True, False):
-        sim = Simulator()
-        machine = build_machine(sim, HIGH_END_DESKTOP)
-        emulator = EMULATOR_FACTORIES["vSoC"](sim, machine, rng=random.Random(seed))
+        rig = build_rig("vSoC", seed=seed)
+        sim, emulator = rig.sim, rig.emulator
         if not enabled:
             # Neutralize the driver-side wait: predict zero compensation.
             emulator.engine.predicted_compensation = lambda *args: 0.0
@@ -141,9 +138,8 @@ def suspension_ablation(
     prefetch bandwidth does the 3-strike suspension policy save?"""
     results: Dict[int, SuspensionResult] = {}
     for threshold in thresholds:
-        sim = Simulator()
-        machine = build_machine(sim, HIGH_END_DESKTOP)
-        emulator = EMULATOR_FACTORIES["vSoC"](sim, machine, rng=random.Random(seed))
+        rig = build_rig("vSoC", seed=seed)
+        sim, emulator = rig.sim, rig.emulator
         emulator.engine.failure_threshold = threshold
         region = emulator.svm_alloc(UHD_FRAME_BYTES)
 
@@ -193,12 +189,8 @@ def sweep_buffering(
     """
     results: Dict[int, float] = {}
     for depth in depths:
-        sim = Simulator()
-        machine = build_machine(sim, HIGH_END_DESKTOP)
-        trace = TraceLog()
-        emulator = EMULATOR_FACTORIES["vSoC"](
-            sim, machine, trace=trace, rng=random.Random(seed)
-        )
+        rig = build_rig("vSoC", seed=seed)
+        sim, emulator = rig.sim, rig.emulator
         vsync = VSyncSource(sim)
         regions = [emulator.svm_alloc(UHD_FRAME_BYTES) for _ in range(depth + 1)]
         free: FifoQueue = FifoQueue(sim)
@@ -239,7 +231,7 @@ def sweep_buffering(
         sim.spawn(producer(), name="producer")
         sim.spawn(consumer(), name="consumer")
         sim.run(until=duration_ms)
-        stats = SvmStats(trace, duration_ms)
+        stats = SvmStats(rig.trace, duration_ms)
         slacks = stats.slack_intervals()
         results[depth] = sum(slacks) / len(slacks) if slacks else 0.0
     return results

@@ -1,6 +1,6 @@
 """Chaos scenarios: app runs under injected faults.
 
-:func:`run_chaos` runs one app on one emulator while a seeded
+:func:`run_chaos` runs UHD video on one emulator while a seeded
 :class:`~repro.faults.FaultInjector` executes a :class:`~repro.faults.FaultPlan`
 against its buses, devices, and transport. The result splits FPS into the
 whole-run average and the *steady state* after the last fault clears —
@@ -15,18 +15,13 @@ virtio kicks.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.apps.base import App
 from repro.apps.video import UhdVideoApp
-from repro.emulators import EMULATOR_FACTORIES
-from repro.emulators.base import Emulator
+from repro.experiments.runner import build_rig, drive
 from repro.faults import FaultInjector, FaultPlan
-from repro.hw.machine import HIGH_END_DESKTOP, MachineSpec, build_machine
 from repro.metrics.collectors import ResilienceStats
-from repro.sim import Simulator
 from repro.sim.tracing import TraceLog
 from repro.units import SECOND
 
@@ -35,6 +30,10 @@ DEFAULT_CHAOS_DURATION_MS = 10_000.0
 #: Grace period after the last plan event before the "steady state" window
 #: starts — in-flight retries and the re-probe interval need a moment.
 CLEARANCE_GRACE_MS = 1_000.0
+
+#: The copy planner's per-operation watchdog under chaos: an attempt fails
+#: once it runs past this multiple of its queueing-free estimate.
+WATCHDOG_MARGIN = 6.0
 
 
 def default_chaos_plan() -> FaultPlan:
@@ -115,39 +114,31 @@ class ChaosResult:
 
 def run_chaos(
     emulator_name: str = "vSoC",
-    machine_spec: MachineSpec = HIGH_END_DESKTOP,
     duration_ms: float = DEFAULT_CHAOS_DURATION_MS,
     seed: int = 0,
     plan: Optional[FaultPlan] = None,
-    app: Optional[App] = None,
-    watchdog_margin: Optional[float] = 6.0,
     keep_trace: bool = False,
     audit: bool = False,
     strict_audit: bool = False,
 ) -> ChaosResult:
-    """Run one app under one fault plan; fully deterministic per seed.
+    """Run UHD video under one fault plan; fully deterministic per seed.
 
-    ``plan=None`` uses :func:`default_chaos_plan`; pass an *empty*
-    ``FaultPlan()`` for the fault-free baseline (same harness, no
-    injection). ``watchdog_margin`` arms the copy planner's per-operation
-    deadline at ``margin × estimate``; ``None`` leaves watchdogs off.
+    The run is on the high-end desktop with the copy planner's watchdog
+    armed at :data:`WATCHDOG_MARGIN`. ``plan=None`` uses
+    :func:`default_chaos_plan`; pass an *empty* ``FaultPlan()`` for the
+    fault-free baseline (same harness, no injection).
     ``audit=True`` installs the runtime invariant auditor (non-raising;
     violations are counted into the result); ``strict_audit=True``
     implies ``audit`` and raises
     :class:`~repro.errors.InvariantViolation` on the first violation.
     """
     plan = plan if plan is not None else default_chaos_plan()
-    app = app if app is not None else UhdVideoApp()
 
-    sim = Simulator()
-    machine = build_machine(sim, machine_spec)
-    trace = TraceLog()
-    make = EMULATOR_FACTORIES[emulator_name]
-    emulator: Emulator = make(sim, machine, trace=trace, rng=random.Random(seed))
-    if watchdog_margin is not None:
-        emulator.planner.watchdog_margin = watchdog_margin
+    rig = build_rig(emulator_name, seed=seed)
+    emulator, trace = rig.emulator, rig.trace
+    emulator.planner.watchdog_margin = WATCHDOG_MARGIN
 
-    injector = FaultInjector(sim, plan, seed=seed, trace=trace)
+    injector = FaultInjector(rig.sim, plan, seed=seed, trace=trace)
     if not plan.is_empty():
         injector.install(emulator)
 
@@ -157,9 +148,10 @@ def run_chaos(
 
         auditor = install_auditor(emulator, raise_on_violation=strict_audit)
 
-    if not app.install(sim, emulator):
+    app = UhdVideoApp()
+    (installed,), (result,), _ = drive(rig, [app], duration_ms)
+    if not installed:
         raise RuntimeError(f"app {app.name!r} failed to install on {emulator_name}")
-    sim.run(until=duration_ms)
 
     resilience = ResilienceStats(trace)
     steady_after = min(duration_ms, plan.last_fault_time() + CLEARANCE_GRACE_MS)
@@ -171,10 +163,10 @@ def run_chaos(
         emulator=emulator_name,
         seed=seed,
         duration_ms=duration_ms,
-        fps=app.fps.fps(duration_ms, warmup_ms=app.warmup_ms),
+        fps=result.fps,
         steady_fps=steady_fps,
         steady_after_ms=steady_after,
-        presented=app.fps.presented,
+        presented=result.presented,
         degrades=resilience.degrades,
         restores=resilience.restores,
         time_degraded_ms=resilience.time_in_degraded_mode(duration_ms),

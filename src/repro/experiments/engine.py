@@ -46,7 +46,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, is_dataclass
 from functools import lru_cache, partial
 from pathlib import Path
-from typing import Any, Callable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.hw.machine import HIGH_END_DESKTOP, MachineSpec
 from repro.metrics.stats import mean
@@ -297,24 +297,19 @@ class RunCache:
 # Execution
 # ---------------------------------------------------------------------------
 
-def resolve_factory(path: str) -> Callable[..., Any]:
-    """The callable a dotted ``"pkg.mod:name"`` path names."""
-    module_name, _, attr = path.partition(":")
-    module = __import__(module_name, fromlist=[attr])
-    return getattr(module, attr)
-
-
 def execute_spec(spec: Spec) -> Any:
     """Run one spec to completion in *this* process (the worker body)."""
+    from repro.apps.catalog import resolve_callable
+
     if isinstance(spec, PointSpec):
-        return resolve_factory(spec.fn)(**dict(spec.kwargs))
+        return resolve_callable(spec.fn)(**dict(spec.kwargs))
     from repro.experiments.runner import run_app
 
-    app = resolve_factory(spec.app_factory)(**dict(spec.app_kwargs))
+    app = resolve_callable(spec.app_factory)(**dict(spec.app_kwargs))
     factory = None
     if spec.emulator_factory is not None:
         factory = partial(
-            resolve_factory(spec.emulator_factory), **dict(spec.emulator_kwargs)
+            resolve_callable(spec.emulator_factory), **dict(spec.emulator_kwargs)
         )
     run = run_app(
         app,

@@ -18,12 +18,11 @@ import random
 from dataclasses import dataclass
 from typing import Any, Dict, Generator, Optional
 
-from repro.emulators import EMULATOR_FACTORIES
+from repro.experiments.runner import build_rig
 from repro.guest.vsync import VSyncSource
-from repro.hw.machine import HIGH_END_DESKTOP, MachineSpec, build_machine
+from repro.hw.machine import HIGH_END_DESKTOP, MachineSpec
 from repro.metrics.collectors import SvmStats
-from repro.sim import FifoQueue, Simulator, Timeout
-from repro.sim.tracing import TraceLog
+from repro.sim import FifoQueue, Timeout
 from repro.units import UHD_FRAME_BYTES, VSYNC_PERIOD_MS, to_gb_per_s
 
 
@@ -85,12 +84,8 @@ def run_svm_microbench(
     seed: int = 0,
 ) -> SvmMicrobenchResult:
     """Run the SVM microbenchmark for one emulator on one machine."""
-    sim = Simulator()
-    machine = build_machine(sim, machine_spec)
-    trace = TraceLog()
-    emulator = EMULATOR_FACTORIES[emulator_name](
-        sim, machine, trace=trace, rng=random.Random(seed)
-    )
+    rig = build_rig(emulator_name, machine_spec, seed)
+    sim, emulator = rig.sim, rig.emulator
     vsync = VSyncSource(sim)
     rng = random.Random(seed + 1)
     for index in range(pipelines):
@@ -107,7 +102,7 @@ def run_svm_microbench(
         )
     sim.run(until=duration_ms)
 
-    stats = SvmStats(trace, duration_ms)
+    stats = SvmStats(rig.trace, duration_ms)
     accuracy = slack_err = prefetch_err = None
     cpu_fraction = 0.0
     overhead = emulator.manager.memory_overhead_bytes()

@@ -30,9 +30,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.emulators import EMULATOR_FACTORIES
-from repro.experiments.engine import resolve_factory
-from repro.experiments.explain import APP_FACTORIES
+from repro.apps.catalog import resolve_callable
+from repro.experiments.explain import APP_FACTORIES, resolve_emulator
 from repro.experiments.runner import build_rig, drive
 from repro.hw.machine import HIGH_END_DESKTOP
 from repro.obs import (
@@ -79,6 +78,9 @@ def run_observe(
 ) -> ObserveResult:
     """Run one observed app; returns the trace + metrics dicts.
 
+    ``emulator`` is matched the way ``explain`` matches it
+    (:func:`~repro.experiments.explain.resolve_emulator`), so ``vsoc`` and
+    ``qemu_kvm`` name vSoC and QEMU-KVM.
     ``include_tracelog`` digests the legacy :class:`TraceLog` records into
     the exported trace as instant events (one thread per record ``vdev``),
     so pre-observability instrumentation shows up alongside the spans.
@@ -90,15 +92,12 @@ def run_observe(
     """
     if app not in APP_FACTORIES:
         raise ValueError(f"unknown app {app!r}; choose from {sorted(APP_FACTORIES)}")
-    if emulator not in EMULATOR_FACTORIES:
-        raise ValueError(
-            f"unknown emulator {emulator!r}; choose from {sorted(EMULATOR_FACTORIES)}"
-        )
+    emulator = resolve_emulator(emulator)
 
     obs = Observability(Simulator(), reservoir=reservoir, max_spans=max_spans)
     rig = build_rig(emulator, machine_spec, seed, obs=obs)
-    installed, result, _ = drive(
-        rig, resolve_factory(APP_FACTORIES[app])(), emulator, duration_ms
+    (installed,), (result,), _ = drive(
+        rig, [resolve_callable(APP_FACTORIES[app])()], duration_ms
     )
     if not installed:
         raise SystemExit(f"{app!r} cannot run on {emulator!r}: {result.fail_reason}")
@@ -148,7 +147,7 @@ def cmd_observe(
 
     tracer = run.tracer
     events = run.trace["traceEvents"]
-    print(f"Observed {app!r} on {emulator!r} for {duration_ms:.0f} ms simulated:")
+    print(f"Observed {app!r} on {run.result.emulator!r} for {duration_ms:.0f} ms simulated:")
     print(f"  FPS: {run.result.fps:.1f} "
           f"(presented {run.result.presented}, dropped {sum(run.result.dropped.values())})")
     print(f"  spans: {len(tracer.spans)}  instants: {len(tracer.instants)}  "

@@ -24,18 +24,14 @@ criterion failed, and the report names which.
 from __future__ import annotations
 
 import json
-import random
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.apps.base import App
 from repro.apps.camera import CameraApp
 from repro.apps.video import UhdVideoApp
-from repro.emulators import EMULATOR_FACTORIES
 from repro.errors import SnapshotCorruptError, SnapshotError
-from repro.hw.machine import HIGH_END_DESKTOP, MachineSpec, build_machine
+from repro.experiments.runner import RunRig, build_rig
 from repro.recovery import Snapshot, install_auditor
-from repro.sim import Simulator
 from repro.sim.tracing import TraceLog
 
 #: Workloads the determinism matrix cycles through.
@@ -45,32 +41,18 @@ APP_FACTORIES: Dict[str, Callable[[], App]] = {
 }
 
 
-@dataclass
-class Harness:
-    """One deterministic (emulator, app) run under construction."""
+def build_harness(emulator_name: str, app_name: str, seed: int = 0) -> RunRig:
+    """One run's rig with its app installed, clock not yet started.
 
-    sim: Simulator
-    emulator: Any
-    app: App
-    trace: TraceLog
-
-
-def build_harness(
-    emulator_name: str,
-    app_name: str,
-    seed: int = 0,
-    machine_spec: MachineSpec = HIGH_END_DESKTOP,
-) -> Harness:
-    """Assemble one run; identical arguments ⇒ bit-identical behaviour."""
-    sim = Simulator()
-    machine = build_machine(sim, machine_spec)
-    trace = TraceLog()
-    make = EMULATOR_FACTORIES[emulator_name]
-    emulator = make(sim, machine, trace=trace, rng=random.Random(seed))
+    Identical arguments give bit-identical behaviour. The caller runs the
+    clock in steps (to a cut point, then on), which
+    :func:`~repro.experiments.runner.drive` does not.
+    """
+    rig = build_rig(emulator_name, seed=seed)
     app = APP_FACTORIES[app_name]()
-    if not app.install(sim, emulator):
+    if not app.install(rig.sim, rig.emulator):
         raise RuntimeError(f"app {app_name!r} failed to install on {emulator_name}")
-    return Harness(sim, emulator, app, trace)
+    return rig
 
 
 def trace_tuples(trace: TraceLog) -> List[Tuple[float, str, tuple]]:
@@ -97,28 +79,28 @@ def checkpoint_recipe(
 def capture_at(
     emulator_name: str, app_name: str, seed: int, cut_ms: float
 ) -> Snapshot:
-    """Run a fresh harness to ``cut_ms`` and checkpoint it."""
-    harness = build_harness(emulator_name, app_name, seed=seed)
-    harness.sim.run(until=cut_ms)
+    """Run a fresh rig to ``cut_ms`` and checkpoint it."""
+    rig = build_harness(emulator_name, app_name, seed=seed)
+    rig.sim.run(until=cut_ms)
     return Snapshot.capture(
-        harness.emulator,
+        rig.emulator,
         recipe=checkpoint_recipe(emulator_name, app_name, seed, cut_ms),
     )
 
 
-def restore_and_continue(snapshot: Snapshot, total_ms: float) -> Harness:
+def restore_and_continue(snapshot: Snapshot, total_ms: float) -> RunRig:
     """The replay-based restore: rebuild, replay to T (verified), run to Δ.
 
     Raises :class:`~repro.errors.SnapshotMismatchError` if the replayed
     state at ``T`` diverges from the snapshot — determinism was broken.
     """
     recipe = snapshot.recipe
-    harness = build_harness(recipe["emulator"], recipe["app"], seed=recipe["seed"])
-    harness.sim.run(until=snapshot.state["sim_now"])
-    recaptured = Snapshot.capture(harness.emulator, recipe=recipe)
+    rig = build_harness(recipe["emulator"], recipe["app"], seed=recipe["seed"])
+    rig.sim.run(until=snapshot.state["sim_now"])
+    recaptured = Snapshot.capture(rig.emulator, recipe=recipe)
     snapshot.verify_against(recaptured)
-    harness.sim.run(until=total_ms)
-    return harness
+    rig.sim.run(until=total_ms)
+    return rig
 
 
 def checkpoint_restore_matrix(
@@ -184,10 +166,11 @@ def _quiesced_digest(state: Dict[str, Any]) -> str:
 
 
 def snapshot_roundtrip_check(
-    emulator_name: str = "vSoC", app_name: str = "video", cut_ms: float = 2_500.0
+    emulator_name: str = "vSoC", app_name: str = "video", cut_ms: float = 2_500.0,
+    seed: int = 0,
 ) -> Dict[str, Any]:
     """Serialization + direct-restore round-trip, and corruption rejection."""
-    snapshot = capture_at(emulator_name, app_name, 0, cut_ms)
+    snapshot = capture_at(emulator_name, app_name, seed, cut_ms)
     document = snapshot.to_json()
 
     # Serialize → parse must be lossless.
@@ -196,11 +179,7 @@ def snapshot_roundtrip_check(
 
     # Direct component restore into a *bare* emulator (no app processes to
     # perturb state), then recapture and compare quiesced digests.
-    sim = Simulator()
-    machine = build_machine(sim, HIGH_END_DESKTOP)
-    bare = EMULATOR_FACTORIES[emulator_name](
-        sim, machine, trace=TraceLog(), rng=random.Random(0)
-    )
+    bare = build_rig(emulator_name, seed=seed).emulator
     reloaded.restore_into(bare)
     recaptured = Snapshot.capture(bare, recipe=reloaded.recipe)
     roundtrip_ok = _quiesced_digest(recaptured.state) == _quiesced_digest(
@@ -230,7 +209,7 @@ def snapshot_roundtrip_check(
 
 
 def crash_recovery_check(
-    quick: bool = False, strict_audit: bool = False
+    quick: bool = False, strict_audit: bool = False, seed: int = 0
 ) -> Dict[str, Any]:
     """Crash-chaos scenarios: completion, re-admission, bounded frame drop.
 
@@ -248,15 +227,15 @@ def crash_recovery_check(
     # The latest crash lands at 6 000 ms; the run must extend past its
     # downtime so re-admission (and the recovered steady state) is visible.
     duration = 8_000.0 if quick else 10_000.0
-    baseline = run_chaos(plan=FaultPlan(), duration_ms=duration)
+    baseline = run_chaos(plan=FaultPlan(), duration_ms=duration, seed=seed)
     scenarios = {
         "crash-only": crash_chaos_plan(),
         "crash-plus-faults": crash_with_faults_plan(),
     }
     out: Dict[str, Any] = {"baseline_fps": baseline.fps, "scenarios": {}}
     for label, plan in scenarios.items():
-        result = run_chaos(plan=plan, duration_ms=duration, audit=True,
-                           strict_audit=strict_audit)
+        result = run_chaos(plan=plan, duration_ms=duration, seed=seed,
+                           audit=True, strict_audit=strict_audit)
         out["scenarios"][label] = {
             "fps": result.fps,
             "steady_fps": result.steady_fps,
@@ -279,6 +258,7 @@ def audited_grid_check(
     quick: bool = False,
     emulators: Tuple[str, ...] = ("vSoC", "GAE", "Trinity"),
     strict_audit: bool = False,
+    seed: int = 0,
 ) -> Dict[str, Any]:
     """Run the non-chaos grid with the auditor on: must be violation-free."""
     duration = 4_000.0 if quick else 8_000.0
@@ -287,16 +267,16 @@ def audited_grid_check(
     for emulator_name in emulators:
         for app_name in APP_FACTORIES:
             try:
-                harness = build_harness(emulator_name, app_name, seed=0)
+                rig = build_harness(emulator_name, app_name, seed=seed)
             except RuntimeError:
                 # Not every emulator supports every workload (e.g. no
                 # camera passthrough); an unsupported cell is not a
                 # coherence violation.
                 grid[f"{emulator_name}/{app_name}"] = {"skipped": True}
                 continue
-            auditor = install_auditor(harness.emulator,
+            auditor = install_auditor(rig.emulator,
                                       raise_on_violation=strict_audit)
-            harness.sim.run(until=duration)
+            rig.sim.run(until=duration)
             auditor.sweep()  # one final sweep at the end state
             report = auditor.report()
             grid[f"{emulator_name}/{app_name}"] = {
@@ -336,7 +316,7 @@ def cmd_recover(
     total = 5_000.0 if quick else 6_000.0
 
     print("Snapshot round-trip + corruption rejection:")
-    roundtrip = snapshot_roundtrip_check()
+    roundtrip = snapshot_roundtrip_check(seed=seed)
     for key, value in roundtrip.items():
         print(f"  {key}: {value}")
 
@@ -348,7 +328,8 @@ def cmd_recover(
 
     try:
         print("\nDevice-crash recovery:")
-        crash = crash_recovery_check(quick=quick, strict_audit=strict_audit)
+        crash = crash_recovery_check(quick=quick, strict_audit=strict_audit,
+                                     seed=seed)
         print(f"  baseline fps: {crash['baseline_fps']:.1f}")
         for label, r in crash["scenarios"].items():
             print(
@@ -359,7 +340,8 @@ def cmd_recover(
             )
 
         print("\nAudited non-chaos grid:")
-        audited = audited_grid_check(quick=quick, strict_audit=strict_audit)
+        audited = audited_grid_check(quick=quick, strict_audit=strict_audit,
+                                     seed=seed)
     except InvariantViolation as err:
         print(f"\nFAILED: invariant {err.invariant!r} violated under "
               f"strict audit: {err}")

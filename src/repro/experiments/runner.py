@@ -4,9 +4,10 @@ Every run builds a fresh simulator, machine and emulator, installs the app
 and runs for a fixed simulated duration. Runs are pure functions of their
 seeds — rerunning an experiment reproduces its numbers bit-for-bit.
 
-:func:`build_rig` is the one construction path (app runs, the ``observe``
-command and scenarios all use it) and :func:`drive` the one run path for
-a single app, observed or not. :func:`run_app` is the in-process primitive
+:func:`build_rig` is the one construction path for a single-emulator run
+(app runs, ``observe``, scenarios, chaos, recovery, Table 2, the ablations
+and trace replay all use it) and :func:`drive` the one run path for an app
+or an app mix, observed or not. :func:`run_app` is the in-process primitive
 (it is what the engine's workers execute); :func:`run_category` and
 :func:`run_emulator_suite` are sweep helpers that route through
 :mod:`repro.experiments.engine` for parallelism and memoization when given
@@ -58,7 +59,8 @@ class RunRig:
     """What one run is built from: clock, machine, trace log, emulator.
 
     ``obs`` is the run's :class:`~repro.obs.Observability`, or None for an
-    unobserved run.
+    unobserved run. ``emulator_name`` is the name the rig was built under,
+    which every :class:`AppResult` of the run reports.
     """
 
     sim: Simulator
@@ -66,6 +68,7 @@ class RunRig:
     trace: TraceLog
     obs: Optional["Observability"]  # noqa: F821
     emulator: Emulator
+    emulator_name: str
 
 
 def build_rig(
@@ -83,46 +86,51 @@ def build_rig(
     a fresh simulator. ``factory`` overrides the emulator constructor
     (used for the §5.4 ablations); like every registered factory it takes
     ``obs=``.
+
+    The density experiment is the one harness that builds its own: its
+    emulators share one machine, which a rig does not.
     """
     sim = obs.sim if obs is not None else Simulator()
     machine = build_machine(sim, machine_spec)
     trace = TraceLog()
     make = factory if factory is not None else EMULATOR_FACTORIES[emulator_name]
     emulator = make(sim, machine, trace=trace, rng=random.Random(seed), obs=obs)
-    return RunRig(sim=sim, machine=machine, trace=trace, obs=obs, emulator=emulator)
+    return RunRig(sim, machine, trace, obs, emulator, emulator_name)
 
 
 def drive(
     rig: RunRig,
-    app: App,
-    emulator_name: str,
+    apps: Sequence[App],
     duration_ms: float,
     attribution: bool = False,
-) -> Tuple[bool, AppResult, Optional["LatencyBudget"]]:  # noqa: F821
-    """Install ``app`` on the rig, run the clock, collect the result.
+) -> Tuple[List[bool], List[AppResult], Optional["LatencyBudget"]]:  # noqa: F821
+    """Install ``apps`` on the rig, run the clock, collect every result.
 
-    Returns ``(installed, result, budget)``. On an observed rig this is
-    also where the run's metrics view is derived
+    Returns ``(installed, results, budget)`` with one ``installed`` flag
+    and one result per app. The clock always runs to ``duration_ms``,
+    even when no app installed. On an observed rig this is also where the
+    run's metrics view is derived
     (:func:`~repro.obs.telemetry.derive_run_metrics`), after the clock
     stops, and where ``attribution`` folds the run's causal spans into a
     :class:`~repro.obs.critical.LatencyBudget`. Both are post-hoc reads
     of what the run recorded anyway, so FPS/latency digests are
     bit-identical either way.
     """
-    installed = app.install(rig.sim, rig.emulator)
-    if installed:
-        rig.sim.run(until=duration_ms)
-    result = app.collect(emulator_name, duration_ms)
+    installed = [app.install(rig.sim, rig.emulator) for app in apps]
+    rig.sim.run(until=duration_ms)
+    results = [app.collect(rig.emulator_name, duration_ms) for app in apps]
     budget = None
     if rig.obs is not None:
         from repro.obs.telemetry import derive_run_metrics
 
-        derive_run_metrics(rig.obs.registry, rig.trace, rig.emulator, app.fps)
+        derive_run_metrics(
+            rig.obs.registry, rig.trace, rig.emulator, [app.fps for app in apps]
+        )
         if attribution:
             from repro.obs.critical import analyze_tracer
 
             budget = analyze_tracer(rig.obs.tracer)
-    return installed, result, budget
+    return installed, results, budget
 
 
 def run_app(
@@ -165,8 +173,8 @@ def run_app(
 
         obs = Observability(Simulator())
     rig = build_rig(emulator_name, machine_spec, seed, factory=factory, obs=obs)
-    installed, result, budget = drive(
-        rig, app, emulator_name, duration_ms, attribution=attribution
+    (installed,), (result,), budget = drive(
+        rig, [app], duration_ms, attribution=attribution
     )
     return AppRun(
         result=result,

@@ -2,7 +2,7 @@
 
 * :func:`derive_run_metrics` — the capture-time metrics view: it builds an
   observed run's registry instruments from the stores that already hold
-  each fact (the ``TraceLog``, the frame collector, component counters).
+  each fact (the ``TraceLog``, the frame collectors, component counters).
   It is the only code that writes to a registry, so no component mirrors
   a fact into the registry while the run is live.
 * :class:`TelemetrySnapshot` — a frozen, picklable digest of one run's
@@ -19,7 +19,7 @@ no randomness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.metrics.collectors import ResilienceStats
 from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
@@ -35,13 +35,16 @@ def _labels_key(labels: Mapping[str, Any]) -> LabelKey:
 # The capture-time metrics view
 # ---------------------------------------------------------------------------
 
-def derive_run_metrics(registry: MetricsRegistry, trace, emulator, fps) -> None:
+def derive_run_metrics(
+    registry: MetricsRegistry, trace, emulator, fps_collectors: Sequence[Any]
+) -> None:
     """Build an observed run's instruments once, at capture.
 
     Reads the run's :class:`~repro.sim.tracing.TraceLog` in record order
     (so each histogram's reservoir keeps the same samples a live mirror
-    would), the app's :class:`~repro.metrics.collectors.FpsCollector`, and
-    the emulator's own counters, after the clock stops.
+    would), the apps' :class:`~repro.metrics.collectors.FpsCollector` (one
+    per app; ``frames.*`` sum across them), and the emulator's own
+    counters, after the clock stops.
 
     An event-driven instrument appears only once its source saw an event;
     the ``resilience.*`` / ``audit.violations_total`` summary always
@@ -49,10 +52,12 @@ def derive_run_metrics(registry: MetricsRegistry, trace, emulator, fps) -> None:
     SVM manager puts on a scored read's ``svm.slack`` record, and
     ``bus.utilization`` is each link's busy time over the whole run.
     """
-    if fps.presented:
-        registry.counter("frames.presented").inc(fps.presented)
-    for reason, count in fps.dropped.items():
-        registry.counter("frames.dropped", reason=reason).inc(count)
+    presented = sum(fps.presented for fps in fps_collectors)
+    if presented:
+        registry.counter("frames.presented").inc(presented)
+    for fps in fps_collectors:
+        for reason, count in fps.dropped.items():
+            registry.counter("frames.dropped", reason=reason).inc(count)
     for name, label, record_kind, field_name in (
         ("svm.access_latency_ms", "vdev", "svm.access_latency", "latency"),
         ("coherence.duration_ms", "path", "coherence.maintenance", "duration"),

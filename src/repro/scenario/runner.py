@@ -1,11 +1,12 @@
 """Execute a compiled scenario: one simulator, faults + auditor installed.
 
 :func:`run_scenario` is the in-process primitive (the scenario analogue
-of :func:`repro.experiments.runner.run_app`): it builds the machine and
-emulator, arms the fault injector and the invariant auditor, installs
-every app, runs the clock and returns a :class:`ScenarioResult` whose
-``digest`` is a stable hash of all per-app FPS/latency numbers — the
-value the bit-identity and round-trip tests compare.
+of :func:`repro.experiments.runner.run_app`): it builds the rig, arms the
+fault injector, the invariant auditor and the thermal schedule, runs the
+app mix through :func:`~repro.experiments.runner.drive` and returns a
+:class:`ScenarioResult` whose ``digest`` is a stable hash of all per-app
+FPS/latency numbers — the value the bit-identity and round-trip tests
+compare.
 
 :func:`scenario_point` is the engine entry point
 (``PointSpec(fn="repro.scenario.runner:scenario_point")``): it takes the
@@ -25,7 +26,7 @@ from typing import Any, Dict, List, Mapping, Optional, Union
 from repro.apps.base import AppResult
 from repro.apps.catalog import build_app
 from repro.errors import InvariantViolation, ReproError
-from repro.experiments.runner import build_rig
+from repro.experiments.runner import build_rig, drive
 from repro.faults import FaultInjector
 from repro.metrics.collectors import ResilienceStats
 from repro.recovery.audit import install_auditor
@@ -121,43 +122,34 @@ def run_scenario(
 
         obs = Observability(Simulator())
     rig = build_rig(compiled.emulator, compiled.machine_spec, compiled.seed, obs=obs)
-    sim, machine, trace, emulator = rig.sim, rig.machine, rig.trace, rig.emulator
 
-    injector = FaultInjector(sim, compiled.plan, seed=compiled.seed, trace=trace)
+    injector = FaultInjector(rig.sim, compiled.plan, seed=compiled.seed, trace=rig.trace)
     if not compiled.plan.is_empty():
-        injector.install(emulator)
+        injector.install(rig.emulator)
 
     # Auditor before app installs, matching the chaos harness order.
     auditor = install_auditor(
-        emulator,
+        rig.emulator,
         interval_ms=compiled.audit_interval_ms,
         fence_wait_deadline_ms=compiled.fence_deadline_ms,
         raise_on_violation=strict_audit,
     )
 
-    apps = [build_app(params) for params in compiled.app_params]
-    installed = [app.install(sim, emulator) for app in apps]
-
     thermal_applied = 0
     for time_ms, device_name, busy_ms in compiled.thermal:
-        device = machine.devices.get(device_name)
+        device = rig.machine.devices.get(device_name)
         model = getattr(device, "thermal", None)
         if model is None:
             continue  # this device has no thermal model on this machine
-        sim.schedule(time_ms, model.note_busy, busy_ms)
+        rig.sim.schedule(time_ms, model.note_busy, busy_ms)
         thermal_applied += 1
 
-    sim.run(until=horizon)
+    apps = [build_app(params) for params in compiled.app_params]
+    _, results, budget = drive(rig, apps, horizon, attribution=attribution)
     auditor.sweep()  # final sweep at the horizon
 
-    resilience = ResilienceStats(trace)
-    results = [app.collect(compiled.emulator, horizon) for app in apps]
+    resilience = ResilienceStats(rig.trace)
     report = auditor.report()
-    budget = None
-    if obs is not None:
-        from repro.obs.critical import analyze_tracer
-
-        budget = analyze_tracer(obs.tracer)
     return ScenarioResult(
         name=compiled.name,
         emulator=compiled.emulator,
@@ -177,7 +169,7 @@ def run_scenario(
         ),
         injected=injector.stats.as_dict(),
         thermal_applied=thermal_applied,
-        trace=trace if keep_trace else None,
+        trace=rig.trace if keep_trace else None,
         budget=budget,
     )
 

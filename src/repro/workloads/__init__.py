@@ -2,8 +2,9 @@
 
 The §2.3 measurement methodology as a reusable artifact: capture the
 shared-memory access pattern an app produced on one emulator, then replay
-that exact pattern (open loop) against any other emulator — isolating the
-memory architecture's cost from app-side feedback effects.
+that exact sequence against any other emulator, each event no earlier than
+its recorded time — isolating the memory architecture's cost from app-side
+feedback effects.
 """
 
 from repro.workloads.trace import (

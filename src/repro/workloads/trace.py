@@ -3,14 +3,18 @@
 A :class:`WorkloadTrace` is the sequence of shared-memory events an app
 produced: allocations, frees, and device accesses with their timestamps
 and dirty sizes. Traces come from a live run (:func:`record_workload`) or
-from JSON (:meth:`WorkloadTrace.load`), and replay open-loop against any
-emulator (:func:`replay_workload`): each write/read is re-issued at its
-recorded time, whatever the target emulator's coherence costs.
+from JSON (:meth:`WorkloadTrace.load`), and replay against any emulator
+(:func:`replay_workload`): each event is issued no earlier than its
+recorded time, and replay waits for each write/read to finish before it
+issues the next event, so an emulator with slower coherence falls behind
+the recording.
 
-Open-loop replay answers a question the closed-loop app benchmarks cannot:
-*with the access pattern held exactly constant*, how much time does each
-memory architecture spend on coherence? (In closed loop, a slow emulator
-slows the app down, which reduces its access rate, which hides cost.)
+Replay answers a question the closed-loop app benchmarks cannot: *with the
+access sequence and sizes held constant*, how much time does each memory
+architecture spend on coherence? (In closed loop, a slow emulator slows
+the app down, which reduces its access rate, which hides cost.) A replay
+that falls behind stops at the horizon, one second past the recording's
+end, and reports how many events it issued by then.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from typing import Any, Dict, Generator, List, Optional
 
 from repro.emulators.base import Emulator
 from repro.errors import ConfigurationError
+from repro.hw.machine import HIGH_END_DESKTOP, MachineSpec
 from repro.metrics.collectors import SvmStats
 from repro.sim import Simulator, Timeout
 from repro.sim.tracing import TraceLog
@@ -135,10 +140,14 @@ class ReplayResult:
     bytes_copied: int
 
 
-def _replay_driver(sim: Simulator, emulator: Emulator,
-                   trace: WorkloadTrace) -> Generator[Any, Any, int]:
+def _replay_driver(sim: Simulator, emulator: Emulator, trace: WorkloadTrace,
+                   issued: List[TraceEvent]) -> Generator[Any, Any, None]:
+    """Issue the trace's events in order, appending each to ``issued``.
+
+    An access counts once it is issued, so a replay the horizon cuts
+    short still reports how far it got.
+    """
     handles: Dict[int, int] = {}
-    replayed = 0
     for event in trace.events:
         if event.time > sim.now:
             yield Timeout(event.time - sim.now)
@@ -148,59 +157,51 @@ def _replay_driver(sim: Simulator, emulator: Emulator,
             handle = handles.pop(event.region, None)
             if handle is not None:
                 emulator.svm_free(handle)
-        elif event.kind in ("write", "read"):
-            handle = handles.get(event.region)
-            if handle is None:
-                continue  # accesses before the alloc record: skip
-            vdev = event.vdev if emulator.has_vdev(event.vdev) else "cpu"
-            write_op, read_op = _REPLAY_OPS.get(vdev, ("memcpy", "memcpy"))
-            op = write_op if event.kind == "write" else read_op
+        elif event.region not in handles:
+            continue  # accesses before the alloc record: skip
+        issued.append(event)
+        if event.kind not in ("write", "read"):
+            continue
+        handle = handles[event.region]
+        vdev = event.vdev if emulator.has_vdev(event.vdev) else "cpu"
+        write_op, read_op = _REPLAY_OPS.get(vdev, ("memcpy", "memcpy"))
+        op = write_op if event.kind == "write" else read_op
+        if not emulator.physical_for(vdev).supports(op):
+            op = emulator.decode_op() if vdev == "codec" else "memcpy"
             if not emulator.physical_for(vdev).supports(op):
-                op = emulator.decode_op() if vdev == "codec" else "memcpy"
-                if not emulator.physical_for(vdev).supports(op):
-                    vdev, op = "cpu", "memcpy"
-            if event.kind == "write":
-                result = yield from emulator.stage(
-                    vdev, op, event.nbytes, writes=[handle]
-                )
-            else:
-                result = yield from emulator.stage(
-                    vdev, op, event.nbytes, reads=[handle]
-                )
-            yield result.done
-        replayed += 1
-    return replayed
+                vdev, op = "cpu", "memcpy"
+        if event.kind == "write":
+            result = yield from emulator.stage(
+                vdev, op, event.nbytes, writes=[handle]
+            )
+        else:
+            result = yield from emulator.stage(
+                vdev, op, event.nbytes, reads=[handle]
+            )
+        yield result.done
 
 
 def replay_workload(
     trace: WorkloadTrace,
     emulator_name: str,
-    machine_spec=None,
+    machine_spec: MachineSpec = HIGH_END_DESKTOP,
     seed: int = 0,
 ) -> ReplayResult:
     """Replay a trace against one emulator; returns its coherence bill."""
-    import random
+    from repro.experiments.runner import build_rig
 
-    from repro.emulators import EMULATOR_FACTORIES
-    from repro.hw.machine import HIGH_END_DESKTOP, build_machine
+    rig = build_rig(emulator_name, machine_spec, seed)
+    issued: List[TraceEvent] = []
+    rig.sim.spawn(_replay_driver(rig.sim, rig.emulator, trace, issued), name="replay")
+    rig.sim.run(until=trace.duration_ms + 1_000.0)
 
-    spec = machine_spec if machine_spec is not None else HIGH_END_DESKTOP
-    sim = Simulator()
-    machine = build_machine(sim, spec)
-    log = TraceLog()
-    emulator = EMULATOR_FACTORIES[emulator_name](
-        sim, machine, trace=log, rng=random.Random(seed)
-    )
-    driver = sim.spawn(_replay_driver(sim, emulator, trace), name="replay")
-    sim.run(until=trace.duration_ms + 1_000.0)
-
-    stats = SvmStats(log, trace.duration_ms or 1.0)
+    stats = SvmStats(rig.trace, trace.duration_ms or 1.0)
     coherence = stats.coherence_durations()
-    copied = sum(int(r["bytes"]) for r in log.of_kind("coherence.maintenance"))
+    copied = sum(int(r["bytes"]) for r in rig.trace.of_kind("coherence.maintenance"))
     return ReplayResult(
         trace_name=trace.name,
         emulator=emulator_name,
-        events_replayed=driver.value if driver.value is not None else 0,
+        events_replayed=len(issued),
         total_coherence_ms=sum(coherence),
         mean_coherence_ms=stats.average_coherence_cost(),
         mean_access_latency_ms=stats.average_access_latency(),

@@ -27,10 +27,10 @@ DURATION_MS = 1_500.0
 
 
 def _app(app_name: str):
-    from repro.experiments.engine import resolve_factory
+    from repro.apps.catalog import resolve_callable
     from repro.experiments.explain import APP_FACTORIES
 
-    return resolve_factory(APP_FACTORIES[app_name])()
+    return resolve_callable(APP_FACTORIES[app_name])()
 
 
 def _attributed_run(app_name: str, emulator: str, seed: int = 0):

@@ -394,7 +394,7 @@ def test_observed_run_is_bit_identical_and_connected():
     rig = build_rig("vSoC", HIGH_END_DESKTOP, seed=0, obs=obs)
     emulator = rig.emulator
     app = UhdVideoApp()
-    installed, _, _ = drive(rig, app, "vSoC", 1_500.0)
+    (installed,), _, _ = drive(rig, [app], 1_500.0)
     assert installed
 
     # observability never perturbs the simulation: identical frame times
@@ -423,6 +423,31 @@ def test_observed_run_is_bit_identical_and_connected():
         m for m in metrics["metrics"] if m["name"] == "frames.presented"
     )
     assert presented["value"] == float(app.fps.presented)
+
+
+def test_drive_sums_frame_metrics_across_an_app_mix():
+    from repro.apps.camera import CameraApp
+    from repro.apps.video import UhdVideoApp
+    from repro.experiments.runner import build_rig, drive
+
+    obs = Observability(Simulator())
+    rig = build_rig("vSoC", HIGH_END_DESKTOP, seed=0, obs=obs)
+    installed, results, _ = drive(rig, [UhdVideoApp(), CameraApp()], 1_500.0)
+    assert installed == [True, True]
+    assert all(result.presented > 0 for result in results)
+
+    metrics = obs.export_metrics()["metrics"]
+    presented = [m["value"] for m in metrics if m["name"] == "frames.presented"]
+    assert presented == [float(sum(result.presented for result in results))]
+    dropped = {
+        m["labels"]["reason"]: m["value"]
+        for m in metrics if m["name"] == "frames.dropped"
+    }
+    expected = {}
+    for result in results:
+        for reason, count in result.dropped.items():
+            expected[reason] = expected.get(reason, 0) + count
+    assert dropped == expected
 
 
 def test_disabled_observability_adds_zero_records():
@@ -478,6 +503,14 @@ def test_observe_cli_writes_artifacts(tmp_path):
     assert metrics["app"] == "uhd-video"
     assert any(m["name"] == "bus.utilization" for m in metrics["metrics"])
     assert "profile" in metrics
+
+
+def test_observe_resolves_emulator_names_like_explain():
+    from repro.experiments.observe import run_observe
+
+    run = run_observe(app="ar", emulator="qemu_kvm", duration_ms=500.0)
+    assert run.result.emulator == "QEMU-KVM"
+    assert run.metrics["emulator"] == "QEMU-KVM"
 
 
 def test_observe_cli_rejects_unknown_app():

@@ -15,6 +15,7 @@ Covers the robustness contract end to end:
   ``FifoQueue.reset``) honour their contracts.
 """
 
+import json
 import random
 
 import pytest
@@ -219,6 +220,24 @@ def test_restore_then_run_bit_matches_uninterrupted(emulator_name, app_name):
         resumed_tail = [t for t in trace_tuples(resumed.trace) if t[0] >= cut_ms]
         reference_tail = [t for t in ref_tuples if t[0] >= cut_ms]
         assert resumed_tail == reference_tail, f"diverged after restore at {cut_ms}"
+
+
+def test_recover_runs_its_crash_scenarios_at_the_given_seed(tmp_path):
+    """``recover --seed N`` runs its crash scenarios at seed N, not 0."""
+    from repro.experiments.chaos import crash_with_faults_plan, run_chaos
+    from repro.experiments.recover import cmd_recover
+
+    path = tmp_path / "report.json"
+    assert cmd_recover(quick=True, seed=1, report_path=str(path)) == 0
+    report = json.loads(path.read_text())
+    assert report["seed"] == 1
+    at_seed = {
+        seed: run_chaos(plan=crash_with_faults_plan(), duration_ms=8_000.0, seed=seed)
+        for seed in (0, 1)
+    }
+    assert at_seed[0].fps != at_seed[1].fps
+    scenario = report["crash_recovery"]["scenarios"]["crash-plus-faults"]
+    assert scenario["fps"] == at_seed[1].fps
 
 
 # -- the invariant auditor ----------------------------------------------------

@@ -140,6 +140,24 @@ def test_mixed_chaos_scenario_recovers():
     assert all(app.ran for app in result.apps)
 
 
+#: Run digests of the committed scenarios: a change that moves one changed
+#: what that scenario simulates.
+COMMITTED_SCENARIO_DIGESTS = {
+    "ar": "6b919de8bdebad8e88c108b5d044405b433b31910a9ac0fbbded48cd09084f33",
+    "video": "9cc6050605aa65f25262d7a46614e695da77ff3b08fd1f819b753e7409b0be16",
+    "mixed-chaos": "19d9f48db1d491ab9771ecb57c1f447d3720d87159bcb8cac56a5db1b7dae9f4",
+    "video-codec-crash": "91b602d6a415c48ed543bcd7f9ffb38bf3b4a5e6c09c270c48e93912b5ee8804",
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMMITTED_SCENARIO_DIGESTS))
+def test_committed_scenario_digests_are_pinned(name):
+    doc = json.load(open(f"scenarios/{name}.json"))
+    outcome = scenario_point(canonical_json(doc))
+    assert outcome["status"] == "ok", outcome
+    assert outcome["digest"] == COMMITTED_SCENARIO_DIGESTS[name]
+
+
 # ---------------------------------------------------------------------------
 # FaultPlan serialization properties
 # ---------------------------------------------------------------------------
