@@ -20,7 +20,7 @@ copy: nothing for co-located data (the in-GPU zero-copy special case of
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Generator, List, Optional, TYPE_CHECKING
+from typing import Any, Dict, Generator, List, Optional, Sequence, TYPE_CHECKING
 
 from repro.core.degradation import (
     LEVEL_GUEST_ROUNDTRIP,
@@ -37,7 +37,7 @@ from repro.errors import (
 from repro.hw.bus import Bus
 from repro.hw.machine import HostMachine
 from repro.obs import DISABLED, Observability
-from repro.sim import RetryPolicy, Simulator, retrying, with_deadline
+from repro.sim import RetryPolicy, Simulator, Timeout, with_deadline
 from repro.sim.tracing import TraceLog
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -54,13 +54,18 @@ COPY_RETRY_POLICY = RetryPolicy(
 RECOVERABLE_COPY_ERRORS = (TransientCopyError, DeadlineExceededError)
 
 
+def _copy_label(src: str, dst: Optional[str]) -> str:
+    return f"copy:{src}->{dst}" if dst is not None else f"copy:{src}"
+
+
 class CopyPlanner:
     """Plans and executes coherence copies over the host topology.
 
-    The ``*_resilient`` variants wrap the plain copy processes in the
-    retry/watchdog machinery from :mod:`repro.sim.resilience`:
+    Each copy path — :meth:`copy_unified`, :meth:`copy_via_boundary` and
+    :meth:`copy_roundtrip` — runs its bus legs through one retry loop:
 
-    * each attempt is retried per ``retry_policy`` on transient faults;
+    * a copy that fails transiently is retried per ``retry_policy``, with
+      a ``retry.backoff`` trace record per retry;
     * when ``watchdog_margin`` is set, each attempt must finish within
       ``margin × queueing-free-estimate`` or it counts as failed (the
       orphaned transfer still drains its bus).
@@ -118,11 +123,8 @@ class CopyPlanner:
         return sum(bus.transfer_time(nbytes) for bus in self.unified_legs(src, dst))
 
     def copy_unified(self, src: str, dst: str, nbytes: int) -> Generator[Any, Any, float]:
-        """Process: perform a direct copy; returns elapsed ms."""
-        start = self._sim.now
-        for bus in self.unified_legs(src, dst):
-            yield from bus.transfer(nbytes)
-        return self._sim.now - start
+        """Process: a direct copy; returns the elapsed ms of the attempt that landed."""
+        return self._copy(self.unified_legs(src, dst), nbytes, src, dst)
 
     # -- guest-memory (baseline) paths -------------------------------------------
     def copy_via_boundary(self, nbytes: int) -> Generator[Any, Any, float]:
@@ -132,101 +134,77 @@ class CopyPlanner:
         include the device-side leg (see :mod:`repro.hw.machine`), so a
         full baseline maintenance is exactly two of these.
         """
-        start = self._sim.now
-        yield from self.boundary.transfer(nbytes)
-        return self._sim.now - start
+        return self._copy((self.boundary,), nbytes, "boundary")
 
     def estimate_boundary(self, nbytes: int) -> float:
         return self.boundary.transfer_time(nbytes)
 
-    def copy_boundary_roundtrip(self, nbytes: int) -> Generator[Any, Any, float]:
+    def copy_roundtrip(self, nbytes: int) -> Generator[Any, Any, float]:
         """Process: the full legacy 4-copy path — two boundary crossings.
 
         This is the deepest degradation rung: flush to guest memory, then
         fetch back out. Twice the boundary cost, but no dependence on the
         direct device links that keep faulting.
         """
-        start = self._sim.now
-        yield from self.boundary.transfer(nbytes)
-        yield from self.boundary.transfer(nbytes)
-        return self._sim.now - start
+        return self._copy((self.boundary, self.boundary), nbytes, "roundtrip")
 
-    def estimate_roundtrip(self, nbytes: int) -> float:
-        return 2 * self.boundary.transfer_time(nbytes)
-
-    # -- resilient variants --------------------------------------------------
-    def copy_unified_resilient(
-        self, src: str, dst: str, nbytes: int
+    # -- the retry loop ------------------------------------------------------
+    def _copy(
+        self, legs: Sequence[Bus], nbytes: int, src: str, dst: Optional[str] = None
     ) -> Generator[Any, Any, float]:
-        """Process: :meth:`copy_unified` with retries and optional watchdog."""
-        return (
-            yield from self._resilient(
-                lambda: self.copy_unified(src, dst, nbytes),
-                self.estimate_unified(src, dst, nbytes),
-                f"copy:{src}->{dst}",
-            )
-        )
+        """Move ``nbytes`` over ``legs`` in turn, retried per ``retry_policy``.
 
-    def copy_via_boundary_resilient(self, nbytes: int) -> Generator[Any, Any, float]:
-        """Process: :meth:`copy_via_boundary` with retries and optional watchdog."""
-        return (
-            yield from self._resilient(
-                lambda: self.copy_via_boundary(nbytes),
-                self.estimate_boundary(nbytes),
-                "copy:boundary",
-            )
-        )
-
-    def copy_roundtrip_resilient(self, nbytes: int) -> Generator[Any, Any, float]:
-        """Process: :meth:`copy_boundary_roundtrip` with retries/watchdog."""
-        return (
-            yield from self._resilient(
-                lambda: self.copy_boundary_roundtrip(nbytes),
-                self.estimate_roundtrip(nbytes),
-                "copy:roundtrip",
-            )
-        )
-
-    def _resilient(
-        self,
-        factory: Callable[[], Generator[Any, Any, float]],
-        estimate: float,
-        label: str,
-    ) -> Generator[Any, Any, float]:
-        """Retry ``factory`` per policy; watchdog each attempt when enabled."""
-        if self.watchdog_margin is not None and estimate > 0:
-            deadline = self.watchdog_margin * estimate + 1.0
-            attempt = factory
-
-            def factory() -> Generator[Any, Any, float]:
-                try:
-                    return (
-                        yield from with_deadline(
-                            self._sim, attempt(), deadline, name=label
-                        )
+        ``src``/``dst`` name the route in the ``copy:`` label of retry
+        records and watchdog processes (a boundary path passes its name as
+        ``src``); the label is built only when one of those needs it.
+        """
+        sim = self._sim
+        deadline = None
+        if self.watchdog_margin is not None:
+            estimate = sum(bus.transfer_time(nbytes) for bus in legs)
+            if estimate > 0:
+                deadline = self.watchdog_margin * estimate + 1.0
+        failures = 0
+        while True:
+            try:
+                if deadline is None:
+                    start = sim.now
+                    for bus in legs:
+                        yield from bus.transfer(nbytes)
+                    return sim.now - start
+                return (
+                    yield from with_deadline(
+                        sim, self._attempt(legs, nbytes), deadline,
+                        name=_copy_label(src, dst),
                     )
-                except DeadlineExceededError:
-                    self.watchdog_expiries += 1
-                    raise
-
-        def on_retry(failures: int, exc: BaseException) -> None:
-            self.copy_retries += 1
-
-        try:
-            return (
-                yield from retrying(
-                    self._sim,
-                    factory,
-                    self.retry_policy,
-                    retry_on=RECOVERABLE_COPY_ERRORS,
-                    name=label,
-                    trace=self.trace,
-                    on_retry=on_retry,
                 )
-            )
-        except RECOVERABLE_COPY_ERRORS:
-            self.copy_failures += 1
-            raise
+            except RECOVERABLE_COPY_ERRORS as err:
+                if isinstance(err, DeadlineExceededError):
+                    self.watchdog_expiries += 1
+                failures += 1
+                if self.retry_policy.exhausted(failures):
+                    self.copy_failures += 1
+                    raise
+                delay = self.retry_policy.delay_before_retry(failures)
+                if self.trace is not None:
+                    self.trace.record(
+                        sim.now,
+                        "retry.backoff",
+                        op=_copy_label(src, dst),
+                        attempt=failures,
+                        delay=delay,
+                        error=type(err).__name__,
+                    )
+                self.copy_retries += 1
+                if delay > 0:
+                    yield Timeout(delay)
+
+    def _attempt(self, legs: Sequence[Bus], nbytes: int) -> Generator[Any, Any, float]:
+        """Process: one watchdogged attempt; returns its elapsed ms."""
+        start = self._sim.now
+        for bus in legs:
+            yield from bus.transfer(nbytes)
+        return self._sim.now - start
 
     # -- helpers -------------------------------------------------------------
     def _link(self, location: str) -> Bus:
@@ -253,9 +231,6 @@ class CoherenceProtocol:
     * :meth:`executor_before_read` — host executor, after the wait fence
       and before the read op; the correctness net for data that guest-side
       logic did not wait for.
-    * :meth:`write_compensation` — guest driver, after dispatching a
-      write; returns ms the driver must keep blocking (the adaptive
-      synchronism of §3.3).
     """
 
     name = "abstract"
@@ -277,10 +252,6 @@ class CoherenceProtocol:
     ) -> Generator[Any, Any, None]:
         raise NotImplementedError  # pragma: no cover - interface
         yield  # pragma: no cover
-
-    def write_compensation(self, region: SvmRegion) -> float:
-        """Extra blocking (ms) the guest driver owes after a write. 0 here."""
-        return 0.0
 
 
 class UnifiedPrefetchProtocol(CoherenceProtocol):
@@ -342,13 +313,13 @@ class UnifiedPrefetchProtocol(CoherenceProtocol):
             try:
                 if level >= LEVEL_GUEST_ROUNDTRIP:
                     self.degraded_copies += 1
-                    duration = yield from self._planner.copy_roundtrip_resilient(
+                    duration = yield from self._planner.copy_roundtrip(
                         region.dirty_bytes
                     )
                     region.note_copy(GUEST_LOCATION)
                     tag = f"{path_tag}-degraded"
                 else:
-                    duration = yield from self._planner.copy_unified_resilient(
+                    duration = yield from self._planner.copy_unified(
                         src, reader_loc, region.dirty_bytes
                     )
                     tag = path_tag
@@ -425,10 +396,6 @@ class UnifiedPrefetchProtocol(CoherenceProtocol):
             if not region.is_valid_at(reader_loc):
                 yield from self._maintain(region, reader_loc, "executor-miss")
 
-    def write_compensation(self, region: SvmRegion) -> float:
-        """The engine computed this at launch time (§3.3's time delta)."""
-        return region.pending_compensation
-
 
 class UnifiedWriteInvalidate(CoherenceProtocol):
     """The §5.4 ablation: direct paths, but lazy and synchronous.
@@ -467,7 +434,7 @@ class UnifiedWriteInvalidate(CoherenceProtocol):
                     "coherence.copy", "coherence", cat="coherence", flow=region.flow,
                     region=region.region_id, bytes=region.dirty_bytes,
                 )
-            duration = yield from self._planner.copy_unified_resilient(
+            duration = yield from self._planner.copy_unified(
                 region.last_writer_location or HOST_LOCATION,
                 reader_loc,
                 region.dirty_bytes,
@@ -497,7 +464,7 @@ class UnifiedWriteInvalidate(CoherenceProtocol):
                     "coherence.copy", "coherence", cat="coherence", flow=region.flow,
                     region=region.region_id, bytes=region.dirty_bytes,
                 )
-            duration = yield from self._planner.copy_unified_resilient(
+            duration = yield from self._planner.copy_unified(
                 region.last_writer_location or HOST_LOCATION,
                 reader_loc,
                 region.dirty_bytes,
@@ -562,7 +529,7 @@ class UnifiedBroadcast(CoherenceProtocol):
             if prefetch is not None and reader_loc in region.prefetch_targets:
                 yield prefetch  # join the in-flight broadcast
             if not region.is_valid_at(reader_loc):  # miss, or the push failed
-                duration = yield from self._planner.copy_unified_resilient(
+                duration = yield from self._planner.copy_unified(
                     region.last_writer_location or HOST_LOCATION,
                     reader_loc,
                     region.dirty_bytes,
@@ -604,7 +571,7 @@ class UnifiedBroadcast(CoherenceProtocol):
                 region=region.region_id, bytes=region.dirty_bytes, dst=dst,
             )
         try:
-            duration = yield from self._planner.copy_unified_resilient(
+            duration = yield from self._planner.copy_unified(
                 src, dst, region.dirty_bytes
             )
         except RECOVERABLE_COPY_ERRORS as err:
@@ -641,7 +608,7 @@ class UnifiedBroadcast(CoherenceProtocol):
             if prefetch is not None and reader_loc in region.prefetch_targets:
                 yield prefetch
             if not region.is_valid_at(reader_loc):  # miss, or the push failed
-                duration = yield from self._planner.copy_unified_resilient(
+                duration = yield from self._planner.copy_unified(
                     region.last_writer_location or HOST_LOCATION,
                     reader_loc,
                     region.dirty_bytes,
@@ -709,7 +676,7 @@ class GuestMemoryWriteInvalidate(CoherenceProtocol):
                 "coherence.flush", "coherence", cat="coherence", flow=region.flow,
                 region=region.region_id, bytes=region.dirty_bytes,
             )
-        duration = yield from self._planner.copy_via_boundary_resilient(region.dirty_bytes)
+        duration = yield from self._planner.copy_via_boundary(region.dirty_bytes)
         region.note_copy(GUEST_LOCATION)
         region.last_flush_duration = duration
         if obs.enabled:
@@ -733,7 +700,7 @@ class GuestMemoryWriteInvalidate(CoherenceProtocol):
                 "coherence.copy", "coherence", cat="coherence", flow=region.flow,
                 region=region.region_id, bytes=region.dirty_bytes,
             )
-        duration = yield from self._planner.copy_via_boundary_resilient(region.dirty_bytes)
+        duration = yield from self._planner.copy_via_boundary(region.dirty_bytes)
         valid.add(reader_vdev)
         region.note_copy(reader_loc)
         flush_cost = region.last_flush_duration

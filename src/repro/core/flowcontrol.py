@@ -49,6 +49,9 @@ class MimdFlowControl:
         self.decrease = decrease
         self.in_flight = 0
         self._waiters: Deque[SimEvent] = deque()
+        # Shared by every dispatch the window admits at once.
+        self._granted = SimEvent(sim, name="mimd.dispatch")
+        self._granted.fire(None)
         self.throttle_events = 0
 
     def try_dispatch(self) -> bool:
@@ -62,11 +65,10 @@ class MimdFlowControl:
 
     def dispatch(self) -> Waitable:
         """Waitable that fires once a dispatch slot has been claimed."""
-        event = SimEvent(self._sim, name="mimd.dispatch")
         if self.try_dispatch():
-            event.fire(None)
-        else:
-            self._waiters.append(event)
+            return self._granted
+        event = SimEvent(self._sim, name="mimd.dispatch")
+        self._waiters.append(event)
         return event
 
     def complete(self) -> None:

@@ -63,6 +63,9 @@ class SvmManager:
         self._trace = trace
         self.page_map_cost = page_map_cost
         self.extra_access_overhead = extra_access_overhead
+        mapping_cost = page_map_cost + extra_access_overhead
+        # Every access pays the same mapping cost: one Timeout serves them all.
+        self._mapping = Timeout(mapping_cost) if mapping_cost > 0 else None
         self.chain_reaction_threshold = chain_reaction_threshold
         # Only VSync-scheduled render/composition threads suffer the
         # missed-frame chain reaction; pipeline worker threads just absorb
@@ -144,9 +147,8 @@ class SvmManager:
                 region=region_id, usage=usage.value, bytes=window,
             )
 
-        mapping_cost = self.page_map_cost + self.extra_access_overhead
-        if mapping_cost > 0:
-            yield Timeout(mapping_cost)
+        if self._mapping is not None:
+            yield self._mapping
         self._ensure_backing(region, location)
 
         if usage.reads:
@@ -254,8 +256,9 @@ class SvmManager:
         """Process (executor context): a write op finished on the host.
 
         Performs the invalidation, timestamps the write for slack
-        measurement, feeds the twin hypergraphs, and runs the protocol's
-        after-write hook (baseline flush, or vSoC prefetch launch).
+        measurement and feeds the twin hypergraphs at once, then returns
+        the protocol's after-write hook (baseline flush, or vSoC prefetch
+        launch) for the caller to run.
         """
         region = self.get(region_id)
         region.note_write(vdev, location, nbytes)
@@ -271,7 +274,7 @@ class SvmManager:
                 "svm.write_retired", vdev, cat="svm", flow=region.flow,
                 region=region_id, bytes=nbytes,
             )
-        yield from self.protocol.executor_after_write(region, vdev, location)
+        return self.protocol.executor_after_write(region, vdev, location)
 
     def host_before_read(
         self, region_id: int, vdev: str, location: str
@@ -279,7 +282,7 @@ class SvmManager:
         """Process (executor context): coherence net before a device read."""
         region = self.get(region_id)
         self._ensure_backing(region, location)
-        yield from self.protocol.executor_before_read(region, vdev, location)
+        return self.protocol.executor_before_read(region, vdev, location)
 
     # -- checkpoint / restore (repro.recovery.snapshot) ---------------------------
     def snapshot_state(self) -> Dict[str, Any]:

@@ -207,7 +207,7 @@ class PrefetchEngine:
                 region=region.region_id, src=src, dst=dst, bytes=region.dirty_bytes,
             )
         try:
-            duration = yield from self._planner.copy_unified_resilient(
+            duration = yield from self._planner.copy_unified(
                 src, dst, region.dirty_bytes
             )
         except RECOVERABLE_COPY_ERRORS as err:

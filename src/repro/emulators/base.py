@@ -433,7 +433,6 @@ class Emulator:
         """
         device = self._vdev(vdev)
         location = self.vdev_location(vdev)
-        start = self.sim.now
 
         read_regions = [self.manager.get(r) for r in reads]
         write_regions = [self.manager.get(r) for r in writes]
@@ -556,7 +555,7 @@ class Emulator:
 
     def compute(self, vdev: str, op: str, op_bytes: int = 0) -> Generator[Any, Any, StageResult]:
         """Process: a pure device op with no SVM regions (e.g. 3D game render)."""
-        return (yield from self.stage(vdev, op, op_bytes))
+        return self.stage(vdev, op, op_bytes)
 
     # -- convenience stage wrappers used by app pipelines ------------------------
     def decode_op(self) -> str:
@@ -582,12 +581,13 @@ class Emulator:
         exec_track = f"{vdev.name}/exec"
         while True:
             command = yield vdev.queue.get()
-            if isinstance(command, ExecCommand) and command.done.fired:
+            kind = type(command)
+            if kind is ExecCommand and command.done.fired:
                 # Aborted by crash recovery while still travelling through
                 # the (since reset) queue — its completion was already
                 # accounted; executing it would double-fire ``done``.
                 continue
-            if isinstance(command, WaitFenceCommand):
+            if kind is WaitFenceCommand:
                 if observed:
                     span = tracer.begin(
                         "fence.wait", exec_track, cat="fence", flow=command.flow
@@ -595,13 +595,13 @@ class Emulator:
                 yield command.fence.wait()
                 if observed:
                     tracer.end(span)
-            elif isinstance(command, SignalFenceCommand):
+            elif kind is SignalFenceCommand:
                 command.fence.signal()
                 if observed:
                     tracer.instant(
                         "fence.signal", exec_track, cat="fence", flow=command.flow
                     )
-            elif isinstance(command, ExecCommand):
+            elif kind is ExecCommand:
                 if observed:
                     span = tracer.begin(
                         f"exec:{command.op}", exec_track, cat="exec",

@@ -49,10 +49,9 @@ class SharedMemoryHal:
         """
         self.api_calls += 1
         location = self._emulator.vdev_location(caller)
-        latency = yield from self._emulator.manager.begin_access(
+        return self._emulator.manager.begin_access(
             caller, handle, usage, location, nbytes=nbytes
         )
-        return latency
 
     def end_access(self, handle: int, caller: str = "cpu") -> None:
         """End the access to the shared memory."""

@@ -109,6 +109,8 @@ class SurfaceFlinger:
         released (and counted as deadline misses when their MediaCodec
         deadline has passed — the §5.4 discard behaviour). A lone late
         frame still shows: players prefer late content over black frames.
+        The newest submission is rendered into the back framebuffer, then
+        composed for display; it is presented when the compose retires.
         """
         while not self._stopped:
             yield self._vsync.wait_next()
@@ -125,39 +127,35 @@ class SurfaceFlinger:
                 self._fps.note_dropped(reason)
                 submission.queue.release(submission.buffer)
                 submission = newer
-            yield from self._compose_and_present(submission)
 
-    def _compose_and_present(self, submission: _Submission) -> Generator[Any, Any, None]:
-        framebuffer = self._framebuffers[self._fb_index]
-        self._fb_index = 1 - self._fb_index
-        dirty = max(1, int(self.display_bytes * self.compose_dirty_fraction))
-
-        yield from self._emulator.stage(
-            "gpu",
-            "render",
-            self.display_bytes + self.render_extra_bytes,
-            reads=[submission.buffer.region_id],
-            writes=[framebuffer],
-            dirty_bytes=dirty,
-            flow=submission.meta.flow,
-        )
-        present = yield from self._emulator.stage(
-            "display", "compose", dirty, reads=[framebuffer],
-            flow=submission.meta.flow,
-        )
-        meta = submission.meta
-        done_at = yield present.done
-        self.frames_rendered += 1
-        obs = self._emulator.obs
-        if obs.enabled:
-            obs.tracer.instant(
-                "frame.presented", "display", cat="frame", flow=meta.flow,
-                sequence=meta.sequence, latency=done_at - meta.birth,
+            framebuffer = self._framebuffers[self._fb_index]
+            self._fb_index = 1 - self._fb_index
+            dirty = max(1, int(self.display_bytes * self.compose_dirty_fraction))
+            meta = submission.meta
+            yield from self._emulator.stage(
+                "gpu",
+                "render",
+                self.display_bytes + self.render_extra_bytes,
+                reads=[submission.buffer.region_id],
+                writes=[framebuffer],
+                dirty_bytes=dirty,
+                flow=meta.flow,
             )
-        self._fps.note_presented(done_at)
-        if self._latency is not None:
-            self._latency.note(done_at - meta.birth)
-        submission.queue.release(submission.buffer)
+            present = yield from self._emulator.stage(
+                "display", "compose", dirty, reads=[framebuffer], flow=meta.flow,
+            )
+            done_at = yield present.done
+            self.frames_rendered += 1
+            obs = self._emulator.obs
+            if obs.enabled:
+                obs.tracer.instant(
+                    "frame.presented", "display", cat="frame", flow=meta.flow,
+                    sequence=meta.sequence, latency=done_at - meta.birth,
+                )
+            self._fps.note_presented(done_at)
+            if self._latency is not None:
+                self._latency.note(done_at - meta.birth)
+            submission.queue.release(submission.buffer)
 
 
 class MediaService:

@@ -16,7 +16,7 @@ from typing import Any, Callable, Generator, Optional, Tuple
 
 from repro.errors import ConfigurationError, TransportDropError
 from repro.obs.span import NO_FLOW
-from repro.sim import RetryPolicy, Simulator, Timeout, retrying
+from repro.sim import RetryPolicy, Simulator, Timeout
 
 #: Optional fault hook: called once per kick with ``(transport, batch_size)``.
 #: Return ``None`` for a clean kick, ``("drop",)`` to lose the kick after its
@@ -75,46 +75,54 @@ class VirtioTransport:
         :attr:`amortized_cost` keeps its meaning under fault injection.
         ``flow`` stamps the kick's trace span with the frame it carries.
         """
+        return self._kick(batch_size, flow, None)
+
+    def kick_reliable(
+        self, batch_size: int = 1, flow: int = NO_FLOW
+    ) -> Generator[Any, Any, float]:
+        """Process: :meth:`kick`, retried per :data:`KICK_RETRY_POLICY` until
+        it lands; each dropped attempt is paid for and counted."""
+        return self._kick(batch_size, flow, KICK_RETRY_POLICY)
+
+    def _kick(
+        self, batch_size: int, flow: int, retry: Optional[RetryPolicy]
+    ) -> Generator[Any, Any, float]:
+        """Kick attempts until one lands; a drop raises when ``retry`` is
+        ``None`` or exhausted, and otherwise backs off and tries again."""
         obs = self._obs
-        if obs.enabled:
-            span = obs.tracer.begin("transport.kick", "transport", cat="transport",
-                                    flow=flow, batch=batch_size)
-        cost = self.dispatch_cost(batch_size)
-        self.kick_attempts += 1
-        verdict = self.fault_hook(self, batch_size) if self.fault_hook is not None else None
-        if verdict is not None and verdict[0] == "delay":
-            extra = float(verdict[1])
-            self.kicks_delayed += 1
-            self.delay_total_ms += extra
-            cost += extra
-        if cost > 0:
-            yield Timeout(cost)
-        if verdict is not None and verdict[0] == "drop":
+        failures = 0
+        while True:
+            if obs.enabled:
+                span = obs.tracer.begin("transport.kick", "transport", cat="transport",
+                                        flow=flow, batch=batch_size)
+            cost = self.dispatch_cost(batch_size)
+            self.kick_attempts += 1
+            verdict = self.fault_hook(self, batch_size) if self.fault_hook is not None else None
+            if verdict is not None and verdict[0] == "delay":
+                extra = float(verdict[1])
+                self.kicks_delayed += 1
+                self.delay_total_ms += extra
+                cost += extra
+            if cost > 0:
+                yield Timeout(cost)
+            if verdict is None or verdict[0] != "drop":
+                break
             self.kicks_dropped += 1
             if obs.enabled:
                 obs.tracer.end(span, dropped=True)
-            raise TransportDropError(
-                f"kick of {batch_size} command(s) lost across the boundary"
-            )
+            failures += 1
+            if retry is None or retry.exhausted(failures):
+                raise TransportDropError(
+                    f"kick of {batch_size} command(s) lost across the boundary"
+                )
+            delay = retry.delay_before_retry(failures)
+            if delay > 0:
+                yield Timeout(delay)
         self.kicks += 1
         self.commands += batch_size
         if obs.enabled:
             obs.tracer.end(span)
         return cost
-
-    def kick_reliable(
-        self, batch_size: int = 1, flow: int = NO_FLOW
-    ) -> Generator[Any, Any, float]:
-        """Process: :meth:`kick`, retried with backoff until it lands."""
-        return (
-            yield from retrying(
-                self._sim,
-                lambda: self.kick(batch_size, flow=flow),
-                KICK_RETRY_POLICY,
-                retry_on=(TransportDropError,),
-                name="transport.kick",
-            )
-        )
 
     @property
     def amortized_cost(self) -> float:

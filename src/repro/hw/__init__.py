@@ -6,7 +6,7 @@ memory by buses. The two machines from §5.1 (high-end desktop, middle-end
 laptop) are available as presets.
 """
 
-from repro.hw.bus import Bus, DmaEngine
+from repro.hw.bus import Bus
 from repro.hw.device import (
     Camera,
     Cpu,
@@ -32,7 +32,6 @@ __all__ = [
     "MemoryPool",
     "MemoryRegion",
     "Bus",
-    "DmaEngine",
     "DeviceKind",
     "PhysicalDevice",
     "Cpu",

@@ -1,4 +1,4 @@
-"""Buses and DMA: the links over which coherence maintenance copies move.
+"""Buses: the links over which coherence maintenance copies move.
 
 A :class:`Bus` models one interconnect (PCIe link to the GPU, the memory
 controller used by CPU memcpy, the virtio path across the virtualization
@@ -6,9 +6,9 @@ boundary). Transfers are serialized FIFO — the dominant effect the paper
 measures is transfer *time* (size / bandwidth) plus fixed latency, with
 contention appearing as queueing delay.
 
-A :class:`DmaEngine` runs transfers on behalf of a device without occupying
-the (simulated) CPU, matching §4: "the prefetch engine uses the DMA
-capabilities of supported devices to help reduce CPU load."
+An asynchronous copy, such as the prefetch engine's ahead-of-time DMA
+(§4), is a transfer run in a process of its own: the prefetch engine
+spawns one per copy, and readers join it.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from typing import Any, Callable, Generator, Optional
 
 from repro.errors import HardwareError, TransientCopyError
 from repro.sim import Mutex, Simulator, Timeout
-from repro.sim.kernel import Process
 from repro.units import to_gb_per_s
 
 #: Optional fault hook: called once per transfer (inside the bus lock) with
@@ -142,24 +141,3 @@ class Bus:
             f"lat={self.latency:.3f}ms load={self._load:.2f}>"
         )
 
-
-class DmaEngine:
-    """Asynchronous transfer launcher for a device's bus.
-
-    ``start(nbytes)`` spawns the transfer as its own process and returns the
-    :class:`~repro.sim.kernel.Process`, which callers may join (``yield``)
-    or leave running in the background — the two halves of the paper's
-    synchronous-compensation + asynchronous-remainder prefetch (§3.3).
-    """
-
-    def __init__(self, sim: Simulator, bus: Bus, name: str = "dma"):
-        self._sim = sim
-        self.bus = bus
-        self.name = name
-        self.transfers_started = 0
-
-    def start(self, nbytes: int, label: Optional[str] = None) -> Process:
-        """Begin an async transfer; returns its process handle."""
-        self.transfers_started += 1
-        name = label or f"{self.name}.xfer{self.transfers_started}"
-        return self._sim.spawn(self.bus.transfer(nbytes), name=name)

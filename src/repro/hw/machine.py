@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from repro.errors import HardwareError
-from repro.hw.bus import Bus, DmaEngine
+from repro.hw.bus import Bus
 from repro.hw.device import Camera, Cpu, Gpu, Nic, PhysicalDevice
 from repro.hw.memory import MemoryPool
 from repro.hw.thermal import ThermalModel
@@ -172,7 +172,6 @@ class HostMachine:
         self.boundary = Bus(
             sim, "boundary", gb_per_s(spec.boundary_copy_gbps), latency=spec.vm_exit_cost_ms
         )
-        self.dma = DmaEngine(sim, self.pcie, name="gpu-dma")
 
         thermal = None
         if spec.thermal is not None:

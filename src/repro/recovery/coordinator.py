@@ -230,7 +230,7 @@ class RecoveryCoordinator:
     def _replay_copy(self, region: Any, src: str, dst: str):
         """Process: restore the lost replica at ``dst`` from ``src``."""
         try:
-            duration = yield from self._emulator.planner.copy_unified_resilient(
+            duration = yield from self._emulator.planner.copy_unified(
                 src, dst, region.dirty_bytes
             )
         except RECOVERABLE_COPY_ERRORS as err:

@@ -24,7 +24,7 @@ from repro.sim.primitives import (
     Timeout,
     Waitable,
 )
-from repro.sim.resilience import Deadline, RetryPolicy, retrying, with_deadline
+from repro.sim.resilience import RetryPolicy, with_deadline
 from repro.sim.tracing import TraceLog, TraceRecord
 
 __all__ = [
@@ -41,7 +41,5 @@ __all__ = [
     "TraceLog",
     "TraceRecord",
     "RetryPolicy",
-    "retrying",
-    "Deadline",
     "with_deadline",
 ]

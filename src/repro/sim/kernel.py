@@ -14,6 +14,10 @@ milliseconds (see :mod:`repro.units`). Two execution styles coexist:
   the result of the ``yield`` expression. This is how device executors,
   guest drivers and app pipelines are written.
 
+The clock, :attr:`Simulator.now`, is a plain attribute: every modelled
+latency, trace record and metric reads it, so it costs no call to read.
+Only the kernel writes it.
+
 Determinism
 -----------
 Events scheduled for the same timestamp run in scheduling order (a
@@ -213,7 +217,7 @@ class Process(Waitable):
         while True:
             if hooks:
                 for hook in hooks:
-                    hook.on_process_resume(sim._now, self)
+                    hook.on_process_resume(sim.now, self)
             try:
                 if exc is not None:
                     target = self._throw(exc)
@@ -228,20 +232,20 @@ class Process(Waitable):
 
             if hooks:
                 for hook in hooks:
-                    hook.on_process_yield(sim._now, self, target)
+                    hook.on_process_yield(sim.now, self, target)
             # Timeout (every modelled latency) and SimEvent (queues, locks,
             # fences) are by far the most common yields, so their exact-type
             # checks run before the generic isinstance.
             kind = type(target)
             if kind is Timeout:
-                when = sim._now + target.delay
+                when = sim.now + target.delay
                 value = target.value
                 exc = None
             elif kind is SimEvent:
                 if not target.fired:
                     target._callbacks.append(self._step)
                     return
-                when = sim._now
+                when = sim.now
                 value = target.value
                 exc = target._exception
             elif isinstance(target, Waitable):
@@ -265,7 +269,7 @@ class Process(Waitable):
             ):
                 # The wake-up would be the next entry the dispatch loop pops:
                 # dispatch it here. Hooks see the same event as before.
-                sim._now = when
+                sim.now = when
                 if hooks:
                     call = ScheduledCall(when, self._step, (value, exc))
                     for hook in hooks:
@@ -323,7 +327,8 @@ class Simulator:
     """
 
     def __init__(self) -> None:
-        self._now = 0.0
+        #: Current simulated time in milliseconds; only the kernel writes it.
+        self.now = 0.0
         # ``(time, seq, call)`` entries; ``seq`` increases with every push,
         # so events at equal times dispatch in scheduling order.
         self._heap: List[Tuple[float, int, ScheduledCall]] = []
@@ -349,18 +354,12 @@ class Simulator:
         if hook in self._hooks:
             self._hooks.remove(hook)
 
-    # -- clock ---------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current simulated time in milliseconds."""
-        return self._now
-
     # -- scheduling ------------------------------------------------------------
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> ScheduledCall:
         """Run ``fn(*args)`` after ``delay`` ms of simulated time."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        time = self._now + delay
+        time = self.now + delay
         call = ScheduledCall(time, fn, args, self)
         self._seq = seq = self._seq + 1
         _heappush(self._heap, (time, seq, call))
@@ -387,9 +386,9 @@ class Simulator:
             time, _seq, call = _heappop(heap)
             if call.cancelled:
                 continue
-            if time < self._now:
+            if time < self.now:
                 raise SimulationError("event queue time went backwards")
-            self._now = time
+            self.now = time
             self._live_events -= 1
             call._sim = None
             if self._hooks:
@@ -433,9 +432,9 @@ class Simulator:
                 call = entry[2]
                 if call.cancelled:
                     continue
-                if time < self._now:
+                if time < self.now:
                     raise SimulationError("event queue time went backwards")
-                self._now = time
+                self.now = time
                 self._live_events -= 1
                 call._sim = None
                 hooks = self._hooks
@@ -447,8 +446,8 @@ class Simulator:
                     self._raise_pending_failure()
         finally:
             self._resume_until = outer
-        if until is not None and self._now < until:
-            self._now = until
+        if until is not None and self.now < until:
+            self.now = until
         if check_deadlock and not self._live_events:
             stuck = [p.name for p in self._processes if p.alive]
             if stuck:

@@ -12,6 +12,10 @@ mirrors a construct the real vSoC implementation relies on:
   device state.
 * :class:`FifoQueue` — command queues between guest drivers and host device
   executors (§3.4 of the paper).
+
+A grant that needs no wait (an uncontended acquire, a put with room) is
+one pre-fired :class:`SimEvent` per primitive, shared by every such grant:
+it allocates nothing. A grant that waits gets its own event, woken FIFO.
 """
 
 from __future__ import annotations
@@ -164,6 +168,8 @@ class Semaphore:
         self._sim = sim
         self.name = name
         self._acquire_name = f"{name}.acquire"
+        self._granted = SimEvent(sim, name=self._acquire_name)
+        self._granted.fire(None)
         self._permits = permits
         self._waiters: Deque[SimEvent] = deque()
 
@@ -174,12 +180,11 @@ class Semaphore:
 
     def acquire(self) -> Waitable:
         """Return a waitable that fires once a permit has been granted."""
-        event = SimEvent(self._sim, name=self._acquire_name)
         if self._permits > 0:
             self._permits -= 1
-            event.fire(None)
-        else:
-            self._waiters.append(event)
+            return self._granted
+        event = SimEvent(self._sim, name=self._acquire_name)
+        self._waiters.append(event)
         return event
 
     def try_acquire(self) -> bool:
@@ -232,6 +237,8 @@ class FifoQueue:
         self.name = name
         self._put_name = f"{name}.put"
         self._get_name = f"{name}.get"
+        self._accepted = SimEvent(sim, name=self._put_name)
+        self._accepted.fire(None)
         self.capacity = capacity
         self._items: Deque[Any] = deque()
         self._getters: Deque[SimEvent] = deque()
@@ -242,17 +249,16 @@ class FifoQueue:
 
     def put(self, item: Any) -> Waitable:
         """Enqueue ``item``; the returned waitable fires once it is accepted."""
-        event = SimEvent(self._sim, name=self._put_name)
         if self._getters:
             # Hand the item straight to the longest-waiting consumer.
             self._getters.popleft().fire(item)
-            event.fire(None)
-        elif self.capacity is None or len(self._items) < self.capacity:
+            return self._accepted
+        if self.capacity is None or len(self._items) < self.capacity:
             self._items.append(item)
-            event.fire(None)
-        else:
-            event.value = item  # parked until space frees up
-            self._putters.append(event)
+            return self._accepted
+        event = SimEvent(self._sim, name=self._put_name)
+        event.value = item  # parked until space frees up
+        self._putters.append(event)
         return event
 
     def try_put(self, item: Any) -> bool:

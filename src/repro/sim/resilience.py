@@ -1,16 +1,19 @@
-"""Resilience primitives: bounded retries with backoff, and watchdogs.
+"""Resilience primitives: a backoff schedule, and a watchdog.
 
 The paper's robustness story (§3.3, §5.3) is reactive — suspend prefetch on
 mispredictions, degrade under thermal collapse — but the mechanisms it
 reacts *with* are generic: retry an operation a bounded number of times with
 exponential backoff, and bound how long any one operation may run. This
-module provides those two primitives for simulation processes:
+module provides those two pieces for simulation processes:
 
-* :class:`RetryPolicy` + :func:`retrying` — re-run a failed process with
-  exponentially growing (capped) delays between attempts;
-* :class:`Deadline` + :func:`with_deadline` — a watchdog: a waitable that
-  fails with :class:`~repro.errors.DeadlineExceededError` after a delay,
-  and a process wrapper racing an inner process against one.
+* :class:`RetryPolicy` — the exponentially growing (capped) delays between
+  attempts, and when to give up. The retry loops themselves live with the
+  operations they retry: coherence copies in
+  :class:`~repro.core.coherence.CopyPlanner`, virtio kicks in
+  :class:`~repro.guest.transport.VirtioTransport`;
+* :func:`with_deadline` — a watchdog: a process wrapper racing an inner
+  process against a timer that fails the waiter with
+  :class:`~repro.errors.DeadlineExceededError`.
 
 Both are fully deterministic: no unseeded randomness, delays are pure
 functions of the attempt number.
@@ -20,10 +23,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Generator, Optional, Tuple, Type
+from typing import Any, Generator, Optional
 
 from repro.errors import ConfigurationError, DeadlineExceededError
-from repro.sim.primitives import Callback, SimEvent, Timeout, Waitable
+from repro.sim.primitives import SimEvent
 
 
 @dataclass(frozen=True)
@@ -65,84 +68,6 @@ class RetryPolicy:
     def exhausted(self, failures: int) -> bool:
         """True when ``failures`` consecutive failures end the retry loop."""
         return self.max_attempts is not None and failures >= self.max_attempts
-
-
-def retrying(
-    sim: Any,
-    factory: Callable[[], Generator[Any, Any, Any]],
-    policy: RetryPolicy,
-    retry_on: Tuple[Type[BaseException], ...],
-    name: str = "op",
-    trace: Any = None,
-    on_retry: Optional[Callable[[int, BaseException], None]] = None,
-) -> Generator[Any, Any, Any]:
-    """Process: run ``factory()`` until success or the policy is exhausted.
-
-    ``factory`` must build a *fresh* generator per attempt. Exceptions not
-    listed in ``retry_on`` propagate immediately; the last retryable
-    exception re-raises once ``policy.max_attempts`` is reached. Each
-    retry appends a ``retry.backoff`` trace record (when ``trace`` is
-    given) and calls ``on_retry(failures, exc)`` — the hook the copy
-    planner uses to count retries.
-    """
-    failures = 0
-    while True:
-        try:
-            return (yield from factory())
-        except retry_on as err:
-            failures += 1
-            if policy.exhausted(failures):
-                raise
-            delay = policy.delay_before_retry(failures)
-            if trace is not None:
-                trace.record(
-                    sim.now,
-                    "retry.backoff",
-                    op=name,
-                    attempt=failures,
-                    delay=delay,
-                    error=type(err).__name__,
-                )
-            if on_retry is not None:
-                on_retry(failures, err)
-            if delay > 0:
-                yield Timeout(delay)
-
-
-class Deadline(Waitable):
-    """A watchdog waitable: fails after ``delay`` ms unless cancelled.
-
-    Yielding a live ``Deadline`` raises :class:`DeadlineExceededError` at
-    expiry; :meth:`cancel` disarms it (idempotent). Used standalone as a
-    per-operation timer, or via :func:`with_deadline` to bound a process.
-    """
-
-    def __init__(self, sim: Any, delay: float, label: str = "deadline"):
-        if not math.isfinite(delay) or delay <= 0:
-            raise ConfigurationError(f"deadline delay must be finite and > 0, got {delay}")
-        self._event = SimEvent(sim, name=label)
-        self.label = label
-        self.delay = delay
-        self.expired = False
-        self._handle = sim.schedule(delay, self._expire)
-
-    def _expire(self) -> None:
-        if not self._event.fired:
-            self.expired = True
-            self._event.fail(
-                DeadlineExceededError(f"{self.label!r} exceeded its {self.delay:.3f} ms deadline")
-            )
-
-    def cancel(self) -> None:
-        """Disarm the watchdog; a cancelled deadline never fires."""
-        self._handle.cancel()
-
-    def add_callback(self, fn: Callback) -> None:
-        self._event.add_callback(fn)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "expired" if self.expired else "armed"
-        return f"<Deadline {self.label!r} {self.delay:.3f}ms {state}>"
 
 
 def with_deadline(

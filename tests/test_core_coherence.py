@@ -5,10 +5,17 @@ import pytest
 from repro.core.coherence import (
     CopyPlanner,
     GuestMemoryWriteInvalidate,
+    UnifiedPrefetchProtocol,
     UnifiedWriteInvalidate,
 )
+from repro.core.degradation import LEVEL_GUEST_ROUNDTRIP, DegradationController
 from repro.core.region import GUEST_LOCATION, HOST_LOCATION, SvmRegion
-from repro.errors import ConfigurationError
+from repro.errors import (
+    ConfigurationError,
+    DeadlineExceededError,
+    HardwareError,
+    TransientCopyError,
+)
 from repro.hw import build_machine
 from repro.sim import Simulator
 from repro.sim.tracing import TraceLog
@@ -208,3 +215,129 @@ def test_guest_memory_cpu_read_is_free(setup):
     p = sim.spawn(cycle())
     sim.run()
     assert p.value == 0.0
+
+
+# --- copy retries, pinned at the protocols' call sites -------------------------
+
+def _failing(calls, failing, error=None):
+    """Bus fault hook: the transfers numbered in ``failing`` (from 1) fail
+    on their first byte, or raise ``error`` when one is given."""
+    def hook(bus, nbytes):
+        calls.append(bus.name)
+        if len(calls) not in failing:
+            return None
+        if error is not None:
+            raise error
+        return 0.0
+
+    return hook
+
+
+def _host_to_gpu_read(sim, planner, trace):
+    """Run a write-invalidate read that needs one host->gpu copy."""
+    protocol = UnifiedWriteInvalidate(sim, planner, trace)
+    region = SvmRegion(1, UHD_FRAME_BYTES)
+    region.note_write("codec", HOST_LOCATION, UHD_FRAME_BYTES)
+    outcome = {}
+
+    def read():
+        try:
+            outcome["latency"] = yield from protocol.begin_access_read(region, "gpu", "gpu")
+        except Exception as err:  # noqa: BLE001 - the test inspects it
+            outcome["error"] = err
+
+    sim.spawn(read())
+    sim.run()
+    return outcome
+
+
+def _backoffs(trace):
+    return [
+        (r["op"], r["attempt"], r["delay"], r["error"])
+        for r in trace.of_kind("retry.backoff")
+    ]
+
+
+def test_copy_retries_with_backoff_and_lands(setup):
+    sim, machine, _p, trace = setup
+    planner = CopyPlanner(sim, machine, trace=trace)
+    calls = []
+    machine.pcie.fault_hook = _failing(calls, {1, 2})
+    outcome = _host_to_gpu_read(sim, planner, trace)
+    assert "error" not in outcome
+    assert _backoffs(trace) == [
+        ("copy:host->gpu", 1, pytest.approx(0.05), "TransientCopyError"),
+        ("copy:host->gpu", 2, pytest.approx(0.2), "TransientCopyError"),
+    ]
+    assert (planner.copy_retries, planner.copy_failures) == (2, 0)
+    transfer = machine.pcie.transfer_time(UHD_FRAME_BYTES)
+    # The reader waits out both backoffs; the copy reports its landing attempt.
+    assert outcome["latency"] == pytest.approx(0.05 + 0.2 + transfer)
+    assert trace.of_kind("coherence.maintenance")[0]["duration"] == pytest.approx(transfer)
+
+
+def test_copy_reraises_its_third_failure(setup):
+    sim, machine, _p, trace = setup
+    planner = CopyPlanner(sim, machine, trace=trace)
+    calls = []
+    machine.pcie.fault_hook = _failing(calls, {1, 2, 3})
+    outcome = _host_to_gpu_read(sim, planner, trace)
+    assert isinstance(outcome["error"], TransientCopyError)
+    assert len(calls) == 3
+    assert (planner.copy_retries, planner.copy_failures) == (2, 1)
+
+
+def test_copy_propagates_a_non_recoverable_error_at_once(setup):
+    sim, machine, _p, trace = setup
+    planner = CopyPlanner(sim, machine, trace=trace)
+    calls = []
+    machine.pcie.fault_hook = _failing(calls, {1}, error=HardwareError("wedged"))
+    outcome = _host_to_gpu_read(sim, planner, trace)
+    assert isinstance(outcome["error"], HardwareError)
+    assert len(calls) == 1
+    assert (planner.copy_retries, planner.copy_failures) == (0, 0)
+    assert _backoffs(trace) == []
+
+
+def test_boundary_and_roundtrip_copies_label_their_retries(setup):
+    sim, machine, _p, trace = setup
+    planner = CopyPlanner(sim, machine, trace=trace)
+    calls = []
+    # The flush's first transfer fails, then the round trip's first leg.
+    machine.boundary.fault_hook = _failing(calls, {1, 3})
+    flush_region = SvmRegion(1, UHD_FRAME_BYTES)
+    flush_region.note_write("codec", HOST_LOCATION, UHD_FRAME_BYTES)
+    flush = GuestMemoryWriteInvalidate(sim, planner, trace)
+    ladder = DegradationController(sim)
+    ladder.level = LEVEL_GUEST_ROUNDTRIP
+    roundtrip = UnifiedPrefetchProtocol(sim, planner, None, trace, degradation=ladder)
+    read_region = SvmRegion(2, UHD_FRAME_BYTES)
+    read_region.note_write("codec", HOST_LOCATION, UHD_FRAME_BYTES)
+
+    def run():
+        yield from flush.executor_after_write(flush_region, "codec", HOST_LOCATION)
+        yield from roundtrip.begin_access_read(read_region, "gpu", "gpu")
+
+    sim.spawn(run())
+    sim.run()
+    assert [op for op, *_ in _backoffs(trace)] == ["copy:boundary", "copy:roundtrip"]
+    assert planner.copy_retries == 2
+    assert read_region.is_valid_at("gpu")
+
+
+def test_watchdog_expiry_is_counted_and_retried(setup):
+    sim, machine, _p, trace = setup
+    planner = CopyPlanner(sim, machine, watchdog_margin=3.0, trace=trace)
+    pcie = machine.pcie
+    deadline = 3.0 * pcie.transfer_time(UHD_FRAME_BYTES) + 1.0
+    # A transfer already on the bus outlasts the first attempt's deadline but
+    # not the second's, even with the orphaned first attempt queued ahead.
+    blocker = int((deadline + 0.5 - pcie.latency) * pcie.effective_bandwidth)
+    sim.spawn(pcie.transfer(blocker))
+    outcome = _host_to_gpu_read(sim, planner, trace)
+    assert "error" not in outcome
+    assert planner.watchdog_expiries == 1
+    assert (planner.copy_retries, planner.copy_failures) == (1, 0)
+    assert _backoffs(trace) == [
+        ("copy:host->gpu", 1, pytest.approx(0.05), DeadlineExceededError.__name__)
+    ]

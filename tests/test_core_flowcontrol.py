@@ -70,6 +70,19 @@ def test_blocked_dispatch_resumes_after_completion():
     assert fc.backlog == 0
 
 
+def test_contended_dispatches_get_their_own_events_and_wake_fifo():
+    sim = Simulator()
+    fc = MimdFlowControl(sim, initial_window=1.0)
+    first = fc.dispatch()
+    second, third = fc.dispatch(), fc.dispatch()
+    assert first.fired and not second.fired and not third.fired
+    assert len({id(first), id(second), id(third)}) == 3
+    fc.complete()
+    assert second.fired and not third.fired
+    fc.complete()
+    assert third.fired
+
+
 def test_complete_without_dispatch_rejected():
     sim = Simulator()
     fc = MimdFlowControl(sim)

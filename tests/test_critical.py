@@ -117,12 +117,12 @@ def _synthetic_tracer(max_spans=None):
     flow = tracer.new_flow()
     stage = tracer.begin("stage:decode", "codec", cat="stage", flow=flow)
     kick = tracer.begin("transport.kick", "transport", cat="transport", flow=flow)
-    sim._now = 1.0  # advance the observed clock deterministically
+    sim.now = 1.0  # advance the observed clock deterministically
     tracer.end(kick)
     execute = tracer.begin("exec:decode", "codec/exec", cat="exec", flow=flow)
-    sim._now = 4.0
+    sim.now = 4.0
     tracer.end(execute)
-    sim._now = 6.0
+    sim.now = 6.0
     tracer.end(stage)
     tracer.instant("frame.presented", "display", cat="frame", flow=flow,
                    sequence=0, latency=6.0)

@@ -250,6 +250,34 @@ def test_kick_reliable_survives_a_drop_window():
     assert transport.kicks_dropped >= 1
 
 
+def test_kick_reliable_backs_off_until_the_kick_lands():
+    sim = Simulator()
+    transport = VirtioTransport(sim)
+    attempts = []
+
+    def drop_forty(t, batch):
+        attempts.append(sim.now)
+        return ("drop",) if len(attempts) <= 40 else None
+
+    transport.fault_hook = drop_forty
+    result = {}
+
+    def kick():
+        result["cost"] = yield from transport.kick_reliable(3)
+
+    sim.spawn(kick(), name="kick")
+    sim.run()
+    cost = transport.dispatch_cost(3)
+    # 0.02, 0.04, 0.08 ... ms between attempts, capped at 1 ms, never giving up.
+    backoffs = [b - a - cost for a, b in zip(attempts, attempts[1:])]
+    assert backoffs == pytest.approx([min(1.0, 0.02 * 2 ** k) for k in range(40)])
+    assert result["cost"] == pytest.approx(cost)
+    assert (
+        transport.kick_attempts, transport.kicks_dropped,
+        transport.kicks, transport.commands,
+    ) == (41, 40, 1, 3)
+
+
 # -- determinism ----------------------------------------------------------------
 
 def _chaos_machine_run(seed):

@@ -1,10 +1,10 @@
-"""Unit tests for buses and DMA (repro.hw.bus)."""
+"""Unit tests for buses (repro.hw.bus)."""
 
 import pytest
 
 from repro.errors import HardwareError
-from repro.hw import Bus, DmaEngine
-from repro.sim import Simulator, Timeout
+from repro.hw import Bus
+from repro.sim import Simulator
 from repro.units import MIB, gb_per_s
 
 
@@ -67,6 +67,25 @@ def test_killed_queued_transfer_does_not_wedge_the_bus():
     assert done == [("holder", 10.0), ("third", 20.0)]
 
 
+@pytest.mark.parametrize("kill_at", [0.0, 5.0])
+def test_killed_holder_frees_the_bus(kill_at):
+    """A transfer killed while holding an uncontended grant gives the bus
+    back, whether it is parked at the grant (0 ms) or mid-transfer."""
+    sim = Simulator()
+    bus = Bus(sim, "b", bandwidth=1000.0, latency=0.0)
+    done = []
+
+    def proc(label):
+        yield from bus.transfer(10_000)
+        done.append((label, sim.now))
+
+    holder = sim.spawn(proc("holder"))
+    sim.schedule(kill_at, holder.kill)
+    sim.spawn(proc("next"))
+    sim.run()
+    assert done == [("next", kill_at + 10.0)]
+
+
 def test_statistics_accumulate():
     sim = Simulator()
     bus = Bus(sim, "b", bandwidth=1000.0, latency=0.0)
@@ -110,39 +129,6 @@ def test_negative_transfer_rejected():
     bus = Bus(sim, "b", bandwidth=1000.0)
     with pytest.raises(HardwareError):
         bus.transfer_time(-1)
-
-
-def test_dma_runs_in_background():
-    sim = Simulator()
-    bus = Bus(sim, "pcie", bandwidth=1000.0)
-    dma = DmaEngine(sim, bus)
-    timeline = []
-
-    def proc():
-        xfer = dma.start(10_000)  # 10 ms in the background
-        yield Timeout(1.0)
-        timeline.append(("still-working", sim.now))
-        yield xfer  # join
-        timeline.append(("joined", sim.now))
-
-    sim.spawn(proc())
-    sim.run()
-    assert timeline == [("still-working", 1.0), ("joined", 10.0)]
-
-
-def test_dma_counts_transfers():
-    sim = Simulator()
-    bus = Bus(sim, "pcie", bandwidth=1000.0)
-    dma = DmaEngine(sim, bus)
-
-    def proc():
-        yield dma.start(100)
-        yield dma.start(200)
-
-    sim.spawn(proc())
-    sim.run()
-    assert dma.transfers_started == 2
-    assert bus.bytes_moved == 300
 
 
 def test_constructor_rejects_non_finite_and_non_positive_parameters():

@@ -195,6 +195,25 @@ def test_cancel_drops_a_queued_grant_and_passes_on_a_fired_one():
     assert sem.available == 1
 
 
+@pytest.mark.parametrize("primitive", ["semaphore", "queue"])
+def test_contended_grants_get_their_own_events_and_wake_fifo(primitive):
+    sim = Simulator()
+    if primitive == "semaphore":
+        sem = Semaphore(sim, permits=1)
+        request, free = sem.acquire, sem.release
+    else:
+        queue = FifoQueue(sim, capacity=1)
+        request, free = (lambda: queue.put(object())), queue.try_get
+    first = request()
+    second, third = request(), request()
+    assert first.fired and not second.fired and not third.fired
+    assert len({id(first), id(second), id(third)}) == 3
+    free()
+    assert second.fired and not third.fired
+    free()
+    assert third.fired
+
+
 def test_mutex_is_binary():
     sim = Simulator()
     mutex = Mutex(sim)

@@ -1,4 +1,9 @@
-"""Unit tests for the resilience primitives (repro.sim.resilience)."""
+"""Unit tests for the resilience primitives (repro.sim.resilience).
+
+The retry loops that use :class:`RetryPolicy` are pinned where they run:
+coherence copies in tests/test_core_coherence.py and virtio kicks in
+tests/test_faults.py.
+"""
 
 import pytest
 
@@ -7,15 +12,7 @@ from repro.errors import (
     DeadlineExceededError,
     TransientCopyError,
 )
-from repro.sim import (
-    Deadline,
-    RetryPolicy,
-    Simulator,
-    Timeout,
-    retrying,
-    with_deadline,
-)
-from repro.sim.tracing import TraceLog
+from repro.sim import RetryPolicy, Simulator, Timeout, with_deadline
 
 
 def run_to_result(sim, gen, name="test"):
@@ -62,124 +59,6 @@ def test_retry_policy_exhaustion():
 def test_retry_policy_rejects_bad_parameters(kwargs):
     with pytest.raises(ConfigurationError):
         RetryPolicy(**kwargs)
-
-
-# -- retrying() --------------------------------------------------------------
-
-def _flaky(sim, failures_before_success, cost=1.0):
-    """Generator factory that fails N times, then returns sim.now."""
-    state = {"left": failures_before_success}
-
-    def factory():
-        yield Timeout(cost)
-        if state["left"] > 0:
-            state["left"] -= 1
-            raise TransientCopyError("injected")
-        return sim.now
-
-    return factory
-
-
-def test_retrying_transparent_on_success():
-    sim = Simulator()
-    policy = RetryPolicy(max_attempts=3, base_delay_ms=1.0)
-    outcome = run_to_result(
-        sim, retrying(sim, _flaky(sim, 0), policy, (TransientCopyError,))
-    )
-    assert outcome["exc"] is None
-    assert outcome["value"] == pytest.approx(1.0)  # just the op cost
-
-
-def test_retrying_retries_with_backoff():
-    sim = Simulator()
-    policy = RetryPolicy(max_attempts=5, base_delay_ms=1.0, multiplier=2.0, max_delay_ms=10.0)
-    outcome = run_to_result(
-        sim, retrying(sim, _flaky(sim, 2), policy, (TransientCopyError,))
-    )
-    # 1 (fail) + 1 backoff + 1 (fail) + 2 backoff + 1 (success) = 6 ms
-    assert outcome["exc"] is None
-    assert outcome["value"] == pytest.approx(6.0)
-
-
-def test_retrying_exhausts_and_reraises():
-    sim = Simulator()
-    policy = RetryPolicy(max_attempts=2, base_delay_ms=1.0)
-    outcome = run_to_result(
-        sim, retrying(sim, _flaky(sim, 5), policy, (TransientCopyError,))
-    )
-    assert isinstance(outcome["exc"], TransientCopyError)
-
-
-def test_retrying_propagates_unlisted_exceptions():
-    sim = Simulator()
-
-    def factory():
-        yield Timeout(1.0)
-        raise ValueError("not retryable")
-
-    outcome = run_to_result(
-        sim, retrying(sim, factory, RetryPolicy(), (TransientCopyError,))
-    )
-    assert isinstance(outcome["exc"], ValueError)
-
-
-def test_retrying_traces_and_counts_retries():
-    sim = Simulator()
-    trace = TraceLog()
-    seen = []
-    policy = RetryPolicy(max_attempts=4, base_delay_ms=0.5)
-    outcome = run_to_result(
-        sim,
-        retrying(
-            sim, _flaky(sim, 2), policy, (TransientCopyError,),
-            name="copy:test", trace=trace,
-            on_retry=lambda n, exc: seen.append((n, type(exc).__name__)),
-        ),
-    )
-    assert outcome["exc"] is None
-    records = trace.of_kind("retry.backoff")
-    assert [r["attempt"] for r in records] == [1, 2]
-    assert all(r["op"] == "copy:test" for r in records)
-    assert seen == [(1, "TransientCopyError"), (2, "TransientCopyError")]
-
-
-def test_retrying_unbounded_policy_keeps_going():
-    sim = Simulator()
-    policy = RetryPolicy(max_attempts=None, base_delay_ms=0.1, max_delay_ms=0.5)
-    outcome = run_to_result(
-        sim, retrying(sim, _flaky(sim, 25), policy, (TransientCopyError,))
-    )
-    assert outcome["exc"] is None
-
-
-# -- Deadline ----------------------------------------------------------------
-
-def test_deadline_fails_waiter_at_expiry():
-    sim = Simulator()
-
-    def waiter():
-        yield Deadline(sim, 5.0, label="op")
-
-    outcome = run_to_result(sim, waiter())
-    assert isinstance(outcome["exc"], DeadlineExceededError)
-    assert "5.000 ms" in str(outcome["exc"])
-    assert sim.now == pytest.approx(5.0)
-
-
-def test_deadline_cancel_disarms():
-    sim = Simulator()
-    deadline = Deadline(sim, 5.0)
-    deadline.cancel()
-    sim.run()
-    assert not deadline.expired
-
-
-def test_deadline_rejects_bad_delay():
-    sim = Simulator()
-    with pytest.raises(ConfigurationError):
-        Deadline(sim, 0.0)
-    with pytest.raises(ConfigurationError):
-        Deadline(sim, float("nan"))
 
 
 # -- with_deadline -----------------------------------------------------------
