@@ -237,11 +237,6 @@ class Emulator:
         if config.stall_period_ms > 0:
             sim.spawn(self._stall_injector(), name=f"{config.name}:stalls")
 
-        if self.obs.enabled:
-            self.obs.map_devices(
-                {name: vdev.physical.name for name, vdev in self._vdevs.items()}
-            )
-
     def metered_buses(self) -> Tuple[Bus, ...]:
         """The links an observed run reports on, one instrument set per link."""
         return (self._boundary, self.machine.memctl, self.machine.pcie)

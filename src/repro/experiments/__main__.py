@@ -23,7 +23,7 @@ reference values. ``--quick`` shortens simulated durations and app counts
 over N worker processes and ``--no-cache`` disables the on-disk run cache
 (both apply to every command). ``observe`` runs one app with the
 observability stack enabled and exports a Perfetto-compatible trace plus
-a metrics/self-profile JSON; ``bench`` measures the engine itself, writes
+a metrics JSON; ``bench`` measures the engine itself, writes
 ``BENCH_engine.json``, appends to ``BENCH_history.jsonl`` and — with
 ``--check`` — gates on the history's EWMA baselines (both are excluded
 from ``all``).
@@ -514,7 +514,7 @@ def main(argv=None) -> int:
     observe_group.add_argument("--export", metavar="PATH", default=None,
                                help="write a Chrome/Perfetto trace JSON here")
     observe_group.add_argument("--metrics", metavar="PATH", default=None,
-                               help="write the metrics/self-profile JSON here")
+                               help="write the metrics JSON here")
     observe_group.add_argument("--duration", type=float, default=None,
                                help="simulated ms to observe (default 8000)")
     observe_group.add_argument("--seed", type=int, default=0,

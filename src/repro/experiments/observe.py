@@ -1,8 +1,8 @@
 """``observe``: run one app with full observability and export artifacts.
 
 This is the front door of :mod:`repro.obs` — one command that runs a
-single (app, emulator) pair with tracing, metrics, and self-profiling
-enabled, then writes:
+single (app, emulator) pair with tracing and metrics enabled, then
+writes:
 
 * a Chrome ``trace_event`` / Perfetto JSON trace (open it in
   https://ui.perfetto.dev or ``chrome://tracing``) where every frame's
@@ -11,9 +11,8 @@ enabled, then writes:
   flow of arrows;
 * a metrics JSON with the registry's counters/gauges/histograms (prefetch
   mispredict rate, slack-estimate error, per-link bus utilization, frame
-  accounting, coherence cost per path) plus the kernel self-profile
-  attributing simulated time per device and subsystem (this JSON is the
-  self-profile's only reader).
+  accounting, coherence cost per path, simulated busy time per physical
+  device).
 
 The run goes through the experiment runner's own path
 (:func:`~repro.experiments.runner.build_rig` and
@@ -61,7 +60,7 @@ class ObserveResult:
     def __init__(self, result, trace_dict, metrics_dict, tracer, connected):
         self.result = result  # AppResult
         self.trace = trace_dict  # Chrome trace_event dict
-        self.metrics = metrics_dict  # metrics + self-profile dict
+        self.metrics = metrics_dict  # registry dump plus the run's facts
         self.tracer = tracer
         self.connected = connected  # flow ids with a full causal chain
 
@@ -161,14 +160,14 @@ def cmd_observe(
     print(f"  frame flows: {len(tracer.flows())}  "
           f"fully connected (svm → coherence/prefetch → presented): {len(run.connected)}")
 
-    profile = run.metrics.get("profile")
-    if profile:
-        device_ms = profile.get("device_ms", {})
-        if device_ms:
-            attribution = ", ".join(
-                f"{dev}={ms:.0f}ms" for dev, ms in sorted(device_ms.items())
-            )
-            print(f"  simulated time per device: {attribution}")
+    device_ms = [
+        m for m in run.metrics["metrics"] if m["name"] == "device.busy_ms"
+    ]
+    if device_ms:
+        attribution = ", ".join(
+            f"{m['labels']['device']}={m['value']:.0f}ms" for m in device_ms
+        )
+        print(f"  simulated time per device: {attribution}")
     utilizations = [
         m for m in run.metrics["metrics"] if m["name"] == "bus.utilization"
     ]

@@ -147,7 +147,7 @@ def run_app(
 
     ``factory`` overrides the emulator constructor (used for the §5.4
     ablations). ``telemetry`` attaches the observability stack (tracer +
-    registry + self-profiler) and captures a picklable
+    registry) and captures a picklable
     :class:`~repro.obs.telemetry.TelemetrySnapshot` onto the returned
     :class:`AppRun` — observability only reads the clock, so the
     simulated results are bit-identical either way.

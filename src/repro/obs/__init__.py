@@ -1,27 +1,26 @@
 """``repro.obs`` — observability for the vSoC stack.
 
-One import point for the three pillars:
+One import point for the two pillars:
 
 * **causal tracing** (:mod:`repro.obs.span`) — spans with parent links and
   a propagated per-frame *flow id*, so one frame's journey across guest
   driver, transport, SVM, coherence, prefetch, fences and presentation is
   a single connected trace;
 * **metrics** (:mod:`repro.obs.registry`) — named counters/gauges/
-  histograms with label sets and deterministic bounded sampling;
-* **self-profiling** (:mod:`repro.obs.profile`) — kernel hooks attributing
-  simulated time per device and subsystem;
+  histograms with label sets and deterministic bounded sampling,
+  including the simulated busy time of every physical device;
 
-plus the exporters (:mod:`repro.obs.export`) that turn all of it into a
+plus the exporters (:mod:`repro.obs.export`) that turn both into a
 Chrome ``trace_event`` / Perfetto JSON file and a metrics JSON file.
 
-The :class:`Observability` context bundles one tracer + registry +
-profiler so a single ``obs=`` handle threads through emulator factories
-and components. The module-level :data:`DISABLED` instance is the default
-everywhere: it hands out the null tracer, registers no kernel hooks, and
-makes every instrumentation site a cheap no-op — results are identical
-with observability on or off. The registry is never written while a run
-is live; :func:`repro.obs.telemetry.derive_run_metrics` fills it at
-capture.
+The :class:`Observability` context bundles one tracer + registry so a
+single ``obs=`` handle threads through emulator factories and components.
+An observed run registers no kernel hook: spans read the clock, and the
+registry is never written while a run is live —
+:func:`repro.obs.telemetry.derive_run_metrics` fills it at capture. The
+module-level :data:`DISABLED` instance is the default everywhere: it hands
+out the null tracer and makes every instrumentation site a cheap no-op —
+results are identical with observability on or off.
 """
 
 from __future__ import annotations
@@ -48,7 +47,6 @@ from repro.obs.export import (
     write_chrome_trace,
     write_metrics,
 )
-from repro.obs.profile import SelfProfiler
 from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.slo import SloReport, SloSpec, evaluate_frames
 from repro.obs.span import NO_FLOW, NULL_SPAN, NULL_TRACER, Span, Tracer
@@ -70,7 +68,6 @@ __all__ = [
     "Observability",
     "PathStep",
     "RegressionSentinel",
-    "SelfProfiler",
     "SentinelReport",
     "SloReport",
     "SloSpec",
@@ -93,7 +90,7 @@ __all__ = [
 
 
 class Observability:
-    """Tracer + metrics registry + self-profiler as one handle.
+    """Tracer + metrics registry as one handle.
 
     Construct with a simulator to observe a run::
 
@@ -116,15 +113,6 @@ class Observability:
             Tracer(sim, max_spans=max_spans) if enabled else NULL_TRACER
         )
         self.registry = MetricsRegistry(reservoir=reservoir)
-        self.profiler: Optional[SelfProfiler] = None
-        if enabled:
-            self.profiler = SelfProfiler()
-            sim.add_hook(self.profiler)
-
-    def map_devices(self, vdev_to_device: Mapping[str, str]) -> None:
-        """Teach the profiler the emulator's virtual→physical binding."""
-        if self.profiler is not None:
-            self.profiler.vdev_to_device.update(vdev_to_device)
 
     # -- export convenience --------------------------------------------------
     def export_trace(
@@ -140,9 +128,8 @@ class Observability:
         )
 
     def export_metrics(self, extra: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
-        """Metrics + self-profile dict for this run (see :func:`metrics_json`)."""
-        profile = self.profiler.table() if self.profiler is not None else None
-        return metrics_json(self.registry, profile=profile, extra=extra)
+        """Metrics dict for this run (see :func:`metrics_json`)."""
+        return metrics_json(self.registry, extra=extra)
 
 
 #: Shared inert instance — the default ``obs`` everywhere.

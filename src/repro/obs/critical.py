@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import fsum
+from operator import itemgetter
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
@@ -283,17 +284,45 @@ def _context_rank(name: str, cat: str) -> int:
 # The per-frame sweep
 # ---------------------------------------------------------------------------
 
-def _frame_budget(flow: int, spans: Sequence[Any], presented: Any) -> FrameBudget:
-    """Partition one frame's latency window via an exact interval sweep."""
+#: A span's sweep role: (category, priority, device, context rank).
+SpanKind = Tuple[Optional[str], int, Optional[str], int]
+
+_by_order = itemgetter(0, 1)
+_by_start = itemgetter(2, 0, 1)
+
+
+def _span_kind(name: str, cat: str, track: str) -> SpanKind:
+    category, priority = _classify(name, cat)
+    return category, priority, _span_device(name, cat, track), _context_rank(name, cat)
+
+
+def _frame_budget(
+    flow: int,
+    spans: Sequence[Any],
+    presented: Any,
+    kinds: Dict[Tuple[str, str, str], SpanKind],
+) -> FrameBudget:
+    """Partition one frame's latency window via an exact interval sweep.
+
+    ``kinds`` memoizes :func:`_span_kind` by ``(name, cat, track)`` across
+    the frames of one analysis. Each elementary interval goes to the first
+    chargeable span, in ``(priority, span_id)`` order, that covers it — the
+    minimum of the covering spans under that key, found without building
+    the covering list. A host-track winner takes its device from the first
+    covering context span in ``(rank, span_id)`` order the same way.
+    """
     present = float(presented.start)
     latency = float((presented.args or {}).get("latency", 0.0))
     sequence = int((presented.args or {}).get("sequence", 0))
+    if latency <= 0.0:
+        return FrameBudget(flow, sequence, present, latency)
     lo = present - latency
 
-    # (start, end, priority, span_id, category, device) for chargeable
-    # spans; (start, end, rank, span_id, device) for device context.
-    charge: List[Tuple[float, float, int, int, str, Optional[str]]] = []
-    context: List[Tuple[float, float, int, int, str]] = []
+    # (priority, span_id, start, end, category, device) for chargeable
+    # spans; (rank, span_id, start, end, device) for device context.
+    charge: List[Tuple[int, int, float, float, str, Optional[str]]] = []
+    context: List[Tuple[int, int, float, float, str]] = []
+    bounds = {lo, present}
     for span in spans:
         if span is presented:
             continue
@@ -302,43 +331,38 @@ def _frame_budget(flow: int, spans: Sequence[Any], presented: Any) -> FrameBudge
         b = min(end, present)
         if b <= a:
             continue
-        category, priority = _classify(span.name, span.cat)
-        device = _span_device(span.name, span.cat, span.track)
+        key = (span.name, span.cat, span.track)
+        kind = kinds.get(key)
+        if kind is None:
+            kind = kinds[key] = _span_kind(*key)
+        category, priority, device, rank = kind
         if category is not None:
-            charge.append((a, b, priority, span.span_id, category, device))
+            charge.append((priority, span.span_id, a, b, category, device))
+            bounds.add(a)
+            bounds.add(b)
         if device is not None:
-            context.append(
-                (a, b, _context_rank(span.name, span.cat), span.span_id, device)
-            )
-
-    if latency <= 0.0:
-        return FrameBudget(flow, sequence, present, latency)
+            context.append((rank, span.span_id, a, b, device))
 
     default_device = HOST_DEVICE
     if context:
-        default_device = min(context, key=lambda c: (c[0], c[2], c[3]))[4]
-
-    bounds = {lo, present}
-    for a, b, *_ in charge:
-        bounds.add(a)
-        bounds.add(b)
+        default_device = min(context, key=_by_start)[4]
+    charge.sort(key=_by_order)
+    context.sort(key=_by_order)
     cuts = sorted(bounds)
 
     cells: Dict[Tuple[str, str], List[float]] = {}
     for left, right in zip(cuts, cuts[1:]):
         if right <= left:
             continue
-        active = [iv for iv in charge if iv[0] <= left and iv[1] >= right]
-        if active:
-            _a, _b, _pri, _sid, category, device = min(
-                active, key=lambda iv: (iv[2], iv[3])
-            )
-            if device is None:
-                around = [c for c in context if c[0] <= left and c[1] >= right]
-                if around:
-                    device = min(around, key=lambda c: (c[2], c[3]))[4]
-                else:
-                    device = default_device
+        for _pri, _sid, a, b, category, device in charge:
+            if a <= left and b >= right:
+                if device is None:
+                    for _rank, _cid, ca, cb, device in context:
+                        if ca <= left and cb >= right:
+                            break
+                    else:
+                        device = default_device
+                break
         else:
             category, device = "sched_slack", HOST_DEVICE
         cells.setdefault((category, device), []).append(right - left)
@@ -437,6 +461,7 @@ def analyze_tracer(tracer: Any) -> LatencyBudget:
     frames: List[FrameBudget] = []
     skipped: List[int] = []
     worst: Optional[Tuple[float, int, Sequence[Any], Any]] = None
+    kinds: Dict[Tuple[str, str, str], SpanKind] = {}
     for flow, spans in tracer.flow_chains().items():
         presented = None
         for span in spans:
@@ -445,7 +470,7 @@ def analyze_tracer(tracer: Any) -> LatencyBudget:
         if presented is None:
             skipped.append(flow)
             continue
-        frame = _frame_budget(flow, spans, presented)
+        frame = _frame_budget(flow, spans, presented, kinds)
         frames.append(frame)
         key = (frame.latency_ms, -frame.sequence)
         if worst is None or key > (worst[0], -worst[1]):

@@ -299,13 +299,10 @@ def validate_chrome_trace(trace: Any) -> List[str]:
 
 def metrics_json(
     registry: MetricsRegistry,
-    profile: Optional[Dict[str, Any]] = None,
     extra: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
-    """Bundle the registry (plus self-profile table) for the metrics file."""
+    """Bundle the registry (plus ``extra`` run facts) for the metrics file."""
     out = registry.to_dict()
-    if profile is not None:
-        out["profile"] = _jsonable(profile)
     if extra:
         out.update(_jsonable(extra))
     return out

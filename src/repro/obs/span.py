@@ -25,8 +25,8 @@ per-frame paths test ``obs.enabled`` first and skip it (DESIGN.md §7).
 from __future__ import annotations
 
 from collections import deque
-from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional
+from operator import attrgetter
+from typing import Any, Dict, List, Optional
 
 #: Flow id meaning "not part of any flow" (falsy on purpose).
 NO_FLOW = 0
@@ -85,6 +85,12 @@ class _NullSpan(Span):
 #: Singleton no-op span; ``tracer.end(NULL_SPAN)`` is a no-op.
 NULL_SPAN = _NullSpan()
 
+#: Allocate a Span without the Python-level ``__init__`` frame: the tracer
+#: opens one per SVM access, copy, kick and stage of an observed run.
+_new_span = Span.__new__
+
+_by_start = attrgetter("start", "span_id")
+
 
 class Tracer:
     """Span factory + sink bound to one simulator clock.
@@ -123,7 +129,8 @@ class Tracer:
         self._chains_at = 0
 
     def _append(self, store, span: Span) -> None:
-        if self.max_spans is not None and len(store) == self.max_spans:
+        """Ring-mode append: count the eviction the full deque makes."""
+        if len(store) == self.max_spans:
             self.dropped_spans += 1  # deque evicts the oldest on append
         store.append(span)
 
@@ -149,17 +156,21 @@ class Tracer:
         """Open a span at ``sim.now``; close it with :meth:`end`."""
         if not self.enabled:
             return NULL_SPAN
-        span = Span(
-            name,
-            cat,
-            track,
-            self._sim.now,
-            self._alloc_id(),
-            parent_id=parent.span_id if parent is not None else 0,
-            flow=flow,
-            args=dict(args) if args else None,
-        )
-        self._append(self.spans, span)
+        span = _new_span(Span)
+        span.name = name
+        span.cat = cat
+        span.track = track
+        span.start = self._sim.now
+        span.end = None
+        span.span_id = span_id = self._next_span
+        self._next_span = span_id + 1
+        span.parent_id = parent.span_id if parent is not None else 0
+        span.flow = flow
+        span.args = args  # the call's own ``**args`` dict
+        if self.max_spans is None:
+            self.spans.append(span)
+        else:
+            self._append(self.spans, span)
         return span
 
     def end(self, span: Span, **args: Any) -> None:
@@ -170,28 +181,6 @@ class Tracer:
         if args:
             span.args.update(args)
 
-    @contextmanager
-    def span(
-        self,
-        name: str,
-        track: str,
-        cat: str = "span",
-        flow: int = NO_FLOW,
-        parent: Optional[Span] = None,
-        **args: Any,
-    ) -> Iterator[Span]:
-        """Context-manager form for non-yielding critical sections.
-
-        Only safe around code that never ``yield``s control back to the
-        simulator *if* strict nesting on the track matters; the simulated
-        timestamps themselves are always correct either way.
-        """
-        span = self.begin(name, track, cat=cat, flow=flow, parent=parent, **args)
-        try:
-            yield span
-        finally:
-            self.end(span)
-
     def instant(
         self, name: str, track: str, cat: str = "instant",
         flow: int = NO_FLOW, **args: Any,
@@ -199,12 +188,20 @@ class Tracer:
         """Record a zero-duration point event (fence signals, drops, ...)."""
         if not self.enabled:
             return
-        span = Span(
-            name, cat, track, self._sim.now, self._alloc_id(),
-            flow=flow, args=dict(args) if args else None,
-        )
-        span.end = span.start
-        self._append(self.instants, span)
+        span = _new_span(Span)
+        span.name = name
+        span.cat = cat
+        span.track = track
+        span.start = span.end = self._sim.now
+        span.span_id = span_id = self._next_span
+        self._next_span = span_id + 1
+        span.parent_id = 0
+        span.flow = flow
+        span.args = args
+        if self.max_spans is None:
+            self.instants.append(span)
+        else:
+            self._append(self.instants, span)
 
     # -- introspection -----------------------------------------------------
     def __len__(self) -> int:
@@ -225,7 +222,7 @@ class Tracer:
                     if span.flow != NO_FLOW:
                         by_flow.setdefault(span.flow, []).append(span)
             self._chains = {
-                flow: sorted(by_flow[flow], key=lambda s: (s.start, s.span_id))
+                flow: sorted(by_flow[flow], key=_by_start)
                 for flow in sorted(by_flow)
             }
             self._chains_at = self._next_span
@@ -239,11 +236,6 @@ class Tracer:
         self.spans.clear()
         self.instants.clear()
         self._chains_at = 0
-
-    def _alloc_id(self) -> int:
-        span_id = self._next_span
-        self._next_span += 1
-        return span_id
 
 
 #: Shared disabled tracer for components constructed without observability.

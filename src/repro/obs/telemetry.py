@@ -49,8 +49,11 @@ def derive_run_metrics(
     An event-driven instrument appears only once its source saw an event;
     the ``resilience.*`` / ``audit.violations_total`` summary always
     appears. ``prefetch.slack_error_ms`` reads the ``predicted`` field the
-    SVM manager puts on a scored read's ``svm.slack`` record, and
-    ``bus.utilization`` is each link's busy time over the whole run.
+    SVM manager puts on a scored read's ``svm.slack`` record,
+    ``bus.utilization`` is each link's busy time over the whole run, and
+    ``device.busy_ms`` is each physical device's own op time. A device is
+    charged only its ops: a coherence copy an executor waits on stays in
+    ``coherence.duration_ms`` and ``bus.*``.
     """
     presented = sum(fps.presented for fps in fps_collectors)
     if presented:
@@ -105,6 +108,9 @@ def derive_run_metrics(
             registry.gauge("bus.utilization", link=bus.name).set(
                 bus.busy_time / now if now > 0 else 0.0
             )
+    for name, device in emulator.machine.devices.items():
+        if device.busy_time:
+            registry.counter("device.busy_ms", device=name).inc(device.busy_time)
 
     resilience = ResilienceStats(trace)
     for kind, count in sorted(resilience.fault_counts().items()):

@@ -34,13 +34,12 @@ observe the same exception at their ``yield``.
 Observability hooks
 -------------------
 :meth:`Simulator.add_hook` registers a :class:`SimHook`-shaped observer.
-Hooks see every event dispatch (``on_event_dispatch``), every process
-resumption (``on_process_resume``) and every process yield
-(``on_process_yield`` — including the waitable/timeout yielded, which is
-how :class:`repro.obs.profile.SelfProfiler` attributes simulated time to
-devices and subsystems). Hooks are pure observers: they must not schedule
-or mutate, and with none registered the kernel pays a single attribute
-check per dispatch.
+Hooks see every event dispatch (``on_event_dispatch``), including the
+wake-ups a process resumes in place, so they see the same dispatch
+sequence as a kernel that round-trips every wake-up through the heap.
+The invariant auditor is the one hook in ``src``. Hooks are pure
+observers: they must not schedule or mutate, and with none registered
+the kernel pays a single attribute check per dispatch.
 """
 
 from __future__ import annotations
@@ -59,20 +58,14 @@ ProcessGenerator = Generator[Any, Any, Any]
 
 
 class SimHook:
-    """Observer interface for kernel events (subclass what you need).
+    """Observer of kernel event dispatch.
 
-    All callbacks receive the simulated time first. They run synchronously
+    The callback receives the simulated time first. It runs synchronously
     inside the kernel and must neither block nor mutate simulator state.
     """
 
     def on_event_dispatch(self, time: float, call: "ScheduledCall") -> None:
         """An event popped off the heap is about to run."""
-
-    def on_process_resume(self, time: float, process: "Process") -> None:
-        """A process generator is about to be stepped."""
-
-    def on_process_yield(self, time: float, process: "Process", target: Any) -> None:
-        """A process yielded ``target`` (a Waitable or Timeout)."""
 
 
 class ScheduledCall:
@@ -215,9 +208,6 @@ class Process(Waitable):
         sim = self._sim
         hooks = sim._hooks
         while True:
-            if hooks:
-                for hook in hooks:
-                    hook.on_process_resume(sim.now, self)
             try:
                 if exc is not None:
                     target = self._throw(exc)
@@ -230,9 +220,6 @@ class Process(Waitable):
                 self._finish(None, err)
                 return
 
-            if hooks:
-                for hook in hooks:
-                    hook.on_process_yield(sim.now, self, target)
             # Timeout (every modelled latency) and SimEvent (queues, locks,
             # fences) are by far the most common yields, so their exact-type
             # checks run before the generic isinstance.

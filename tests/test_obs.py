@@ -1,4 +1,4 @@
-"""Tests for repro.obs: tracing, metrics, profiling, exporters, observe CLI."""
+"""Tests for repro.obs: tracing, metrics, exporters, observe CLI."""
 
 from __future__ import annotations
 
@@ -23,9 +23,9 @@ from repro.obs import (
     metrics_json,
     validate_chrome_trace,
 )
-from repro.obs.profile import SelfProfiler
 from repro.obs.registry import _DecimatingSampler
 from repro.sim import Simulator, Timeout
+from repro.sim.kernel import SimHook
 from repro.sim.tracing import TraceLog
 
 
@@ -68,20 +68,6 @@ def test_disabled_tracer_records_nothing():
     tracer.instant("evt", "track")
     assert len(tracer) == 0
     assert tracer.flows() == []
-
-
-def test_span_context_manager():
-    sim = Simulator()
-    tracer = Tracer(sim)
-
-    def proc():
-        with tracer.span("critical", "host"):
-            pass
-        yield Timeout(1.0)
-
-    sim.spawn(proc())
-    sim.run(until=2.0)
-    assert tracer.spans[0].finished
 
 
 class _FakeClock:
@@ -182,43 +168,33 @@ def test_percentile_rejects_nan_q():
         percentile([1.0], float("nan"))
 
 
-# -- self-profiler ------------------------------------------------------------
+# -- kernel hooks -------------------------------------------------------------
 
-def test_self_profiler_attributes_sim_time():
+class _CountingHook(SimHook):
+    def __init__(self):
+        self.dispatches = 0
+
+    def on_event_dispatch(self, time, call):
+        self.dispatches += 1
+
+
+def test_remove_hook():
     sim = Simulator()
-    profiler = SelfProfiler(vdev_to_device={"gpu": "rtx4090"})
-    sim.add_hook(profiler)
-
-    def exec_proc():
-        yield Timeout(4.0)
-
-    def prefetch_proc():
-        yield Timeout(2.0)
-
-    sim.spawn(exec_proc(), name="exec:gpu")
-    sim.spawn(prefetch_proc(), name="prefetch:r1")
-    sim.run(until=10.0)
-
-    table = profiler.table()
-    assert table["subsystem_ms"]["exec:gpu"] == 4.0
-    assert table["subsystem_ms"]["prefetch"] == 2.0
-    assert table["device_ms"]["rtx4090"] == 4.0
-    assert table["timeouts_attributed"] == 2
-    assert table["events_dispatched"] > 0
-
-
-def test_profiler_hook_removal():
-    sim = Simulator()
-    profiler = SelfProfiler()
-    sim.add_hook(profiler)
-    sim.remove_hook(profiler)
+    kept, removed = _CountingHook(), _CountingHook()
+    sim.add_hook(kept)
+    sim.add_hook(removed)
+    sim.remove_hook(removed)
+    sim.remove_hook(removed)  # idempotent
 
     def proc():
         yield Timeout(1.0)
+        yield Timeout(1.0)
 
     sim.spawn(proc(), name="exec:gpu")
-    sim.run(until=2.0)
-    assert profiler.timeouts_attributed == 0
+    sim.run(until=3.0)
+    assert sim._hooks == [kept]
+    assert kept.dispatches == 3  # the start and both wake-ups
+    assert removed.dispatches == 0
 
 
 # -- exporters ----------------------------------------------------------------
@@ -316,12 +292,15 @@ def test_tracelog_digestion_into_trace():
 
 
 def test_metrics_json_bundles_profile_and_extra():
+    # The per-device time profile is plain registry counters.
     registry = MetricsRegistry()
     registry.counter("c").inc(3)
-    out = metrics_json(registry, profile={"device_ms": {"gpu": 1.0}},
-                       extra={"fps": 60.0})
+    registry.counter("device.busy_ms", device="gpu").inc(1.0)
+    out = metrics_json(registry, extra={"fps": 60.0})
     assert out["metrics"][0]["value"] == 3.0
-    assert out["profile"]["device_ms"]["gpu"] == 1.0
+    assert out["metrics"][1] == {"name": "device.busy_ms", "type": "counter",
+                                 "labels": {"device": "gpu"}, "value": 1.0}
+    assert "profile" not in out
     assert out["fps"] == 60.0
     json.dumps(out)  # round-trips
 
@@ -332,23 +311,21 @@ def test_observability_disabled_is_inert():
     assert not DISABLED.enabled
     assert DISABLED.tracer is NULL_TRACER
     assert len(DISABLED.registry) == 0
-    assert DISABLED.profiler is None
-    DISABLED.map_devices({"gpu": "x"})  # no-op, no crash
+    assert DISABLED.registry.find("device.busy_ms", device="gpu") is None
+    assert DISABLED.export_metrics() == {"metrics": []}
 
 
-def test_observability_enabled_installs_hook():
-    sim = Simulator()
-    obs = Observability(sim)
-    assert obs.enabled and obs.profiler is not None
+def test_observability_installs_no_hook():
+    from repro.experiments.runner import build_rig
+    from repro.recovery.audit import install_auditor
 
-    def proc():
-        yield Timeout(2.0)
+    observed = build_rig("vSoC", obs=Observability(Simulator()))
+    assert observed.obs.enabled
+    assert observed.sim._hooks == []
 
-    sim.spawn(proc(), name="exec:gpu")
-    sim.run(until=3.0)
-    obs.map_devices({"gpu": "dev0"})
-    metrics = obs.export_metrics()
-    assert metrics["profile"]["timeouts_attributed"] == 1
+    audited = build_rig("vSoC", obs=Observability(Simulator()))
+    auditor = install_auditor(audited.emulator)
+    assert audited.sim._hooks == [auditor]
 
 
 # -- TraceLog satellites: per-kind index --------------------------------------
@@ -417,7 +394,16 @@ def test_observed_run_is_bit_identical_and_connected():
     assert "prefetch.mispredict_rate" in names
     assert "bus.utilization" in names
     assert "frames.presented" in names
-    assert metrics["profile"]["device_ms"]  # per-device attribution
+    assert "profile" not in metrics
+    # per-device attribution: each busy device's own op time
+    busy = {
+        m["labels"]["device"]: m["value"]
+        for m in metrics["metrics"] if m["name"] == "device.busy_ms"
+    }
+    assert busy and busy == {
+        name: device.busy_time
+        for name, device in rig.machine.devices.items() if device.busy_time
+    }
     # frame counters are read from the authoritative collector
     presented = next(
         m for m in metrics["metrics"] if m["name"] == "frames.presented"
@@ -502,7 +488,8 @@ def test_observe_cli_writes_artifacts(tmp_path):
     metrics = json.loads(metrics_path.read_text())
     assert metrics["app"] == "uhd-video"
     assert any(m["name"] == "bus.utilization" for m in metrics["metrics"])
-    assert "profile" in metrics
+    assert any(m["name"] == "device.busy_ms" for m in metrics["metrics"])
+    assert "profile" not in metrics
 
 
 def test_observe_resolves_emulator_names_like_explain():

@@ -169,6 +169,39 @@ def test_bus_utilization_equals_busy_time_over_duration(observed_ar):
         assert derived[link] == busy_time / OBSERVED_AR_MS, link
 
 
+def _device_busy(counters):
+    return {
+        dict(labels)["device"]: value
+        for (name, labels), value in counters.items()
+        if name == "device.busy_ms"
+    }
+
+
+def test_device_busy_equals_each_devices_op_time(observed_ar):
+    run, _, counters = observed_ar
+    busy = {
+        name: device.busy_time
+        for name, device in run.emulator.machine.devices.items()
+        if device.busy_time
+    }
+    assert busy and _device_busy(counters) == busy
+
+
+#: ArApp on vSoC at 2 s, seed 0: the simulated ms per device that the
+#: kernel self-profiler attributed from executor timeouts. On vSoC every
+#: executor timeout is a device op, so the derived counters must agree.
+PROFILER_DEVICE_MS = {"camera": 46.8, "cpu": 257.4, "gpu": 375.369424}
+
+
+def test_device_busy_matches_the_retired_self_profiler():
+    run = run_app(ArApp(), "vSoC", duration_ms=2_000.0, telemetry=True)
+    counters = {(c.name, c.labels): c.value for c in run.telemetry.counters}
+    derived = _device_busy(counters)
+    assert set(derived) == set(PROFILER_DEVICE_MS)
+    for device, ms in PROFILER_DEVICE_MS.items():
+        assert abs(derived[device] - ms) <= 1e-6, device
+
+
 # ---------------------------------------------------------------------------
 # The acceptance criterion: parallel == serial == warm, snapshot for snapshot
 # ---------------------------------------------------------------------------
