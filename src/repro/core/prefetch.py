@@ -349,7 +349,7 @@ class PrefetchEngine:
                     self._suspended_since[vkey] = self._sim.now
                     self._failures[vkey] = 0
                     self._trace.record(
-                        self._sim.now, "prefetch.suspend", flow=str(vkey)
+                        self._sim.now, "prefetch.suspend", vkey=str(vkey)
                     )
                     if self._obs.enabled:
                         self._obs.tracer.instant(

@@ -5,7 +5,7 @@ Usage::
     python -m repro.experiments table2
     python -m repro.experiments fig10 [--quick] [--jobs 4]
     python -m repro.experiments all --quick --jobs 4
-    python -m repro.experiments bench --jobs 4 [--check]
+    python -m repro.experiments bench [--check] [--history PATH]
     python -m repro.experiments observe --app ar --export trace.json \
         --metrics metrics.json
     python -m repro.experiments recover [--quick] [--report audit.json] \
@@ -23,10 +23,12 @@ reference values. ``--quick`` shortens simulated durations and app counts
 over N worker processes and ``--no-cache`` disables the on-disk run cache
 (both apply to every command). ``observe`` runs one app with the
 observability stack enabled and exports a Perfetto-compatible trace plus
-a metrics JSON; ``bench`` measures the engine itself, writes
-``BENCH_engine.json``, appends to ``BENCH_history.jsonl`` and — with
-``--check`` — gates on the history's EWMA baselines (both are excluded
-from ``all``).
+a metrics JSON; ``bench`` runs the ``perf/`` paper-grid benchmark five
+times, writes the medians to ``BENCH_engine.json``, appends them to
+``BENCH_history.jsonl`` and — with ``--check`` — gates each (workload,
+metric) pair on the history's EWMA baseline and its ``BENCHMARK.json``
+bound (both are excluded from ``all``; ``bench`` ignores ``--quick``,
+``--jobs`` and ``--no-cache``).
 """
 
 from __future__ import annotations
@@ -500,12 +502,9 @@ def main(argv=None) -> int:
                              help="output path (bench: BENCH_engine.json; "
                                   "explain: the attribution JSON)")
     bench_group.add_argument("--check", action="store_true",
-                             help="exit nonzero when a metric regresses "
-                                  "beyond tolerance vs the EWMA baseline")
-    bench_group.add_argument("--tolerance", type=float, default=None,
-                             metavar="FRAC",
-                             help="relative regression tolerance "
-                                  "(default 0.25)")
+                             help="exit 2 when a (workload, metric) pair "
+                                  "lands beyond its BENCHMARK.json bound "
+                                  "vs the EWMA baseline")
     observe_group = parser.add_argument_group("observe options")
     observe_group.add_argument("--app", default="ar",
                                help="workload to observe (ar/video/camera/livestream)")
@@ -576,11 +575,8 @@ def main(argv=None) -> int:
     if args.experiment == "bench":
         from repro.experiments.bench import cmd_bench
 
-        return cmd_bench(jobs=args.jobs,
-                         out_path=args.out or "BENCH_engine.json",
-                         quick=args.quick, cache=not args.no_cache,
-                         check=args.check, history_path=args.history,
-                         tolerance=args.tolerance)
+        return cmd_bench(out_path=args.out or "BENCH_engine.json",
+                         check=args.check, history_path=args.history)
     if args.experiment == "observe":
         from repro.experiments.observe import DEFAULT_DURATION_MS, cmd_observe
 

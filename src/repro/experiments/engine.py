@@ -332,8 +332,7 @@ class EngineReport:
     ``jobs`` is what the caller *requested*; ``effective_jobs`` is the
     worker count actually usable after clamping to the host's available
     CPUs — on a 1-CPU box a ``--jobs 32`` sweep reports ``effective_jobs
-    == 1``, so downstream consumers (the bench payload) can't publish a
-    misleading "parallel" number.
+    == 1``, so a consumer can't publish a misleading "parallel" number.
     """
 
     results: List[Any]
@@ -343,9 +342,8 @@ class EngineReport:
     wall_s: float
     effective_jobs: int = 1
     #: How misses actually executed: ``"inline"`` (no pool was spun up —
-    #: one effective worker, or every spec was a cache hit) or ``"pool"``.
-    #: Bench payloads record it so a parallel_speedup measured against an
-    #: inline run is never mistaken for pool overhead (or vice versa).
+    #: one effective worker, or every spec was a cache hit) or ``"pool"``,
+    #: so a wall time measured inline is never mistaken for a pool's.
     parallel_mode: str = "inline"
 
     @property

@@ -12,14 +12,8 @@ import json
 from typing import Any, Dict, IO, Mapping, Optional, Union
 
 from repro.experiments.appbench import AppBenchResult
-from repro.experiments.breakdown import (
-    AccessLatencyResult,
-    BreakdownResult,
-    PopularBreakdownResult,
-)
+from repro.experiments.breakdown import PopularBreakdownResult
 from repro.experiments.measurement import MeasurementResult
-from repro.experiments.microbench import SvmMicrobenchResult
-from repro.experiments.popular import PopularResult
 
 
 def to_plain(result: Any) -> Any:
@@ -56,11 +50,6 @@ def measurement_to_dict(result: MeasurementResult) -> Dict[str, Any]:
     }
 
 
-def microbench_to_dict(result: SvmMicrobenchResult) -> Dict[str, Any]:
-    """A Table 2 row."""
-    return to_plain(result)
-
-
 def appbench_to_dict(result: AppBenchResult) -> Dict[str, Any]:
     """A Figures 10/11/13/14 bar group."""
     return {
@@ -70,36 +59,6 @@ def appbench_to_dict(result: AppBenchResult) -> Dict[str, Any]:
         "category_latency_ms": dict(result.category_latency),
         "mean_fps": result.mean_fps,
         "mean_latency_ms": result.mean_latency,
-        "runnable": result.runnable,
-        "per_app_fps": dict(result.per_app),
-    }
-
-
-def breakdown_to_dict(result: BreakdownResult) -> Dict[str, Any]:
-    """Figure 12 series."""
-    return {
-        "machine": result.machine,
-        "category_fps": {c: dict(v) for c, v in result.category_fps.items()},
-        "no_prefetch_drop_pct": result.drop_percent("no-prefetch"),
-        "no_fence_drop_pct": result.drop_percent("no-fence"),
-    }
-
-
-def access_latency_to_dict(result: AccessLatencyResult) -> Dict[str, Any]:
-    """Figure 16 CDF."""
-    return {
-        "cdf": result.cdf(),
-        "mean_ms": result.mean,
-        "max_ms": result.maximum,
-        "samples": len(result.samples),
-    }
-
-
-def popular_to_dict(result: PopularResult) -> Dict[str, Any]:
-    """A Figure 15 bar."""
-    return {
-        "emulator": result.emulator,
-        "mean_fps": result.mean_fps,
         "runnable": result.runnable,
         "per_app_fps": dict(result.per_app),
     }

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, Mapping, Optional
 
-from repro.obs.baseline import RegressionSentinel, SentinelReport
 from repro.obs.critical import (
     BUDGET_CATEGORIES,
     BudgetCell,
@@ -67,8 +66,6 @@ __all__ = [
     "MetricsRegistry",
     "Observability",
     "PathStep",
-    "RegressionSentinel",
-    "SentinelReport",
     "SloReport",
     "SloSpec",
     "Span",

@@ -3,7 +3,8 @@
 A :class:`Span` is a named interval of simulated time on a *track* (one
 virtual device, executor thread, or host subsystem). Spans carry:
 
-* a ``span_id`` / ``parent_id`` pair — intra-track call nesting;
+* a ``span_id`` — unique and increasing in recording order, the
+  tie-breaker wherever spans start at the same time;
 * a ``flow`` id — the cross-device causal thread. One camera frame gets
   one flow id at birth and every span it touches anywhere in the stack
   (guest driver, transport kick, SVM access, coherence copy, prefetch,
@@ -35,8 +36,8 @@ NO_FLOW = 0
 class Span:
     """One named interval of simulated time on one track."""
 
-    __slots__ = ("name", "cat", "track", "start", "end", "span_id", "parent_id",
-                 "flow", "args")
+    __slots__ = ("name", "cat", "track", "start", "end", "span_id", "flow",
+                 "args")
 
     def __init__(
         self,
@@ -45,7 +46,6 @@ class Span:
         track: str,
         start: float,
         span_id: int,
-        parent_id: int = 0,
         flow: int = NO_FLOW,
         args: Optional[Dict[str, Any]] = None,
     ):
@@ -55,7 +55,6 @@ class Span:
         self.start = start
         self.end: Optional[float] = None
         self.span_id = span_id
-        self.parent_id = parent_id
         self.flow = flow
         self.args: Dict[str, Any] = args if args is not None else {}
 
@@ -66,12 +65,8 @@ class Span:
             return None
         return self.end - self.start
 
-    @property
-    def finished(self) -> bool:
-        return self.end is not None
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        dur = f"{self.duration:.3f}ms" if self.finished else "open"
+        dur = f"{self.duration:.3f}ms" if self.end is not None else "open"
         return f"<Span {self.name!r} track={self.track} flow={self.flow} {dur}>"
 
 
@@ -150,7 +145,6 @@ class Tracer:
         track: str,
         cat: str = "span",
         flow: int = NO_FLOW,
-        parent: Optional[Span] = None,
         **args: Any,
     ) -> Span:
         """Open a span at ``sim.now``; close it with :meth:`end`."""
@@ -164,7 +158,6 @@ class Tracer:
         span.end = None
         span.span_id = span_id = self._next_span
         self._next_span = span_id + 1
-        span.parent_id = parent.span_id if parent is not None else 0
         span.flow = flow
         span.args = args  # the call's own ``**args`` dict
         if self.max_spans is None:
@@ -195,7 +188,6 @@ class Tracer:
         span.start = span.end = self._sim.now
         span.span_id = span_id = self._next_span
         self._next_span = span_id + 1
-        span.parent_id = 0
         span.flow = flow
         span.args = args
         if self.max_spans is None:
@@ -231,11 +223,6 @@ class Tracer:
     def flows(self) -> List[int]:
         """Flow ids that stamped at least one span, ascending."""
         return list(self.flow_chains())
-
-    def clear(self) -> None:
-        self.spans.clear()
-        self.instants.clear()
-        self._chains_at = 0
 
 
 #: Shared disabled tracer for components constructed without observability.

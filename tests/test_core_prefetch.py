@@ -116,6 +116,24 @@ def test_three_failures_suspend_flow(engine_setup):
     assert engine.stats.suspended_skips >= 1
 
 
+def test_suspension_record_carries_vkey_not_flow(engine_setup):
+    # ``flow`` is the integer frame-flow id on every other record and span;
+    # a suspension names the suspended flow key, as its span instant does.
+    sim, _m, twin, engine, trace = engine_setup
+    twin.register_region(1)
+    warm_flow(twin, 1, cycles=6)
+    region = SvmRegion(1, UHD_FRAME_BYTES)
+    for _ in range(3):
+        region.note_write("codec", HOST_LOCATION, UHD_FRAME_BYTES)
+        engine.launch(region, "codec", HOST_LOCATION)
+        engine.on_read(region, "cpu", HOST_LOCATION)
+        twin.on_write(1, "codec", HOST_LOCATION, UHD_FRAME_BYTES)
+        twin.on_read(1, "gpu", "gpu", 12.0)
+    (suspend,) = trace.of_kind("prefetch.suspend")
+    assert "flow" not in suspend.fields
+    assert suspend.fields["vkey"] in {str(vkey) for vkey in engine._suspended}
+
+
 def test_suspension_expires_after_cooldown(engine_setup):
     sim, _m, twin, engine, _t = engine_setup
     engine.suspend_cooldown = 2

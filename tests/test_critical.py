@@ -1,5 +1,5 @@
 """Tests for latency attribution: conservation, critical path, diff, SLO,
-the regression sentinel's parallel-mode filter, and the ``explain`` CLI."""
+the regression sentinel's Python-version filter, and the ``explain`` CLI."""
 
 from __future__ import annotations
 
@@ -227,31 +227,32 @@ def test_slo_spec_validation():
 
 # -- the regression sentinel ---------------------------------------------------
 
-def test_sentinel_skips_history_with_mismatched_parallel_mode(tmp_path):
-    from repro.obs.baseline import RegressionSentinel
+def test_sentinel_skips_history_of_another_python_minor(tmp_path):
+    from repro.experiments.bench import append_history, judge, load_history
 
-    sentinel = RegressionSentinel(path=str(tmp_path / "history.jsonl"),
-                                  min_history=1)
-    inline_report = {
-        "kernel": {"speedup": 2.0, "optimized_s": 1.0},
-        "suites": {"emerging": {"parallel_mode": "inline", "serial_s": 1.0}},
-    }
+    path = str(tmp_path / "history.jsonl")
+    pair = "popular-vsoc/peak_rss_mb"
+    bounds = {"peak_rss_mb": {"bound": 0.05, "better": "lower"}}
+
+    def report(python, value):
+        return {"host": {"python": python, "cpu_count": 2}, "runs": 5,
+                "metrics": {pair: {"median": value}}}
+
     for _ in range(4):
-        sentinel.append(inline_report)
-    pool_report = {
-        "kernel": {"speedup": 2.0, "optimized_s": 1.0},
-        "suites": {"emerging": {"parallel_mode": "pool", "serial_s": 1.0}},
-    }
-    verdict = sentinel.check(pool_report)
-    assert verdict.parallel_mode == "pool"
-    assert verdict.skipped_mismatched == 4
-    assert verdict.history_len == 0  # nothing comparable survives
-    same_mode = sentinel.check(inline_report)
-    assert same_mode.skipped_mismatched == 0
-    assert same_mode.history_len == 4
-    record = sentinel.append(inline_report)
-    assert record["parallel_mode"] == "inline"
-    assert "cpu_count" in record["host"]
+        append_history(path, report("3.12.1", 50.0))
+    alone = judge(report("3.11.7", 40.0), load_history(path), bounds)
+    assert alone.python == "3.11"
+    assert alone.skipped_other_python == 4
+    assert alone.history_len == 0  # nothing comparable survives
+    assert [v.status for v in alone.verdicts] == ["insufficient-history"]
+    for _ in range(3):
+        append_history(path, report("3.11.7", 40.0))
+    mixed = judge(report("3.11.7", 42.5), load_history(path), bounds)
+    assert mixed.skipped_other_python == 4
+    assert mixed.history_len == 3
+    # +6.25% over the 3.11 level; the 3.12 records would have read -15%.
+    assert [v.status for v in mixed.regressions] == ["regression"]
+    assert mixed.verdicts[0].baseline == 40.0
 
 
 # -- ring-cap surfacing --------------------------------------------------------

@@ -2,7 +2,7 @@
 
 Inside ``Simulator.run`` the live kernel resumes a process without a heap
 round trip when its wake-up would be the very next event dispatched. The
-frozen kernel in ``repro.experiments._baseline_kernel`` always round-trips.
+frozen kernel in ``tests/_baseline_kernel.py`` always round-trips.
 Seeded random process mixes run through both must give identical resume
 logs, clocks and pending-event counts, and an attached dispatch hook must
 see an identical sequence of dispatches. The mixes also schedule and
@@ -17,8 +17,8 @@ import random
 import pytest
 
 from repro.errors import SimulationError
-from repro.experiments import _baseline_kernel as ref
 from repro.sim import SimEvent, Simulator, Timeout
+from tests import _baseline_kernel as ref
 
 LIVE = (Simulator, Timeout, SimEvent)
 REFERENCE = (ref.Simulator, ref.Timeout, ref.SimEvent)

@@ -7,14 +7,14 @@ import pytest
 
 from repro.apps.ar import ArApp
 from repro.apps.video import UhdVideoApp
+from repro.experiments.bench import (
+    HISTORY_SCHEMA,
+    append_history,
+    judge,
+    load_history,
+)
 from repro.experiments.engine import RunCache, RunSpec, run_many
 from repro.experiments.runner import run_app
-from repro.obs.baseline import (
-    HISTORY_SCHEMA,
-    MetricSpec,
-    RegressionSentinel,
-    extract_metric,
-)
 
 
 def _snapshot(app_cls=UhdVideoApp, emulator="vSoC", duration_ms=1_200.0,
@@ -233,74 +233,95 @@ def test_snapshots_parallel_serial_warm_identical(tmp_path, monkeypatch):
 # Regression sentinel
 # ---------------------------------------------------------------------------
 
-def _sample_report(speedup=3.0, wall=0.5):
-    return {"kernel": {"speedup": speedup, "optimized_s": 1.0 / speedup},
-            "single_run": {"wall_s": wall}}
+PAIR = "emerging-vsoc/host_ms_per_sim_s"
+BOUNDS = {"host_ms_per_sim_s": {"bound": 0.1, "better": "lower"},
+          "fps": {"bound": 0.1, "better": "higher"}}
 
 
-def test_sentinel_soft_passes_on_empty_history(tmp_path):
-    sentinel = RegressionSentinel(str(tmp_path / "hist.jsonl"))
-    verdict = sentinel.check(_sample_report())
+def _report(medians, python="3.11.7"):
+    """The part of a bench report the sentinel reads."""
+    return {"host": {"python": python, "cpu_count": 2}, "runs": 5,
+            "metrics": {pair: {"median": v} for pair, v in medians.items()}}
+
+
+def _history(tmp_path, values):
+    path = str(tmp_path / "hist.jsonl")
+    for value in values:
+        append_history(path, _report({PAIR: value}))
+    return path
+
+
+def test_sentinel_soft_passes_on_empty_history():
+    verdict = judge(_report({PAIR: 99.0}), [], BOUNDS)
     assert verdict.ok
-    assert all(v.status == "insufficient-history" for v in verdict.verdicts)
+    assert [v.status for v in verdict.verdicts] == ["insufficient-history"]
 
 
 def test_sentinel_flags_regression_and_improvement(tmp_path):
-    sentinel = RegressionSentinel(str(tmp_path / "hist.jsonl"), tolerance=0.25)
-    for _ in range(4):
-        sentinel.append(_sample_report(speedup=3.0, wall=0.5))
-    bad = sentinel.check(_sample_report(speedup=1.0, wall=2.0))
-    assert not bad.ok
-    assert {v.metric for v in bad.regressions} >= {"kernel.speedup",
-                                                   "single_run.wall_s"}
-    good = sentinel.check(_sample_report(speedup=6.0, wall=0.1))
+    history = load_history(_history(tmp_path, [10.0] * 4))
+    bad = judge(_report({PAIR: 12.0}), history, BOUNDS)
+    assert [v.pair for v in bad.regressions] == [PAIR]
+    assert bad.verdicts[0].rel_change == pytest.approx(0.2)
+    good = judge(_report({PAIR: 8.0}), history, BOUNDS)
     assert good.ok
-    assert any(v.status == "improved" for v in good.verdicts)
-    steady = sentinel.check(_sample_report(speedup=3.1, wall=0.51))
-    assert steady.ok
+    assert [v.status for v in good.verdicts] == ["improved"]
+    steady = judge(_report({PAIR: 10.5}), history, BOUNDS)
+    assert [v.status for v in steady.verdicts] == ["ok"]
 
 
 def test_sentinel_skips_corrupt_and_alien_lines(tmp_path):
-    path = tmp_path / "hist.jsonl"
-    sentinel = RegressionSentinel(str(path))
-    sentinel.append(_sample_report())
+    path = _history(tmp_path, [10.0])
     with open(path, "a", encoding="utf-8") as fh:
         fh.write("not json at all\n")
         fh.write('{"schema": "other-schema", "metrics": {}}\n')
         fh.write('{"schema": "%s"}\n' % HISTORY_SCHEMA)  # no metrics
+        fh.write('{"schema": "repro-bench-history-v1", "kind": "bench", '
+                 '"metrics": {"kernel.speedup": 1.3}}\n')
+        fh.write('["a", "list"]\n')
         fh.write("\n")
-    sentinel.append(_sample_report())
-    assert len(sentinel.load()) == 2
+    append_history(path, _report({PAIR: 10.0}))
+    assert len(load_history(path)) == 2
+    # A value no gated metric can take counts as corrupt too: the record
+    # is read, but it adds nothing to the baseline.
+    with open(path, "a", encoding="utf-8") as fh:
+        for bad in (0, -1.0, True, "10"):
+            fh.write(json.dumps({"schema": HISTORY_SCHEMA, "python": "3.11",
+                                 "metrics": {PAIR: bad}}) + "\n")
+    verdict = judge(_report({PAIR: 50.0}), load_history(path), BOUNDS)
+    assert verdict.history_len == 6
+    assert [v.status for v in verdict.verdicts] == ["insufficient-history"]
 
 
 def test_sentinel_ewma_matches_paper_predictor(tmp_path):
     from repro.core.smoothing import ExponentialSmoothing
 
-    sentinel = RegressionSentinel(str(tmp_path / "h.jsonl"), min_history=1)
-    values = [3.0, 2.0, 4.0, 3.5]
-    for v in values:
-        sentinel.append(_sample_report(speedup=v))
+    values = [10.0, 12.0, 9.0, 11.5]
+    history = load_history(_history(tmp_path, values))
     ewma = ExponentialSmoothing(alpha=0.5)
-    for v in values:
-        ewma.update(v)
-    level, std, seen = sentinel.baselines()["kernel.speedup"]
-    assert level == ewma.predict()
-    assert std == ewma.std_error
-    assert seen == len(values)
+    for value in values:
+        ewma.update(value)
+    (verdict,) = judge(_report({PAIR: 11.0}), history, BOUNDS).verdicts
+    assert verdict.baseline == ewma.predict()
+    assert verdict.rel_change == (11.0 - ewma.predict()) / ewma.predict()
 
 
-def test_extract_metric_nested_and_flat():
-    assert extract_metric({"a": {"b": 2}}, "a.b") == 2.0
-    assert extract_metric({"a.b": 2}, "a.b") == 2.0
-    assert extract_metric({"a": {"b": True}}, "a.b") is None
-    assert extract_metric({}, "a.b") is None
+def test_history_record_is_flat_medians(tmp_path):
+    path = str(tmp_path / "h.jsonl")
+    medians = {PAIR: 10.0, "explain-grid/peak_rss_mb": 37.0}
+    record = append_history(path, _report(medians))
+    assert record["metrics"] == medians
+    assert record["python"] == "3.11"
+    assert record["schema"] == HISTORY_SCHEMA
+    assert load_history(path) == [record]
 
 
 def test_sentinel_honors_custom_metrics(tmp_path):
-    sentinel = RegressionSentinel(
-        str(tmp_path / "h.jsonl"), min_history=1, tolerance=0.1,
-        metrics=(MetricSpec("fps", higher_is_better=True),),
-    )
-    sentinel.append({"fps": 60.0})
-    verdict = sentinel.check({"fps": 30.0})
-    assert [v.metric for v in verdict.regressions] == ["fps"]
+    # Each pair is gated by its own metric's bound and direction; a pair
+    # whose metric has no bound is not judged at all.
+    path = str(tmp_path / "h.jsonl")
+    for _ in range(3):
+        append_history(path, _report({"w/fps": 60.0, "w/other": 1.0}))
+    verdict = judge(_report({"w/fps": 50.0, "w/other": 9.0}),
+                    load_history(path), BOUNDS)
+    assert [v.pair for v in verdict.verdicts] == ["w/fps"]
+    assert [v.pair for v in verdict.regressions] == ["w/fps"]
