@@ -53,6 +53,9 @@ COPY_RETRY_POLICY = RetryPolicy(
 #: Exceptions a coherence copy may survive via retry or degradation.
 RECOVERABLE_COPY_ERRORS = (TransientCopyError, DeadlineExceededError)
 
+#: Fields of a ``coherence.maintenance`` record, in channel order.
+MAINTENANCE_FIELDS = ("duration", "bytes", "path", "region")
+
 
 def _copy_label(src: str, dst: Optional[str]) -> str:
     return f"copy:{src}->{dst}" if dst is not None else f"copy:{src}"
@@ -284,7 +287,7 @@ class UnifiedPrefetchProtocol(CoherenceProtocol):
         self._sim = sim
         self._planner = planner
         self._engine = engine
-        self._trace = trace
+        self._maintenance = trace.channel("coherence.maintenance", *MAINTENANCE_FIELDS)
         self._obs = obs if obs is not None else DISABLED
         self.degradation = degradation
         self.sync_misses = 0
@@ -340,13 +343,8 @@ class UnifiedPrefetchProtocol(CoherenceProtocol):
             region.note_copy(reader_loc)
             if obs.enabled:
                 obs.tracer.end(span, path=tag, duration=duration)
-            self._trace.record(
-                self._sim.now,
-                "coherence.maintenance",
-                duration=duration,
-                bytes=region.dirty_bytes,
-                path=tag,
-                region=region.region_id,
+            self._maintenance(
+                self._sim.now, duration, region.dirty_bytes, tag, region.region_id
             )
             return duration
         if obs.enabled:
@@ -416,7 +414,7 @@ class UnifiedWriteInvalidate(CoherenceProtocol):
     ):
         self._sim = sim
         self._planner = planner
-        self._trace = trace
+        self._maintenance = trace.channel("coherence.maintenance", *MAINTENANCE_FIELDS)
         self._obs = obs if obs is not None else DISABLED
 
     def begin_access_read(self, region, reader_vdev, reader_loc):
@@ -442,13 +440,9 @@ class UnifiedWriteInvalidate(CoherenceProtocol):
             region.note_copy(reader_loc)
             if obs.enabled:
                 obs.tracer.end(span, path="write-invalidate", duration=duration)
-            self._trace.record(
-                self._sim.now,
-                "coherence.maintenance",
-                duration=duration,
-                bytes=region.dirty_bytes,
-                path="write-invalidate",
-                region=region.region_id,
+            self._maintenance(
+                self._sim.now, duration, region.dirty_bytes, "write-invalidate",
+                region.region_id,
             )
         return self._sim.now - start
 
@@ -472,13 +466,9 @@ class UnifiedWriteInvalidate(CoherenceProtocol):
             region.note_copy(reader_loc)
             if obs.enabled:
                 obs.tracer.end(span, path="write-invalidate-net", duration=duration)
-            self._trace.record(
-                self._sim.now,
-                "coherence.maintenance",
-                duration=duration,
-                bytes=region.dirty_bytes,
-                path="write-invalidate-net",
-                region=region.region_id,
+            self._maintenance(
+                self._sim.now, duration, region.dirty_bytes, "write-invalidate-net",
+                region.region_id,
             )
 
 
@@ -506,6 +496,7 @@ class UnifiedBroadcast(CoherenceProtocol):
         self._sim = sim
         self._planner = planner
         self._trace = trace
+        self._maintenance = trace.channel("coherence.maintenance", *MAINTENANCE_FIELDS)
         self._obs = obs if obs is not None else DISABLED
         self.broadcast_copies = 0
         self.broadcast_failures = 0
@@ -535,10 +526,9 @@ class UnifiedBroadcast(CoherenceProtocol):
                     region.dirty_bytes,
                 )
                 region.note_copy(reader_loc)
-                self._trace.record(
-                    self._sim.now, "coherence.maintenance",
-                    duration=duration, bytes=region.dirty_bytes,
-                    path="broadcast-miss", region=region.region_id,
+                self._maintenance(
+                    self._sim.now, duration, region.dirty_bytes, "broadcast-miss",
+                    region.region_id,
                 )
         return self._sim.now - start
 
@@ -590,10 +580,8 @@ class UnifiedBroadcast(CoherenceProtocol):
         self.broadcast_copies += 1
         if obs.enabled:
             obs.tracer.end(span, path="broadcast", duration=duration)
-        self._trace.record(
-            self._sim.now, "coherence.maintenance",
-            duration=duration, bytes=region.dirty_bytes,
-            path="broadcast", region=region.region_id,
+        self._maintenance(
+            self._sim.now, duration, region.dirty_bytes, "broadcast", region.region_id
         )
         return duration
 
@@ -614,10 +602,9 @@ class UnifiedBroadcast(CoherenceProtocol):
                     region.dirty_bytes,
                 )
                 region.note_copy(reader_loc)
-                self._trace.record(
-                    self._sim.now, "coherence.maintenance",
-                    duration=duration, bytes=region.dirty_bytes,
-                    path="broadcast-net", region=region.region_id,
+                self._maintenance(
+                    self._sim.now, duration, region.dirty_bytes, "broadcast-net",
+                    region.region_id,
                 )
 
 
@@ -650,7 +637,8 @@ class GuestMemoryWriteInvalidate(CoherenceProtocol):
     ):
         self._sim = sim
         self._planner = planner
-        self._trace = trace
+        self._flush = trace.channel("coherence.flush", "duration", "bytes", "region")
+        self._maintenance = trace.channel("coherence.maintenance", *MAINTENANCE_FIELDS)
         self._obs = obs if obs is not None else DISABLED
         # region_id -> virtual devices holding an up-to-date private copy
         self._valid_vdevs: Dict[int, set] = {}
@@ -681,13 +669,7 @@ class GuestMemoryWriteInvalidate(CoherenceProtocol):
         region.last_flush_duration = duration
         if obs.enabled:
             obs.tracer.end(span, duration=duration)
-        self._trace.record(
-            self._sim.now,
-            "coherence.flush",
-            duration=duration,
-            bytes=region.dirty_bytes,
-            region=region.region_id,
-        )
+        self._flush(self._sim.now, duration, region.dirty_bytes, region.region_id)
 
     def executor_before_read(self, region, reader_vdev, reader_loc):
         """Fetch: guest memory → reader's copy (second boundary crossing)."""
@@ -706,11 +688,7 @@ class GuestMemoryWriteInvalidate(CoherenceProtocol):
         flush_cost = region.last_flush_duration
         if obs.enabled:
             obs.tracer.end(span, path="guest-memory", duration=duration)
-        self._trace.record(
-            self._sim.now,
-            "coherence.maintenance",
-            duration=duration + flush_cost,
-            bytes=region.dirty_bytes,
-            path="guest-memory",
-            region=region.region_id,
+        self._maintenance(
+            self._sim.now, duration + flush_cost, region.dirty_bytes, "guest-memory",
+            region.region_id,
         )

@@ -61,6 +61,14 @@ class SvmManager:
         self.degradation = degradation
         self._pools = dict(location_pools)
         self._trace = trace
+        self._slack = trace.channel("svm.slack", "region", "slack", "predicted")
+        self._access_latency = trace.channel(
+            "svm.access_latency", "region", "vdev", "usage", "latency", "bytes",
+            "degraded_level",
+        )
+        self._write_retired = trace.channel(
+            "svm.write_retired", "region", "vdev", "bytes"
+        )
         self.page_map_cost = page_map_cost
         self.extra_access_overhead = extra_access_overhead
         mapping_cost = page_map_cost + extra_access_overhead
@@ -74,6 +82,7 @@ class SvmManager:
             chain_reaction_vdevs if chain_reaction_vdevs is not None else {"gpu", "display"}
         )
         self.chain_reactions = 0
+        self.accesses_closed = 0
         self._regions: Dict[int, SvmRegion] = {}
         self._next_id = 1
         self.allocs_total = 0
@@ -158,15 +167,10 @@ class SvmManager:
             self.twin.on_read(region_id, vdev, location, slack)
             if slack is not None:
                 if predicted is None:
-                    self._trace.record(
-                        self._sim.now, "svm.slack", region=region_id, slack=slack
-                    )
+                    self._slack(self._sim.now, region_id, slack)
                 else:
                     # Only a scored read carries the engine's prediction.
-                    self._trace.record(
-                        self._sim.now, "svm.slack", region=region_id,
-                        slack=slack, predicted=predicted,
-                    )
+                    self._slack(self._sim.now, region_id, slack, predicted)
             blocked = yield from self.protocol.begin_access_read(region, vdev, location)
             if self.auditor is not None:
                 # "No access observes stale bytes": once the protocol has
@@ -198,34 +202,24 @@ class SvmManager:
         latency = self._sim.now - start
         if obs.enabled:
             obs.tracer.end(access_span, latency=latency)
-        extra = {}
-        if self.degradation is not None and self.degradation.degraded:
+        degradation = self.degradation
+        if degradation is not None and degradation.degraded:
             # Tag accesses made under degraded coherence so metrics can
             # attribute latency spikes to the fault, not the workload.
-            extra["degraded_level"] = self.degradation.level
-        self._trace.record(
-            self._sim.now,
-            "svm.access_latency",
-            region=region_id,
-            vdev=vdev,
-            usage=usage.value,
-            latency=latency,
-            bytes=window,
-            **extra,
-        )
+            self._access_latency(
+                self._sim.now, region_id, vdev, usage.value, latency, window,
+                degradation.level,
+            )
+        else:
+            self._access_latency(
+                self._sim.now, region_id, vdev, usage.value, latency, window
+            )
         return latency
 
     def end_access(self, vdev: str, region_id: int) -> None:
         """Close an access bracket opened by ``begin_access``."""
-        region = self.get(region_id)
-        opened = region.close_access(vdev)
-        self._trace.record(
-            self._sim.now,
-            "svm.access_end",
-            region=region_id,
-            vdev=vdev,
-            held=self._sim.now - opened.start_time,
-        )
+        self.get(region_id).close_access(vdev)
+        self.accesses_closed += 1
 
     def _slack_for(self, region: SvmRegion) -> Optional[float]:
         """*Natural* slack: write retirement → read arrival, minus any
@@ -266,9 +260,7 @@ class SvmManager:
         region.write_complete_time = self._sim.now
         self._ensure_backing(region, location)
         self.twin.on_write(region_id, vdev, location, nbytes)
-        self._trace.record(
-            self._sim.now, "svm.write_retired", region=region_id, vdev=vdev, bytes=nbytes
-        )
+        self._write_retired(self._sim.now, region_id, vdev, nbytes)
         if self._obs.enabled:
             self._obs.tracer.instant(
                 "svm.write_retired", vdev, cat="svm", flow=region.flow,

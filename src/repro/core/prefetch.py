@@ -23,7 +23,11 @@ from __future__ import annotations
 
 from typing import Callable, Dict, FrozenSet, Optional, Set
 
-from repro.core.coherence import RECOVERABLE_COPY_ERRORS, CopyPlanner
+from repro.core.coherence import (
+    MAINTENANCE_FIELDS,
+    RECOVERABLE_COPY_ERRORS,
+    CopyPlanner,
+)
 from repro.core.degradation import LEVEL_PREFETCHED, DegradationController
 from repro.core.region import SvmRegion
 from repro.core.twin import TwinHypergraphs
@@ -106,6 +110,8 @@ class PrefetchEngine:
         self._planner = planner
         self._vdev_location = vdev_location
         self._trace = trace
+        self._start = trace.channel("prefetch.start", "region", "targets", "bytes")
+        self._maintenance = trace.channel("coherence.maintenance", *MAINTENANCE_FIELDS)
         self.degradation = degradation
         self.failure_threshold = failure_threshold
         self.bandwidth_ratio = bandwidth_ratio
@@ -178,12 +184,8 @@ class PrefetchEngine:
             )
         region.prefetch_targets = targets
         self.stats.launched += 1
-        self._trace.record(
-            self._sim.now,
-            "prefetch.start",
-            region=region.region_id,
-            targets=sorted(targets),
-            bytes=region.dirty_bytes,
+        self._start(
+            self._sim.now, region.region_id, sorted(targets), region.dirty_bytes
         )
 
         region.pending_compensation = self._compensation(
@@ -236,13 +238,8 @@ class PrefetchEngine:
             self.degradation.note_success(LEVEL_PREFETCHED)
         if pedge is not None:
             self._twin.note_prefetch_duration(pedge, duration)
-        self._trace.record(
-            self._sim.now,
-            "coherence.maintenance",
-            duration=duration,
-            bytes=region.dirty_bytes,
-            path="prefetch",
-            region=region.region_id,
+        self._maintenance(
+            self._sim.now, duration, region.dirty_bytes, "prefetch", region.region_id
         )
         return duration
 

@@ -171,6 +171,12 @@ class Emulator:
         self.machine = machine
         self.config = config
         self.trace = trace if trace is not None else TraceLog()
+        self._op_retired = self.trace.channel(
+            "host.op_retired", "vdev", "op", "queue_delay"
+        )
+        self._compensation = self.trace.channel(
+            "svm.compensation", "vdev", "compensation"
+        )
         self.rng = rng if rng is not None else random.Random(0)
         self.obs = obs if obs is not None else DISABLED
 
@@ -524,12 +530,7 @@ class Emulator:
             if compensation > 0:
                 yield cmd.done
                 yield Timeout(compensation)
-                self.trace.record(
-                    self.sim.now,
-                    "svm.compensation",
-                    vdev=vdev,
-                    compensation=compensation,
-                )
+                self._compensation(self.sim.now, vdev, compensation)
 
         for region in (*read_regions, *write_regions):
             if region.is_open_by(vdev):
@@ -574,6 +575,7 @@ class Emulator:
         tracer = self.obs.tracer
         location = self.vdev_location(vdev.name)
         exec_track = f"{vdev.name}/exec"
+        op_retired = self._op_retired
         while True:
             command = yield vdev.queue.get()
             kind = type(command)
@@ -621,12 +623,9 @@ class Emulator:
                 vdev.outstanding.pop(command, None)
                 if observed:
                     tracer.end(span, queue_delay=self.sim.now - command.dispatched_at)
-                self.trace.record(
-                    self.sim.now,
-                    "host.op_retired",
-                    vdev=vdev.name,
-                    op=command.op,
-                    queue_delay=self.sim.now - command.dispatched_at,
+                op_retired(
+                    self.sim.now, vdev.name, command.op,
+                    self.sim.now - command.dispatched_at,
                 )
             else:  # pragma: no cover - defensive
                 raise ConfigurationError(f"unknown command {command!r}")

@@ -120,9 +120,8 @@ def run_measurement(
         result.region_sizes.extend(int(r["size"]) for r in trace.of_kind("svm.alloc"))
         result.coherence_durations.extend(run.stats.coherence_durations())
         result.slack_intervals.extend(run.stats.slack_intervals())
-        total_calls += len(trace.of_kind("svm.access_latency")) + len(
-            trace.of_kind("svm.access_end")
-        )
+        closed = run.emulator.manager.accesses_closed
+        total_calls += trace.count("svm.access_latency") + closed
         # -- the §2.3 observations -----------------------------------------
         per_region_accessors: Dict[int, set] = {}
         per_region_usage: Dict[int, List[str]] = {}

@@ -59,7 +59,7 @@ def trace_tuples(trace: TraceLog) -> List[Tuple[float, str, tuple]]:
     """A trace reduced to comparable tuples (bit-identity checks)."""
     return [
         (record.time, record.kind, tuple(sorted(record.fields.items())))
-        for record in trace._records
+        for record in trace
     ]
 
 

@@ -66,14 +66,12 @@ def derive_run_metrics(
         ("coherence.duration_ms", "path", "coherence.maintenance", "duration"),
     ):
         per_label: Dict[Any, Histogram] = {}
-        for record in trace.of_kind(record_kind):
-            fields = record.fields
-            histogram = per_label.get(fields[label])
+        samples = trace.values(record_kind, field_name)
+        for key, sample in zip(trace.values(record_kind, label), samples):
+            histogram = per_label.get(key)
             if histogram is None:
-                histogram = per_label[fields[label]] = registry.histogram(
-                    name, **{label: fields[label]}
-                )
-            histogram.observe(fields[field_name])
+                histogram = per_label[key] = registry.histogram(name, **{label: key})
+            histogram.observe(sample)
     slack_error = None
     for record in trace.of_kind("svm.slack"):
         predicted = record.fields.get("predicted")

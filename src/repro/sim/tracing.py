@@ -3,39 +3,36 @@
 The §2.3 measurement study and §5.2 microbenchmarks are built on
 instrumentation of the shared-memory interface and the emulators' SVM
 implementations. :class:`TraceLog` is our equivalent: components append
-:class:`TraceRecord` entries (an event kind plus free-form fields) and the
-experiment layer filters and aggregates them into the paper's CDFs and
-tables.
+records (a time, an event kind and the kind's fields) and the experiment
+layer filters and aggregates them into the paper's CDFs and tables.
 
-The log keeps a per-kind index alongside the time-ordered record list, so
-the hot analysis paths (:meth:`TraceLog.of_kind`, :meth:`TraceLog.values`)
-are O(records of that kind) instead of O(all records), and
-:meth:`TraceLog.count` / :meth:`TraceLog.kind_counts` are O(1) / O(kinds)
-rather than a re-walk.
+The log is on in every run, so it is compact: each kind declares its
+field names once and keeps a table of tuple rows ``(time, *values)``,
+and an ``array('H')`` of kind indices keeps the record order. Hot sites
+write through a :meth:`~TraceLog.channel`, one tuple per record;
+:class:`TraceRecord` views are built only by iteration and
+:meth:`~TraceLog.of_kind`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional
+from array import array
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 
 class TraceRecord:
-    """One instrumentation event.
-
-    A ``__slots__`` value class rather than a (frozen) dataclass: records
-    are allocated on the hottest instrumentation path, and the frozen
-    dataclass's ``object.__setattr__``-based init measurably dominated
-    :meth:`TraceLog.record`. Value semantics (equality, repr) are kept.
+    """A view of one record.
 
     Attributes
     ----------
     time:
         Simulated timestamp (ms) at which the event was recorded.
     kind:
-        Event class, e.g. ``"svm.begin_access"``, ``"coherence.copy"``,
-        ``"frame.presented"``, ``"prefetch.start"``.
+        Event class, e.g. ``"svm.access_latency"``, ``"svm.slack"``,
+        ``"coherence.maintenance"``, ``"host.op_retired"``.
     fields:
-        Free-form payload (sizes, devices, durations, region IDs, ...).
+        Payload (sizes, devices, durations, region IDs, ...) in the kind's
+        declared order; a trailing field the record left out is absent.
     """
 
     __slots__ = ("time", "kind", "fields")
@@ -64,11 +61,8 @@ class TraceRecord:
         return f"TraceRecord(time={self.time!r}, kind={self.kind!r}, fields={self.fields!r})"
 
 
-_new_record = TraceRecord.__new__
-
-
 class TraceLog:
-    """Append-only event log with indexed filtering helpers.
+    """Append-only event log: one table of tuple rows per kind.
 
     Every record is kept: the paper metrics and the capture-time metrics
     view (:func:`repro.obs.telemetry.derive_run_metrics`) read the whole
@@ -76,51 +70,88 @@ class TraceLog:
     """
 
     def __init__(self) -> None:
-        self._records: List[TraceRecord] = []
-        self._by_kind: Dict[str, List[TraceRecord]] = {}
+        self._index: Dict[str, int] = {}
+        self._kinds: List[str] = []
+        self._fields: List[Tuple[str, ...]] = []
+        self._rows: List[List[tuple]] = []
+        self._order = array("H")
+
+    def _declare(self, kind: str, fields: Tuple[str, ...]) -> int:
+        """The index of ``kind``. Its first use declares its field names; a
+        later one may leave out trailing names, and any other list raises."""
+        index = self._index.get(kind)
+        if index is None:
+            index = self._index[kind] = len(self._kinds)
+            self._kinds.append(kind)
+            self._fields.append(fields)
+            self._rows.append([])
+        elif self._fields[index][: len(fields)] != fields:
+            raise ValueError(
+                f"trace kind {kind!r} has fields {self._fields[index]}, not {fields}"
+            )
+        return index
+
+    def channel(self, kind: str, *fields: str) -> Callable[..., None]:
+        """An appender ``write(time, *values)``, values in ``fields`` order
+        (trailing ones may be left out). Take it once, at construction."""
+        index = self._declare(kind, fields)
+        append_row = self._rows[index].append
+        append_kind = self._order.append
+
+        def write(*row: Any) -> None:
+            append_row(row)
+            append_kind(index)
+
+        return write
 
     def record(self, time: float, kind: str, **fields: Any) -> None:
-        """Append one record."""
-        # Allocate without the Python-level __init__ frame: this is the
-        # single hottest allocation site in a simulation run.
-        record = _new_record(TraceRecord)
-        record.time = time
-        record.kind = kind
-        record.fields = fields
-        self._records.append(record)
-        try:
-            self._by_kind[kind].append(record)
-        except KeyError:
-            self._by_kind[kind] = [record]
+        """Append one record by keyword (rare kinds and tests)."""
+        index = self._declare(kind, tuple(fields))
+        self._rows[index].append((time, *fields.values()))
+        self._order.append(index)
 
-    @property
-    def recorded_total(self) -> int:
-        """Records accepted since construction or the last :meth:`clear`."""
-        return len(self._records)
+    def _view(self, index: int, row: tuple) -> TraceRecord:
+        fields = dict(zip(self._fields[index], row[1:]))
+        return TraceRecord(row[0], self._kinds[index], fields)
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._order)
 
     def __iter__(self) -> Iterator[TraceRecord]:
-        return iter(self._records)
+        """Every record, in the order recorded."""
+        cursors = [iter(rows) for rows in self._rows]
+        for index in self._order:
+            yield self._view(index, next(cursors[index]))
 
     def of_kind(self, kind: str) -> List[TraceRecord]:
         """All records of one kind, in time order. O(k)."""
-        return list(self._by_kind.get(kind, ()))
+        index = self._index.get(kind)
+        if index is None:
+            return []
+        return [self._view(index, row) for row in self._rows[index]]
 
     def values(self, kind: str, field_name: str) -> List[Any]:
         """Extract one payload field from every record of ``kind``. O(k)."""
-        return [r.fields[field_name] for r in self._by_kind.get(kind, ())]
+        index = self._index.get(kind)
+        if index is None:
+            return []
+        slot = self._fields[index].index(field_name) + 1
+        return [row[slot] for row in self._rows[index]]
 
     def count(self, kind: str) -> int:
         """Number of records of one kind. O(1)."""
-        return len(self._by_kind.get(kind, ()))
+        index = self._index.get(kind)
+        return 0 if index is None else len(self._rows[index])
 
     def kind_counts(self) -> Dict[str, int]:
-        """Histogram of record kinds — the summary chaos reports print."""
-        return {kind: len(records) for kind, records in self._by_kind.items()}
+        """Records per kind, in first-record order: what chaos reports print."""
+        return {
+            self._kinds[index]: len(self._rows[index])
+            for index in dict.fromkeys(self._order)
+        }
 
     def clear(self) -> None:
-        """Drop every record."""
-        self._records.clear()
-        self._by_kind.clear()
+        """Drop every record; declared kinds and their channels stay."""
+        del self._order[:]
+        for rows in self._rows:
+            rows.clear()

@@ -339,7 +339,7 @@ def test_tracelog_index_consistency():
     assert log.values("a", "v") == list(range(10))
     assert [r.kind for r in log.of_kind("b")] == ["b"] * 10
     assert log.kind_counts() == {"a": 10, "b": 10}
-    assert log.recorded_total == 20
+    assert len(log) == 20
 
 
 # -- end-to-end: observed emulator runs ---------------------------------------

@@ -1,5 +1,13 @@
 """Unit tests for the trace log (repro.sim.tracing)."""
 
+import hashlib
+
+import pytest
+
+from repro.apps.ar import ArApp
+from repro.apps.video import UhdVideoApp
+from repro.experiments.recover import trace_tuples
+from repro.experiments.runner import build_rig, drive
 from repro.sim.tracing import TraceLog, TraceRecord
 
 
@@ -40,3 +48,95 @@ def test_iteration_in_time_order():
     for t in (1.0, 2.0, 3.0):
         log.record(t, "evt")
     assert [r.time for r in log] == [1.0, 2.0, 3.0]
+
+
+# -- the store: per-kind tuple rows written through channels --------------------
+
+def test_missing_trailing_field_reads_as_absent():
+    log = TraceLog()
+    slack = log.channel("svm.slack", "region", "slack", "predicted")
+    slack(1.0, 7, 2.5)
+    slack(2.0, 7, 3.0, 4.0)
+    unscored, scored = log.of_kind("svm.slack")
+    assert unscored.fields == {"region": 7, "slack": 2.5}
+    assert unscored.get("predicted", "absent") == "absent"
+    assert scored.fields == {"region": 7, "slack": 3.0, "predicted": 4.0}
+    assert log.values("svm.slack", "slack") == [2.5, 3.0]
+
+
+def test_redeclaring_a_kind_with_conflicting_fields_raises():
+    log = TraceLog()
+    log.channel("a", "x", "y")
+    log.channel("a", "x", "y")  # the same list again is fine
+    log.record(1.0, "a", x=1)  # so is a record that leaves out "y"
+    for fields in (("y", "x"), ("x", "y", "z"), ("y",)):
+        with pytest.raises(ValueError):
+            log.channel("a", *fields)
+    with pytest.raises(ValueError):
+        log.record(2.0, "a", y=1)
+    assert [r.fields for r in log] == [{"x": 1}]
+
+
+def test_clear_leaves_channels_writing():
+    log = TraceLog()
+    write = log.channel("a", "x")
+    write(1.0, 1)
+    log.clear()
+    assert (len(log), log.count("a"), log.kind_counts()) == (0, 0, {})
+    write(2.0, 2)
+    assert [(r.time, r.kind, r.fields) for r in log] == [(2.0, "a", {"x": 2})]
+
+
+def test_kind_counts_lists_recorded_kinds_in_first_record_order():
+    log = TraceLog()
+    a = log.channel("a", "x")
+    log.channel("never", "x")
+    b = log.channel("b", "x")
+    b(1.0, 1)
+    a(2.0, 2)
+    b(3.0, 3)
+    assert list(log.kind_counts().items()) == [("b", 2), ("a", 1)]
+
+
+def test_iteration_interleaves_kinds_in_record_order():
+    log = TraceLog()
+    a = log.channel("a", "x")
+    a(1.0, 1)
+    log.record(2.0, "b", y=2)
+    a(3.0, 3)
+    log.record(4.0, "a", x=4)
+    assert [(r.time, r.kind, r.fields) for r in log] == [
+        (1.0, "a", {"x": 1}),
+        (2.0, "b", {"y": 2}),
+        (3.0, "a", {"x": 3}),
+        (4.0, "a", {"x": 4}),
+    ]
+
+
+def test_view_keys_follow_the_declared_order():
+    log = TraceLog()
+    fields = ("duration", "bytes", "path", "region")
+    maintenance = log.channel("coherence.maintenance", *fields)
+    maintenance(1.0, 0.5, 1024, "prefetch", 3)
+    log.record(2.0, "coherence.maintenance", duration=0.25, bytes=64)
+    assert [tuple(r.fields) for r in log] == [fields, fields[:2]]
+    assert [tuple(r.fields) for r in log.of_kind("coherence.maintenance")] == [
+        fields, fields[:2]
+    ]
+
+
+@pytest.mark.parametrize(
+    "emulator, app, digest",
+    [
+        ("vSoC", ArApp, "3b0e43e7e3012347"),
+        ("vSoC", UhdVideoApp, "9705cbeca3b0f38b"),
+        ("QEMU-KVM", ArApp, "a7ecbc01f4e040be"),
+        ("QEMU-KVM", UhdVideoApp, "7d770577577ba2d1"),
+    ],
+)
+def test_record_stream_is_pinned(emulator, app, digest):
+    """Every record of a 2-s run, in order: its time, kind and fields."""
+    rig = build_rig(emulator, seed=0)
+    drive(rig, [app()], 2_000.0)
+    stream = repr(trace_tuples(rig.trace)).encode()
+    assert hashlib.sha256(stream).hexdigest()[:16] == digest
