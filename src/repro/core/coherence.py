@@ -36,7 +36,6 @@ from repro.errors import (
 )
 from repro.hw.bus import Bus
 from repro.hw.machine import HostMachine
-from repro.obs import DISABLED, Observability
 from repro.sim import RetryPolicy, Simulator, Timeout, with_deadline
 from repro.sim.tracing import TraceLog
 
@@ -53,8 +52,12 @@ COPY_RETRY_POLICY = RetryPolicy(
 #: Exceptions a coherence copy may survive via retry or degradation.
 RECOVERABLE_COPY_ERRORS = (TransientCopyError, DeadlineExceededError)
 
-#: Fields of a ``coherence.maintenance`` record, in channel order.
-MAINTENANCE_FIELDS = ("duration", "bytes", "path", "region")
+#: Fields of a ``coherence.maintenance`` record, in channel order. ``start``
+#: and ``flow`` are the copy span's (repro.obs.span.ROW_SPANS); ``src`` and
+#: ``dst`` are the locations the copy read and made valid.
+MAINTENANCE_FIELDS = (
+    "duration", "bytes", "path", "region", "start", "flow", "src", "dst",
+)
 
 
 def _copy_label(src: str, dst: Optional[str]) -> str:
@@ -256,6 +259,21 @@ class CoherenceProtocol:
         raise NotImplementedError  # pragma: no cover - interface
         yield  # pragma: no cover
 
+    def _direct_copy(self, region, reader_loc, path):
+        """Process: copy the newest bytes straight to ``reader_loc`` on a
+        unified path, and record the maintenance on ``path``."""
+        start = self._sim.now
+        flow = region.flow
+        src = region.last_writer_location or HOST_LOCATION
+        duration = yield from self._planner.copy_unified(
+            src, reader_loc, region.dirty_bytes
+        )
+        region.note_copy(reader_loc)
+        self._maintenance(
+            self._sim.now, duration, region.dirty_bytes, path, region.region_id,
+            start, flow, src, reader_loc,
+        )
+
 
 class UnifiedPrefetchProtocol(CoherenceProtocol):
     """vSoC's protocol: direct paths + ahead-of-time copies (§3.3).
@@ -282,13 +300,14 @@ class UnifiedPrefetchProtocol(CoherenceProtocol):
         engine: "PrefetchEngine",
         trace: TraceLog,
         degradation: Optional[DegradationController] = None,
-        obs: Optional[Observability] = None,
     ):
         self._sim = sim
         self._planner = planner
         self._engine = engine
         self._maintenance = trace.channel("coherence.maintenance", *MAINTENANCE_FIELDS)
-        self._obs = obs if obs is not None else DISABLED
+        self._failed = trace.channel(
+            "coherence.failed", "bytes", "region", "start", "flow"
+        )
         self.degradation = degradation
         self.sync_misses = 0
         self.prefetch_joins = 0
@@ -300,16 +319,13 @@ class UnifiedPrefetchProtocol(CoherenceProtocol):
         Tries the level :meth:`DegradationController.plan_level` plans
         (direct unified copy below level 2, guest-memory round-trip at
         level 2), reporting each outcome so the controller can escalate or
-        restore. Only gives up — :class:`DegradedModeError` — when even the
-        round-trip path keeps failing.
+        restore. Only gives up — :class:`DegradedModeError`, after a
+        ``coherence.failed`` record — when even the round-trip path keeps
+        failing.
         """
         src = region.last_writer_location or HOST_LOCATION
-        obs = self._obs
-        if obs.enabled:
-            span = obs.tracer.begin(
-                "coherence.copy", "coherence", cat="coherence", flow=region.flow,
-                region=region.region_id, bytes=region.dirty_bytes,
-            )
+        start = self._sim.now
+        flow = region.flow
         for _ in range(self.MAX_MAINTENANCE_ROUNDS):
             ctl = self.degradation
             level = ctl.plan_level() if ctl is not None else 0
@@ -331,8 +347,9 @@ class UnifiedPrefetchProtocol(CoherenceProtocol):
                     raise
                 ctl.note_failure(level, reason=type(err).__name__)
                 if level >= LEVEL_GUEST_ROUNDTRIP:
-                    if obs.enabled:
-                        obs.tracer.end(span, path="failed")
+                    self._failed(
+                        self._sim.now, region.dirty_bytes, region.region_id, start, flow
+                    )
                     raise DegradedModeError(
                         f"region {region.region_id}: maintenance failed even on "
                         f"the {LEVEL_NAMES[LEVEL_GUEST_ROUNDTRIP]} path"
@@ -341,14 +358,12 @@ class UnifiedPrefetchProtocol(CoherenceProtocol):
             if ctl is not None:
                 ctl.note_success(level)
             region.note_copy(reader_loc)
-            if obs.enabled:
-                obs.tracer.end(span, path=tag, duration=duration)
             self._maintenance(
-                self._sim.now, duration, region.dirty_bytes, tag, region.region_id
+                self._sim.now, duration, region.dirty_bytes, tag, region.region_id,
+                start, flow, src, reader_loc,
             )
             return duration
-        if obs.enabled:
-            obs.tracer.end(span, path="failed")
+        self._failed(self._sim.now, region.dirty_bytes, region.region_id, start, flow)
         raise DegradedModeError(
             f"region {region.region_id}: maintenance did not converge within "
             f"{self.MAX_MAINTENANCE_ROUNDS} ladder rounds"
@@ -410,12 +425,10 @@ class UnifiedWriteInvalidate(CoherenceProtocol):
         sim: Simulator,
         planner: CopyPlanner,
         trace: TraceLog,
-        obs: Optional[Observability] = None,
     ):
         self._sim = sim
         self._planner = planner
         self._maintenance = trace.channel("coherence.maintenance", *MAINTENANCE_FIELDS)
-        self._obs = obs if obs is not None else DISABLED
 
     def begin_access_read(self, region, reader_vdev, reader_loc):
         start = self._sim.now
@@ -426,24 +439,7 @@ class UnifiedWriteInvalidate(CoherenceProtocol):
         ):
             yield region.write_fence.wait()
         if not region.is_valid_at(reader_loc):
-            obs = self._obs
-            if obs.enabled:
-                span = obs.tracer.begin(
-                    "coherence.copy", "coherence", cat="coherence", flow=region.flow,
-                    region=region.region_id, bytes=region.dirty_bytes,
-                )
-            duration = yield from self._planner.copy_unified(
-                region.last_writer_location or HOST_LOCATION,
-                reader_loc,
-                region.dirty_bytes,
-            )
-            region.note_copy(reader_loc)
-            if obs.enabled:
-                obs.tracer.end(span, path="write-invalidate", duration=duration)
-            self._maintenance(
-                self._sim.now, duration, region.dirty_bytes, "write-invalidate",
-                region.region_id,
-            )
+            yield from self._direct_copy(region, reader_loc, "write-invalidate")
         return self._sim.now - start
 
     def executor_after_write(self, region, writer_vdev, writer_loc):
@@ -452,24 +448,7 @@ class UnifiedWriteInvalidate(CoherenceProtocol):
 
     def executor_before_read(self, region, reader_vdev, reader_loc):
         if not region.is_valid_at(reader_loc):
-            obs = self._obs
-            if obs.enabled:
-                span = obs.tracer.begin(
-                    "coherence.copy", "coherence", cat="coherence", flow=region.flow,
-                    region=region.region_id, bytes=region.dirty_bytes,
-                )
-            duration = yield from self._planner.copy_unified(
-                region.last_writer_location or HOST_LOCATION,
-                reader_loc,
-                region.dirty_bytes,
-            )
-            region.note_copy(reader_loc)
-            if obs.enabled:
-                obs.tracer.end(span, path="write-invalidate-net", duration=duration)
-            self._maintenance(
-                self._sim.now, duration, region.dirty_bytes, "write-invalidate-net",
-                region.region_id,
-            )
+            yield from self._direct_copy(region, reader_loc, "write-invalidate-net")
 
 
 class UnifiedBroadcast(CoherenceProtocol):
@@ -491,13 +470,11 @@ class UnifiedBroadcast(CoherenceProtocol):
         sim: Simulator,
         planner: CopyPlanner,
         trace: TraceLog,
-        obs: Optional[Observability] = None,
     ):
         self._sim = sim
         self._planner = planner
         self._trace = trace
         self._maintenance = trace.channel("coherence.maintenance", *MAINTENANCE_FIELDS)
-        self._obs = obs if obs is not None else DISABLED
         self.broadcast_copies = 0
         self.broadcast_failures = 0
 
@@ -520,16 +497,7 @@ class UnifiedBroadcast(CoherenceProtocol):
             if prefetch is not None and reader_loc in region.prefetch_targets:
                 yield prefetch  # join the in-flight broadcast
             if not region.is_valid_at(reader_loc):  # miss, or the push failed
-                duration = yield from self._planner.copy_unified(
-                    region.last_writer_location or HOST_LOCATION,
-                    reader_loc,
-                    region.dirty_bytes,
-                )
-                region.note_copy(reader_loc)
-                self._maintenance(
-                    self._sim.now, duration, region.dirty_bytes, "broadcast-miss",
-                    region.region_id,
-                )
+                yield from self._direct_copy(region, reader_loc, "broadcast-miss")
         return self._sim.now - start
 
     def executor_after_write(self, region, writer_vdev, writer_loc):
@@ -554,12 +522,8 @@ class UnifiedBroadcast(CoherenceProtocol):
         yield  # pragma: no cover - generator form required by the interface
 
     def _push(self, region, src, dst):
-        obs = self._obs
-        if obs.enabled:
-            span = obs.tracer.begin(
-                "coherence.copy", "coherence", cat="coherence", flow=region.flow,
-                region=region.region_id, bytes=region.dirty_bytes, dst=dst,
-            )
+        start = self._sim.now
+        flow = region.flow
         try:
             duration = yield from self._planner.copy_unified(
                 src, dst, region.dirty_bytes
@@ -568,20 +532,17 @@ class UnifiedBroadcast(CoherenceProtocol):
             # A failed push only costs bandwidth savings: the reader-side
             # safety net re-copies on demand. Never poison the joiners.
             self.broadcast_failures += 1
-            if obs.enabled:
-                obs.tracer.end(span, path="broadcast", failed=type(err).__name__)
             self._trace.record(
                 self._sim.now, "broadcast.failed",
                 bytes=region.dirty_bytes, region=region.region_id,
-                error=type(err).__name__,
+                error=type(err).__name__, start=start, flow=flow, dst=dst,
             )
             return 0.0
         region.note_copy(dst)
         self.broadcast_copies += 1
-        if obs.enabled:
-            obs.tracer.end(span, path="broadcast", duration=duration)
         self._maintenance(
-            self._sim.now, duration, region.dirty_bytes, "broadcast", region.region_id
+            self._sim.now, duration, region.dirty_bytes, "broadcast", region.region_id,
+            start, flow, src, dst,
         )
         return duration
 
@@ -596,16 +557,7 @@ class UnifiedBroadcast(CoherenceProtocol):
             if prefetch is not None and reader_loc in region.prefetch_targets:
                 yield prefetch
             if not region.is_valid_at(reader_loc):  # miss, or the push failed
-                duration = yield from self._planner.copy_unified(
-                    region.last_writer_location or HOST_LOCATION,
-                    reader_loc,
-                    region.dirty_bytes,
-                )
-                region.note_copy(reader_loc)
-                self._maintenance(
-                    self._sim.now, duration, region.dirty_bytes, "broadcast-net",
-                    region.region_id,
-                )
+                yield from self._direct_copy(region, reader_loc, "broadcast-net")
 
 
 class GuestMemoryWriteInvalidate(CoherenceProtocol):
@@ -633,13 +585,13 @@ class GuestMemoryWriteInvalidate(CoherenceProtocol):
         sim: Simulator,
         planner: CopyPlanner,
         trace: TraceLog,
-        obs: Optional[Observability] = None,
     ):
         self._sim = sim
         self._planner = planner
-        self._flush = trace.channel("coherence.flush", "duration", "bytes", "region")
+        self._flush = trace.channel(
+            "coherence.flush", "duration", "bytes", "region", "start", "flow"
+        )
         self._maintenance = trace.channel("coherence.maintenance", *MAINTENANCE_FIELDS)
-        self._obs = obs if obs is not None else DISABLED
         # region_id -> virtual devices holding an up-to-date private copy
         self._valid_vdevs: Dict[int, set] = {}
 
@@ -658,37 +610,28 @@ class GuestMemoryWriteInvalidate(CoherenceProtocol):
             region.note_copy(GUEST_LOCATION)
             region.last_flush_duration = 0.0
             return
-        obs = self._obs
-        if obs.enabled:
-            span = obs.tracer.begin(
-                "coherence.flush", "coherence", cat="coherence", flow=region.flow,
-                region=region.region_id, bytes=region.dirty_bytes,
-            )
+        start = self._sim.now
+        flow = region.flow
         duration = yield from self._planner.copy_via_boundary(region.dirty_bytes)
         region.note_copy(GUEST_LOCATION)
         region.last_flush_duration = duration
-        if obs.enabled:
-            obs.tracer.end(span, duration=duration)
-        self._flush(self._sim.now, duration, region.dirty_bytes, region.region_id)
+        self._flush(
+            self._sim.now, duration, region.dirty_bytes, region.region_id, start, flow
+        )
 
     def executor_before_read(self, region, reader_vdev, reader_loc):
         """Fetch: guest memory → reader's copy (second boundary crossing)."""
         valid = self._valid_vdevs.setdefault(region.region_id, set())
         if reader_vdev in valid or reader_vdev == "cpu":
             return  # guest CPU reads its own memory mapping for free
-        obs = self._obs
-        if obs.enabled:
-            span = obs.tracer.begin(
-                "coherence.copy", "coherence", cat="coherence", flow=region.flow,
-                region=region.region_id, bytes=region.dirty_bytes,
-            )
+        start = self._sim.now
+        flow = region.flow
         duration = yield from self._planner.copy_via_boundary(region.dirty_bytes)
         valid.add(reader_vdev)
         region.note_copy(reader_loc)
         flush_cost = region.last_flush_duration
-        if obs.enabled:
-            obs.tracer.end(span, path="guest-memory", duration=duration)
+        # Table 2's coherence cost: the fetch plus the flush before it.
         self._maintenance(
             self._sim.now, duration + flush_cost, region.dirty_bytes, "guest-memory",
-            region.region_id,
+            region.region_id, start, flow, GUEST_LOCATION, reader_loc,
         )

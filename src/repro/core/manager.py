@@ -26,7 +26,6 @@ from repro.core.region import AccessUsage, SvmRegion
 from repro.core.twin import TwinHypergraphs
 from repro.errors import SvmError, UnknownRegionError
 from repro.hw.memory import MemoryPool
-from repro.obs import DISABLED, Observability
 from repro.sim import Simulator, Timeout
 from repro.sim.tracing import TraceLog
 from repro.units import VSYNC_PERIOD_MS
@@ -51,9 +50,7 @@ class SvmManager:
         chain_reaction_threshold: Optional[float] = 2.0,
         chain_reaction_vdevs: Optional[set] = None,
         degradation: Optional[DegradationController] = None,
-        obs: Optional[Observability] = None,
     ):
-        self._obs = obs if obs is not None else DISABLED
         self._sim = sim
         self.twin = twin
         self.protocol = protocol
@@ -62,12 +59,13 @@ class SvmManager:
         self._pools = dict(location_pools)
         self._trace = trace
         self._slack = trace.channel("svm.slack", "region", "slack", "predicted")
+        # ``start`` and ``flow`` are the access span's (repro.obs.span.ROW_SPANS).
         self._access_latency = trace.channel(
             "svm.access_latency", "region", "vdev", "usage", "latency", "bytes",
-            "degraded_level",
+            "start", "flow", "degraded_level",
         )
         self._write_retired = trace.channel(
-            "svm.write_retired", "region", "vdev", "bytes"
+            "svm.write_retired", "region", "vdev", "bytes", "flow"
         )
         self.page_map_cost = page_map_cost
         self.extra_access_overhead = extra_access_overhead
@@ -144,17 +142,12 @@ class SvmManager:
         """
         region = self.get(region_id)
         window = nbytes if nbytes is not None else region.size
-        region.open_access(vdev, usage, window, self._sim.now)
+        region.open_access(vdev, usage, window)
         start = self._sim.now
+        flow = region.flow
         # Slack is defined from write retirement to access *arrival*, so
         # sample it before the mapping work consumes time.
         slack = self._slack_for(region) if usage.reads else None
-        obs = self._obs
-        if obs.enabled:
-            access_span = obs.tracer.begin(
-                "svm.begin_access", vdev, cat="svm", flow=region.flow,
-                region=region_id, usage=usage.value, bytes=window,
-            )
 
         if self._mapping is not None:
             yield self._mapping
@@ -200,19 +193,18 @@ class SvmManager:
             region.write_in_flight = True
 
         latency = self._sim.now - start
-        if obs.enabled:
-            obs.tracer.end(access_span, latency=latency)
         degradation = self.degradation
         if degradation is not None and degradation.degraded:
             # Tag accesses made under degraded coherence so metrics can
             # attribute latency spikes to the fault, not the workload.
             self._access_latency(
                 self._sim.now, region_id, vdev, usage.value, latency, window,
-                degradation.level,
+                start, flow, degradation.level,
             )
         else:
             self._access_latency(
-                self._sim.now, region_id, vdev, usage.value, latency, window
+                self._sim.now, region_id, vdev, usage.value, latency, window,
+                start, flow,
             )
         return latency
 
@@ -260,12 +252,7 @@ class SvmManager:
         region.write_complete_time = self._sim.now
         self._ensure_backing(region, location)
         self.twin.on_write(region_id, vdev, location, nbytes)
-        self._write_retired(self._sim.now, region_id, vdev, nbytes)
-        if self._obs.enabled:
-            self._obs.tracer.instant(
-                "svm.write_retired", vdev, cat="svm", flow=region.flow,
-                region=region_id, bytes=nbytes,
-            )
+        self._write_retired(self._sim.now, region_id, vdev, nbytes, region.flow)
         return self.protocol.executor_after_write(region, vdev, location)
 
     def host_before_read(

@@ -31,7 +31,6 @@ from repro.core.coherence import (
 from repro.core.degradation import LEVEL_PREFETCHED, DegradationController
 from repro.core.region import SvmRegion
 from repro.core.twin import TwinHypergraphs
-from repro.obs import DISABLED, Observability
 from repro.sim import Simulator
 from repro.sim.tracing import TraceLog
 from repro.units import VSYNC_PERIOD_MS
@@ -102,15 +101,12 @@ class PrefetchEngine:
         default_slack: float = VSYNC_PERIOD_MS,
         zero_shot: bool = True,
         degradation: Optional[DegradationController] = None,
-        obs: Optional[Observability] = None,
     ):
-        self._obs = obs if obs is not None else DISABLED
         self._sim = sim
         self._twin = twin
         self._planner = planner
         self._vdev_location = vdev_location
         self._trace = trace
-        self._start = trace.channel("prefetch.start", "region", "targets", "bytes")
         self._maintenance = trace.channel("coherence.maintenance", *MAINTENANCE_FIELDS)
         self.degradation = degradation
         self.failure_threshold = failure_threshold
@@ -184,9 +180,6 @@ class PrefetchEngine:
             )
         region.prefetch_targets = targets
         self.stats.launched += 1
-        self._start(
-            self._sim.now, region.region_id, sorted(targets), region.dirty_bytes
-        )
 
         region.pending_compensation = self._compensation(
             predicted.vedge, pedge, writer_loc, targets, region.dirty_bytes
@@ -202,19 +195,13 @@ class PrefetchEngine:
         )
 
     def _prefetch_copy(self, region: SvmRegion, src: str, dst: str, pedge):
-        obs = self._obs
-        if obs.enabled:
-            span = obs.tracer.begin(
-                "prefetch.copy", "prefetch", cat="coherence", flow=region.flow,
-                region=region.region_id, src=src, dst=dst, bytes=region.dirty_bytes,
-            )
+        start = self._sim.now
+        flow = region.flow
         try:
             duration = yield from self._planner.copy_unified(
                 src, dst, region.dirty_bytes
             )
         except RECOVERABLE_COPY_ERRORS as err:
-            if obs.enabled:
-                obs.tracer.end(span, failed=type(err).__name__)
             # A dead prefetch must not poison its joiners: readers re-check
             # validity after the join and fall back to sync maintenance.
             self.stats.prefetch_failures += 1
@@ -229,17 +216,19 @@ class PrefetchEngine:
                 region=region.region_id,
                 target=dst,
                 error=type(err).__name__,
+                start=start,
+                flow=flow,
+                src=src,
             )
             return None
-        if obs.enabled:
-            obs.tracer.end(span, duration=duration)
         region.note_copy(dst)
         if self.degradation is not None:
             self.degradation.note_success(LEVEL_PREFETCHED)
         if pedge is not None:
             self._twin.note_prefetch_duration(pedge, duration)
         self._maintenance(
-            self._sim.now, duration, region.dirty_bytes, "prefetch", region.region_id
+            self._sim.now, duration, region.dirty_bytes, "prefetch", region.region_id,
+            start, flow, src, dst,
         )
         return duration
 
@@ -348,11 +337,6 @@ class PrefetchEngine:
                     self._trace.record(
                         self._sim.now, "prefetch.suspend", vkey=str(vkey)
                     )
-                    if self._obs.enabled:
-                        self._obs.tracer.instant(
-                            "prefetch.suspend", "prefetch", cat="coherence",
-                            vkey=str(vkey),
-                        )
         return region.prefetch_predicted_slack
 
     def _is_suspended(self, vkey, consume: bool = True) -> bool:

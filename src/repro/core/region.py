@@ -64,13 +64,12 @@ class AccessUsage(enum.Enum):
 class _OpenAccess:
     """Bookkeeping for one in-progress begin_access/end_access bracket."""
 
-    __slots__ = ("vdev", "usage", "nbytes", "start_time")
+    __slots__ = ("vdev", "usage", "nbytes")
 
-    def __init__(self, vdev: str, usage: AccessUsage, nbytes: int, start_time: float):
+    def __init__(self, vdev: str, usage: AccessUsage, nbytes: int):
         self.vdev = vdev
         self.usage = usage
         self.nbytes = nbytes
-        self.start_time = start_time
 
 
 class SvmRegion:
@@ -137,7 +136,7 @@ class SvmRegion:
         self.reader_vdevs: Set[str] = set()
 
     # -- access bracket ----------------------------------------------------
-    def open_access(self, vdev: str, usage: AccessUsage, nbytes: int, now: float) -> None:
+    def open_access(self, vdev: str, usage: AccessUsage, nbytes: int) -> None:
         """Record a begin_access; nested brackets from one vdev are invalid."""
         if self.freed:
             raise SvmError(f"access to freed region #{self.region_id}")
@@ -149,7 +148,7 @@ class SvmRegion:
             raise AccessStateError(
                 f"vdev {vdev!r} called begin_access twice on region #{self.region_id}"
             )
-        self._open[vdev] = _OpenAccess(vdev, usage, nbytes, now)
+        self._open[vdev] = _OpenAccess(vdev, usage, nbytes)
         self.total_accesses += 1
         if usage.writes:
             self.writer_vdevs.add(vdev)
@@ -243,11 +242,7 @@ class SvmRegion:
             "last_flush_duration": self.last_flush_duration,
             "backing": sorted(self.backing),
             "open": {
-                vdev: {
-                    "usage": acc.usage.value,
-                    "nbytes": acc.nbytes,
-                    "start_time": acc.start_time,
-                }
+                vdev: {"usage": acc.usage.value, "nbytes": acc.nbytes}
                 for vdev, acc in sorted(self._open.items())
             },
             "total_accesses": self.total_accesses,
@@ -287,9 +282,7 @@ class SvmRegion:
         self.applied_compensation = state["applied_compensation"]
         self.last_flush_duration = state["last_flush_duration"]
         self._open = {
-            vdev: _OpenAccess(
-                vdev, AccessUsage(acc["usage"]), acc["nbytes"], acc["start_time"]
-            )
+            vdev: _OpenAccess(vdev, AccessUsage(acc["usage"]), acc["nbytes"])
             for vdev, acc in state["open"].items()
         }
         self.total_accesses = state["total_accesses"]

@@ -171,8 +171,10 @@ class Emulator:
         self.machine = machine
         self.config = config
         self.trace = trace if trace is not None else TraceLog()
+        # ``start``, ``flow`` and ``bytes`` are the op span's
+        # (repro.obs.span.ROW_SPANS).
         self._op_retired = self.trace.channel(
-            "host.op_retired", "vdev", "op", "queue_delay"
+            "host.op_retired", "vdev", "op", "queue_delay", "start", "flow", "bytes"
         )
         self._compensation = self.trace.channel(
             "svm.compensation", "vdev", "compensation"
@@ -212,7 +214,6 @@ class Emulator:
             extra_access_overhead=config.extra_access_overhead_ms,
             engine=self.engine,
             degradation=self.degradation,
-            obs=self.obs,
         )
 
         from repro.guest.transport import VirtioTransport  # local: avoids cycle
@@ -254,24 +255,22 @@ class Emulator:
                 raise ConfigurationError(
                     "prefetch/broadcast require the unified SVM framework"
                 )
-            return GuestMemoryWriteInvalidate(
-                self.sim, self.planner, self.trace, obs=self.obs
-            )
+            return GuestMemoryWriteInvalidate(self.sim, self.planner, self.trace)
         if self.config.broadcast_coherence:
             from repro.core.coherence import UnifiedBroadcast
 
-            return UnifiedBroadcast(self.sim, self.planner, self.trace, obs=self.obs)
+            return UnifiedBroadcast(self.sim, self.planner, self.trace)
         if self.config.prefetch_enabled:
             self.degradation = DegradationController(self.sim, trace=self.trace)
             self.engine = PrefetchEngine(
                 self.sim, self.twin, self.planner, self.vdev_location, self.trace,
-                degradation=self.degradation, obs=self.obs,
+                degradation=self.degradation,
             )
             return UnifiedPrefetchProtocol(
                 self.sim, self.planner, self.engine, self.trace,
-                degradation=self.degradation, obs=self.obs,
+                degradation=self.degradation,
             )
-        return UnifiedWriteInvalidate(self.sim, self.planner, self.trace, obs=self.obs)
+        return UnifiedWriteInvalidate(self.sim, self.planner, self.trace)
 
     def _resolve_physical(self, vdev: str) -> Optional[PhysicalDevice]:
         """The dynamic virtual→physical mapping of §3.2."""
@@ -599,11 +598,7 @@ class Emulator:
                         "fence.signal", exec_track, cat="fence", flow=command.flow
                     )
             elif kind is ExecCommand:
-                if observed:
-                    span = tracer.begin(
-                        f"exec:{command.op}", exec_track, cat="exec",
-                        flow=command.flow, op=command.op, bytes=command.nbytes,
-                    )
+                start = self.sim.now
                 for region in command.reads:
                     yield from manager.host_before_read(
                         region.region_id, vdev.name, location
@@ -621,11 +616,10 @@ class Emulator:
                 command.done.fire(self.sim.now)
                 vdev.flow.complete()
                 vdev.outstanding.pop(command, None)
-                if observed:
-                    tracer.end(span, queue_delay=self.sim.now - command.dispatched_at)
                 op_retired(
                     self.sim.now, vdev.name, command.op,
                     self.sim.now - command.dispatched_at,
+                    start, command.flow, command.nbytes,
                 )
             else:  # pragma: no cover - defensive
                 raise ConfigurationError(f"unknown command {command!r}")

@@ -521,17 +521,6 @@ def main(argv=None) -> int:
     observe_group.add_argument("--include-tracelog", action="store_true",
                                help="also digest legacy TraceLog records into "
                                     "the exported trace")
-    observe_group.add_argument("--reservoir", type=int, default=None,
-                               metavar="N",
-                               help="histogram reservoir size, the samples "
-                                    "each histogram keeps for its "
-                                    "percentiles (default 512)")
-    observe_group.add_argument("--max-spans", type=int, default=None,
-                               metavar="N",
-                               help="bounded ring mode: keep only the newest "
-                                    "N spans/instants (evictions are counted "
-                                    "and surfaced; attribution refuses "
-                                    "truncated traces)")
     explain_group = parser.add_argument_group("explain options")
     explain_group.add_argument("--against", metavar="EMULATOR", default=None,
                                help="diff mode: run EMULATOR on the same app "
@@ -591,8 +580,6 @@ def main(argv=None) -> int:
             metrics_path=args.metrics,
             seed=args.seed,
             include_tracelog=args.include_tracelog,
-            reservoir=args.reservoir,
-            max_spans=args.max_spans,
         )
     if args.experiment == "explain":
         from repro.experiments.explain import DEFAULT_DURATION_MS, cmd_explain

@@ -35,6 +35,8 @@ from repro.experiments.runner import build_rig, drive
 from repro.hw.machine import HIGH_END_DESKTOP
 from repro.obs import (
     Observability,
+    SpanView,
+    chrome_trace,
     connected_flows,
     validate_chrome_trace,
     write_chrome_trace,
@@ -57,11 +59,11 @@ FLOW_CHAINS = (
 class ObserveResult:
     """Everything one observed run produced."""
 
-    def __init__(self, result, trace_dict, metrics_dict, tracer, connected):
+    def __init__(self, result, trace_dict, metrics_dict, spans, connected):
         self.result = result  # AppResult
         self.trace = trace_dict  # Chrome trace_event dict
         self.metrics = metrics_dict  # registry dump plus the run's facts
-        self.tracer = tracer
+        self.spans = spans  # the run's SpanView
         self.connected = connected  # flow ids with a full causal chain
 
 
@@ -72,8 +74,6 @@ def run_observe(
     seed: int = 0,
     machine_spec=HIGH_END_DESKTOP,
     include_tracelog: bool = False,
-    reservoir: Optional[int] = None,
-    max_spans: Optional[int] = None,
 ) -> ObserveResult:
     """Run one observed app; returns the trace + metrics dicts.
 
@@ -83,17 +83,12 @@ def run_observe(
     ``include_tracelog`` digests the legacy :class:`TraceLog` records into
     the exported trace as instant events (one thread per record ``vdev``),
     so pre-observability instrumentation shows up alongside the spans.
-    ``reservoir`` sets how many samples each histogram keeps for its
-    percentiles (default 512).
-    ``max_spans`` puts the tracer in bounded ring mode: only the newest N
-    spans/instants survive and :attr:`Tracer.dropped_spans` counts the
-    evictions (surfaced in the CLI summary and export metadata).
     """
     if app not in APP_FACTORIES:
         raise ValueError(f"unknown app {app!r}; choose from {sorted(APP_FACTORIES)}")
     emulator = resolve_emulator(emulator)
 
-    obs = Observability(Simulator(), reservoir=reservoir, max_spans=max_spans)
+    obs = Observability(Simulator())
     rig = build_rig(emulator, machine_spec, seed, obs=obs)
     (installed,), (result,), _ = drive(
         rig, [resolve_callable(APP_FACTORIES[app])()], duration_ms
@@ -101,9 +96,12 @@ def run_observe(
     if not installed:
         raise SystemExit(f"{app!r} cannot run on {emulator!r}: {result.fail_reason}")
 
-    trace_dict = obs.export_trace(
+    spans = SpanView(obs.tracer, rig.trace)
+    trace_dict = chrome_trace(
+        spans,
         track_groups=rig.emulator.track_groups(),
         tracelog=rig.trace if include_tracelog else None,
+        end_time=obs.sim.now,
     )
     metrics_dict = obs.export_metrics(extra={
         "app": result.app,
@@ -117,8 +115,8 @@ def run_observe(
 
     connected: set = set()
     for chain in FLOW_CHAINS:
-        connected.update(connected_flows(obs.tracer, chain))
-    return ObserveResult(result, trace_dict, metrics_dict, obs.tracer, sorted(connected))
+        connected.update(connected_flows(spans, chain))
+    return ObserveResult(result, trace_dict, metrics_dict, spans, sorted(connected))
 
 
 def cmd_observe(
@@ -129,14 +127,11 @@ def cmd_observe(
     metrics_path: Optional[str] = None,
     seed: int = 0,
     include_tracelog: bool = False,
-    reservoir: Optional[int] = None,
-    max_spans: Optional[int] = None,
 ) -> int:
     """CLI body: run, validate, write artifacts, print a digest."""
     run = run_observe(
         app=app, emulator=emulator, duration_ms=duration_ms, seed=seed,
-        include_tracelog=include_tracelog, reservoir=reservoir,
-        max_spans=max_spans,
+        include_tracelog=include_tracelog,
     )
     errors = validate_chrome_trace(run.trace)
     if errors:
@@ -144,20 +139,14 @@ def cmd_observe(
             print(f"trace schema error: {error}")
         return 1
 
-    tracer = run.tracer
+    spans = run.spans
     events = run.trace["traceEvents"]
     print(f"Observed {app!r} on {run.result.emulator!r} for {duration_ms:.0f} ms simulated:")
     print(f"  FPS: {run.result.fps:.1f} "
           f"(presented {run.result.presented}, dropped {sum(run.result.dropped.values())})")
-    print(f"  spans: {len(tracer.spans)}  instants: {len(tracer.instants)}  "
+    print(f"  spans: {len(spans.spans)}  instants: {len(spans.instants)}  "
           f"trace events: {len(events)}")
-    if tracer.max_spans is not None:
-        print(f"  span retention: ring (max_spans={tracer.max_spans})  "
-              f"dropped spans: {tracer.dropped_spans}")
-        if tracer.dropped_spans:
-            print("  WARNING: the ring cap evicted spans — flows may be "
-                  "truncated and latency attribution will refuse this trace")
-    print(f"  frame flows: {len(tracer.flows())}  "
+    print(f"  frame flows: {len(spans.flows())}  "
           f"fully connected (svm → coherence/prefetch → presented): {len(run.connected)}")
 
     device_ms = [

@@ -80,12 +80,10 @@ def build_rig(
 ) -> RunRig:
     """Build the simulator, machine, trace log and emulator for one run.
 
-    ``obs`` observes the run: its simulator becomes the run's clock, so a
-    caller configures it (the ``observe`` command sets the reservoir and
-    the span cap) and hands it over. Without it the run is unobserved on
-    a fresh simulator. ``factory`` overrides the emulator constructor
-    (used for the §5.4 ablations); like every registered factory it takes
-    ``obs=``.
+    ``obs`` observes the run: its simulator becomes the run's clock.
+    Without it the run is unobserved on a fresh simulator. ``factory``
+    overrides the emulator constructor (used for the §5.4 ablations);
+    like every registered factory it takes ``obs=``.
 
     The density experiment is the one harness that builds its own: its
     emulators share one machine, which a rig does not.
@@ -111,7 +109,8 @@ def drive(
     even when no app installed. On an observed rig this is also where the
     run's metrics view is derived
     (:func:`~repro.obs.telemetry.derive_run_metrics`), after the clock
-    stops, and where ``attribution`` folds the run's causal spans into a
+    stops, and where ``attribution`` folds the run's causal spans (its
+    :class:`~repro.obs.span.SpanView`) into a
     :class:`~repro.obs.critical.LatencyBudget`. Both are post-hoc reads
     of what the run recorded anyway, so FPS/latency digests are
     bit-identical either way.
@@ -128,8 +127,9 @@ def drive(
         )
         if attribution:
             from repro.obs.critical import analyze_tracer
+            from repro.obs.span import SpanView
 
-            budget = analyze_tracer(rig.obs.tracer)
+            budget = analyze_tracer(SpanView(rig.obs.tracer, rig.trace))
     return installed, results, budget
 
 

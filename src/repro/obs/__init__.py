@@ -2,10 +2,12 @@
 
 One import point for the two pillars:
 
-* **causal tracing** (:mod:`repro.obs.span`) — spans with parent links and
-  a propagated per-frame *flow id*, so one frame's journey across guest
-  driver, transport, SVM, coherence, prefetch, fences and presentation is
-  a single connected trace;
+* **causal tracing** (:mod:`repro.obs.span`) — spans with a propagated
+  per-frame *flow id*, so one frame's journey across guest driver,
+  transport, SVM, coherence, prefetch, fences and presentation is a
+  single connected trace. Spans whose facts the trace log records are
+  built from its rows at capture (:class:`~repro.obs.span.SpanView`);
+  the tracer records the rest live;
 * **metrics** (:mod:`repro.obs.registry`) — named counters/gauges/
   histograms with label sets and deterministic bounded sampling,
   including the simulated busy time of every physical device;
@@ -25,7 +27,7 @@ results are identical with observability on or off.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Dict, Optional
 
 from repro.obs.critical import (
     BUDGET_CATEGORIES,
@@ -33,7 +35,6 @@ from repro.obs.critical import (
     FrameBudget,
     LatencyBudget,
     PathStep,
-    TruncatedTraceError,
     analyze_tracer,
     budget_from_snapshot,
 )
@@ -48,7 +49,7 @@ from repro.obs.export import (
 )
 from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.slo import SloReport, SloSpec, evaluate_frames
-from repro.obs.span import NO_FLOW, NULL_SPAN, NULL_TRACER, Span, Tracer
+from repro.obs.span import NO_FLOW, NULL_SPAN, NULL_TRACER, Span, SpanView, Tracer
 from repro.obs.telemetry import TelemetrySnapshot
 
 __all__ = [
@@ -69,9 +70,9 @@ __all__ = [
     "SloReport",
     "SloSpec",
     "Span",
+    "SpanView",
     "TelemetrySnapshot",
     "Tracer",
-    "TruncatedTraceError",
     "align_frames",
     "analyze_tracer",
     "budget_from_snapshot",
@@ -94,36 +95,21 @@ class Observability:
         obs = Observability(sim)
         emulator = make_vsoc(sim, machine, obs=obs)
         ...
-        trace = obs.export_trace(track_groups=emulator.track_groups())
+        view = SpanView(obs.tracer, emulator.trace)
+        trace = chrome_trace(view, emulator.track_groups(), end_time=sim.now)
 
     Construct with no simulator (or use :data:`DISABLED`) for the inert
-    variant components default to. ``reservoir`` caps every histogram
-    reservoir of the run's registry.
+    variant components default to.
     """
 
-    def __init__(self, sim=None, reservoir: Optional[int] = None,
-                 max_spans: Optional[int] = None):
+    def __init__(self, sim=None):
         self.sim = sim
         enabled = sim is not None
         self.enabled = enabled
-        self.tracer = (
-            Tracer(sim, max_spans=max_spans) if enabled else NULL_TRACER
-        )
-        self.registry = MetricsRegistry(reservoir=reservoir)
+        self.tracer = Tracer(sim) if enabled else NULL_TRACER
+        self.registry = MetricsRegistry()
 
     # -- export convenience --------------------------------------------------
-    def export_trace(
-        self,
-        track_groups: Optional[Mapping[str, str]] = None,
-        tracelog=None,
-    ) -> Dict[str, Any]:
-        """Chrome/Perfetto trace dict for this run (see :func:`chrome_trace`)."""
-        end = self.sim.now if self.sim is not None else None
-        return chrome_trace(
-            self.tracer, track_groups=track_groups, tracelog=tracelog,
-            end_time=end,
-        )
-
     def export_metrics(self, extra: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
         """Metrics dict for this run (see :func:`metrics_json`)."""
         return metrics_json(self.registry, extra=extra)

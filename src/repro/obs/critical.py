@@ -39,8 +39,6 @@ from math import fsum
 from operator import itemgetter
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.errors import ReproError
-
 #: Budget categories, in sweep-priority order (earlier wins overlaps).
 #: ``sched_slack`` is the implicit remainder — time inside the frame
 #: window covered by no attributable span (vsync waits, queueing).
@@ -64,16 +62,6 @@ HOST_DEVICE = "host"
 _HOST_TRACKS = frozenset({"coherence", "prefetch", "transport"})
 
 _EXEC_SUFFIX = "/exec"
-
-
-class TruncatedTraceError(ReproError):
-    """Attribution refused: the tracer's ring cap evicted spans.
-
-    A ring-mode tracer (``Tracer(max_spans=...)``) drops its oldest spans
-    on overflow, so any flow may silently be missing its early causality
-    — attributing what remains would under-charge categories and break
-    conservation.  The analyzer refuses loudly instead of guessing.
-    """
 
 
 # ---------------------------------------------------------------------------
@@ -442,27 +430,16 @@ def _critical_path(spans: Sequence[Any], presented: Any) -> Tuple[PathStep, ...]
 # Entry points
 # ---------------------------------------------------------------------------
 
-def analyze_tracer(tracer: Any) -> LatencyBudget:
-    """Fold every presented frame in ``tracer`` into a :class:`LatencyBudget`.
+def analyze_tracer(view: Any) -> LatencyBudget:
+    """Fold every presented frame of a run into a :class:`LatencyBudget`.
 
-    Raises :class:`TruncatedTraceError` when the tracer ran in ring mode
-    and evicted spans — a truncated flow cannot be attributed honestly.
+    ``view`` is the run's :class:`~repro.obs.span.SpanView`.
     """
-    dropped = getattr(tracer, "dropped_spans", 0)
-    if dropped:
-        cap = getattr(tracer, "max_spans", None)
-        raise TruncatedTraceError(
-            f"tracer dropped {dropped} span(s) to its ring cap "
-            f"(max_spans={cap}); flows may be missing their early causality, "
-            "so latency attribution would be unsound — rerun without "
-            "max_spans (or with a larger cap) to attribute this trace"
-        )
-
     frames: List[FrameBudget] = []
     skipped: List[int] = []
     worst: Optional[Tuple[float, int, Sequence[Any], Any]] = None
     kinds: Dict[Tuple[str, str, str], SpanKind] = {}
-    for flow, spans in tracer.flow_chains().items():
+    for flow, spans in view.flow_chains().items():
         presented = None
         for span in spans:
             if span.name == "frame.presented":

@@ -25,7 +25,7 @@ import json
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.obs.registry import MetricsRegistry
-from repro.obs.span import NO_FLOW, Span, Tracer
+from repro.obs.span import NO_FLOW, Span, SpanView
 from repro.sim.tracing import TraceLog
 
 #: Track group (= Chrome pid) used when no mapping is provided.
@@ -169,12 +169,12 @@ def tracelog_events(
 
 
 def chrome_trace(
-    tracer: Tracer,
+    view: SpanView,
     track_groups: Optional[Mapping[str, str]] = None,
     tracelog: Optional[TraceLog] = None,
     end_time: Optional[float] = None,
 ) -> Dict[str, Any]:
-    """Export a tracer (and optionally a TraceLog) as a Chrome trace dict.
+    """Export a run's spans (and optionally its TraceLog) as a Chrome trace dict.
 
     ``track_groups`` maps track names to their process group (physical
     device); unmapped tracks join the ``host`` group. ``end_time`` clamps
@@ -183,31 +183,23 @@ def chrome_trace(
     table = _TrackTable(track_groups)
     if end_time is None:
         end_time = 0.0
-        for span in tracer.spans:
+        for span in view.spans:
             end_time = max(end_time, span.end if span.end is not None else span.start)
     events: List[Dict[str, Any]] = []
-    for span in tracer.spans:
+    for span in view.spans:
         pid, tid = table.ids_for(span.track)
         events.append(_span_event(span, pid, tid, end_time))
-    for span in tracer.instants:
+    for span in view.instants:
         pid, tid = table.ids_for(span.track)
         events.append(_instant_event(span, pid, tid))
-    for flow, chain in tracer.flow_chains().items():
+    for flow, chain in view.flow_chains().items():
         events.extend(_flow_events(flow, chain, table))
     if tracelog is not None:
         events.extend(tracelog_events(tracelog, table))
     # Stable sort on ts only: flow events are appended in chain order, so
     # s → t → f survives timestamp ties (a (ts, pid, tid) key would not).
     events.sort(key=lambda e: e.get("ts", 0.0))
-    other: Dict[str, Any] = {
-        "clock": "simulated",
-        "time_unit_in": "ms",
-        "dropped_spans": tracer.dropped_spans,
-        "span_retention": (
-            "all" if tracer.max_spans is None
-            else f"ring:{tracer.max_spans}"
-        ),
-    }
+    other: Dict[str, Any] = {"clock": "simulated", "time_unit_in": "ms"}
     return {
         "traceEvents": table.metadata_events() + events,
         "displayTimeUnit": "ms",
@@ -314,7 +306,7 @@ def write_metrics(path: str, metrics: Dict[str, Any]) -> None:
 
 
 def connected_flows(
-    tracer: Tracer, required_names: Iterable[str]
+    view: SpanView, required_names: Iterable[str]
 ) -> List[int]:
     """Flow ids whose span chain touches every name in ``required_names``.
 
@@ -325,7 +317,7 @@ def connected_flows(
     """
     required = list(required_names)
     found: List[int] = []
-    for flow, chain in tracer.flow_chains().items():
+    for flow, chain in view.flow_chains().items():
         names = {s.name for s in chain}
         if all(any(name == r or name.startswith(r) for name in names) for r in required):
             found.append(flow)

@@ -87,14 +87,13 @@ class Histogram(Instrument):
 
     kind = "histogram"
 
-    def __init__(self, name: str, labels: Dict[str, str],
-                 reservoir_capacity: int = DEFAULT_RESERVOIR):
+    def __init__(self, name: str, labels: Dict[str, str]):
         super().__init__(name, labels)
         self.count = 0
         self.sum = 0.0
         self.min: Optional[float] = None
         self.max: Optional[float] = None
-        self._reservoir = _DecimatingSampler(reservoir_capacity)
+        self._reservoir = _DecimatingSampler(DEFAULT_RESERVOIR)
 
     def observe(self, value: float) -> None:
         self.count += 1
@@ -163,13 +162,10 @@ class MetricsRegistry:
     ``counter("frames.dropped", reason="late")`` returns the one counter
     for that (name, labels) pair, creating it on first use — call sites
     never coordinate. Instruments of the same name must keep one kind.
-
-    ``reservoir`` sets the reservoir capacity for every histogram this
-    registry creates (instead of the shared :data:`DEFAULT_RESERVOIR`).
+    Every histogram keeps :data:`DEFAULT_RESERVOIR` samples.
     """
 
-    def __init__(self, reservoir: Optional[int] = None):
-        self.reservoir = reservoir if reservoir is not None else DEFAULT_RESERVOIR
+    def __init__(self) -> None:
         self._instruments: Dict[Tuple[str, Tuple[Tuple[str, str], ...]], Instrument] = {}
 
     # -- instrument accessors ----------------------------------------------
@@ -187,10 +183,7 @@ class MetricsRegistry:
         instrument = self._instruments.get(key)
         if instrument is None:
             clean = {k: str(v) for k, v in labels.items()}
-            if cls is Histogram:
-                instrument = Histogram(name, clean, reservoir_capacity=self.reservoir)
-            else:
-                instrument = cls(name, clean)
+            instrument = cls(name, clean)
             self._instruments[key] = instrument
         elif not isinstance(instrument, cls):
             raise TypeError(

@@ -119,9 +119,16 @@ class TraceLog:
 
     def __iter__(self) -> Iterator[TraceRecord]:
         """Every record, in the order recorded."""
+        for kind, fields, row in self.rows():
+            yield TraceRecord(row[0], kind, dict(zip(fields, row[1:])))
+
+    def rows(self) -> Iterator[Tuple[str, Tuple[str, ...], tuple]]:
+        """Every record as ``(kind, field names, row)``, in the order
+        recorded, without building a view."""
         cursors = [iter(rows) for rows in self._rows]
+        kinds, fields = self._kinds, self._fields
         for index in self._order:
-            yield self._view(index, next(cursors[index]))
+            yield kinds[index], fields[index], next(cursors[index])
 
     def of_kind(self, kind: str) -> List[TraceRecord]:
         """All records of one kind, in time order. O(k)."""

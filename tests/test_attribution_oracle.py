@@ -199,7 +199,7 @@ def test_explain_grid_budgets_match_covering_lists(app_name, emulator):
     from repro.apps.catalog import resolve_callable
     from repro.experiments.explain import APP_FACTORIES
     from repro.experiments.runner import build_rig, drive
-    from repro.obs import Observability
+    from repro.obs import Observability, SpanView
     from repro.sim import Simulator
 
     obs = Observability(Simulator())
@@ -208,7 +208,8 @@ def test_explain_grid_budgets_match_covering_lists(app_name, emulator):
     _, _, budget = drive(rig, [app], 2_000.0, attribution=True)
 
     frames, skipped = [], []
-    for flow, spans in obs.tracer.flow_chains().items():
+    view = SpanView(obs.tracer, rig.trace)
+    for flow, spans in view.flow_chains().items():
         presented = None
         for span in spans:
             if span.name == "frame.presented":
@@ -224,4 +225,4 @@ def test_explain_grid_budgets_match_covering_lists(app_name, emulator):
         skipped_flows=tuple(skipped),
     )
     assert budget == expected
-    assert budget == analyze_tracer(obs.tracer)
+    assert budget == analyze_tracer(view)

@@ -51,7 +51,7 @@ def test_write_clears_prefetch_state():
 
 def test_access_bracket_pairing():
     region = SvmRegion(1, MIB)
-    region.open_access("gpu", AccessUsage.READ, MIB, now=0.0)
+    region.open_access("gpu", AccessUsage.READ, MIB)
     assert region.open_accessors == {"gpu"}
     opened = region.close_access("gpu")
     assert opened.usage is AccessUsage.READ
@@ -60,9 +60,9 @@ def test_access_bracket_pairing():
 
 def test_double_begin_access_rejected():
     region = SvmRegion(1, MIB)
-    region.open_access("gpu", AccessUsage.READ, MIB, now=0.0)
+    region.open_access("gpu", AccessUsage.READ, MIB)
     with pytest.raises(AccessStateError):
-        region.open_access("gpu", AccessUsage.READ, MIB, now=1.0)
+        region.open_access("gpu", AccessUsage.READ, MIB)
 
 
 def test_end_access_without_begin_rejected():
@@ -74,14 +74,14 @@ def test_end_access_without_begin_rejected():
 def test_oversized_window_rejected():
     region = SvmRegion(1, MIB)
     with pytest.raises(SvmError):
-        region.open_access("gpu", AccessUsage.READ, 2 * MIB, now=0.0)
+        region.open_access("gpu", AccessUsage.READ, 2 * MIB)
 
 
 def test_access_to_freed_region_rejected():
     region = SvmRegion(1, MIB)
     region.freed = True
     with pytest.raises(SvmError):
-        region.open_access("gpu", AccessUsage.READ, MIB, now=0.0)
+        region.open_access("gpu", AccessUsage.READ, MIB)
 
 
 def test_zero_size_region_rejected():
@@ -91,9 +91,9 @@ def test_zero_size_region_rejected():
 
 def test_reader_writer_vdev_tracking():
     region = SvmRegion(1, MIB)
-    region.open_access("codec", AccessUsage.WRITE, MIB, now=0.0)
+    region.open_access("codec", AccessUsage.WRITE, MIB)
     region.close_access("codec")
-    region.open_access("gpu", AccessUsage.READ, MIB, now=1.0)
+    region.open_access("gpu", AccessUsage.READ, MIB)
     region.close_access("gpu")
     assert region.writer_vdevs == {"codec"}
     assert region.reader_vdevs == {"gpu"}

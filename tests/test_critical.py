@@ -7,12 +7,11 @@ import json
 
 import pytest
 
-from repro.obs import Tracer
+from repro.obs import SpanView, Tracer
 from repro.obs.critical import (
     BUDGET_CATEGORIES,
     CONSERVATION_TOL,
     LatencyBudget,
-    TruncatedTraceError,
     analyze_tracer,
     budget_from_snapshot,
 )
@@ -111,9 +110,9 @@ def test_scenario_digest_is_bit_identical_with_attribution():
 
 # -- analyzer mechanics -------------------------------------------------------
 
-def _synthetic_tracer(max_spans=None):
+def _synthetic_spans():
     sim = Simulator()
-    tracer = Tracer(sim, max_spans=max_spans)
+    tracer = Tracer(sim)
     flow = tracer.new_flow()
     stage = tracer.begin("stage:decode", "codec", cat="stage", flow=flow)
     kick = tracer.begin("transport.kick", "transport", cat="transport", flow=flow)
@@ -126,19 +125,11 @@ def _synthetic_tracer(max_spans=None):
     tracer.end(stage)
     tracer.instant("frame.presented", "display", cat="frame", flow=flow,
                    sequence=0, latency=6.0)
-    return tracer
-
-
-def test_analyzer_refuses_truncated_ring_traces():
-    tracer = _synthetic_tracer(max_spans=2)
-    assert tracer.dropped_spans > 0
-    with pytest.raises(TruncatedTraceError) as err:
-        analyze_tracer(tracer)
-    assert "max_spans" in str(err.value)
+    return SpanView(tracer)
 
 
 def test_synthetic_frame_budget_and_critical_path():
-    tracer = _synthetic_tracer()
+    tracer = _synthetic_spans()
     budget = analyze_tracer(tracer)
     assert len(budget.frames) == 1
     frame = budget.frames[0]
@@ -159,7 +150,7 @@ def test_synthetic_frame_budget_and_critical_path():
 
 
 def test_analyzer_is_deterministic():
-    budgets = [analyze_tracer(_synthetic_tracer()) for _ in range(2)]
+    budgets = [analyze_tracer(_synthetic_spans()) for _ in range(2)]
     assert budgets[0] == budgets[1]
     real = [budget_from_snapshot(_attributed_run("ar", "vSoC").telemetry)
             for _ in range(2)]
@@ -253,18 +244,3 @@ def test_sentinel_skips_history_of_another_python_minor(tmp_path):
     # +6.25% over the 3.11 level; the 3.12 records would have read -15%.
     assert [v.status for v in mixed.regressions] == ["regression"]
     assert mixed.verdicts[0].baseline == 40.0
-
-
-# -- ring-cap surfacing --------------------------------------------------------
-
-def test_chrome_trace_carries_retention_metadata():
-    from repro.obs import chrome_trace
-
-    tracer = _synthetic_tracer(max_spans=2)
-    trace = chrome_trace(tracer)
-    other = trace["otherData"]
-    assert other["span_retention"] == "ring:2"
-    assert other["dropped_spans"] == tracer.dropped_spans > 0
-    full = chrome_trace(_synthetic_tracer())
-    assert full["otherData"]["span_retention"] == "all"
-    assert full["otherData"]["dropped_spans"] == 0

@@ -125,18 +125,48 @@ def test_view_keys_follow_the_declared_order():
     ]
 
 
+#: The fields each record kind carries for the span built from it
+#: (repro.obs.span.ROW_SPANS).
+SPAN_FIELDS = {
+    "svm.access_latency": {"start", "flow"},
+    "svm.write_retired": {"flow"},
+    "host.op_retired": {"start", "flow", "bytes"},
+    "coherence.maintenance": {"start", "flow", "src", "dst"},
+    "coherence.flush": {"start", "flow"},
+}
+
+#: Digest of each whole stream, span fields included.
+FULL_STREAM_DIGESTS = {
+    ("vSoC", "ArApp"): "4a07d625a1f8f3c4",
+    ("vSoC", "UhdVideoApp"): "3b03ec5c6e04268c",
+    ("QEMU-KVM", "ArApp"): "e66f81f05910c4be",
+    ("QEMU-KVM", "UhdVideoApp"): "85a4c9e5d684c6ff",
+}
+
+
 @pytest.mark.parametrize(
     "emulator, app, digest",
     [
-        ("vSoC", ArApp, "3b0e43e7e3012347"),
-        ("vSoC", UhdVideoApp, "9705cbeca3b0f38b"),
+        ("vSoC", ArApp, "077da0c06ab94b4a"),
+        ("vSoC", UhdVideoApp, "a0ccd60cf84b2c46"),
         ("QEMU-KVM", ArApp, "a7ecbc01f4e040be"),
         ("QEMU-KVM", UhdVideoApp, "7d770577577ba2d1"),
     ],
 )
 def test_record_stream_is_pinned(emulator, app, digest):
-    """Every record of a 2-s run, in order: its time, kind and fields."""
+    """Every record of a 2-s run, in order: its time, kind and fields.
+
+    ``digest`` covers the stream with the span fields dropped: it is the
+    stream recorded before spans were built from records, less its
+    ``prefetch.start`` records, so the fields moved no other record.
+    """
     rig = build_rig(emulator, seed=0)
     drive(rig, [app()], 2_000.0)
-    stream = repr(trace_tuples(rig.trace)).encode()
-    assert hashlib.sha256(stream).hexdigest()[:16] == digest
+    records = trace_tuples(rig.trace)
+    full = hashlib.sha256(repr(records).encode()).hexdigest()[:16]
+    assert full == FULL_STREAM_DIGESTS[(emulator, app.__name__)]
+    reduced = [
+        (time, kind, tuple(f for f in fields if f[0] not in SPAN_FIELDS.get(kind, ())))
+        for time, kind, fields in records
+    ]
+    assert hashlib.sha256(repr(reduced).encode()).hexdigest()[:16] == digest

@@ -38,8 +38,8 @@ class _DepthProbe(SimHook):
     [
         # vSoC's deepest frame is a sync-miss copy:
         # run > stage > begin_access > begin_access_read > _maintain > _copy > transfer.
-        ("vSoC", ArApp, 7_560, 2_692, 7),
-        ("vSoC", UhdVideoApp, 4_880, 1_530, 7),
+        ("vSoC", ArApp, 7_560, 2_464, 7),
+        ("vSoC", UhdVideoApp, 4_880, 1_416, 7),
         # QEMU-KVM's is an executor flush or fetch:
         # _executor > executor_after_write|executor_before_read > _copy > transfer.
         ("QEMU-KVM", ArApp, 3_994, 1_607, 4),
