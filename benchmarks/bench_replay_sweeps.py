@@ -12,7 +12,7 @@ def test_open_loop_replay_isolates_architecture(benchmark, bench_duration):
 
     def run_replay():
         source = run_app(UhdVideoApp(), "vSoC", duration_ms=bench_duration)
-        trace = record_workload(source.stats.trace, name="uhd")
+        trace = record_workload(source.emulator.trace, name="uhd")
         return (replay_workload(trace, "vSoC"), replay_workload(trace, "GAE"))
 
     vsoc, gae = benchmark.pedantic(run_replay, rounds=1, iterations=1)

@@ -11,10 +11,12 @@ with region-level history every new buffer pays cold starts.
 from repro.apps import ShortFormVideoApp
 from repro.emulators import make_vsoc
 from repro.experiments.runner import run_app
+from repro.obs import NULL_TRACER
 
 
-def _factory_without_zero_shot(sim, machine, trace=None, rng=None, obs=None):
-    emulator = make_vsoc(sim, machine, trace=trace, rng=rng, obs=obs)
+def _factory_without_zero_shot(sim, machine, trace=None, rng=None,
+                               tracer=NULL_TRACER):
+    emulator = make_vsoc(sim, machine, trace=trace, rng=rng, tracer=tracer)
     emulator.engine.zero_shot = False
     return emulator
 

@@ -21,7 +21,7 @@ from repro.workloads import WorkloadTrace, record_workload, replay_workload
 def main() -> None:
     print("Recording: UHD video on vSoC, 8 simulated seconds ...")
     source = run_app(UhdVideoApp(), "vSoC", duration_ms=8_000.0)
-    trace = record_workload(source.stats.trace, name="uhd-video-8s")
+    trace = record_workload(source.emulator.trace, name="uhd-video-8s")
     print(f"  captured {len(trace.events)} events over {trace.regions} regions")
 
     path = os.path.join(tempfile.gettempdir(), "vsoc-uhd-trace.json")

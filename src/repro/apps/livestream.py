@@ -101,7 +101,7 @@ class LivestreamApp(App):
             meta = FrameMeta(
                 birth=sim.now,
                 sequence=sequence,
-                flow=emulator.obs.tracer.new_flow(),
+                flow=emulator.tracer.new_flow(),
             )
             if not wire.try_put(meta):
                 self.fps.note_dropped("network-overrun")

@@ -112,13 +112,6 @@ class DirectedHypergraph:
         """All hyperedges with ``source`` in their tail set."""
         return [e for e in self._edges.values() if source in e.sources]
 
-    def has_edge(self, key: EdgeKey) -> bool:
-        return key in self._edges
-
-    def edge_keys(self) -> List[EdgeKey]:
-        """All live edge keys (insertion order)."""
-        return list(self._edges)
-
     def remove_edges_touching(self, node: str) -> List[EdgeKey]:
         """Drop every hyperedge involving ``node``; returns the removed keys.
 

@@ -424,7 +424,7 @@ class PrefetchEngine:
         Flow keys were serialized as ``repr`` of their JSON-able form;
         ``ast.literal_eval`` (no arbitrary code execution) reverses that.
         ``_suspended_since`` is wall-of-sim-clock bookkeeping for the
-        suspension-time instrument and intentionally restarts empty.
+        suspension-time metric and intentionally restarts empty.
         """
         import ast
 

@@ -213,10 +213,6 @@ class TwinHypergraphs:
         stat = vedge.stats.get("slack")
         return stat.predict() if stat is not None else None
 
-    def slack_std_error(self, vedge: Hyperedge) -> Optional[float]:
-        stat = vedge.stats.get("slack")
-        return stat.std_error if stat is not None else None
-
     # -- prediction -------------------------------------------------------------
     def predict_readers(
         self, region_id: int, writer_vdev: str, allow_zero_shot: bool = True

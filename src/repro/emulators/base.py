@@ -55,8 +55,7 @@ from repro.errors import CapabilityError, ConfigurationError
 from repro.hw.bus import Bus
 from repro.hw.machine import HostMachine
 from repro.hw.device import DeviceKind, PhysicalDevice
-from repro.obs import DISABLED, Observability
-from repro.obs.span import NO_FLOW
+from repro.obs.span import NO_FLOW, NULL_TRACER, Tracer
 from repro.sim import FifoQueue, SimEvent, Simulator, Timeout
 from repro.sim.tracing import TraceLog
 from repro.units import gb_per_s
@@ -165,7 +164,7 @@ class Emulator:
         config: EmulatorConfig,
         trace: Optional[TraceLog] = None,
         rng: Optional[random.Random] = None,
-        obs: Optional[Observability] = None,
+        tracer: Tracer = NULL_TRACER,
     ):
         self.sim = sim
         self.machine = machine
@@ -180,7 +179,7 @@ class Emulator:
             "svm.compensation", "vdev", "compensation"
         )
         self.rng = rng if rng is not None else random.Random(0)
-        self.obs = obs if obs is not None else DISABLED
+        self.tracer = tracer
 
         # The boundary bus is per-emulator: its effective bandwidth differs
         # between implementations (Table 2 coherence-cost spread).
@@ -219,7 +218,7 @@ class Emulator:
         from repro.guest.transport import VirtioTransport  # local: avoids cycle
 
         self.transport = VirtioTransport(
-            sim, kick_cost=config.dispatch_cost_ms, obs=self.obs
+            sim, kick_cost=config.dispatch_cost_ms, tracer=tracer
         )
         self.fence_table = VirtualFenceTable(sim)
         self._vdevs: Dict[str, _VirtualDevice] = {}
@@ -245,7 +244,7 @@ class Emulator:
             sim.spawn(self._stall_injector(), name=f"{config.name}:stalls")
 
     def metered_buses(self) -> Tuple[Bus, ...]:
-        """The links an observed run reports on, one instrument set per link."""
+        """The links an observed run reports on, one set of bus metrics per link."""
         return (self._boundary, self.machine.memctl, self.machine.pcie)
 
     # -- construction helpers -----------------------------------------------
@@ -439,9 +438,9 @@ class Emulator:
         if flow != NO_FLOW:
             for region in (*read_regions, *write_regions):
                 region.flow = flow
-        obs = self.obs
-        if obs.enabled:
-            stage_span = obs.tracer.begin(
+        tracer = self.tracer
+        if tracer.enabled:
+            stage_span = tracer.begin(
                 f"stage:{op}", vdev, cat="stage", flow=flow,
                 op=op, reads=len(read_regions), writes=len(write_regions),
             )
@@ -535,8 +534,8 @@ class Emulator:
             if region.is_open_by(vdev):
                 self.manager.end_access(vdev, region.region_id)
 
-        if obs.enabled:
-            obs.tracer.end(
+        if tracer.enabled:
+            tracer.end(
                 stage_span,
                 access_latency=access_latency,
                 compensation=compensation,
@@ -570,8 +569,8 @@ class Emulator:
     def _executor(self, vdev: _VirtualDevice):
         """Host-side thread of one virtual device: drain its command queue."""
         manager = self.manager
-        observed = self.obs.enabled
-        tracer = self.obs.tracer
+        tracer = self.tracer
+        observed = tracer.enabled
         location = self.vdev_location(vdev.name)
         exec_track = f"{vdev.name}/exec"
         op_retired = self._op_retired

@@ -26,6 +26,7 @@ from typing import Optional
 from repro.core.ordering import OrderingMode
 from repro.emulators.base import Emulator, EmulatorConfig
 from repro.hw.machine import HostMachine
+from repro.obs.span import NULL_TRACER, Tracer
 from repro.sim import Simulator
 from repro.sim.tracing import TraceLog
 
@@ -75,10 +76,10 @@ def make_ldplayer(
     machine: HostMachine,
     trace: Optional[TraceLog] = None,
     rng: Optional[random.Random] = None,
-    obs=None,
+    tracer: Tracer = NULL_TRACER,
 ) -> Emulator:
     """Build an LDPlayer model instance."""
-    return Emulator(sim, machine, ldplayer_config(), trace=trace, rng=rng, obs=obs)
+    return Emulator(sim, machine, ldplayer_config(), trace=trace, rng=rng, tracer=tracer)
 
 
 def make_bluestacks(
@@ -86,7 +87,7 @@ def make_bluestacks(
     machine: HostMachine,
     trace: Optional[TraceLog] = None,
     rng: Optional[random.Random] = None,
-    obs=None,
+    tracer: Tracer = NULL_TRACER,
 ) -> Emulator:
     """Build a Bluestacks model instance."""
-    return Emulator(sim, machine, bluestacks_config(), trace=trace, rng=rng, obs=obs)
+    return Emulator(sim, machine, bluestacks_config(), trace=trace, rng=rng, tracer=tracer)

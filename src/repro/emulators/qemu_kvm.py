@@ -23,6 +23,7 @@ from typing import Optional
 from repro.core.ordering import OrderingMode
 from repro.emulators.base import Emulator, EmulatorConfig
 from repro.hw.machine import HostMachine
+from repro.obs.span import NULL_TRACER, Tracer
 from repro.sim import Simulator
 from repro.sim.tracing import TraceLog
 
@@ -50,7 +51,7 @@ def make_qemu_kvm(
     machine: HostMachine,
     trace: Optional[TraceLog] = None,
     rng: Optional[random.Random] = None,
-    obs=None,
+    tracer: Tracer = NULL_TRACER,
 ) -> Emulator:
     """Build a QEMU-KVM model instance."""
-    return Emulator(sim, machine, qemu_kvm_config(), trace=trace, rng=rng, obs=obs)
+    return Emulator(sim, machine, qemu_kvm_config(), trace=trace, rng=rng, tracer=tracer)

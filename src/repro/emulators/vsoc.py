@@ -22,6 +22,7 @@ from typing import Optional
 from repro.core.ordering import OrderingMode
 from repro.emulators.base import Emulator, EmulatorConfig
 from repro.hw.machine import HostMachine
+from repro.obs.span import NULL_TRACER, Tracer
 from repro.sim import Simulator
 from repro.sim.tracing import TraceLog
 
@@ -55,7 +56,7 @@ def make_vsoc(
     prefetch: bool = True,
     fences: bool = True,
     broadcast: bool = False,
-    obs=None,
+    tracer: Tracer = NULL_TRACER,
 ) -> Emulator:
     """Build a vSoC instance; ablation flags mirror §5.4.
 
@@ -76,4 +77,4 @@ def make_vsoc(
         if not fences:
             suffix.append("no-fence")
         config.name = "vSoC(" + ",".join(suffix) + ")"
-    return Emulator(sim, machine, config, trace=trace, rng=rng, obs=obs)
+    return Emulator(sim, machine, config, trace=trace, rng=rng, tracer=tracer)

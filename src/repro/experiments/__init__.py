@@ -13,7 +13,6 @@ from repro.experiments.engine import (
     RunCache,
     RunResult,
     RunSpec,
-    StatsSummary,
     cache_key,
     run_many,
     run_one,
@@ -51,7 +50,6 @@ __all__ = [
     "RunCache",
     "RunResult",
     "RunSpec",
-    "StatsSummary",
     "cache_key",
     "run_many",
     "run_one",

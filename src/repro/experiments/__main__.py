@@ -34,6 +34,7 @@ bound (both are excluded from ``all``; ``bench`` ignores ``--quick``,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Dict
 
@@ -479,6 +480,23 @@ COMMANDS = {
 }
 
 
+def _positive_ms(text: str) -> float:
+    """argparse type for ``--duration``/``--deadline``: finite ms > 0.
+
+    A NaN horizon never ends a run (``time > nan`` is always false), and
+    a zero or negative one reports on zero frames.
+    """
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number of ms > 0, got {text!r}"
+        )
+    return value
+
+
 def main(argv=None) -> int:
     """CLI entry point: regenerate one experiment (or ``all``)."""
     parser = argparse.ArgumentParser(
@@ -514,7 +532,7 @@ def main(argv=None) -> int:
                                help="write a Chrome/Perfetto trace JSON here")
     observe_group.add_argument("--metrics", metavar="PATH", default=None,
                                help="write the metrics JSON here")
-    observe_group.add_argument("--duration", type=float, default=None,
+    observe_group.add_argument("--duration", type=_positive_ms, default=None,
                                help="simulated ms to observe (default 8000)")
     observe_group.add_argument("--seed", type=int, default=0,
                                help="run seed (default 0)")
@@ -527,7 +545,7 @@ def main(argv=None) -> int:
                                     "and localize where it spends more than "
                                     "--emulator (case-insensitive, "
                                     "qemu_kvm == QEMU-KVM)")
-    explain_group.add_argument("--deadline", type=float, default=None,
+    explain_group.add_argument("--deadline", type=_positive_ms, default=None,
                                metavar="MS",
                                help="frame-deadline SLO to grade against "
                                     "(default 50 ms)")

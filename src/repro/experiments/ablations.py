@@ -231,7 +231,6 @@ def sweep_buffering(
         sim.spawn(producer(), name="producer")
         sim.spawn(consumer(), name="consumer")
         sim.run(until=duration_ms)
-        stats = SvmStats(rig.trace, duration_ms)
-        slacks = stats.slack_intervals()
+        slacks = SvmStats.from_trace(rig.trace, duration_ms).slack_samples
         results[depth] = sum(slacks) / len(slacks) if slacks else 0.0
     return results

@@ -136,7 +136,7 @@ def run_fig16(
         emulator_kwargs={"prefetch": prefetch},
     )
     run = run_one(spec, cache=cache)
-    samples = run.stats.access_latencies() if run.stats is not None else []
+    samples = list(run.stats.access_latency_samples) if run.stats is not None else []
     return AccessLatencyResult(samples=samples)
 
 

@@ -28,10 +28,9 @@ factories are referenced by dotted path, never by object.
 
 Results
 -------
-Workers return a :class:`RunResult` — the run's :class:`AppResult` plus a
-:class:`StatsSummary`, a frozen picklable digest exposing the same read API
-as :class:`~repro.metrics.collectors.SvmStats`. Live simulator state never
-crosses the process boundary.
+Workers return a :class:`RunResult` — the run's :class:`AppResult` plus its
+frozen :class:`~repro.metrics.collectors.SvmStats`. Live simulator state
+never crosses the process boundary.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ from pathlib import Path
 from typing import Any, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.hw.machine import HIGH_END_DESKTOP, MachineSpec
-from repro.metrics.stats import mean
+from repro.metrics.collectors import SvmStats
 
 #: Bump to invalidate every cache entry on an engine format change.
 CACHE_FORMAT = 1
@@ -117,54 +116,6 @@ Spec = Union[RunSpec, PointSpec]
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class StatsSummary:
-    """Picklable digest of :class:`~repro.metrics.collectors.SvmStats`.
-
-    Exposes the same read API (method-for-method) so post-hoc consumers —
-    Table 2 aggregation, the Fig 16 CDF — work unchanged on engine results.
-    """
-
-    duration_ms: float
-    access_latency_samples: Tuple[float, ...]
-    access_bytes_total: int
-    coherence_samples: Tuple[float, ...]
-    slack_samples: Tuple[float, ...]
-
-    @classmethod
-    def from_stats(cls, stats: Any) -> "StatsSummary":
-        return cls(
-            duration_ms=stats.duration_ms,
-            access_latency_samples=tuple(stats.access_latencies()),
-            access_bytes_total=sum(
-                int(v) for v in stats.trace.values("svm.access_latency", "bytes")
-            ),
-            coherence_samples=tuple(stats.coherence_durations()),
-            slack_samples=tuple(stats.slack_intervals()),
-        )
-
-    # -- SvmStats-compatible read API --------------------------------------
-    def access_latencies(self) -> List[float]:
-        return list(self.access_latency_samples)
-
-    def coherence_durations(self) -> List[float]:
-        return list(self.coherence_samples)
-
-    def slack_intervals(self) -> List[float]:
-        return list(self.slack_samples)
-
-    def average_access_latency(self) -> Optional[float]:
-        return mean(self.access_latency_samples) if self.access_latency_samples else None
-
-    def average_coherence_cost(self) -> Optional[float]:
-        return mean(self.coherence_samples) if self.coherence_samples else None
-
-    def throughput_bytes_per_ms(self) -> float:
-        if self.duration_ms <= 0:
-            return 0.0
-        return self.access_bytes_total / self.duration_ms
-
-
-@dataclass(frozen=True)
 class RunResult:
     """What one :class:`RunSpec` produces (and what the cache stores).
 
@@ -174,7 +125,7 @@ class RunResult:
     """
 
     result: Any  # AppResult
-    stats: Optional[StatsSummary]
+    stats: Optional[SvmStats]
     telemetry: Optional[Any] = None  # TelemetrySnapshot
 
 
@@ -321,8 +272,7 @@ def execute_spec(spec: Spec) -> Any:
         telemetry=spec.telemetry,
         attribution=spec.attribution,
     )
-    stats = StatsSummary.from_stats(run.stats) if run.stats is not None else None
-    return RunResult(result=run.result, stats=stats, telemetry=run.telemetry)
+    return RunResult(result=run.result, stats=run.stats, telemetry=run.telemetry)
 
 
 @dataclass

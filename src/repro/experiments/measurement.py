@@ -116,10 +116,10 @@ def run_measurement(
         if not run.result.ran or run.stats is None:
             continue
         ran += 1
-        trace = run.stats.trace
+        trace = run.emulator.trace
         result.region_sizes.extend(int(r["size"]) for r in trace.of_kind("svm.alloc"))
-        result.coherence_durations.extend(run.stats.coherence_durations())
-        result.slack_intervals.extend(run.stats.slack_intervals())
+        result.coherence_durations.extend(run.stats.coherence_samples)
+        result.slack_intervals.extend(run.stats.slack_samples)
         closed = run.emulator.manager.accesses_closed
         total_calls += trace.count("svm.access_latency") + closed
         # -- the §2.3 observations -----------------------------------------

@@ -102,7 +102,7 @@ def run_svm_microbench(
         )
     sim.run(until=duration_ms)
 
-    stats = SvmStats(rig.trace, duration_ms)
+    stats = SvmStats.from_trace(rig.trace, duration_ms)
     accuracy = slack_err = prefetch_err = None
     cpu_fraction = 0.0
     overhead = emulator.manager.memory_overhead_bytes()

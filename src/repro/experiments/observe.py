@@ -9,15 +9,16 @@ writes:
   journey — guest driver stage, transport kick, SVM access, coherence or
   prefetch copy, fences, host execution, presentation — is one connected
   flow of arrows;
-* a metrics JSON with the registry's counters/gauges/histograms (prefetch
+* a metrics JSON with the run's counters/gauges/histograms (prefetch
   mispredict rate, slack-estimate error, per-link bus utilization, frame
   accounting, coherence cost per path, simulated busy time per physical
   device).
 
 The run goes through the experiment runner's own path
 (:func:`~repro.experiments.runner.build_rig` and
-:func:`~repro.experiments.runner.drive`), so its metrics are the same
-capture-time view a telemetry run records: every instrument is derived
+:func:`~repro.experiments.runner.drive`), and its metrics are the same
+capture-time view a telemetry run records
+(:func:`~repro.obs.telemetry.derive_run_metrics`): every metric is derived
 after the clock stops, from the trace log and component counters.
 
 The run itself is the same deterministic simulation the experiment
@@ -34,15 +35,15 @@ from repro.experiments.explain import APP_FACTORIES, resolve_emulator
 from repro.experiments.runner import build_rig, drive
 from repro.hw.machine import HIGH_END_DESKTOP
 from repro.obs import (
-    Observability,
     SpanView,
     chrome_trace,
     connected_flows,
+    metrics_json,
     validate_chrome_trace,
     write_chrome_trace,
     write_metrics,
 )
-from repro.sim import Simulator
+from repro.obs.telemetry import derive_run_metrics
 
 DEFAULT_DURATION_MS = 8_000.0
 
@@ -62,7 +63,7 @@ class ObserveResult:
     def __init__(self, result, trace_dict, metrics_dict, spans, connected):
         self.result = result  # AppResult
         self.trace = trace_dict  # Chrome trace_event dict
-        self.metrics = metrics_dict  # registry dump plus the run's facts
+        self.metrics = metrics_dict  # every metric plus the run's facts
         self.spans = spans  # the run's SpanView
         self.connected = connected  # flow ids with a full causal chain
 
@@ -88,22 +89,21 @@ def run_observe(
         raise ValueError(f"unknown app {app!r}; choose from {sorted(APP_FACTORIES)}")
     emulator = resolve_emulator(emulator)
 
-    obs = Observability(Simulator())
-    rig = build_rig(emulator, machine_spec, seed, obs=obs)
-    (installed,), (result,), _ = drive(
-        rig, [resolve_callable(APP_FACTORIES[app])()], duration_ms
-    )
+    rig = build_rig(emulator, machine_spec, seed, observed=True)
+    observed_app = resolve_callable(APP_FACTORIES[app])()
+    (installed,), (result,), _ = drive(rig, [observed_app], duration_ms)
     if not installed:
         raise SystemExit(f"{app!r} cannot run on {emulator!r}: {result.fail_reason}")
 
-    spans = SpanView(obs.tracer, rig.trace)
+    spans = SpanView(rig.tracer, rig.trace)
     trace_dict = chrome_trace(
         spans,
         track_groups=rig.emulator.track_groups(),
         tracelog=rig.trace if include_tracelog else None,
-        end_time=obs.sim.now,
+        end_time=rig.sim.now,
     )
-    metrics_dict = obs.export_metrics(extra={
+    snapshot = derive_run_metrics(rig.trace, rig.emulator, [observed_app.fps])
+    metrics_dict = metrics_json(snapshot, extra={
         "app": result.app,
         "category": result.category,
         "emulator": emulator,

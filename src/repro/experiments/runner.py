@@ -17,7 +17,7 @@ declarative app parameters.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.apps.base import App, AppResult
@@ -26,6 +26,7 @@ from repro.emulators import EMULATOR_FACTORIES
 from repro.emulators.base import Emulator
 from repro.hw.machine import HIGH_END_DESKTOP, HostMachine, MachineSpec, build_machine
 from repro.metrics.collectors import SvmStats
+from repro.obs.span import NULL_TRACER, Tracer
 from repro.sim import Simulator
 from repro.sim.tracing import TraceLog
 
@@ -39,18 +40,16 @@ DEFAULT_DURATION_MS = 22_000.0
 class AppRun:
     """One completed run: the app result plus SVM-level statistics.
 
-    ``stats`` is a live :class:`SvmStats` when the run happened in this
-    process, or the engine's picklable
-    :class:`~repro.experiments.engine.StatsSummary` (same read API) when it
-    came back from a worker or the cache — in which case ``emulator`` is
-    ``None``. ``telemetry`` is a picklable
+    ``stats`` is the run's frozen :class:`SvmStats`. ``emulator`` is
+    ``None`` when the app did not install, or when the run came back from
+    an engine worker or the cache. ``telemetry`` is a picklable
     :class:`~repro.obs.telemetry.TelemetrySnapshot` when the run was executed
     with ``telemetry=True``.
     """
 
     result: AppResult
     emulator: Optional[Emulator]
-    stats: Optional[Union[SvmStats, "StatsSummary"]]  # noqa: F821
+    stats: Optional[SvmStats]
     telemetry: Optional["TelemetrySnapshot"] = None  # noqa: F821
 
 
@@ -58,15 +57,16 @@ class AppRun:
 class RunRig:
     """What one run is built from: clock, machine, trace log, emulator.
 
-    ``obs`` is the run's :class:`~repro.obs.Observability`, or None for an
-    unobserved run. ``emulator_name`` is the name the rig was built under,
-    which every :class:`AppResult` of the run reports.
+    ``tracer`` is the run's :class:`~repro.obs.span.Tracer`, or
+    :data:`~repro.obs.span.NULL_TRACER` for an unobserved run.
+    ``emulator_name`` is the name the rig was built under, which every
+    :class:`AppResult` of the run reports.
     """
 
     sim: Simulator
     machine: HostMachine
     trace: TraceLog
-    obs: Optional["Observability"]  # noqa: F821
+    tracer: Tracer
     emulator: Emulator
     emulator_name: str
 
@@ -76,24 +76,25 @@ def build_rig(
     machine_spec: MachineSpec = HIGH_END_DESKTOP,
     seed: int = 0,
     factory: Optional[Callable] = None,
-    obs: Optional["Observability"] = None,  # noqa: F821
+    observed: bool = False,
 ) -> RunRig:
     """Build the simulator, machine, trace log and emulator for one run.
 
-    ``obs`` observes the run: its simulator becomes the run's clock.
-    Without it the run is unobserved on a fresh simulator. ``factory``
-    overrides the emulator constructor (used for the §5.4 ablations);
-    like every registered factory it takes ``obs=``.
+    ``observed`` gives the emulator a :class:`~repro.obs.span.Tracer` on
+    the run's own simulator; otherwise it carries the null tracer.
+    ``factory`` overrides the emulator constructor (used for the §5.4
+    ablations); like every registered factory it takes ``tracer=``.
 
     The density experiment is the one harness that builds its own: its
     emulators share one machine, which a rig does not.
     """
-    sim = obs.sim if obs is not None else Simulator()
+    sim = Simulator()
     machine = build_machine(sim, machine_spec)
     trace = TraceLog()
+    tracer = Tracer(sim) if observed else NULL_TRACER
     make = factory if factory is not None else EMULATOR_FACTORIES[emulator_name]
-    emulator = make(sim, machine, trace=trace, rng=random.Random(seed), obs=obs)
-    return RunRig(sim, machine, trace, obs, emulator, emulator_name)
+    emulator = make(sim, machine, trace=trace, rng=random.Random(seed), tracer=tracer)
+    return RunRig(sim, machine, trace, tracer, emulator, emulator_name)
 
 
 def drive(
@@ -106,30 +107,21 @@ def drive(
 
     Returns ``(installed, results, budget)`` with one ``installed`` flag
     and one result per app. The clock always runs to ``duration_ms``,
-    even when no app installed. On an observed rig this is also where the
-    run's metrics view is derived
-    (:func:`~repro.obs.telemetry.derive_run_metrics`), after the clock
-    stops, and where ``attribution`` folds the run's causal spans (its
-    :class:`~repro.obs.span.SpanView`) into a
-    :class:`~repro.obs.critical.LatencyBudget`. Both are post-hoc reads
-    of what the run recorded anyway, so FPS/latency digests are
-    bit-identical either way.
+    even when no app installed. On an observed rig ``attribution`` folds
+    the run's causal spans (its :class:`~repro.obs.span.SpanView`) into a
+    :class:`~repro.obs.critical.LatencyBudget` after the clock stops: a
+    post-hoc read of what the run recorded anyway, so FPS/latency digests
+    are bit-identical either way.
     """
     installed = [app.install(rig.sim, rig.emulator) for app in apps]
     rig.sim.run(until=duration_ms)
     results = [app.collect(rig.emulator_name, duration_ms) for app in apps]
     budget = None
-    if rig.obs is not None:
-        from repro.obs.telemetry import derive_run_metrics
+    if attribution and rig.tracer.enabled:
+        from repro.obs.critical import analyze_tracer
+        from repro.obs.span import SpanView
 
-        derive_run_metrics(
-            rig.obs.registry, rig.trace, rig.emulator, [app.fps for app in apps]
-        )
-        if attribution:
-            from repro.obs.critical import analyze_tracer
-            from repro.obs.span import SpanView
-
-            budget = analyze_tracer(SpanView(rig.obs.tracer, rig.trace))
+        budget = analyze_tracer(SpanView(rig.tracer, rig.trace))
     return installed, results, budget
 
 
@@ -146,11 +138,11 @@ def run_app(
     """Run one app on one emulator for ``duration_ms`` of simulated time.
 
     ``factory`` overrides the emulator constructor (used for the §5.4
-    ablations). ``telemetry`` attaches the observability stack (tracer +
-    registry) and captures a picklable
-    :class:`~repro.obs.telemetry.TelemetrySnapshot` onto the returned
-    :class:`AppRun` — observability only reads the clock, so the
-    simulated results are bit-identical either way.
+    ablations). ``telemetry`` observes the run and derives its metrics
+    after the clock stops (:func:`~repro.obs.telemetry.derive_run_metrics`)
+    into a picklable :class:`~repro.obs.telemetry.TelemetrySnapshot` on
+    the returned :class:`AppRun` — observability only reads the clock, so
+    the simulated results are bit-identical either way.
 
     ``attribution`` (implies ``telemetry``) additionally puts the run's
     :class:`~repro.obs.critical.LatencyBudget` on the snapshot (see
@@ -167,34 +159,31 @@ def run_app(
         )
         return AppRun(result=result, emulator=None, stats=None)
 
-    obs = None
-    if telemetry or attribution:
-        from repro.obs import Observability
-
-        obs = Observability(Simulator())
-    rig = build_rig(emulator_name, machine_spec, seed, factory=factory, obs=obs)
+    observed = telemetry or attribution
+    rig = build_rig(
+        emulator_name, machine_spec, seed, factory=factory, observed=observed
+    )
     (installed,), (result,), budget = drive(
         rig, [app], duration_ms, attribution=attribution
     )
     return AppRun(
         result=result,
         emulator=rig.emulator if installed else None,
-        stats=SvmStats(rig.trace, duration_ms) if installed else None,
-        telemetry=None if obs is None else _capture_telemetry(
-            obs, app, emulator_name, duration_ms, seed,
-            result if installed else None, budget,
-        ),
+        stats=SvmStats.from_trace(rig.trace, duration_ms) if installed else None,
+        telemetry=_capture_telemetry(
+            rig, app, duration_ms, seed, result if installed else None, budget
+        ) if observed else None,
     )
 
 
-def _capture_telemetry(obs, app, emulator_name, duration_ms, seed, result, budget):
-    """Freeze an observed run's state into a picklable snapshot."""
-    from repro.obs.telemetry import TelemetrySnapshot
+def _capture_telemetry(rig, app, duration_ms, seed, result, budget):
+    """Derive an observed run's metrics into a picklable snapshot."""
+    from repro.obs.telemetry import derive_run_metrics, labels_key
 
     meta = {
         "app": app.name,
         "category": app.category,
-        "emulator": emulator_name,
+        "emulator": rig.emulator_name,
         "duration_ms": duration_ms,
         "seed": seed,
         "ran": int(result is not None and result.ran),
@@ -202,7 +191,8 @@ def _capture_telemetry(obs, app, emulator_name, duration_ms, seed, result, budge
     if result is not None:
         meta["fps"] = round(result.fps, 6)
         meta["presented"] = result.presented
-    return TelemetrySnapshot.capture(obs.registry, meta=meta, attribution=budget)
+    snapshot = derive_run_metrics(rig.trace, rig.emulator, [app.fps])
+    return replace(snapshot, meta=labels_key(meta), attribution=budget)
 
 
 def run_category(

@@ -63,10 +63,6 @@ class BufferQueue:
         """Non-blocking dequeue; ``None`` when every buffer is in flight."""
         return self._free.try_get()
 
-    def try_acquire_filled(self) -> Optional[GuestBuffer]:
-        """Non-blocking acquire; ``None`` when nothing is queued."""
-        return self._filled.try_get()
-
     def queue_filled(self, buffer: GuestBuffer, pts: Optional[float] = None):
         """Producer hands a filled buffer to the consumer side."""
         buffer.pts = pts
@@ -82,10 +78,6 @@ class BufferQueue:
         buffer.pts = None
         buffer.payload = None
         self._free.put(buffer)
-
-    @property
-    def filled_depth(self) -> int:
-        return len(self._filled)
 
     @property
     def free_depth(self) -> int:

@@ -146,9 +146,9 @@ class SurfaceFlinger:
             )
             done_at = yield present.done
             self.frames_rendered += 1
-            obs = self._emulator.obs
-            if obs.enabled:
-                obs.tracer.instant(
+            tracer = self._emulator.tracer
+            if tracer.enabled:
+                tracer.instant(
                     "frame.presented", "display", cat="frame", flow=meta.flow,
                     sequence=meta.sequence, latency=done_at - meta.birth,
                 )
@@ -214,7 +214,7 @@ class MediaService:
             meta = FrameMeta(
                 birth=self._sim.now - self.source_latency,
                 sequence=self._sequence,
-                flow=self._emulator.obs.tracer.new_flow(),
+                flow=self._emulator.tracer.new_flow(),
             )
             self._sequence += 1
             if not self._jitter.try_put(meta):
@@ -316,7 +316,7 @@ class CameraService:
             meta = FrameMeta(
                 birth=self._sim.now,
                 sequence=self._sequence,
-                flow=self._emulator.obs.tracer.new_flow(),
+                flow=self._emulator.tracer.new_flow(),
             )
             self._sequence += 1
             # The frame's bytes land in host memory capture_latency later.

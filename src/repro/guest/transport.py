@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Any, Callable, Generator, Optional, Tuple
 
 from repro.errors import ConfigurationError, TransportDropError
-from repro.obs.span import NO_FLOW
+from repro.obs.span import NO_FLOW, NULL_TRACER, Tracer
 from repro.sim import RetryPolicy, Simulator, Timeout
 
 #: Optional fault hook: called once per kick with ``(transport, batch_size)``.
@@ -39,15 +39,11 @@ class VirtioTransport:
         sim: Simulator,
         kick_cost: float = 0.02,
         per_command_cost: float = 0.005,
-        obs=None,
+        tracer: Tracer = NULL_TRACER,
     ):
         if kick_cost < 0 or per_command_cost < 0:
             raise ConfigurationError("transport costs must be >= 0")
-        if obs is None:
-            from repro.obs import DISABLED  # local: keeps import cost off hot path
-
-            obs = DISABLED
-        self._obs = obs
+        self._tracer = tracer
         self._sim = sim
         self.kick_cost = kick_cost
         self.per_command_cost = per_command_cost
@@ -89,12 +85,12 @@ class VirtioTransport:
     ) -> Generator[Any, Any, float]:
         """Kick attempts until one lands; a drop raises when ``retry`` is
         ``None`` or exhausted, and otherwise backs off and tries again."""
-        obs = self._obs
+        tracer = self._tracer
         failures = 0
         while True:
-            if obs.enabled:
-                span = obs.tracer.begin("transport.kick", "transport", cat="transport",
-                                        flow=flow, batch=batch_size)
+            if tracer.enabled:
+                span = tracer.begin("transport.kick", "transport", cat="transport",
+                                    flow=flow, batch=batch_size)
             cost = self.dispatch_cost(batch_size)
             self.kick_attempts += 1
             verdict = self.fault_hook(self, batch_size) if self.fault_hook is not None else None
@@ -108,8 +104,8 @@ class VirtioTransport:
             if verdict is None or verdict[0] != "drop":
                 break
             self.kicks_dropped += 1
-            if obs.enabled:
-                obs.tracer.end(span, dropped=True)
+            if tracer.enabled:
+                tracer.end(span, dropped=True)
             failures += 1
             if retry is None or retry.exhausted(failures):
                 raise TransportDropError(
@@ -120,8 +116,8 @@ class VirtioTransport:
                 yield Timeout(delay)
         self.kicks += 1
         self.commands += batch_size
-        if obs.enabled:
-            obs.tracer.end(span)
+        if tracer.enabled:
+            tracer.end(span)
         return cost
 
     @property

@@ -4,8 +4,8 @@
   counts presented frames and the reasons frames never made it.
 * :class:`LatencyCollector` — motion-to-photon samples: presentation time
   minus the frame's birth (capture / arrival) time.
-* :class:`SvmStats` — post-hoc digestion of a :class:`TraceLog` into the
-  Table 2 metrics (access latency, coherence cost, throughput).
+* :class:`SvmStats` — a run's Table 2 metrics (access latency, coherence
+  cost, throughput) and slack samples, frozen from its :class:`TraceLog`.
 * :class:`ResilienceStats` — fault/retry/degradation accounting from the
   ``fault.*``, ``retry.backoff`` and ``coherence.degrade/restore`` records
   a chaos run leaves behind.
@@ -13,7 +13,8 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from repro.metrics.stats import mean, percentile
 from repro.sim.tracing import TraceLog
@@ -23,8 +24,8 @@ from repro.units import SECOND
 class FpsCollector:
     """Frame accounting for one app run.
 
-    An observed run's ``frames.*`` instruments are derived from these
-    counters at capture (:func:`repro.obs.telemetry.derive_run_metrics`).
+    An observed run's ``frames.*`` counters are derived from these at
+    capture (:func:`repro.obs.telemetry.derive_run_metrics`).
     """
 
     def __init__(self) -> None:
@@ -83,38 +84,51 @@ class LatencyCollector:
         return percentile(self.samples, 95) if self.samples else None
 
 
+@dataclass(frozen=True)
 class SvmStats:
-    """Table 2 metrics distilled from a trace log."""
+    """One run's Table 2 metrics, frozen from its trace log.
 
-    def __init__(self, trace: TraceLog, duration_ms: float):
-        self.trace = trace
-        self.duration_ms = duration_ms
+    Plain picklable data: engine workers ship it back inside their
+    ``RunResult`` and the run cache stores it.
+    """
 
-    def access_latencies(self) -> List[float]:
-        return [float(v) for v in self.trace.values("svm.access_latency", "latency")]
+    duration_ms: float
+    access_latency_samples: Tuple[float, ...]
+    access_bytes_total: int
+    coherence_samples: Tuple[float, ...]
+    slack_samples: Tuple[float, ...]
 
-    def coherence_durations(self) -> List[float]:
-        return [float(v) for v in self.trace.values("coherence.maintenance", "duration")]
-
-    def slack_intervals(self) -> List[float]:
-        return [float(v) for v in self.trace.values("svm.slack", "slack")]
+    @classmethod
+    def from_trace(cls, trace: TraceLog, duration_ms: float) -> "SvmStats":
+        return cls(
+            duration_ms=duration_ms,
+            access_latency_samples=tuple(
+                float(v) for v in trace.values("svm.access_latency", "latency")
+            ),
+            access_bytes_total=sum(
+                int(v) for v in trace.values("svm.access_latency", "bytes")
+            ),
+            coherence_samples=tuple(
+                float(v) for v in trace.values("coherence.maintenance", "duration")
+            ),
+            slack_samples=tuple(float(v) for v in trace.values("svm.slack", "slack")),
+        )
 
     def average_access_latency(self) -> Optional[float]:
-        values = self.access_latencies()
-        return mean(values) if values else None
+        samples = self.access_latency_samples
+        return mean(samples) if samples else None
 
     def average_coherence_cost(self) -> Optional[float]:
-        values = self.coherence_durations()
-        return mean(values) if values else None
+        samples = self.coherence_samples
+        return mean(samples) if samples else None
 
     def throughput_bytes_per_ms(self) -> float:
         """Total SVM bytes accessed / duration (§5.2's definition, minus
         data wasted by prefetch failures — wasted copies are traced as
         maintenances, not accesses, so they are excluded by construction)."""
-        total = sum(int(v) for v in self.trace.values("svm.access_latency", "bytes"))
         if self.duration_ms <= 0:
             return 0.0
-        return total / self.duration_ms
+        return self.access_bytes_total / self.duration_ms
 
 
 class ResilienceStats:

@@ -28,7 +28,7 @@ def percentile(
     """Linear-interpolated percentile, q in [0, 100].
 
     Edge cases are explicit: an empty input raises (or returns ``default``
-    when one is supplied — histogram instruments lean on that); a single
+    when one is supplied, as ``explain``'s frame percentiles do); a single
     sample is every percentile of itself; q=0 / q=100 return the exact
     min / max with no interpolation rounding; a NaN or out-of-range q is
     rejected rather than silently indexing somewhere.

@@ -8,26 +8,23 @@ One import point for the two pillars:
   single connected trace. Spans whose facts the trace log records are
   built from its rows at capture (:class:`~repro.obs.span.SpanView`);
   the tracer records the rest live;
-* **metrics** (:mod:`repro.obs.registry`) — named counters/gauges/
-  histograms with label sets and deterministic bounded sampling,
-  including the simulated busy time of every physical device;
+* **metrics** (:mod:`repro.obs.telemetry`) — counters, gauges and
+  histograms derived once, after the clock stops, from the stores that
+  already hold each fact, into one frozen
+  :class:`~repro.obs.telemetry.TelemetrySnapshot`, including the
+  simulated busy time of every physical device;
 
 plus the exporters (:mod:`repro.obs.export`) that turn both into a
 Chrome ``trace_event`` / Perfetto JSON file and a metrics JSON file.
 
-The :class:`Observability` context bundles one tracer + registry so a
-single ``obs=`` handle threads through emulator factories and components.
-An observed run registers no kernel hook: spans read the clock, and the
-registry is never written while a run is live —
-:func:`repro.obs.telemetry.derive_run_metrics` fills it at capture. The
-module-level :data:`DISABLED` instance is the default everywhere: it hands
-out the null tracer and makes every instrumentation site a cheap no-op —
+An observed run's emulator carries a :class:`Tracer` on the run's own
+simulator (``build_rig(observed=True)``); every other run carries
+:data:`NULL_TRACER`, which makes every instrumentation site a cheap no-op.
+An observed run registers no kernel hook: spans only read the clock, so
 results are identical with observability on or off.
 """
 
 from __future__ import annotations
-
-from typing import Any, Dict, Optional
 
 from repro.obs.critical import (
     BUDGET_CATEGORIES,
@@ -47,7 +44,6 @@ from repro.obs.export import (
     write_chrome_trace,
     write_metrics,
 )
-from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.slo import SloReport, SloSpec, evaluate_frames
 from repro.obs.span import NO_FLOW, NULL_SPAN, NULL_TRACER, Span, SpanView, Tracer
 from repro.obs.telemetry import TelemetrySnapshot
@@ -60,12 +56,6 @@ __all__ = [
     "NO_FLOW",
     "NULL_SPAN",
     "NULL_TRACER",
-    "Counter",
-    "DISABLED",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "Observability",
     "PathStep",
     "SloReport",
     "SloSpec",
@@ -86,34 +76,3 @@ __all__ = [
     "write_metrics",
 ]
 
-
-class Observability:
-    """Tracer + metrics registry as one handle.
-
-    Construct with a simulator to observe a run::
-
-        obs = Observability(sim)
-        emulator = make_vsoc(sim, machine, obs=obs)
-        ...
-        view = SpanView(obs.tracer, emulator.trace)
-        trace = chrome_trace(view, emulator.track_groups(), end_time=sim.now)
-
-    Construct with no simulator (or use :data:`DISABLED`) for the inert
-    variant components default to.
-    """
-
-    def __init__(self, sim=None):
-        self.sim = sim
-        enabled = sim is not None
-        self.enabled = enabled
-        self.tracer = Tracer(sim) if enabled else NULL_TRACER
-        self.registry = MetricsRegistry()
-
-    # -- export convenience --------------------------------------------------
-    def export_metrics(self, extra: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
-        """Metrics dict for this run (see :func:`metrics_json`)."""
-        return metrics_json(self.registry, extra=extra)
-
-
-#: Shared inert instance — the default ``obs`` everywhere.
-DISABLED = Observability()

@@ -22,10 +22,12 @@ instrumentation shows up in the same timeline.
 from __future__ import annotations
 
 import json
+from operator import itemgetter
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
-from repro.obs.registry import MetricsRegistry
+from repro.metrics.stats import percentile
 from repro.obs.span import NO_FLOW, Span, SpanView
+from repro.obs.telemetry import TelemetrySnapshot
 from repro.sim.tracing import TraceLog
 
 #: Track group (= Chrome pid) used when no mapping is provided.
@@ -290,11 +292,35 @@ def validate_chrome_trace(trace: Any) -> List[str]:
 
 
 def metrics_json(
-    registry: MetricsRegistry,
+    snapshot: TelemetrySnapshot,
     extra: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
-    """Bundle the registry (plus ``extra`` run facts) for the metrics file."""
-    out = registry.to_dict()
+    """The metrics file: one row per metric of ``snapshot``, plus ``extra``.
+
+    Rows are sorted by (name, labels) across the three kinds. Counters and
+    gauges carry their ``value``; a histogram carries its count, sum, min,
+    max and mean, and p50/p95/p99 over its retained samples.
+    """
+    rows = []
+    for kind, samples in (("counter", snapshot.counters),
+                          ("gauge", snapshot.gauges)):
+        for sample in samples:
+            rows.append(((sample.name, sample.labels), {
+                "name": sample.name, "type": kind,
+                "labels": dict(sample.labels), "value": sample.value,
+            }))
+    for hist in snapshot.histograms:
+        row = {
+            "name": hist.name, "type": "histogram", "labels": dict(hist.labels),
+            "count": hist.count, "sum": hist.sum, "min": hist.min,
+            "max": hist.max, "mean": hist.sum / hist.count if hist.count else None,
+        }
+        if hist.count:
+            for q in (50, 95, 99):
+                row[f"p{q}"] = percentile(hist.samples, q)
+        rows.append(((hist.name, hist.labels), row))
+    rows.sort(key=itemgetter(0))
+    out: Dict[str, Any] = {"metrics": [row for _, row in rows]}
     if extra:
         out.update(_jsonable(extra))
     return out

@@ -21,7 +21,7 @@ A disabled tracer (``Tracer(enabled=False)``, or :data:`NULL_TRACER` when
 no simulator is at hand) records nothing: every ``begin`` returns the
 shared :data:`NULL_SPAN` sentinel and every other method is a no-op. The
 call itself still builds its arguments, so call sites on per-stage and
-per-frame paths test ``obs.enabled`` first and skip it (DESIGN.md §7).
+per-frame paths test ``tracer.enabled`` first and skip it (DESIGN.md §7).
 
 The tracer records live only the spans no trace record carries: stages,
 transport kicks, fence waits and signals, and presented frames. Every

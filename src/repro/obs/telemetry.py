@@ -1,16 +1,17 @@
 """Run telemetry: the capture-time metrics view and per-run snapshots.
 
 * :func:`derive_run_metrics` — the capture-time metrics view: it builds an
-  observed run's registry instruments from the stores that already hold
-  each fact (the ``TraceLog``, the frame collectors, component counters).
-  It is the only code that writes to a registry, so no component mirrors
-  a fact into the registry while the run is live.
+  observed run's counters, gauges and histograms once, after the clock
+  stops, from the stores that already hold each fact (the ``TraceLog``,
+  the frame collectors, component counters), and returns them as one
+  frozen :class:`TelemetrySnapshot`. No component mirrors a fact into a
+  metrics store while the run is live.
 * :class:`TelemetrySnapshot` — a frozen, picklable digest of one run's
-  registry (counter totals, final gauge values, histogram moments plus
-  reservoirs) and, for attributed runs, its latency budget. Engine
-  workers capture one per run and ship it back inside their
-  ``RunResult``, so the snapshot rides the run cache and a warm-cache
-  rerun replays telemetry bit-for-bit without simulating.
+  metrics (counter totals, final gauge values, histogram moments plus
+  retained samples) and, for attributed runs, its latency budget. Engine
+  workers ship one per run back inside their ``RunResult``, so the
+  snapshot rides the run cache and a warm-cache rerun replays telemetry
+  bit-for-bit without simulating.
 
 Everything here is pure data manipulation: no simulator, no wall clock,
 no randomness.
@@ -19,16 +20,36 @@ no randomness.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.metrics.collectors import ResilienceStats
-from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
 
 LabelKey = Tuple[Tuple[str, str], ...]
 
+#: Cap on the samples a histogram retains for its percentiles.
+RESERVOIR = 512
 
-def _labels_key(labels: Mapping[str, Any]) -> LabelKey:
+
+def labels_key(labels: Mapping[str, Any]) -> LabelKey:
+    """``labels`` as sorted string pairs: a sample's labels, a run's meta."""
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
+
+
+def retained_samples(values: Sequence[float]) -> Tuple[float, ...]:
+    """The samples a histogram keeps: ``values[::s]``, fewer than
+    :data:`RESERVOIR`.
+
+    ``s`` is the smallest power of two with ``ceil(n / s) < RESERVOIR``:
+    exactly what a streaming sampler keeps that accepts every
+    ``stride``-th value and, whenever it holds :data:`RESERVOIR`, drops
+    every other one and doubles its stride. Deterministic, so a rerun
+    reproduces its percentiles bit-for-bit.
+    """
+    stride = 1
+    while -(-len(values) // stride) >= RESERVOIR:
+        stride *= 2
+    return tuple(float(v) for v in values[::stride])
 
 
 # ---------------------------------------------------------------------------
@@ -36,17 +57,18 @@ def _labels_key(labels: Mapping[str, Any]) -> LabelKey:
 # ---------------------------------------------------------------------------
 
 def derive_run_metrics(
-    registry: MetricsRegistry, trace, emulator, fps_collectors: Sequence[Any]
-) -> None:
-    """Build an observed run's instruments once, at capture.
+    trace, emulator, fps_collectors: Sequence[Any]
+) -> TelemetrySnapshot:
+    """Build an observed run's metrics once, at capture.
 
     Reads the run's :class:`~repro.sim.tracing.TraceLog` in record order
-    (so each histogram's reservoir keeps the same samples a live mirror
-    would), the apps' :class:`~repro.metrics.collectors.FpsCollector` (one
-    per app; ``frames.*`` sum across them), and the emulator's own
-    counters, after the clock stops.
+    (so each histogram keeps its samples in the order they happened), the
+    apps' :class:`~repro.metrics.collectors.FpsCollector` (one per app;
+    ``frames.*`` sum across them), and the emulator's own counters, after
+    the clock stops. Each kind's samples are sorted by (name, labels); the
+    snapshot carries no ``meta`` or attribution (the caller adds them).
 
-    An event-driven instrument appears only once its source saw an event;
+    An event-driven metric appears only once its source saw an event;
     the ``resilience.*`` / ``audit.violations_total`` summary always
     appears. ``prefetch.slack_error_ms`` reads the ``predicted`` field the
     SVM manager puts on a scored read's ``svm.slack`` record,
@@ -55,74 +77,99 @@ def derive_run_metrics(
     charged only its ops: a coherence copy an executor waits on stays in
     ``coherence.duration_ms`` and ``bus.*``.
     """
+    counters: Dict[Tuple[str, LabelKey], float] = {}
+    gauges: List[GaugeSample] = []
+    histograms: List[HistogramSample] = []
+
+    def count(name: str, amount: float, **labels: Any) -> None:
+        key = (name, labels_key(labels))
+        counters[key] = counters.get(key, 0.0) + amount
+
+    def gauge(name: str, value: float, **labels: Any) -> None:
+        gauges.append(GaugeSample(name, labels_key(labels), float(value)))
+
+    def histogram(name: str, values: List[float], **labels: Any) -> None:
+        # A running total in record order: from Python 3.12 ``sum``
+        # compensates float rounding, which would move the last bits.
+        total = 0.0
+        for value in values:
+            total += value
+        histograms.append(HistogramSample(
+            name, labels_key(labels), len(values), total,
+            min(values), max(values), retained_samples(values),
+        ))
+
     presented = sum(fps.presented for fps in fps_collectors)
     if presented:
-        registry.counter("frames.presented").inc(presented)
+        count("frames.presented", presented)
     for fps in fps_collectors:
-        for reason, count in fps.dropped.items():
-            registry.counter("frames.dropped", reason=reason).inc(count)
+        for reason, dropped in fps.dropped.items():
+            count("frames.dropped", dropped, reason=reason)
     for name, label, record_kind, field_name in (
         ("svm.access_latency_ms", "vdev", "svm.access_latency", "latency"),
         ("coherence.duration_ms", "path", "coherence.maintenance", "duration"),
     ):
-        per_label: Dict[Any, Histogram] = {}
+        per_label: Dict[Any, List[float]] = {}
         samples = trace.values(record_kind, field_name)
         for key, sample in zip(trace.values(record_kind, label), samples):
-            histogram = per_label.get(key)
-            if histogram is None:
-                histogram = per_label[key] = registry.histogram(name, **{label: key})
-            histogram.observe(sample)
-    slack_error = None
+            per_label.setdefault(key, []).append(sample)
+        for key, values in per_label.items():
+            histogram(name, values, **{label: key})
+    slack_errors = []
     for record in trace.of_kind("svm.slack"):
         predicted = record.fields.get("predicted")
-        if predicted is None:
-            continue
-        if slack_error is None:
-            slack_error = registry.histogram("prefetch.slack_error_ms")
-        slack_error.observe(abs(predicted - record.fields["slack"]))
+        if predicted is not None:
+            slack_errors.append(abs(predicted - record.fields["slack"]))
+    if slack_errors:
+        histogram("prefetch.slack_error_ms", slack_errors)
 
     transport = emulator.transport
     if transport.kicks:
-        registry.counter("transport.kicks").inc(transport.kicks)
-        registry.counter("transport.commands").inc(transport.commands)
+        count("transport.kicks", transport.kicks)
+        count("transport.commands", transport.commands)
     engine = emulator.engine
     if engine is not None:
         stats = engine.stats
         if stats.launched:
-            registry.counter("prefetch.launched").inc(stats.launched)
+            count("prefetch.launched", stats.launched)
         if stats.predictions:
-            registry.gauge("prefetch.mispredict_rate").set(
-                stats.misses / stats.predictions
-            )
+            gauge("prefetch.mispredict_rate", stats.misses / stats.predictions)
         if engine.suspension_time_ms:
-            registry.counter("prefetch.suspension_time_ms").inc(
-                engine.suspension_time_ms
-            )
+            count("prefetch.suspension_time_ms", engine.suspension_time_ms)
     now = emulator.sim.now
     for bus in emulator.metered_buses():
         if bus.transfer_count:
-            registry.counter("bus.bytes_moved", link=bus.name).inc(bus.bytes_moved)
-            registry.counter("bus.transfers", link=bus.name).inc(bus.transfer_count)
-            registry.gauge("bus.utilization", link=bus.name).set(
-                bus.busy_time / now if now > 0 else 0.0
-            )
+            count("bus.bytes_moved", bus.bytes_moved, link=bus.name)
+            count("bus.transfers", bus.transfer_count, link=bus.name)
+            gauge("bus.utilization", bus.busy_time / now if now > 0 else 0.0,
+                  link=bus.name)
     for name, device in emulator.machine.devices.items():
         if device.busy_time:
-            registry.counter("device.busy_ms", device=name).inc(device.busy_time)
+            count("device.busy_ms", device.busy_time, device=name)
 
     resilience = ResilienceStats(trace)
-    for kind, count in sorted(resilience.fault_counts().items()):
-        registry.counter("resilience.faults", kind=kind).inc(count)
-    registry.counter("resilience.retries").inc(resilience.retries)
-    registry.counter("resilience.prefetch_failures").inc(resilience.prefetch_failures)
-    registry.counter("resilience.degrades").inc(resilience.degrades)
-    registry.counter("resilience.restores").inc(resilience.restores)
-    registry.counter("resilience.crashes").inc(resilience.crashes)
-    registry.counter("resilience.recoveries").inc(resilience.recoveries)
-    registry.counter("resilience.replayed_copies").inc(resilience.replayed_copies)
-    registry.counter("audit.violations_total").inc(resilience.audit_violations)
+    for kind, faults in sorted(resilience.fault_counts().items()):
+        count("resilience.faults", faults, kind=kind)
+    count("resilience.retries", resilience.retries)
+    count("resilience.prefetch_failures", resilience.prefetch_failures)
+    count("resilience.degrades", resilience.degrades)
+    count("resilience.restores", resilience.restores)
+    count("resilience.crashes", resilience.crashes)
+    count("resilience.recoveries", resilience.recoveries)
+    count("resilience.replayed_copies", resilience.replayed_copies)
+    count("audit.violations_total", resilience.audit_violations)
     for record in trace.of_kind("audit.violation"):
-        registry.counter("audit.violations", invariant=record["invariant"]).inc()
+        count("audit.violations", 1, invariant=record["invariant"])
+
+    by_key = attrgetter("name", "labels")
+    return TelemetrySnapshot(
+        counters=tuple(
+            CounterSample(name, labels, value)
+            for (name, labels), value in sorted(counters.items())
+        ),
+        gauges=tuple(sorted(gauges, key=by_key)),
+        histograms=tuple(sorted(histograms, key=by_key)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +196,8 @@ class GaugeSample:
 
 @dataclass(frozen=True)
 class HistogramSample:
-    """One histogram's exact moments plus its retained reservoir."""
+    """One histogram's exact moments plus its retained samples
+    (:func:`retained_samples`)."""
 
     name: str
     labels: LabelKey
@@ -179,41 +227,6 @@ class TelemetrySnapshot:
     #: like every other field, so a warm-cache rerun explains its frames
     #: without re-simulating.
     attribution: Optional[Any] = None
-
-    # -- capture -----------------------------------------------------------
-    @classmethod
-    def capture(
-        cls,
-        registry: MetricsRegistry,
-        meta: Optional[Mapping[str, Any]] = None,
-        attribution: Optional[Any] = None,
-    ) -> "TelemetrySnapshot":
-        """Freeze a run's registry (and attribution) into a snapshot."""
-        counters: List[CounterSample] = []
-        gauges: List[GaugeSample] = []
-        histograms: List[HistogramSample] = []
-        for inst in registry.instruments():
-            labels = _labels_key(inst.labels)
-            if isinstance(inst, Counter):
-                counters.append(CounterSample(inst.name, labels, float(inst.value)))
-            elif isinstance(inst, Gauge):
-                gauges.append(GaugeSample(
-                    inst.name, labels,
-                    None if inst.value is None else float(inst.value),
-                ))
-            elif isinstance(inst, Histogram):
-                histograms.append(HistogramSample(
-                    inst.name, labels, inst.count, float(inst.sum),
-                    inst.min, inst.max,
-                    tuple(float(v) for v in inst.samples()),
-                ))
-        return cls(
-            meta=_labels_key(meta or {}),
-            counters=tuple(counters),
-            gauges=tuple(gauges),
-            histograms=tuple(histograms),
-            attribution=attribution,
-        )
 
     # -- identity ----------------------------------------------------------
     @property

@@ -32,7 +32,6 @@ from repro.metrics.collectors import ResilienceStats
 from repro.recovery.audit import install_auditor
 from repro.scenario.compiler import CompiledScenario, compile_scenario
 from repro.scenario.schema import scenario_digest
-from repro.sim import Simulator
 from repro.sim.tracing import TraceLog
 
 #: In-flight recovery slack: a crash whose downtime ends within this much
@@ -116,12 +115,9 @@ def run_scenario(
     )
     horizon = float(duration_ms) if duration_ms is not None else compiled.duration_ms
 
-    obs = None
-    if attribution:
-        from repro.obs import Observability
-
-        obs = Observability(Simulator())
-    rig = build_rig(compiled.emulator, compiled.machine_spec, compiled.seed, obs=obs)
+    rig = build_rig(
+        compiled.emulator, compiled.machine_spec, compiled.seed, observed=attribution
+    )
 
     injector = FaultInjector(rig.sim, compiled.plan, seed=compiled.seed, trace=rig.trace)
     if not compiled.plan.is_empty():

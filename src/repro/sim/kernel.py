@@ -31,8 +31,8 @@ An exception escaping a process is captured and re-raised from
 :meth:`Simulator.run` (fail fast). Processes waiting on a failed process
 observe the same exception at their ``yield``.
 
-Observability hooks
--------------------
+Dispatch hooks
+--------------
 :meth:`Simulator.add_hook` registers a :class:`SimHook`-shaped observer.
 Hooks see every event dispatch (``on_event_dispatch``), including the
 wake-ups a process resumes in place, so they see the same dispatch

@@ -195,14 +195,13 @@ def replay_workload(
     rig.sim.spawn(_replay_driver(rig.sim, rig.emulator, trace, issued), name="replay")
     rig.sim.run(until=trace.duration_ms + 1_000.0)
 
-    stats = SvmStats(rig.trace, trace.duration_ms or 1.0)
-    coherence = stats.coherence_durations()
+    stats = SvmStats.from_trace(rig.trace, trace.duration_ms or 1.0)
     copied = sum(int(r["bytes"]) for r in rig.trace.of_kind("coherence.maintenance"))
     return ReplayResult(
         trace_name=trace.name,
         emulator=emulator_name,
         events_replayed=len(issued),
-        total_coherence_ms=sum(coherence),
+        total_coherence_ms=sum(stats.coherence_samples),
         mean_coherence_ms=stats.average_coherence_cost(),
         mean_access_latency_ms=stats.average_access_latency(),
         bytes_copied=copied,

@@ -199,16 +199,14 @@ def test_explain_grid_budgets_match_covering_lists(app_name, emulator):
     from repro.apps.catalog import resolve_callable
     from repro.experiments.explain import APP_FACTORIES
     from repro.experiments.runner import build_rig, drive
-    from repro.obs import Observability, SpanView
-    from repro.sim import Simulator
+    from repro.obs import SpanView
 
-    obs = Observability(Simulator())
-    rig = build_rig(emulator, obs=obs)
+    rig = build_rig(emulator, observed=True)
     app = resolve_callable(APP_FACTORIES[app_name])()
     _, _, budget = drive(rig, [app], 2_000.0, attribution=True)
 
     frames, skipped = [], []
-    view = SpanView(obs.tracer, rig.trace)
+    view = SpanView(rig.tracer, rig.trace)
     for flow, spans in view.flow_chains().items():
         presented = None
         for span in spans:

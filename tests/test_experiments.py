@@ -22,7 +22,7 @@ def test_runner_returns_stats():
     run = run_app(UhdVideoApp(), "vSoC", duration_ms=5_000.0)
     assert run.result.ran
     assert run.stats is not None
-    assert run.stats.access_latencies()
+    assert run.stats.access_latency_samples
 
 
 def test_runner_mean_helpers():

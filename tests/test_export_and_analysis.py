@@ -1,4 +1,4 @@
-"""Tests for result export, trace analysis, density, and DOT rendering."""
+"""Tests for result export, density, and DOT rendering."""
 
 import io
 import json
@@ -11,7 +11,6 @@ from repro.experiments.density import run_density, run_density_comparison
 from repro.experiments.microbench import run_svm_microbench
 from repro.experiments.runner import run_app
 from repro.hw.machine import HIGH_END_DESKTOP
-from repro.metrics.breakdown import format_report, frame_budget_report
 
 
 # --- export ----------------------------------------------------------------
@@ -58,30 +57,6 @@ def test_dump_json_to_path(tmp_path):
 def test_to_plain_handles_nested_structures():
     data = export.to_plain({"a": [1, (2.0, None)], "b": {"c": True}})
     assert data == {"a": [1, [2.0, None]], "b": {"c": True}}
-
-
-# --- frame budget report --------------------------------------------------------
-
-def test_frame_budget_report_from_real_run():
-    run = run_app(UhdVideoApp(), "vSoC", duration_ms=5_000.0)
-    report = frame_budget_report(run.stats.trace, 5_000.0)
-    ops = {(o.vdev, o.op) for o in report.ops}
-    assert ("codec", "hw_decode") in ops
-    assert ("gpu", "render") in ops
-    assert report.coherence_summary is not None
-    assert report.coherence_by_path.get("prefetch", 0) > 100
-    assert report.access_latency_summary["mean"] < 1.0
-    text = format_report(report)
-    assert "hw_decode" in text and "coherence" in text
-
-
-def test_frame_budget_report_empty_trace():
-    from repro.sim.tracing import TraceLog
-
-    report = frame_budget_report(TraceLog(), 1_000.0)
-    assert report.ops == []
-    assert report.coherence_summary is None
-    assert "Frame-budget" in format_report(report)
 
 
 # --- density ----------------------------------------------------------------------

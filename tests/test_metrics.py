@@ -119,15 +119,15 @@ def test_svm_stats_from_trace():
     trace.record(2.0, "svm.access_latency", latency=0.5, bytes=3000)
     trace.record(3.0, "coherence.maintenance", duration=2.4)
     trace.record(4.0, "svm.slack", slack=17.2)
-    stats = SvmStats(trace, duration_ms=10.0)
+    stats = SvmStats.from_trace(trace, duration_ms=10.0)
     assert stats.average_access_latency() == pytest.approx(0.4)
     assert stats.average_coherence_cost() == pytest.approx(2.4)
-    assert stats.slack_intervals() == [17.2]
+    assert stats.slack_samples == (17.2,)
     assert stats.throughput_bytes_per_ms() == pytest.approx(400.0)
 
 
 def test_svm_stats_empty_trace():
-    stats = SvmStats(TraceLog(), duration_ms=10.0)
+    stats = SvmStats.from_trace(TraceLog(), duration_ms=10.0)
     assert stats.average_access_latency() is None
     assert stats.average_coherence_cost() is None
     assert stats.throughput_bytes_per_ms() == 0.0

@@ -12,19 +12,24 @@ from repro.errors import ConfigurationError
 from repro.hw.machine import HIGH_END_DESKTOP, build_machine
 from repro.metrics.stats import percentile
 from repro.obs import (
-    DISABLED,
     NULL_SPAN,
     NULL_TRACER,
-    MetricsRegistry,
-    Observability,
     SpanView,
+    TelemetrySnapshot,
     Tracer,
     chrome_trace,
     connected_flows,
     metrics_json,
     validate_chrome_trace,
 )
-from repro.obs.registry import _DecimatingSampler
+from repro.obs.telemetry import (
+    RESERVOIR,
+    CounterSample,
+    GaugeSample,
+    HistogramSample,
+    derive_run_metrics,
+    retained_samples,
+)
 from repro.sim import Simulator, Timeout
 from repro.sim.kernel import SimHook
 from repro.sim.tracing import TraceLog
@@ -72,49 +77,52 @@ def test_disabled_tracer_records_nothing():
     assert SpanView(tracer).flows() == []
 
 
-# -- metrics registry ---------------------------------------------------------
+# -- metrics -------------------------------------------------------------------
 
 def test_registry_counter_gauge_histogram():
-    registry = MetricsRegistry()
-    registry.counter("bytes", link="pcie").inc(100)
-    registry.counter("bytes", link="pcie").inc(50)
-    registry.gauge("util", link="pcie").set(0.5)
-    for v in (1.0, 2.0, 3.0, 4.0):
-        registry.histogram("lat").observe(v)
-
-    assert registry.value("bytes", link="pcie") == 150
-    assert registry.value("util", link="pcie") == 0.5
-    hist = registry.find("lat")
-    assert hist.count == 4 and hist.mean == 2.5
-    assert hist.min == 1.0 and hist.max == 4.0
-    assert hist.percentile(50) == 2.5
-    assert len(registry) == 3
-
-
-def test_registry_counter_rejects_decrease():
-    registry = MetricsRegistry()
-    with pytest.raises(ValueError):
-        registry.counter("c").inc(-1)
+    pcie = (("link", "pcie"),)
+    snapshot = TelemetrySnapshot(
+        counters=(CounterSample("bytes", pcie, 150.0),),
+        gauges=(GaugeSample("util", pcie, 0.5),),
+        histograms=(HistogramSample("lat", (), 4, 10.0, 1.0, 4.0,
+                                    (1.0, 2.0, 3.0, 4.0)),),
+    )
+    metrics = metrics_json(snapshot)["metrics"]
+    # One row per metric, in (name, labels) order across the three kinds.
+    assert [row["name"] for row in metrics] == ["bytes", "lat", "util"]
+    rows = {row["name"]: row for row in metrics}
+    assert rows["bytes"] == {"name": "bytes", "type": "counter",
+                             "labels": {"link": "pcie"}, "value": 150.0}
+    assert rows["util"]["type"] == "gauge" and rows["util"]["value"] == 0.5
+    hist = rows["lat"]
+    assert hist["count"] == 4 and hist["mean"] == 2.5
+    assert hist["min"] == 1.0 and hist["max"] == 4.0
+    assert hist["p50"] == 2.5 and hist["p99"] == pytest.approx(3.97)
 
 
-def test_registry_kind_conflict():
-    registry = MetricsRegistry()
-    registry.counter("x")
-    with pytest.raises(TypeError):
-        registry.gauge("x")
+def _decimating_reference(values):
+    """A streaming sampler: keep every ``stride``-th value and, when
+    :data:`RESERVOIR` are kept, drop every other one and double the stride."""
+    stride, kept = 1, []
+    for offer, value in enumerate(values):
+        if offer % stride:
+            continue
+        kept.append(value)
+        if len(kept) >= RESERVOIR:
+            kept = kept[::2]
+            stride *= 2
+    return tuple(kept)
 
 
 def test_decimating_sampler_bounded_and_deterministic():
-    def fill(n):
-        sampler = _DecimatingSampler(capacity=8)
-        for i in range(n):
-            sampler.offer(i)
-        return sampler.samples
-
-    samples = fill(1000)
-    assert len(samples) < 8
-    assert samples == fill(1000)  # rerun retains identical samples
-    assert samples == sorted(samples)
+    samples = retained_samples([float(i) for i in range(5_000)])
+    assert len(samples) < RESERVOIR
+    assert samples == retained_samples([float(i) for i in range(5_000)])
+    assert list(samples) == sorted(samples)
+    # The closed form keeps exactly what the streaming sampler keeps.
+    for n in [*range(1_100), 2_047, 2_048, 2_049, 4_095, 4_096, 4_097]:
+        values = [float(i) for i in range(n)]
+        assert retained_samples(values) == _decimating_reference(values), n
 
 
 # -- percentile edge cases (metrics.stats satellite) --------------------------
@@ -264,11 +272,12 @@ def test_tracelog_digestion_into_trace():
 
 
 def test_metrics_json_bundles_profile_and_extra():
-    # The per-device time profile is plain registry counters.
-    registry = MetricsRegistry()
-    registry.counter("c").inc(3)
-    registry.counter("device.busy_ms", device="gpu").inc(1.0)
-    out = metrics_json(registry, extra={"fps": 60.0})
+    # The per-device time profile is plain counters.
+    snapshot = TelemetrySnapshot(counters=(
+        CounterSample("c", (), 3.0),
+        CounterSample("device.busy_ms", (("device", "gpu"),), 1.0),
+    ))
+    out = metrics_json(snapshot, extra={"fps": 60.0})
     assert out["metrics"][0]["value"] == 3.0
     assert out["metrics"][1] == {"name": "device.busy_ms", "type": "counter",
                                  "labels": {"device": "gpu"}, "value": 1.0}
@@ -277,25 +286,18 @@ def test_metrics_json_bundles_profile_and_extra():
     json.dumps(out)  # round-trips
 
 
-# -- Observability bundle -----------------------------------------------------
-
-def test_observability_disabled_is_inert():
-    assert not DISABLED.enabled
-    assert DISABLED.tracer is NULL_TRACER
-    assert len(DISABLED.registry) == 0
-    assert DISABLED.registry.find("device.busy_ms", device="gpu") is None
-    assert DISABLED.export_metrics() == {"metrics": []}
-
+# -- observed rigs -------------------------------------------------------------
 
 def test_observability_installs_no_hook():
     from repro.experiments.runner import build_rig
     from repro.recovery.audit import install_auditor
 
-    observed = build_rig("vSoC", obs=Observability(Simulator()))
-    assert observed.obs.enabled
+    observed = build_rig("vSoC", observed=True)
+    assert observed.tracer.enabled
+    assert observed.emulator.tracer is observed.tracer
     assert observed.sim._hooks == []
 
-    audited = build_rig("vSoC", obs=Observability(Simulator()))
+    audited = build_rig("vSoC", observed=True)
     auditor = install_auditor(audited.emulator)
     assert audited.sim._hooks == [auditor]
 
@@ -316,14 +318,14 @@ def test_tracelog_index_consistency():
 
 # -- end-to-end: observed emulator runs ---------------------------------------
 
-def _run_video(obs=None, duration_ms=1_500.0):
+def _run_video(duration_ms=1_500.0):
     from repro.apps.video import UhdVideoApp
 
     sim = Simulator()
     machine = build_machine(sim, HIGH_END_DESKTOP)
     trace = TraceLog()
     emulator = EMULATOR_FACTORIES["vSoC"](
-        sim, machine, trace=trace, rng=random.Random(0), obs=obs
+        sim, machine, trace=trace, rng=random.Random(0)
     )
     app = UhdVideoApp()
     assert app.install(sim, emulator)
@@ -333,14 +335,13 @@ def _run_video(obs=None, duration_ms=1_500.0):
 
 def test_observed_run_is_bit_identical_and_connected():
     # baseline: no observability
-    _, _, plain = _run_video(obs=None)
+    _, _, plain = _run_video()
 
     # observed: full tracing + metrics + profiling, on the runner's path
     from repro.apps.video import UhdVideoApp
     from repro.experiments.runner import build_rig, drive
 
-    obs = Observability(Simulator())
-    rig = build_rig("vSoC", HIGH_END_DESKTOP, seed=0, obs=obs)
+    rig = build_rig("vSoC", HIGH_END_DESKTOP, seed=0, observed=True)
     emulator = rig.emulator
     app = UhdVideoApp()
     (installed,), _, _ = drive(rig, [app], 1_500.0)
@@ -351,7 +352,7 @@ def test_observed_run_is_bit_identical_and_connected():
     assert app.fps.dropped == plain.fps.dropped
 
     # the trace exports clean and at least one frame flow is connected
-    view = SpanView(obs.tracer, rig.trace)
+    view = SpanView(rig.tracer, rig.trace)
     trace = chrome_trace(view, emulator.track_groups(), end_time=rig.sim.now)
     assert validate_chrome_trace(trace) == []
     connected = set(connected_flows(
@@ -362,7 +363,7 @@ def test_observed_run_is_bit_identical_and_connected():
     assert connected
 
     # metrics carry the acceptance instruments
-    metrics = obs.export_metrics()
+    metrics = metrics_json(derive_run_metrics(rig.trace, emulator, [app.fps]))
     names = {m["name"] for m in metrics["metrics"]}
     assert "prefetch.mispredict_rate" in names
     assert "bus.utilization" in names
@@ -389,13 +390,14 @@ def test_drive_sums_frame_metrics_across_an_app_mix():
     from repro.apps.video import UhdVideoApp
     from repro.experiments.runner import build_rig, drive
 
-    obs = Observability(Simulator())
-    rig = build_rig("vSoC", HIGH_END_DESKTOP, seed=0, obs=obs)
-    installed, results, _ = drive(rig, [UhdVideoApp(), CameraApp()], 1_500.0)
+    rig = build_rig("vSoC", HIGH_END_DESKTOP, seed=0, observed=True)
+    apps = [UhdVideoApp(), CameraApp()]
+    installed, results, _ = drive(rig, apps, 1_500.0)
     assert installed == [True, True]
     assert all(result.presented > 0 for result in results)
 
-    metrics = obs.export_metrics()["metrics"]
+    snapshot = derive_run_metrics(rig.trace, rig.emulator, [app.fps for app in apps])
+    metrics = metrics_json(snapshot)["metrics"]
     presented = [m["value"] for m in metrics if m["name"] == "frames.presented"]
     assert presented == [float(sum(result.presented for result in results))]
     dropped = {
@@ -410,10 +412,9 @@ def test_drive_sums_frame_metrics_across_an_app_mix():
 
 
 def test_disabled_observability_adds_zero_records():
-    sim, emulator, _ = _run_video(obs=None)
-    assert emulator.obs is DISABLED
-    assert len(DISABLED.tracer) == 0
-    assert len(DISABLED.registry) == 0
+    sim, emulator, _ = _run_video()
+    assert emulator.tracer is NULL_TRACER
+    assert len(NULL_TRACER) == 0
 
 
 def test_unobserved_catalog_runs_skip_every_observation_call(monkeypatch):
@@ -465,6 +466,26 @@ def test_observe_cli_writes_artifacts(tmp_path):
     assert "profile" not in metrics
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-5"])
+@pytest.mark.parametrize("command,flag", [
+    ("observe", "--duration"), ("explain", "--duration"), ("explain", "--deadline"),
+])
+def test_cli_rejects_a_bad_horizon_before_running(monkeypatch, capsys,
+                                                  command, flag, value):
+    from repro.experiments import explain, observe
+    from repro.experiments.__main__ import main
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError(f"{command} ran with {flag} {value}")
+
+    monkeypatch.setattr(observe, "cmd_observe", must_not_run)
+    monkeypatch.setattr(explain, "cmd_explain", must_not_run)
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--app", "ar", flag, value])
+    assert exit_info.value.code == 2
+    assert "finite number of ms > 0" in capsys.readouterr().err
+
+
 def test_observe_resolves_emulator_names_like_explain():
     from repro.experiments.observe import run_observe
 
@@ -485,12 +506,7 @@ def test_observe_cli_rejects_unknown_app():
 # -- histogram reservoir -------------------------------------------------------
 
 def test_registry_reservoir_override():
-    from repro.obs.registry import DEFAULT_RESERVOIR, MetricsRegistry
-
-    default = MetricsRegistry().histogram("default")
-    for i in range(5_000):
-        default.observe(float(i))
-    assert len(default.samples()) <= DEFAULT_RESERVOIR
+    assert len(retained_samples([float(i) for i in range(5_000)])) <= RESERVOIR
 
 
 # -- bind_id flow validation ---------------------------------------------------

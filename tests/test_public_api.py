@@ -20,7 +20,6 @@ PACKAGES = [
     "repro.experiments.sweeps",
     "repro.experiments.density",
     "repro.experiments.validate",
-    "repro.metrics.breakdown",
 ]
 
 

@@ -248,11 +248,9 @@ def test_a_copy_that_fails_for_good_keeps_its_span():
 def test_a_prefetch_that_fails_keeps_its_span():
     from repro.apps.video import UhdVideoApp
     from repro.experiments.runner import build_rig, drive
-    from repro.obs import Observability, SpanView
-    from repro.sim import Simulator
+    from repro.obs import SpanView
 
-    obs = Observability(Simulator())
-    rig = build_rig("vSoC", obs=obs)
+    rig = build_rig("vSoC", observed=True)
     transfers = []
 
     def fail_a_burst(bus, nbytes):
@@ -264,7 +262,7 @@ def test_a_prefetch_that_fails_keeps_its_span():
     rig.machine.pcie.fault_hook = fail_a_burst
     (installed,), _, _ = drive(rig, [UhdVideoApp()], 1_000.0)
     assert installed and rig.trace.count("prefetch.failed") >= 1
-    failed = [s for s in SpanView(obs.tracer, rig.trace).spans
+    failed = [s for s in SpanView(rig.tracer, rig.trace).spans
               if s.name == "prefetch.copy" and "failed" in s.args]
     assert len(failed) == rig.trace.count("prefetch.failed")
     for span in failed:
@@ -278,14 +276,12 @@ def test_observed_broadcast_rig_has_one_copy_span_per_maintenance_row():
     from repro.apps.video import UhdVideoApp
     from repro.emulators.vsoc import make_vsoc
     from repro.experiments.runner import build_rig, drive
-    from repro.obs import Observability, SpanView
-    from repro.sim import Simulator
+    from repro.obs import SpanView
 
-    obs = Observability(Simulator())
-    rig = build_rig("vSoC", obs=obs, factory=partial(make_vsoc, broadcast=True))
+    rig = build_rig("vSoC", observed=True, factory=partial(make_vsoc, broadcast=True))
     (installed,), _, _ = drive(rig, [UhdVideoApp()], 1_000.0)
     assert installed
-    copies = [s for s in SpanView(obs.tracer, rig.trace).spans
+    copies = [s for s in SpanView(rig.tracer, rig.trace).spans
               if s.name == "coherence.copy"]
     paths = rig.trace.values("coherence.maintenance", "path")
     assert len(copies) == len(paths) > 0

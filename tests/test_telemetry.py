@@ -1,5 +1,6 @@
 """Tests for run telemetry: snapshots, the capture-time view, sentinel."""
 
+import hashlib
 import json
 import pickle
 
@@ -111,7 +112,7 @@ def test_access_latency_equals_svm_stats(observed_ar):
     for vdev, latencies in source.items():
         assert derived[vdev].count == len(latencies), vdev
         assert derived[vdev].sum == sum(latencies), vdev
-    latencies = run.stats.access_latencies()
+    latencies = run.stats.access_latency_samples
     assert sum(h.count for h in derived.values()) == len(latencies)
     assert sum(h.sum for h in derived.values()) == pytest.approx(sum(latencies))
 
@@ -227,6 +228,54 @@ def test_snapshots_parallel_serial_warm_identical(tmp_path, monkeypatch):
     warm = run_many(specs, jobs=1, cache=store)
     assert warm.executed == 0 and warm.cache_hits == len(specs)
     assert snapshots(cold) == snapshots(warm) == serial
+
+
+# ---------------------------------------------------------------------------
+# Pins: the capture-time view reproduces the metrics registry's output
+# ---------------------------------------------------------------------------
+
+#: sha256 of ``observe --app ar [--emulator qemu_kvm]``'s metrics.json (the
+#: default 8 s run), taken while metrics still went through a registry of
+#: live instruments with a streaming decimating sampler.
+OBSERVE_METRICS_SHA256 = {
+    "vSoC": "3ae89c036b1d9346b3903719ab10281b119cb9bae091789345f945e00e4774b2",
+    "QEMU-KVM": "7f2617a0a825c375933c51c7ef6a8631b46c76061ee56384db653c338e6884fd",
+}
+
+#: sha256 of ``json.dumps(snapshot.to_dict(), sort_keys=True)`` for an
+#: 8 s ``run_app(..., telemetry=True, attribution=True)``, same origin.
+SNAPSHOT_SHA256 = {
+    ("ar", "vSoC"): "17fd206ed5c7b91976faec692d0e542d1d9f39a7b4850c65aab2737e8b8c3742",
+    ("ar", "QEMU-KVM"): "fcbe1d2df7a430eabab6ebcd85f80de9461e5b6834e9c4c985a1f662473daf63",
+    ("video", "vSoC"): "37b4c1f769fb6056c63c75b736ab330f4ec8795c18c26938dbd53d6dc8092d65",
+    ("video", "QEMU-KVM"): "a8bfe7c6ae7d37ec7dfb66ac28c2edb34ab192a52f372aa1999eae17b2fd0cae",
+}
+
+
+@pytest.mark.parametrize("emulator", sorted(OBSERVE_METRICS_SHA256))
+def test_observe_metrics_file_is_pinned(tmp_path, emulator):
+    from repro.experiments.observe import run_observe
+    from repro.obs import write_metrics
+    from repro.obs.telemetry import RESERVOIR
+
+    run = run_observe(app="ar", emulator=emulator)
+    histograms = [m for m in run.metrics["metrics"] if m["type"] == "histogram"]
+    assert any(m["count"] > RESERVOIR for m in histograms)  # decimation pinned
+    path = tmp_path / "metrics.json"
+    write_metrics(str(path), run.metrics)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == OBSERVE_METRICS_SHA256[emulator]
+
+
+@pytest.mark.parametrize("app,emulator", sorted(SNAPSHOT_SHA256))
+def test_snapshot_is_pinned(app, emulator):
+    from repro.apps.catalog import resolve_callable
+    from repro.experiments.explain import APP_FACTORIES
+
+    run = run_app(resolve_callable(APP_FACTORIES[app])(), emulator,
+                  duration_ms=8_000.0, telemetry=True, attribution=True)
+    blob = json.dumps(run.telemetry.to_dict(), sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == SNAPSHOT_SHA256[app, emulator]
 
 
 # ---------------------------------------------------------------------------

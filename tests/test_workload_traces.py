@@ -16,7 +16,7 @@ from repro.units import MIB
 
 def recorded_trace(duration_ms=4_000.0):
     run = run_app(UhdVideoApp(), "vSoC", duration_ms=duration_ms)
-    return record_workload(run.stats.trace, name="uhd")
+    return record_workload(run.emulator.trace, name="uhd")
 
 
 # --- TraceEvent / WorkloadTrace ---------------------------------------------
