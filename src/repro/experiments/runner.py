@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
+from math import isfinite
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.apps.base import App, AppResult
@@ -107,17 +108,26 @@ def drive(
 
     Returns ``(installed, results, budget)`` with one ``installed`` flag
     and one result per app. The clock always runs to ``duration_ms``,
-    even when no app installed. On an observed rig ``attribution`` folds
-    the run's causal spans (its :class:`~repro.obs.span.SpanView`) into a
-    :class:`~repro.obs.critical.LatencyBudget` after the clock stops: a
+    even when no app installed; it must be finite and positive.
+    ``attribution`` needs an observed rig (``build_rig(...,
+    observed=True)``): it folds the run's causal spans (the compact table
+    of its :class:`~repro.obs.span.SpanView`) into a
+    :class:`~repro.obs.critical.LatencyBudget` after the clock stops, a
     post-hoc read of what the run recorded anyway, so FPS/latency digests
-    are bit-identical either way.
+    are bit-identical either way. Without it the budget is None.
     """
+    if not (isfinite(duration_ms) and duration_ms > 0):
+        raise ValueError(f"duration_ms must be finite and > 0, got {duration_ms!r}")
+    if attribution and not rig.tracer.enabled:
+        raise ValueError(
+            "attribution reads the run's spans, which an unobserved rig does "
+            "not record: build it with build_rig(..., observed=True)"
+        )
     installed = [app.install(rig.sim, rig.emulator) for app in apps]
     rig.sim.run(until=duration_ms)
     results = [app.collect(rig.emulator_name, duration_ms) for app in apps]
     budget = None
-    if attribution and rig.tracer.enabled:
+    if attribution:
         from repro.obs.critical import analyze_tracer
         from repro.obs.span import SpanView
 

@@ -6,8 +6,9 @@ One import point for the two pillars:
   per-frame *flow id*, so one frame's journey across guest driver,
   transport, SVM, coherence, prefetch, fences and presentation is a
   single connected trace. Spans whose facts the trace log records are
-  built from its rows at capture (:class:`~repro.obs.span.SpanView`);
-  the tracer records the rest live;
+  read from its rows at capture (:class:`~repro.obs.span.SpanView`),
+  into the compact table attribution sweeps; the tracer records the
+  rest live;
 * **metrics** (:mod:`repro.obs.telemetry`) — counters, gauges and
   histograms derived once, after the clock stops, from the stores that
   already hold each fact, into one frozen

@@ -8,7 +8,9 @@ the frame touches on its way from guest driver to display
 flows:
 
 * :func:`analyze_tracer` reconstructs each frame's causal DAG from its
-  flow, computes the critical path (the maximum-duration chain of
+  flow (the compact per-flow table of the run's
+  :class:`~repro.obs.span.SpanView`, no :class:`~repro.obs.span.Span`
+  objects), computes the critical path (the maximum-duration chain of
   non-overlapping activities ending at the present), and folds every
   frame into a :class:`LatencyBudget`.
 * Each :class:`FrameBudget` partitions the frame's measured latency —
@@ -38,6 +40,8 @@ from dataclasses import dataclass
 from math import fsum
 from operator import itemgetter
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+
+from repro.obs.span import PRESENTED, Entry, Label, SpanView
 
 #: Budget categories, in sweep-priority order (earlier wins overlaps).
 #: ``sched_slack`` is the implicit remainder — time inside the frame
@@ -275,8 +279,9 @@ def _context_rank(name: str, cat: str) -> int:
 #: A span's sweep role: (category, priority, device, context rank).
 SpanKind = Tuple[Optional[str], int, Optional[str], int]
 
-_by_order = itemgetter(0, 1)
-_by_start = itemgetter(2, 0, 1)
+#: A context span's place in the default-device choice: (clipped start,
+#: rank, start, order).
+_by_clip = itemgetter(3, 0, 1, 2)
 
 
 def _span_kind(name: str, cat: str, track: str) -> SpanKind:
@@ -286,66 +291,68 @@ def _span_kind(name: str, cat: str, track: str) -> SpanKind:
 
 def _frame_budget(
     flow: int,
-    spans: Sequence[Any],
-    presented: Any,
-    kinds: Dict[Tuple[str, str, str], SpanKind],
+    chain: Sequence[Entry],
+    presented: Entry,
+    kinds: Dict[Label, SpanKind],
+    made: Dict[Tuple[str, str, float], BudgetCell],
 ) -> FrameBudget:
     """Partition one frame's latency window via an exact interval sweep.
 
-    ``kinds`` memoizes :func:`_span_kind` by ``(name, cat, track)`` across
-    the frames of one analysis. Each elementary interval goes to the first
-    chargeable span, in ``(priority, span_id)`` order, that covers it — the
-    minimum of the covering spans under that key, found without building
-    the covering list. A host-track winner takes its device from the first
-    covering context span in ``(rank, span_id)`` order the same way.
+    ``chain`` holds the flow's spans and ``presented`` its
+    ``frame.presented``, as :data:`~repro.obs.span.Entry` tuples.
+    ``kinds`` memoizes :func:`_span_kind` by label, and ``made`` each
+    distinct (frozen) cell, across the frames of one analysis: a run
+    repeats most of its cells. Each elementary interval goes to the first
+    chargeable span, in ``(priority, start, order)`` order (the view's
+    ``(priority, span_id)``), that covers it: the minimum of the covering
+    spans under that key, found without building the covering list. A
+    host-track winner takes its device from the first covering context
+    span in ``(rank, start, order)`` order the same way.
     """
-    present = float(presented.start)
-    latency = float((presented.args or {}).get("latency", 0.0))
-    sequence = int((presented.args or {}).get("sequence", 0))
+    present = float(presented[0])
+    args = presented[4].args or {}
+    latency = float(args.get("latency", 0.0))
+    sequence = int(args.get("sequence", 0))
     if latency <= 0.0:
         return FrameBudget(flow, sequence, present, latency)
     lo = present - latency
 
-    # (priority, span_id, start, end, category, device) for chargeable
-    # spans; (rank, span_id, start, end, device) for device context.
-    charge: List[Tuple[int, int, float, float, str, Optional[str]]] = []
-    context: List[Tuple[int, int, float, float, str]] = []
+    # (priority, start, order, a, b, category, device) for chargeable
+    # spans; (rank, start, order, a, b, device) for device context.
+    charge: List[Tuple[int, float, int, float, float, str, Optional[str]]] = []
+    context: List[Tuple[int, float, int, float, float, str]] = []
     bounds = {lo, present}
-    for span in spans:
-        if span is presented:
-            continue
-        end = present if span.end is None else float(span.end)
-        a = max(float(span.start), lo)
-        b = min(end, present)
+    for start, order, end, label, _source in chain:
+        a = start if start > lo else lo
+        b = end if end < present else present
         if b <= a:
             continue
-        key = (span.name, span.cat, span.track)
-        kind = kinds.get(key)
+        kind = kinds.get(label)
         if kind is None:
-            kind = kinds[key] = _span_kind(*key)
+            kind = kinds[label] = _span_kind(label.name, label.cat, label.track)
         category, priority, device, rank = kind
         if category is not None:
-            charge.append((priority, span.span_id, a, b, category, device))
+            charge.append((priority, start, order, a, b, category, device))
             bounds.add(a)
             bounds.add(b)
         if device is not None:
-            context.append((rank, span.span_id, a, b, device))
+            context.append((rank, start, order, a, b, device))
 
     default_device = HOST_DEVICE
     if context:
-        default_device = min(context, key=_by_start)[4]
-    charge.sort(key=_by_order)
-    context.sort(key=_by_order)
+        default_device = min(context, key=_by_clip)[5]
+    charge.sort()
+    context.sort()
     cuts = sorted(bounds)
 
     cells: Dict[Tuple[str, str], List[float]] = {}
     for left, right in zip(cuts, cuts[1:]):
         if right <= left:
             continue
-        for _pri, _sid, a, b, category, device in charge:
+        for _pri, _start, _order, a, b, category, device in charge:
             if a <= left and b >= right:
                 if device is None:
-                    for _rank, _cid, ca, cb, device in context:
+                    for _rank, _cstart, _corder, ca, cb, device in context:
                         if ca <= left and cb >= right:
                             break
                     else:
@@ -355,74 +362,72 @@ def _frame_budget(
             category, device = "sched_slack", HOST_DEVICE
         cells.setdefault((category, device), []).append(right - left)
 
-    return FrameBudget(
-        flow=flow,
-        sequence=sequence,
-        present_ms=present,
-        latency_ms=latency,
-        cells=tuple(
-            BudgetCell(category, device, fsum(lengths))
-            for (category, device), lengths in sorted(cells.items())
-        ),
-    )
+    budget_cells = []
+    for (category, device), lengths in sorted(cells.items()):
+        key = (category, device, fsum(lengths))
+        cell = made.get(key)
+        if cell is None:
+            cell = made[key] = BudgetCell(*key)
+        budget_cells.append(cell)
+    return FrameBudget(flow, sequence, present, latency, tuple(budget_cells))
 
 
 # ---------------------------------------------------------------------------
 # Critical path
 # ---------------------------------------------------------------------------
 
-def _critical_path(spans: Sequence[Any], presented: Any) -> Tuple[PathStep, ...]:
+def _critical_path(chain: Sequence[Entry], presented: Entry) -> Tuple[PathStep, ...]:
     """Max-duration chain of non-overlapping activities ending at present.
 
     Nodes are the frame's clipped spans (container ``stage:*`` spans are
     excluded — they span the whole window and would shadow the real
     chain); an edge j→i exists when j finishes no later than i starts,
     i.e. j *can* causally precede i.  The DP is deterministic: ties
-    break toward the smaller span id, so two identical runs produce the
-    identical path.
+    break toward the span earlier in view order, so two identical runs
+    produce the identical path.
     """
-    present = float(presented.start)
-    latency = float((presented.args or {}).get("latency", 0.0))
+    present = float(presented[0])
+    latency = float((presented[4].args or {}).get("latency", 0.0))
     lo = present - latency
 
-    nodes: List[Tuple[float, float, int, str, str]] = []
-    for span in spans:
-        if span is presented or span.name.startswith("stage:"):
+    # (a, start, order, b, label): sorted by clipped start, then view order.
+    nodes: List[Tuple[float, float, int, float, Label]] = []
+    for start, order, end, label, _source in chain:
+        if label.name.startswith("stage:"):
             continue
-        end = present if span.end is None else float(span.end)
-        a = max(float(span.start), lo)
-        b = min(end, present)
+        a = start if start > lo else lo
+        b = end if end < present else present
         if b <= a:
             continue
-        nodes.append((a, b, span.span_id, span.name, span.track))
-    nodes.sort(key=lambda n: (n[0], n[2]))
+        nodes.append((a, start, order, b, label))
+    nodes.sort()
 
     n = len(nodes)
     dist = [0.0] * n
     prev = [-1] * n
     for i in range(n):
-        a_i, b_i, _sid, _name, _track = nodes[i]
+        a_i = nodes[i][0]
         best, best_j = 0.0, -1
         for j in range(i):
-            if nodes[j][1] <= a_i and dist[j] > best:
+            if nodes[j][3] <= a_i and dist[j] > best:
                 best, best_j = dist[j], j
-        dist[i] = best + (b_i - a_i)
+        dist[i] = best + (nodes[i][3] - a_i)
         prev[i] = best_j
 
     # Terminal: the presented instant at ``present``; every node that
     # finished by then can feed it.
     best, tail = 0.0, -1
     for i in range(n):
-        if nodes[i][1] <= present and dist[i] > best:
+        if nodes[i][3] <= present and dist[i] > best:
             best, tail = dist[i], i
 
     steps: List[PathStep] = []
     while tail >= 0:
-        a, b, _sid, name, track = nodes[tail]
-        steps.append(PathStep(name, track, a, b))
+        a, _start, _order, b, label = nodes[tail]
+        steps.append(PathStep(label.name, label.track, float(a), float(b)))
         tail = prev[tail]
     steps.reverse()
-    steps.append(PathStep("frame.presented", presented.track, present, present))
+    steps.append(PathStep(PRESENTED, presented[3].track, present, present))
     return tuple(steps)
 
 
@@ -430,28 +435,30 @@ def _critical_path(spans: Sequence[Any], presented: Any) -> Tuple[PathStep, ...]
 # Entry points
 # ---------------------------------------------------------------------------
 
-def analyze_tracer(view: Any) -> LatencyBudget:
+def analyze_tracer(view: SpanView) -> LatencyBudget:
     """Fold every presented frame of a run into a :class:`LatencyBudget`.
 
-    ``view`` is the run's :class:`~repro.obs.span.SpanView`.
+    ``view`` is the run's :class:`~repro.obs.span.SpanView`. The sweep
+    reads only its compact :attr:`~repro.obs.span.SpanView.table`, so it
+    builds no :class:`~repro.obs.span.Span`.
     """
+    chains, presented, flows = view.table
     frames: List[FrameBudget] = []
     skipped: List[int] = []
-    worst: Optional[Tuple[float, int, Sequence[Any], Any]] = None
-    kinds: Dict[Tuple[str, str, str], SpanKind] = {}
-    for flow, spans in view.flow_chains().items():
-        presented = None
-        for span in spans:
-            if span.name == "frame.presented":
-                presented = span  # keep the last present of the flow
-        if presented is None:
+    worst: Optional[Tuple[float, int, Sequence[Entry], Entry]] = None
+    kinds: Dict[Label, SpanKind] = {}
+    made: Dict[Tuple[str, str, float], BudgetCell] = {}
+    for flow in flows:
+        shown = presented.get(flow)
+        if shown is None:
             skipped.append(flow)
             continue
-        frame = _frame_budget(flow, spans, presented, kinds)
+        chain = chains.get(flow, ())
+        frame = _frame_budget(flow, chain, shown, kinds, made)
         frames.append(frame)
         key = (frame.latency_ms, -frame.sequence)
         if worst is None or key > (worst[0], -worst[1]):
-            worst = (frame.latency_ms, frame.sequence, spans, presented)
+            worst = (frame.latency_ms, frame.sequence, chain, shown)
 
     frames.sort(key=lambda f: (f.present_ms, f.sequence, f.flow))
     path = _critical_path(worst[2], worst[3]) if worst is not None else ()

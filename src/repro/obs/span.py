@@ -26,15 +26,18 @@ per-frame paths test ``tracer.enabled`` first and skip it (DESIGN.md §7).
 The tracer records live only the spans no trace record carries: stages,
 transport kicks, fence waits and signals, and presented frames. Every
 other span is a fact the always-on :class:`~repro.sim.tracing.TraceLog`
-already holds, so :class:`SpanView` builds it from its row at capture
-(:data:`ROW_SPANS`) and merges it with the live ones.
+already holds, so :class:`SpanView` reads it from its row at capture
+(:data:`ROW_SPANS`). One walk over the live spans and the rows builds a
+compact per-flow table that attribution sweeps; :class:`Span` objects
+are built from the same walk only for the exporters.
 """
 
 from __future__ import annotations
 
-from operator import attrgetter
+from math import inf
+from operator import itemgetter
 from string import Formatter
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 #: Flow id meaning "not part of any flow" (falsy on purpose).
 NO_FLOW = 0
@@ -264,105 +267,244 @@ class _RowSpan(Span):
         return self._make_args(dict(zip(self._keys, self._row)))
 
 
-def _reader(template: str, keys: Tuple[str, ...]) -> Callable[[tuple], str]:
-    """Read ``template`` (at most one ``{field}``) from a row, formatting
-    each distinct value once so equal names share one string."""
-    fields = [field for _, field, _, _ in Formatter().parse(template) if field]
+# ---------------------------------------------------------------------------
+# The walk: every span of a run as a compact entry
+# ---------------------------------------------------------------------------
+
+#: The instant that closes a frame's flow; attribution reads its args.
+PRESENTED = "frame.presented"
+
+
+class Label:
+    """What every span of one shape shares.
+
+    ``name``, ``cat`` and ``track`` are the span's, and ``instant`` says it
+    is a point event. A row span's label also says how the view reads the
+    rest of it from the row: the row's field names ``keys``, the ``flow``
+    slot (None: the kind has no flow) and its :data:`ROW_SPANS` args
+    function. A live span's label has ``keys`` None. The walk makes one
+    label per shape, so a consumer can memoize by label.
+    """
+
+    __slots__ = ("name", "cat", "track", "instant", "keys", "flow_at", "make_args")
+
+    def __init__(
+        self,
+        name: str,
+        cat: str,
+        track: str,
+        instant: bool,
+        keys: Optional[Tuple[str, ...]] = None,
+        flow_at: Optional[int] = None,
+        make_args: Optional[Callable[[Row], Dict[str, Any]]] = None,
+    ):
+        self.name = name
+        self.cat = cat
+        self.track = track
+        self.instant = instant
+        self.keys = keys
+        self.flow_at = flow_at
+        self.make_args = make_args
+
+
+#: One span or instant of a run: ``(start, order, end, label, source)``.
+#: ``order`` is its place in the walk, so ``(start, order)`` is its place in
+#: the view. ``end`` is ``inf`` for a live span still open. ``source`` is
+#: the live :class:`Span`, or the row the span is read from.
+Entry = Tuple[float, int, float, Label, Any]
+
+
+class FlowTable(NamedTuple):
+    """What attribution reads of one run.
+
+    ``chains`` holds each flow's spans of positive length in walk order,
+    ``presented`` each flow's last ``frame.presented`` instant, and
+    ``flows`` every flow id that stamped a span or instant, ascending.
+    """
+
+    chains: Dict[int, List[Entry]]
+    presented: Dict[int, Entry]
+    flows: List[int]
+
+
+class _RowLabels(dict):
+    """One row kind's labels, keyed by the values of the row fields its
+    name and track read; a label is made the first time they are seen."""
+
+    def __init__(self, make: Callable[[Any], Label]):
+        super().__init__()
+        self._make = make
+
+    def __missing__(self, values: Any) -> Label:
+        label = self[values] = self._make(values)
+        return label
+
+
+def _row_plan(kind: str, keys: Tuple[str, ...]):
+    """How the walk reads a ``kind`` row with field names ``keys``:
+    ``(label, labels, read, start_at, flow_at)``. ``label`` is the label of
+    every row of the kind or, when the row's fields decide it, None and
+    the row's is ``labels[read(row)]``. ``start_at`` 0 reads the record
+    time (an instant); ``flow_at`` None means the kind has no flow. False
+    if the kind is no span."""
+    spec = ROW_SPANS.get(kind)
+    if spec is None:
+        return False
+    by_path = kind == "coherence.maintenance"
+    specs = (spec, PREFETCH_COPY) if by_path else (spec,)
+    fields = sorted({
+        field for name, track, _, _ in specs for template in (name, track)
+        for _, field, _, _ in Formatter().parse(template) if field
+    })
+    if by_path:
+        fields.append("path")
+    instant = "start" not in keys
+    flow_at = keys.index("flow") if "flow" in keys else None
+
+    def make(values: Any) -> Label:
+        values = dict(zip(fields, values if len(fields) > 1 else (values,)))
+        name, track, cat, make_args = (
+            PREFETCH_COPY if by_path and values["path"] == "prefetch" else spec)
+        return Label(name.format_map(values), cat, track.format_map(values),
+                     instant, keys, flow_at, make_args)
+
+    start_at = keys.index("start") if "start" in keys else 0
     if not fields:
-        return lambda row: template
-    (field,) = fields
-    slot = keys.index(field)
-    texts: Dict[Any, str] = {}
-
-    def read(row: tuple) -> str:
-        value = row[slot]
-        text = texts.get(value)
-        if text is None:
-            text = texts[value] = template.format_map({field: value})
-        return text
-
-    return read
+        return make(()), None, None, start_at, flow_at
+    read = itemgetter(*(keys.index(field) for field in fields))
+    return None, _RowLabels(make), read, start_at, flow_at
 
 
-def _plan(spec, keys: Tuple[str, ...]):
-    """A :data:`ROW_SPANS` entry bound to one kind's row layout: its keys,
-    name and track readers, cat, args function, and the ``start`` and
-    ``flow`` slots (``start`` at 0 reads the record time: an instant)."""
-    name, track, cat, make_args = spec
-    return (
-        keys, _reader(name, keys), _reader(track, keys), cat, make_args,
-        keys.index("start") if "start" in keys else 0,
-        keys.index("flow") if "flow" in keys else None,
-    )
+def _walk(tracer: Tracer, log) -> Tuple[FlowTable, List[Entry]]:
+    """Every span and instant of a run as an :data:`Entry`, in one pass.
+
+    Walk order is the live spans and instants in begin order (their
+    ``span_id``), then the spans of ``log``'s rows (:data:`ROW_SPANS`) in
+    record order. Returns the run's :class:`FlowTable` and the entries it
+    leaves out: spans of no flow, spans of zero length and instants.
+    """
+    chains: Dict[int, List[Entry]] = {}
+    presented: Dict[int, Entry] = {}
+    others: List[Entry] = []
+    seen = set()
+    live_labels: Dict[tuple, Label] = {}
+    for store, instant in ((tracer.spans, False), (tracer.instants, True)):
+        for span in store:
+            key = (span.name, span.cat, span.track, instant)
+            label = live_labels.get(key)
+            if label is None:
+                label = live_labels[key] = Label(*key)
+            start, end, flow = span.start, span.end, span.flow
+            if end is None:
+                end = inf
+            entry = (start, span.span_id, end, label, span)
+            if instant and flow and label.name == PRESENTED:
+                # The clock never runs back, so the instant walked last
+                # is the last in view order.
+                presented[flow] = entry
+            if flow and end > start:
+                chains.setdefault(flow, []).append(entry)
+            else:
+                others.append(entry)
+                if flow:
+                    seen.add(flow)
+    if log is not None:
+        # Every live id is at most len(tracer), so rows come after them.
+        order = len(tracer)
+        plans: Dict[str, Any] = {}
+        for kind, fields, row in log.rows():
+            plan = plans.get(kind)
+            if plan is None:
+                plan = plans[kind] = _row_plan(kind, ("time", *fields))
+            if not plan:
+                continue
+            label, row_labels, read, start_at, flow_at = plan
+            order += 1
+            start, end = row[start_at], row[0]
+            entry = (start, order, end, label or row_labels[read(row)], row)
+            flow = NO_FLOW if flow_at is None else row[flow_at]
+            if flow and end > start:
+                chains.setdefault(flow, []).append(entry)
+            else:
+                others.append(entry)
+                if flow:
+                    seen.add(flow)
+    seen.update(chains)
+    return FlowTable(chains, presented, sorted(seen)), others
 
 
-def _row_spans(log) -> Tuple[List[Span], List[Span]]:
-    """The spans of ``log``'s rows in record order, and which are instants."""
-    spans: List[Span] = []
-    instants: List[Span] = []
-    plans: Dict[str, Any] = {}
-    prefetch = path_at = None
-    for kind, fields, row in log.rows():
-        if kind not in plans:
-            keys = ("time", *fields)
-            spec = ROW_SPANS.get(kind)
-            plans[kind] = None if spec is None else _plan(spec, keys)
-            if kind == "coherence.maintenance":
-                prefetch, path_at = _plan(PREFETCH_COPY, keys), keys.index("path")
-        plan = plans[kind]
-        if plan is None:
-            continue
-        if kind == "coherence.maintenance" and row[path_at] == "prefetch":
-            plan = prefetch
-        keys, name, track, cat, make_args, start_at, flow_at = plan
-        span = _new_span(_RowSpan)
-        span.name = name(row)
-        span.cat = cat
-        span.track = track(row)
-        span.start = row[start_at]
-        span.end = row[0]
-        span.flow = NO_FLOW if flow_at is None else row[flow_at]
-        span._keys = keys
-        span._row = row
-        span._make_args = make_args
-        spans.append(span)
-        if not start_at:
-            instants.append(span)
-    return spans, instants
-
-
-_by_id = attrgetter("span_id")
-_by_start = attrgetter("start")
+_view_order = itemgetter(0, 1)
 
 
 class SpanView:
-    """Every span and instant of one observed run, built at capture.
+    """Every span and instant of one observed run, walked at capture.
 
     Merges the live tracer's spans with those built from ``log``'s rows
     (:data:`ROW_SPANS`). All are listed by start time; on a tie, live
     spans come first in the order they began, then row spans in record
-    order. ``span_id`` is renumbered in that order, the live spans' too,
-    so build the view after the clock stops. A row span exists only once
-    its row is written, so an access, copy or op still open at the
-    horizon is not in the view.
+    order. ``span_id`` numbers them in that order. A row span exists only
+    once its row is written, so an access, copy or op still open at the
+    horizon is not in the view. Build the view after the clock stops.
 
-    Attribution (:func:`~repro.obs.critical.analyze_tracer`), the Chrome
-    exporter and :func:`~repro.obs.export.connected_flows` read it.
+    The walk keeps each span as a compact :data:`Entry`; attribution
+    (:func:`~repro.obs.critical.analyze_tracer`) reads its
+    :attr:`table` and nothing else. :class:`Span` objects are built when
+    :attr:`spans`, :attr:`instants` or :meth:`flow_chains` is first read:
+    the Chrome exporter, :func:`~repro.obs.export.connected_flows` and
+    ``observe`` read them. A live span's is a copy, so the tracer keeps
+    its own ids.
     """
 
     def __init__(self, tracer: Tracer, log=None):
-        merged = sorted((*tracer.spans, *tracer.instants), key=_by_id)
-        instants: List[Span] = []
-        if log is not None:
-            rows, instants = _row_spans(log)
-            merged += rows
-        merged.sort(key=_by_start)
-        for number, span in enumerate(merged, 1):
-            span.span_id = number
-        point = {id(span) for span in (*tracer.instants, *instants)}
-        self.spans: List[Span] = [s for s in merged if id(s) not in point]
-        self.instants: List[Span] = [s for s in merged if id(s) in point]
+        self.table, self._others = _walk(tracer, log)
+        self._spans: Optional[List[Span]] = None
+        self._instants: Optional[List[Span]] = None
+        self._merged: List[Span] = []
         self._chains: Optional[Dict[int, List[Span]]] = None
+
+    def _build(self) -> None:
+        entries = list(self._others)
+        for chain in self.table.chains.values():
+            entries += chain
+        entries.sort(key=_view_order)
+        spans: List[Span] = []
+        instants: List[Span] = []
+        merged = self._merged
+        for number, (start, _order, end, label, source) in enumerate(entries, 1):
+            if label.keys is None:
+                span = _new_span(Span)
+                span.end = source.end
+                span.flow = source.flow
+                span.args = source.args
+            else:
+                span = _new_span(_RowSpan)
+                span.end = end
+                span.flow = NO_FLOW if label.flow_at is None else source[label.flow_at]
+                span._keys = label.keys
+                span._row = source
+                span._make_args = label.make_args
+            span.name = label.name
+            span.cat = label.cat
+            span.track = label.track
+            span.start = start
+            span.span_id = number
+            (instants if label.instant else spans).append(span)
+            merged.append(span)
+        self._spans, self._instants = spans, instants
+
+    @property
+    def spans(self) -> List[Span]:
+        """Every span that is not an instant, in view order."""
+        if self._spans is None:
+            self._build()
+        return self._spans
+
+    @property
+    def instants(self) -> List[Span]:
+        """Every instant, in view order."""
+        if self._instants is None:
+            self._build()
+        return self._instants
 
     def flow_chains(self) -> Dict[int, List[Span]]:
         """Every flow's spans and instants, grouped in one pass.
@@ -371,16 +513,15 @@ class SpanView:
         built once; callers must not mutate it.
         """
         if self._chains is None:
+            if self._spans is None:
+                self._build()
             by_flow: Dict[int, List[Span]] = {}
-            for store in (self.spans, self.instants):
-                for span in store:
-                    if span.flow != NO_FLOW:
-                        by_flow.setdefault(span.flow, []).append(span)
-            self._chains = {
-                flow: sorted(by_flow[flow], key=_by_id) for flow in sorted(by_flow)
-            }
+            for span in self._merged:
+                if span.flow != NO_FLOW:
+                    by_flow.setdefault(span.flow, []).append(span)
+            self._chains = {flow: by_flow[flow] for flow in sorted(by_flow)}
         return self._chains
 
     def flows(self) -> List[int]:
         """Flow ids that stamped at least one span, ascending."""
-        return list(self.flow_chains())
+        return list(self.table.flows)

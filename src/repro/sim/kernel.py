@@ -392,6 +392,8 @@ class Simulator:
 
         With ``until`` set, the clock is advanced to exactly ``until`` even if
         the last event fires earlier, so back-to-back ``run`` calls compose.
+        A NaN ``until`` raises :class:`SimulationError` before any event
+        runs: no time compares past it, so the loop would never stop.
         ``check_deadlock=True`` raises :class:`DeadlockError` if no live
         event is left while processes are still alive (useful in unit tests).
 
@@ -406,6 +408,8 @@ class Simulator:
         the heap minimum is the next one popped, with nothing in between. A
         tie goes to the earlier entry, hence "strictly".
         """
+        if until is not None and until != until:
+            raise SimulationError("cannot run until a NaN time")
         outer = self._resume_until
         self._resume_until = limit = _INF if until is None else until
         heap = self._heap

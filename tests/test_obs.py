@@ -411,6 +411,33 @@ def test_drive_sums_frame_metrics_across_an_app_mix():
     assert dropped == expected
 
 
+@pytest.mark.parametrize("duration_ms", [float("nan"), float("inf"), 0.0, -5.0])
+def test_drive_rejects_a_horizon_that_is_not_finite_and_positive(duration_ms, monkeypatch):
+    from repro.apps.video import UhdVideoApp
+    from repro.experiments.runner import build_rig, drive
+
+    rig = build_rig("vSoC", HIGH_END_DESKTOP, seed=0)
+
+    def never(*args, **kwargs):
+        raise AssertionError("drive ran the clock")
+
+    monkeypatch.setattr(rig.sim, "run", never)
+    app = UhdVideoApp()
+    with pytest.raises(ValueError, match="duration_ms"):
+        drive(rig, [app], duration_ms)
+    assert app.fps.presented == 0
+
+
+def test_drive_refuses_attribution_on_an_unobserved_rig():
+    from repro.apps.video import UhdVideoApp
+    from repro.experiments.runner import build_rig, drive
+
+    rig = build_rig("vSoC", HIGH_END_DESKTOP, seed=0)
+    with pytest.raises(ValueError, match=r"build_rig\(\.\.\., observed=True\)"):
+        drive(rig, [UhdVideoApp()], 1_000.0, attribution=True)
+    assert rig.sim.now == 0.0
+
+
 def test_disabled_observability_adds_zero_records():
     sim, emulator, _ = _run_video()
     assert emulator.tracer is NULL_TRACER

@@ -78,6 +78,25 @@ def test_run_until_advances_clock_even_without_events():
     assert sim.now == 42.0
 
 
+def test_run_until_nan_raises_before_dispatching():
+    # No time compares past NaN, so a run to it would never stop on a
+    # process that keeps scheduling; this one stops after three timeouts.
+    sim = Simulator()
+    ticks = []
+
+    def proc():
+        for _ in range(3):
+            yield Timeout(1.0)
+            ticks.append(sim.now)
+
+    sim.spawn(proc())
+    with pytest.raises(SimulationError, match="NaN"):
+        sim.run(until=float("nan"))
+    assert ticks == [] and sim.now == 0.0
+    sim.run(until=5.0)
+    assert ticks == [1.0, 2.0, 3.0]
+
+
 def test_process_timeout_advances_clock():
     sim = Simulator()
 
