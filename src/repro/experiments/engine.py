@@ -35,13 +35,9 @@ never crosses the process boundary.
 
 from __future__ import annotations
 
-import hashlib
 import json
-import multiprocessing
 import os
-import pickle
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, is_dataclass
 from functools import lru_cache, partial
 from pathlib import Path
@@ -163,6 +159,8 @@ def source_fingerprint(root: Optional[str] = None) -> str:
     hash covers file contents, not mtimes, so a rebuilt checkout with
     identical sources keeps its cache.
     """
+    import hashlib
+
     if root is None:
         import repro
 
@@ -180,6 +178,8 @@ def source_fingerprint(root: Optional[str] = None) -> str:
 
 def cache_key(spec: Spec, fingerprint: Optional[str] = None) -> str:
     """``sha256(source fingerprint ‖ canonical spec)`` — the cache address."""
+    import hashlib
+
     if fingerprint is None:
         fingerprint = source_fingerprint()
     digest = hashlib.sha256()
@@ -212,6 +212,8 @@ class RunCache:
 
     def load(self, key: str) -> Optional[Any]:
         """The cached payload for ``key``, or None (corruption = miss)."""
+        import pickle
+
         path = self._path(key)
         try:
             with open(path, "rb") as fh:
@@ -236,6 +238,8 @@ class RunCache:
 
     def store(self, key: str, payload: Any) -> None:
         """Atomically persist ``payload`` under ``key``."""
+        import pickle
+
         self.directory.mkdir(parents=True, exist_ok=True)
         entry = {"format": CACHE_FORMAT, "key": key, "payload": payload}
         tmp = self._path(key).with_suffix(f".tmp.{os.getpid()}")
@@ -334,6 +338,8 @@ def _pool_context():
     interpreter, and children inherit the parent's hash seed so set/dict
     iteration order — and therefore every simulated trace — is identical
     across the pool."""
+    import multiprocessing
+
     try:
         return multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - platforms without fork
@@ -397,6 +403,8 @@ def run_many(
         if worker_count == 1:
             produced = [execute_spec(spec) for _index, spec, _key in misses]
         else:
+            from concurrent.futures import ProcessPoolExecutor
+
             parallel_mode = "pool"
             with ProcessPoolExecutor(
                 max_workers=worker_count, mp_context=_pool_context()

@@ -34,8 +34,7 @@ from repro.apps.catalog import resolve_callable
 from repro.experiments.explain import APP_FACTORIES, resolve_emulator
 from repro.experiments.runner import build_rig, drive
 from repro.hw.machine import HIGH_END_DESKTOP
-from repro.obs import (
-    SpanView,
+from repro.obs.export import (
     chrome_trace,
     connected_flows,
     metrics_json,
@@ -43,6 +42,7 @@ from repro.obs import (
     write_chrome_trace,
     write_metrics,
 )
+from repro.obs.span import SpanView
 from repro.obs.telemetry import derive_run_metrics
 
 DEFAULT_DURATION_MS = 8_000.0

@@ -1,6 +1,6 @@
 """``repro.obs`` — observability for the vSoC stack.
 
-One import point for the two pillars:
+Two pillars:
 
 * **causal tracing** (:mod:`repro.obs.span`) — spans with a propagated
   per-frame *flow id*, so one frame's journey across guest driver,
@@ -15,8 +15,16 @@ One import point for the two pillars:
   :class:`~repro.obs.telemetry.TelemetrySnapshot`, including the
   simulated busy time of every physical device;
 
-plus the exporters (:mod:`repro.obs.export`) that turn both into a
-Chrome ``trace_event`` / Perfetto JSON file and a metrics JSON file.
+plus **attribution** (:mod:`repro.obs.critical`), which folds a run's
+spans into a per-frame latency budget.
+
+The package re-exports what a run uses: the tracer, :class:`SpanView`,
+:class:`TelemetrySnapshot` and the attribution names. The exporters
+(:mod:`repro.obs.export`: a Chrome ``trace_event`` / Perfetto JSON file
+and a metrics JSON file), the differential triage (:mod:`repro.obs.diff`)
+and the frame-deadline SLO (:mod:`repro.obs.slo`) run after a run, in
+the ``observe`` and ``explain`` commands; import them from their own
+modules, so a worker that only runs specs never loads them.
 
 An observed run's emulator carries a :class:`Tracer` on the run's own
 simulator (``build_rig(observed=True)``); every other run carries
@@ -36,16 +44,6 @@ from repro.obs.critical import (
     analyze_tracer,
     budget_from_snapshot,
 )
-from repro.obs.diff import align_frames, diff_budgets
-from repro.obs.export import (
-    chrome_trace,
-    connected_flows,
-    metrics_json,
-    validate_chrome_trace,
-    write_chrome_trace,
-    write_metrics,
-)
-from repro.obs.slo import SloReport, SloSpec, evaluate_frames
 from repro.obs.span import NO_FLOW, NULL_SPAN, NULL_TRACER, Span, SpanView, Tracer
 from repro.obs.telemetry import TelemetrySnapshot
 
@@ -58,22 +56,10 @@ __all__ = [
     "NULL_SPAN",
     "NULL_TRACER",
     "PathStep",
-    "SloReport",
-    "SloSpec",
     "Span",
     "SpanView",
     "TelemetrySnapshot",
     "Tracer",
-    "align_frames",
     "analyze_tracer",
     "budget_from_snapshot",
-    "chrome_trace",
-    "connected_flows",
-    "diff_budgets",
-    "evaluate_frames",
-    "metrics_json",
-    "validate_chrome_trace",
-    "write_chrome_trace",
-    "write_metrics",
 ]
-

@@ -344,7 +344,7 @@ class Simulator:
     # -- scheduling ------------------------------------------------------------
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> ScheduledCall:
         """Run ``fn(*args)`` after ``delay`` ms of simulated time."""
-        if delay < 0:
+        if not delay >= 0:  # also rejects NaN, which compares false
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         time = self.now + delay
         call = ScheduledCall(time, fn, args, self)
@@ -390,8 +390,10 @@ class Simulator:
     def run(self, until: Optional[float] = None, check_deadlock: bool = False) -> None:
         """Run events until the queue drains or simulated time passes ``until``.
 
-        With ``until`` set, the clock is advanced to exactly ``until`` even if
-        the last event fires earlier, so back-to-back ``run`` calls compose.
+        With a finite ``until``, the clock is advanced to exactly ``until``
+        even if the last event fires earlier, so back-to-back ``run`` calls
+        compose. ``until=inf`` behaves like ``until=None``: the clock stays
+        at the last event, so a later ``schedule`` still lands in finite time.
         A NaN ``until`` raises :class:`SimulationError` before any event
         runs: no time compares past it, so the loop would never stop.
         ``check_deadlock=True`` raises :class:`DeadlockError` if no live
@@ -437,8 +439,8 @@ class Simulator:
                     self._raise_pending_failure()
         finally:
             self._resume_until = outer
-        if until is not None and self.now < until:
-            self.now = until
+        if self.now < limit < _INF:
+            self.now = limit
         if check_deadlock and not self._live_events:
             stuck = [p.name for p in self._processes if p.alive]
             if stuck:

@@ -53,7 +53,7 @@ class Timeout:
     __slots__ = ("delay", "value")
 
     def __init__(self, delay: float, value: Any = None):
-        if delay < 0:
+        if not delay >= 0:  # also rejects NaN, which compares false
             raise SimulationError(f"negative timeout: {delay}")
         self.delay = delay
         self.value = value

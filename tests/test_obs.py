@@ -11,12 +11,8 @@ from repro.emulators import EMULATOR_FACTORIES
 from repro.errors import ConfigurationError
 from repro.hw.machine import HIGH_END_DESKTOP, build_machine
 from repro.metrics.stats import percentile
-from repro.obs import (
-    NULL_SPAN,
-    NULL_TRACER,
-    SpanView,
-    TelemetrySnapshot,
-    Tracer,
+from repro.obs import NULL_SPAN, NULL_TRACER, SpanView, TelemetrySnapshot, Tracer
+from repro.obs.export import (
     chrome_trace,
     connected_flows,
     metrics_json,

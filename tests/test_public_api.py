@@ -31,7 +31,7 @@ def test_package_imports(package):
 
 @pytest.mark.parametrize("package", [
     "repro.sim", "repro.hw", "repro.core", "repro.emulators", "repro.apps",
-    "repro.metrics", "repro.workloads", "repro.experiments",
+    "repro.metrics", "repro.workloads", "repro.obs",
 ])
 def test_all_exports_resolve(package):
     module = importlib.import_module(package)

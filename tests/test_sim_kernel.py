@@ -97,6 +97,31 @@ def test_run_until_nan_raises_before_dispatching():
     assert ticks == [1.0, 2.0, 3.0]
 
 
+def test_run_until_inf_leaves_clock_at_last_event():
+    sim = Simulator()
+
+    def proc():
+        yield Timeout(1.0)
+
+    sim.spawn(proc())
+    sim.run(until=float("inf"))
+    assert sim.now == 1.0
+    seen = []
+    sim.schedule(1.0, lambda: seen.append(sim.now))
+    sim.run()
+    assert seen == [2.0]
+
+
+@pytest.mark.parametrize("delay", [-1.0, float("nan")])
+def test_schedule_rejects_negative_or_nan_delay(delay):
+    sim = Simulator()
+    sim.schedule(3.0, lambda: None)
+    with pytest.raises(SimulationError, match="into the past"):
+        sim.schedule(delay, lambda: None)
+    sim.run()
+    assert sim.now == 3.0
+
+
 def test_process_timeout_advances_clock():
     sim = Simulator()
 

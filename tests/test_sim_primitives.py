@@ -338,3 +338,10 @@ def test_zero_capacity_rejected():
 def test_negative_timeout_rejected():
     with pytest.raises(SimulationError):
         Timeout(-0.5)
+
+
+def test_nan_timeout_rejected():
+    # NaN compares false against 0, so a `delay < 0` check lets it through
+    # and the process would resume at now == nan.
+    with pytest.raises(SimulationError):
+        Timeout(float("nan"))

@@ -255,7 +255,7 @@ SNAPSHOT_SHA256 = {
 @pytest.mark.parametrize("emulator", sorted(OBSERVE_METRICS_SHA256))
 def test_observe_metrics_file_is_pinned(tmp_path, emulator):
     from repro.experiments.observe import run_observe
-    from repro.obs import write_metrics
+    from repro.obs.export import write_metrics
     from repro.obs.telemetry import RESERVOIR
 
     run = run_observe(app="ar", emulator=emulator)
