@@ -9,7 +9,7 @@ Components map one-to-one onto §3 of the vSoC paper:
 * :mod:`~repro.core.prefetch` — the prefetch engine (§3.3): robust
   prediction, adaptive synchronism (compensation), suspension policy.
 * :mod:`~repro.core.fence` — virtual command fences (§3.4): signal/wait
-  pairs, the page-limited virtual fence table, physical fence tables.
+  pairs and the page-limited virtual fence table.
 * :mod:`~repro.core.coherence` — coherence protocols: the prefetch
   protocol, the write-invalidate baseline, and the copy-path planner.
 * :mod:`~repro.core.flowcontrol` — Trinity's MIMD flow control, used to
@@ -25,7 +25,6 @@ from repro.core.coherence import (
 )
 from repro.core.fence import (
     FenceState,
-    PhysicalFenceTable,
     VirtualFence,
     VirtualFenceTable,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "GuestMemoryWriteInvalidate",
     "VirtualFence",
     "VirtualFenceTable",
-    "PhysicalFenceTable",
     "FenceState",
     "OrderingMode",
     "MimdFlowControl",

@@ -20,7 +20,7 @@ copy: nothing for co-located data (the in-GPU zero-copy special case of
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Optional, Sequence, TYPE_CHECKING
+from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.core.degradation import (
     LEVEL_GUEST_ROUNDTRIP,
@@ -104,6 +104,7 @@ class CopyPlanner:
         self.copy_failures = 0
         self.watchdog_expiries = 0
         self._links: Dict[str, Bus] = {}
+        self._legs: Dict[Tuple[str, str], List[Bus]] = {}
         for device in machine.devices.values():
             if device.local_memory is not None:
                 if device.link is None:
@@ -114,14 +115,21 @@ class CopyPlanner:
 
     # -- unified (vSoC) paths -------------------------------------------------
     def unified_legs(self, src: str, dst: str) -> List[Bus]:
-        """Buses a direct host-side copy must traverse (may be empty)."""
-        if src == dst:
-            return []
-        legs: List[Bus] = []
-        if src != HOST_LOCATION:
-            legs.append(self._link(src))
-        if dst != HOST_LOCATION:
-            legs.append(self._link(dst))
+        """Buses a direct host-side copy must traverse (may be empty).
+
+        The links are fixed at construction, so each ``(src, dst)`` is
+        planned once and every call returns that same list, which callers
+        must not change. An unknown location raises on every call.
+        """
+        legs = self._legs.get((src, dst))
+        if legs is None:
+            legs = []
+            if src != dst:
+                if src != HOST_LOCATION:
+                    legs.append(self._link(src))
+                if dst != HOST_LOCATION:
+                    legs.append(self._link(dst))
+            self._legs[(src, dst)] = legs
         return legs
 
     def estimate_unified(self, src: str, dst: str, nbytes: int) -> float:
@@ -227,7 +235,9 @@ class CoherenceProtocol:
     """Hook interface the SVM manager and host executors drive.
 
     Hooks are generators so implementations can block (bus transfers,
-    waiting for fences). The manager guarantees the calling context:
+    waiting for fences); a hook that never blocks may instead do its work
+    when called and return ``()``, which the caller's ``yield from``
+    finishes at once. The manager guarantees the calling context:
 
     * :meth:`begin_access_read` — guest driver context, inside
       ``begin_access``; its elapsed time **is** the access latency the
@@ -395,10 +405,13 @@ class UnifiedPrefetchProtocol(CoherenceProtocol):
         return self._sim.now - start
 
     def executor_after_write(self, region, writer_vdev, writer_loc):
-        """Launch the ahead-of-time copy; never blocks the executor."""
+        """Launch the ahead-of-time copy at once; never blocks the executor.
+
+        Returns ``()``: the caller's ``yield from`` then finishes at once,
+        at the point where a generator's first step would have launched.
+        """
         self._engine.launch(region, writer_vdev, writer_loc)
-        return
-        yield  # pragma: no cover - generator form required by the interface
+        return ()
 
     def executor_before_read(self, region, reader_vdev, reader_loc):
         """Safety net: ensure residency before the device touches the data."""
@@ -443,8 +456,7 @@ class UnifiedWriteInvalidate(CoherenceProtocol):
         return self._sim.now - start
 
     def executor_after_write(self, region, writer_vdev, writer_loc):
-        return
-        yield  # pragma: no cover - generator form required by the interface
+        return ()  # lazy: nothing to do until a read
 
     def executor_before_read(self, region, reader_vdev, reader_loc):
         if not region.is_valid_at(reader_loc):

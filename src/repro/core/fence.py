@@ -8,10 +8,11 @@ happens-before relationship; multiple waits on one signal are allowed.
 The *virtual fence table* aggregates fence statuses and is shared with the
 guest. §4 limits it to a single memory page to avoid the cost of walking
 non-contiguous guest pages from the host, and recycles signalled indices
-when the supply of unused ones runs low. The *physical fence tables* track
-the device-specific synchronization primitives (``glFenceSync`` and
-friends) that host-side execution maps virtual fences onto; in the
-simulation a primitive is the completion event of the device operation.
+when the supply of unused ones runs low. Host-side execution maps virtual
+fences onto device-specific synchronization primitives (``glFenceSync``
+and friends); in the simulation a host executor signals a fence once the
+operations queued before it have retired, so no table of primitives is
+kept.
 """
 
 from __future__ import annotations
@@ -270,44 +271,3 @@ class VirtualFenceTable:
                 fence._event.fire(POISONED_STATUS)
             self._slots[index] = fence
         return None
-
-
-class PhysicalFenceTable:
-    """Per-physical-device map of in-flight synchronization primitives.
-
-    In the real system these are ``glFenceSync`` objects and driver events;
-    here a primitive is the :class:`~repro.sim.primitives.SimEvent` that a
-    host executor fires when a device operation retires. The table exists
-    so status queries (`aggregate` in §3.4) have one place to look.
-    """
-
-    def __init__(self, device_name: str):
-        self.device_name = device_name
-        self._primitives: Dict[int, SimEvent] = {}
-        self._next_id = 0
-
-    def insert(self, completion: SimEvent) -> int:
-        """Track a device-specific primitive; returns its slot id."""
-        slot = self._next_id
-        self._next_id += 1
-        self._primitives[slot] = completion
-        return slot
-
-    def is_complete(self, slot: int) -> bool:
-        try:
-            return self._primitives[slot].fired
-        except KeyError:
-            raise FenceError(
-                f"device {self.device_name!r} has no primitive #{slot}"
-            ) from None
-
-    def reap(self) -> int:
-        """Drop completed primitives; returns how many were reaped."""
-        done = [slot for slot, ev in self._primitives.items() if ev.fired]
-        for slot in done:
-            del self._primitives[slot]
-        return len(done)
-
-    @property
-    def outstanding(self) -> int:
-        return len(self._primitives)

@@ -41,10 +41,11 @@ class Hyperedge:
 
     ``stats`` is a plain dict owned by the layer that created the edge (the
     virtual layer stores slack-interval predictors; the physical layer
-    stores size/bandwidth predictors and R/W successor history).
+    stores transfer-size and prefetch-duration predictors). ``key`` is the
+    edge's :data:`EdgeKey`, built once.
     """
 
-    __slots__ = ("sources", "destinations", "stats", "observations")
+    __slots__ = ("sources", "destinations", "key", "stats", "observations")
 
     def __init__(self, sources: FrozenSet[str], destinations: FrozenSet[str]):
         if not sources:
@@ -53,12 +54,9 @@ class Hyperedge:
             raise ConfigurationError("hyperedge needs at least one destination")
         self.sources = sources
         self.destinations = destinations
+        self.key: EdgeKey = (sources, destinations)
         self.stats: Dict[str, Any] = {}
         self.observations = 0
-
-    @property
-    def key(self) -> EdgeKey:
-        return (self.sources, self.destinations)
 
     def touch(self) -> None:
         """Count one observation of this flow."""

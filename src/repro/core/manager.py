@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Any, Dict, Generator, Optional
 
 from repro.core.coherence import CoherenceProtocol
-from repro.core.degradation import DegradationController
+from repro.core.degradation import LEVEL_PREFETCHED, DegradationController
 from repro.core.region import AccessUsage, SvmRegion
 from repro.core.twin import TwinHypergraphs
 from repro.errors import SvmError, UnknownRegionError
@@ -151,7 +151,8 @@ class SvmManager:
 
         if self._mapping is not None:
             yield self._mapping
-        self._ensure_backing(region, location)
+        if location not in region.backing:
+            self._ensure_backing(region, location)
 
         if usage.reads:
             predicted = None
@@ -194,16 +195,16 @@ class SvmManager:
 
         latency = self._sim.now - start
         degradation = self.degradation
-        if degradation is not None and degradation.degraded:
+        if degradation is not None and degradation.level > LEVEL_PREFETCHED:
             # Tag accesses made under degraded coherence so metrics can
             # attribute latency spikes to the fault, not the workload.
             self._access_latency(
-                self._sim.now, region_id, vdev, usage.value, latency, window,
+                self._sim.now, region_id, vdev, usage.code, latency, window,
                 start, flow, degradation.level,
             )
         else:
             self._access_latency(
-                self._sim.now, region_id, vdev, usage.value, latency, window,
+                self._sim.now, region_id, vdev, usage.code, latency, window,
                 start, flow,
             )
         return latency
@@ -228,8 +229,7 @@ class SvmManager:
         return max(0.0, observed - region.applied_compensation)
 
     def _ensure_backing(self, region: SvmRegion, location: str) -> None:
-        if location in region.backing:
-            return
+        """Back ``region`` at ``location``; callers check it has none there."""
         pool = self._pools.get(location)
         if pool is None:
             return  # pseudo-locations without a modelled pool
@@ -242,15 +242,17 @@ class SvmManager:
         """Process (executor context): a write op finished on the host.
 
         Performs the invalidation, timestamps the write for slack
-        measurement and feeds the twin hypergraphs at once, then returns
-        the protocol's after-write hook (baseline flush, or vSoC prefetch
-        launch) for the caller to run.
+        measurement and feeds the twin hypergraphs at once, then calls the
+        protocol's after-write hook and returns what it returns for the
+        caller to ``yield from``: the baseline flush as a generator, or
+        ``()`` once vSoC's prefetch engine has launched its copies.
         """
         region = self.get(region_id)
         region.note_write(vdev, location, nbytes)
         region.write_in_flight = False
         region.write_complete_time = self._sim.now
-        self._ensure_backing(region, location)
+        if location not in region.backing:
+            self._ensure_backing(region, location)
         self.twin.on_write(region_id, vdev, location, nbytes)
         self._write_retired(self._sim.now, region_id, vdev, nbytes, region.flow)
         return self.protocol.executor_after_write(region, vdev, location)
@@ -260,7 +262,8 @@ class SvmManager:
     ) -> Generator[Any, Any, None]:
         """Process (executor context): coherence net before a device read."""
         region = self.get(region_id)
-        self._ensure_backing(region, location)
+        if location not in region.backing:
+            self._ensure_backing(region, location)
         return self.protocol.executor_before_read(region, vdev, location)
 
     # -- checkpoint / restore (repro.recovery.snapshot) ---------------------------

@@ -21,7 +21,7 @@ Robustness policies from the paper's corner cases:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, Optional, Set
+from typing import Callable, Dict, FrozenSet, Optional, Set, Tuple
 
 from repro.core.coherence import (
     MAINTENANCE_FIELDS,
@@ -122,6 +122,7 @@ class PrefetchEngine:
         self._suspended_since: Dict[object, float] = {}
         self.suspension_time_ms = 0.0
         self._max_bandwidth: Dict[str, float] = {}
+        self._targets: Dict[Tuple[FrozenSet[str], str], Set[str]] = {}
 
     # -- write-side: prediction and launch -------------------------------------
     def launch(self, region: SvmRegion, writer_vdev: str, writer_loc: str) -> None:
@@ -142,15 +143,12 @@ class PrefetchEngine:
             return
 
         vkey = predicted.vedge.key if predicted.vedge is not None else None
-        region.prefetch_predicted_vdevs = set(predicted.reader_vdevs)
+        region.prefetch_predicted_vdevs = predicted.reader_vdevs
         region.prefetch_vkey = vkey
         # Remember what we predicted for this generation so the read side
         # can score the slack estimate against the observed interval.
-        region.prefetch_predicted_slack = (
-            self._twin.predict_slack(predicted.vedge)
-            if predicted.vedge is not None
-            else None
-        )
+        slack = self._twin.predict_slack(predicted.vedge)
+        region.prefetch_predicted_slack = slack
 
         if self._is_suspended(vkey):
             self.stats.suspended_skips += 1
@@ -170,7 +168,7 @@ class PrefetchEngine:
                 self._prefetch_copy(region, writer_loc, target, pedge),
                 name=f"prefetch:r{region.region_id}->{target}",
             )
-            for target in sorted(targets)
+            for target in (sorted(targets) if len(targets) > 1 else targets)
         ]
         if len(copies) == 1:
             region.pending_prefetch = copies[0]
@@ -182,16 +180,19 @@ class PrefetchEngine:
         self.stats.launched += 1
 
         region.pending_compensation = self._compensation(
-            predicted.vedge, pedge, writer_loc, targets, region.dirty_bytes
+            slack, pedge, writer_loc, targets, region.dirty_bytes
         )
         if region.pending_compensation > 0:
             self.stats.compensations += 1
             self.stats.compensation_total_ms += region.pending_compensation
 
     def _degraded(self) -> bool:
+        # At level 0, plan_level() is the level itself.
+        degradation = self.degradation
         return (
-            self.degradation is not None
-            and self.degradation.plan_level() > LEVEL_PREFETCHED
+            degradation is not None
+            and degradation.level > LEVEL_PREFETCHED
+            and degradation.plan_level() > LEVEL_PREFETCHED
         )
 
     def _prefetch_copy(self, region: SvmRegion, src: str, dst: str, pedge):
@@ -241,11 +242,23 @@ class PrefetchEngine:
         return results
 
     def _remote_targets(self, reader_vdevs: FrozenSet[str], writer_loc: str) -> Set[str]:
-        return {
-            loc
-            for loc in (self._vdev_location(v) for v in reader_vdevs)
-            if loc != writer_loc
-        }
+        """Reader locations other than the writer's, memoized per flow.
+
+        Locations are static, so each ``(reader_vdevs, writer_loc)`` is
+        answered once. Every call hands out the very set built the first
+        time, which callers must not change: :meth:`_bandwidth_allows`
+        walks it in iteration order, so a rebuilt copy could change which
+        ``_max_bandwidth`` entries a call updates before it stops.
+        """
+        key = (reader_vdevs, writer_loc)
+        targets = self._targets.get(key)
+        if targets is None:
+            targets = self._targets[key] = {
+                loc
+                for loc in (self._vdev_location(v) for v in reader_vdevs)
+                if loc != writer_loc
+            }
+        return targets
 
     def _bandwidth_allows(self, writer_loc: str, targets: Set[str]) -> bool:
         """The 50%-of-max available-bandwidth rule (§3.3)."""
@@ -261,15 +274,17 @@ class PrefetchEngine:
         return True
 
     def _compensation(
-        self, vedge, pedge, writer_loc: str, targets: Set[str], nbytes: int
+        self, slack: Optional[float], pedge, writer_loc: str, targets: Set[str], nbytes: int
     ) -> float:
-        """``max(0, predicted prefetch time − predicted slack)`` (Figure 8)."""
+        """``max(0, predicted prefetch time − predicted slack)`` (Figure 8).
+
+        ``slack`` is the twin's prediction for the flow's virtual edge.
+        """
         prefetch_time = self._twin.predict_prefetch_time(pedge)
         if prefetch_time is None:
             prefetch_time = max(
                 self._planner.estimate_unified(writer_loc, t, nbytes) for t in targets
             )
-        slack = self._twin.predict_slack(vedge)
         if slack is None:
             slack = self.default_slack
         return max(0.0, prefetch_time - slack)
@@ -297,8 +312,9 @@ class PrefetchEngine:
         targets = self._remote_targets(predicted.reader_vdevs, writer_loc)
         if not targets:
             return 0.0
+        slack = self._twin.predict_slack(predicted.vedge)
         return self._compensation(
-            predicted.vedge, predicted.pedge, writer_loc, targets, region.dirty_bytes
+            slack, predicted.pedge, writer_loc, targets, region.dirty_bytes
         )
 
     # -- read-side: accuracy accounting and suspension -----------------------------

@@ -23,7 +23,7 @@ grows it.
 from __future__ import annotations
 
 import enum
-from typing import Dict, Optional, Set, TYPE_CHECKING
+from typing import AbstractSet, Dict, FrozenSet, Optional, Set, TYPE_CHECKING
 
 from repro.errors import AccessStateError, SvmError
 
@@ -37,6 +37,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
 HOST_LOCATION = "host"
 #: Pseudo-location: guest RAM — only used by the baseline architecture.
 GUEST_LOCATION = "guest"
+
+#: The prefetch targets of a region with no copy in flight, shared by all.
+_NO_TARGETS: FrozenSet[str] = frozenset()
 
 
 def location_of(device: "PhysicalDevice") -> str:
@@ -57,6 +60,7 @@ class AccessUsage(enum.Enum):
 
     def __init__(self, value: str) -> None:
         # Plain attributes, not properties: every SVM access reads them.
+        self.code = value
         self.reads = value in ("ro", "rw")
         self.writes = value in ("wo", "rw")
 
@@ -115,8 +119,9 @@ class SvmRegion:
         self.write_in_flight = False
         self.pending_writer_location: Optional[str] = None
         self.pending_prefetch: Optional["Process"] = None
-        self.prefetch_targets: Set[str] = set()
-        self.prefetch_predicted_vdevs: Optional[Set[str]] = None
+        # Read-only: the prefetch engine hands out its memoized sets.
+        self.prefetch_targets: AbstractSet[str] = _NO_TARGETS
+        self.prefetch_predicted_vdevs: Optional[FrozenSet[str]] = None
         self.prefetch_vkey = None
         self.prefetch_predicted_slack: Optional[float] = None
         self.pending_compensation = 0.0
@@ -181,7 +186,7 @@ class SvmRegion:
         self.last_writer_location = location
         self.dirty_bytes = nbytes
         self.pending_prefetch = None
-        self.prefetch_targets = set()
+        self.prefetch_targets = _NO_TARGETS
         self.prefetch_predicted_vdevs = None
         self.prefetch_vkey = None
         self.prefetch_predicted_slack = None
@@ -273,7 +278,7 @@ class SvmRegion:
         self.pending_prefetch = None
         self.prefetch_targets = set(state["prefetch_targets"])
         predicted = state["prefetch_predicted_vdevs"]
-        self.prefetch_predicted_vdevs = None if predicted is None else set(predicted)
+        self.prefetch_predicted_vdevs = None if predicted is None else frozenset(predicted)
         vkey = state["prefetch_vkey"]
         self.prefetch_vkey = None if vkey is None else deserialize_edge_key(vkey)
         self.prefetch_predicted_slack = state["prefetch_predicted_slack"]

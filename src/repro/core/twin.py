@@ -26,6 +26,17 @@ arrives, the previous generation is *finalized*: its actual reader set
 names the flow's hyperedge, statistics are folded in, and the region is
 (re)bound — so the binding used for prediction always reflects the most
 recent completed generation.
+
+Zero-shot answers
+-----------------
+A region with no usable bound flow is predicted from its writer's busiest
+virtual edge and the busiest physical edge overall, each the *first*
+maximal edge in graph order (``max()``'s tie rule). The twin keeps both
+answers current instead of re-scanning the graphs on every prediction: a
+touch that passes the kept edge replaces it; a touch that ties it, the
+first edge where there was none, :meth:`TwinHypergraphs.reset_vdev_history`
+and :meth:`TwinHypergraphs.restore_state` drop it, and the next prediction
+re-scans.
 """
 
 from __future__ import annotations
@@ -40,6 +51,25 @@ from repro.core.hypergraph import (
 )
 from repro.core.smoothing import ExponentialSmoothing
 from repro.errors import UnknownRegionError
+
+#: A dropped zero-shot answer: the next prediction re-scans the graph.
+_RESCAN = object()
+
+
+def _after_touch(best: Optional[Hyperedge], edge: Hyperedge) -> object:
+    """A kept zero-shot answer after ``edge``, another of its candidates,
+    was touched.
+
+    ``best`` stays while it is still the first maximal edge in graph order;
+    ``edge`` replaces it once it has strictly more observations. A tie drops
+    the answer, because which of two tied edges comes first in graph order
+    is not known without a scan; so does a new edge where there was none
+    (``best is None``). Any other new edge needs no rule of its own: it is
+    last in graph order, so it trails, ties or strictly passes ``best``.
+    """
+    if best is None or edge.observations == best.observations:
+        return _RESCAN
+    return edge if edge.observations > best.observations else best
 
 
 class _FlowState:
@@ -68,17 +98,15 @@ class _FlowState:
 class PredictedFlow:
     """The prefetch engine's view of a predicted data flow."""
 
-    __slots__ = ("reader_vdevs", "reader_locations", "vedge", "pedge")
+    __slots__ = ("reader_vdevs", "vedge", "pedge")
 
     def __init__(
         self,
         reader_vdevs: FrozenSet[str],
-        reader_locations: FrozenSet[str],
         vedge: Optional[Hyperedge],
         pedge: Optional[Hyperedge],
     ):
         self.reader_vdevs = reader_vdevs
-        self.reader_locations = reader_locations
         self.vedge = vedge
         self.pedge = pedge
 
@@ -99,6 +127,10 @@ class TwinHypergraphs:
         for node in physical_nodes:
             self.physical.add_node(node)
         self._flows: Dict[int, _FlowState] = {}
+        # The zero-shot answers (see the module docstring): writer vdev ->
+        # its busiest virtual edge, and the busiest physical edge.
+        self._busiest_from: Dict[str, object] = {}
+        self._busiest_pedge: object = _RESCAN
 
     # -- region hashtable --------------------------------------------------
     def register_region(self, region_id: int) -> None:
@@ -151,29 +183,61 @@ class TwinHypergraphs:
 
     def _finalize_generation(self, flow: _FlowState) -> None:
         """Bind the region to the hyperedges named by its actual readers."""
-        if flow.gen_writer_vdev is None or not flow.gen_readers:
-            self._reset_generation(flow)
-            return
-        vedge = self.virtual.edge([flow.gen_writer_vdev], flow.gen_readers)
-        vedge.touch()
-        slack_stat = self._slack_stat(vedge)
-        for sample in flow.gen_slack_samples:
-            slack_stat.update(sample)
-        flow.vedge = vedge
+        writer = flow.gen_writer_vdev
+        if writer is not None and flow.gen_readers:
+            vedge = self._observe(self.virtual, flow.vedge, writer, flow.gen_readers)
+            best = self._busiest_from.get(writer, _RESCAN)
+            if best is not vedge and best is not _RESCAN:
+                self._busiest_from[writer] = _after_touch(best, vedge)
+            slack_stat = self._slack_stat(vedge)
+            for sample in flow.gen_slack_samples:
+                slack_stat.update(sample)
+            flow.vedge = vedge
 
-        if flow.gen_writer_loc is not None and flow.gen_reader_locs:
-            pedge = self.physical.edge([flow.gen_writer_loc], flow.gen_reader_locs)
-            pedge.touch()
-            flow.pedge = pedge
+            if flow.gen_writer_loc is not None and flow.gen_reader_locs:
+                pedge = self._observe(
+                    self.physical, flow.pedge, flow.gen_writer_loc, flow.gen_reader_locs
+                )
+                best = self._busiest_pedge
+                if best is not pedge and best is not _RESCAN:
+                    self._busiest_pedge = _after_touch(best, pedge)
+                flow.pedge = pedge
         self._reset_generation(flow)
+
+    @staticmethod
+    def _observe(
+        graph: DirectedHypergraph,
+        bound: Optional[Hyperedge],
+        source: str,
+        destinations: Set[str],
+    ) -> Hyperedge:
+        """Touch the graph's edge for ``source → destinations``.
+
+        A steady flow names its bound edge again, so that edge is reused
+        without a lookup. This is exact: a bound edge is always the graph's
+        edge for its key (:meth:`reset_vdev_history` unbinds the edges it
+        removes, and :meth:`restore_state` re-binds).
+        """
+        if (
+            bound is not None
+            and bound.destinations == destinations
+            and len(bound.sources) == 1
+            and source in bound.sources
+        ):
+            edge = bound
+        else:
+            edge = graph.edge((source,), destinations)
+        edge.touch()
+        return edge
 
     @staticmethod
     def _reset_generation(flow: _FlowState) -> None:
         flow.gen_writer_vdev = None
         flow.gen_writer_loc = None
-        flow.gen_readers = set()
-        flow.gen_reader_locs = set()
-        flow.gen_slack_samples = []
+        if flow.gen_readers:  # a reader-less generation has nothing to clear
+            flow.gen_readers.clear()
+            flow.gen_reader_locs.clear()
+            flow.gen_slack_samples.clear()
 
     # -- statistics accessors ------------------------------------------------
     @staticmethod
@@ -232,14 +296,18 @@ class TwinHypergraphs:
         if vedge is None or writer_vdev not in vedge.sources:
             if not allow_zero_shot:
                 return None
-            vedge = self._busiest_edge_from(self.virtual, writer_vdev)
+            vedge = self._busiest_from.get(writer_vdev, _RESCAN)
+            if vedge is _RESCAN:
+                vedge = self._busiest_edge_from(self.virtual, writer_vdev)
+                self._busiest_from[writer_vdev] = vedge
             pedge = None
         if vedge is None:
             return None
         if pedge is None:
-            pedge = self._matching_pedge(vedge)
-        reader_locs = pedge.destinations if pedge is not None else frozenset()
-        return PredictedFlow(vedge.destinations, reader_locs, vedge, pedge)
+            pedge = self._busiest_pedge
+            if pedge is _RESCAN:
+                pedge = self._busiest_pedge = self._matching_pedge()
+        return PredictedFlow(vedge.destinations, vedge, pedge)
 
     @staticmethod
     def _busiest_edge_from(graph: DirectedHypergraph, source: str) -> Optional[Hyperedge]:
@@ -248,14 +316,12 @@ class TwinHypergraphs:
             return None
         return max(candidates, key=lambda e: e.observations)
 
-    def _matching_pedge(self, vedge: Hyperedge) -> Optional[Hyperedge]:
-        """Best-effort physical edge for a zero-shot virtual prediction.
+    def _matching_pedge(self) -> Optional[Hyperedge]:
+        """Physical edge for a prediction whose region has none bound.
 
-        When a new region inherits a flow, we pick the most-observed
-        physical edge overall sourced anywhere — in practice pipelines map
-        stably, so the busiest physical edge of the whole graph sourced at
-        any location is a weak fallback; prefer edges whose observation
-        count matches the virtual edge's activity.
+        The most-observed physical edge of the whole graph, the first one
+        in graph order on a tie. It ignores the virtual prediction: a weak
+        fallback, which serves because pipelines map stably onto locations.
         """
         best: Optional[Hyperedge] = None
         for pedge in self.physical:
@@ -307,6 +373,7 @@ class TwinHypergraphs:
         virtual device's crash. Returns the number of edges removed.
         """
         removed = set(self.virtual.remove_edges_touching(vdev))
+        self._drop_zero_shot_answers()
         for flow in self._flows.values():
             if flow.vedge is not None and flow.vedge.key in removed:
                 flow.vedge = None
@@ -314,6 +381,10 @@ class TwinHypergraphs:
             if flow.gen_writer_vdev == vdev or vdev in flow.gen_readers:
                 self._reset_generation(flow)
         return len(removed)
+
+    def _drop_zero_shot_answers(self) -> None:
+        self._busiest_from.clear()
+        self._busiest_pedge = _RESCAN
 
     # -- checkpointing ----------------------------------------------------------
     def region_ids(self) -> Set[int]:
@@ -376,6 +447,7 @@ class TwinHypergraphs:
 
         load_graph(self.virtual, state["virtual"])
         load_graph(self.physical, state["physical"])
+        self._drop_zero_shot_answers()
         self._flows = {}
         for key, entry in state["flows"].items():
             flow = _FlowState()

@@ -7,9 +7,9 @@ An :class:`Emulator` wires the paper's moving parts together:
   threading paradigm of §3.4;
 * an **SVM manager** with the emulator's coherence protocol over the
   machine's copy topology;
-* the **virtual fence table** and per-device **physical fence tables**
-  (FENCES ordering), or blocking **atomic** dispatch (the baseline and the
-  §5.4 ablation);
+* the **virtual fence table** (FENCES ordering), whose fences each host
+  executor signals once the operations queued before them retire, or
+  blocking **atomic** dispatch (the baseline and the §5.4 ablation);
 * per-device **MIMD flow control** pacing guest dispatch.
 
 Apps talk to the emulator through *stages*: one stage = (optional SVM

@@ -243,9 +243,15 @@ class RunCache:
         self.directory.mkdir(parents=True, exist_ok=True)
         entry = {"format": CACHE_FORMAT, "key": key, "payload": payload}
         tmp = self._path(key).with_suffix(f".tmp.{os.getpid()}")
-        with open(tmp, "wb") as fh:
-            pickle.dump(entry, fh, protocol=pickle.HIGHEST_PROTOCOL)
-        os.replace(tmp, self._path(key))
+        try:
+            with open(tmp, "wb") as fh:
+                pickle.dump(entry, fh, protocol=pickle.HIGHEST_PROTOCOL)
+            os.replace(tmp, self._path(key))
+        except BaseException:
+            # An unpicklable payload or a failed write must not leave the
+            # half-written temp file behind.
+            tmp.unlink(missing_ok=True)
+            raise
 
 
 # ---------------------------------------------------------------------------

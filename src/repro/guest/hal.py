@@ -67,10 +67,11 @@ class SharedMemoryHal:
         into the region's host-visible mapping, so retirement is immediate.
         """
         latency = yield from self.begin_access(handle, AccessUsage.WRITE, nbytes, caller)
-        region = self._emulator.manager.get(handle)
-        yield from self._emulator.manager.host_write_retired(
-            handle, caller, self._emulator.vdev_location(caller),
-            nbytes if nbytes is not None else region.size,
+        manager = self._emulator.manager
+        if nbytes is None:
+            nbytes = manager.get(handle).size
+        yield from manager.host_write_retired(
+            handle, caller, self._emulator.vdev_location(caller), nbytes
         )
         self.end_access(handle, caller)
         return latency

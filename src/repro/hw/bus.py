@@ -38,11 +38,12 @@ class Bus:
         Fixed per-transfer setup time in ms (arbitration, doorbells).
 
     The bus records total bytes moved and busy time, from which
-    :meth:`observed_bandwidth` derives the figure the prefetch engine's
-    physical hypergraph layer tracks (§3.2). ``set_load`` injects external
-    contention: a load of 0.5 halves the bandwidth available to transfers,
-    which is how experiments exercise the paper's "suspend prefetch below
-    50% of maximum observed bandwidth" policy.
+    :meth:`observed_bandwidth` derives the average achieved bandwidth.
+    ``set_load`` injects external contention: a load of 0.5 halves the
+    :attr:`effective_bandwidth` available to transfers, which is the
+    figure the prefetch engine's "suspend prefetch below 50% of maximum
+    observed bandwidth" policy reads. (The physical hypergraph layer of
+    §3.2 tracks transfer sizes and prefetch durations, not bandwidth.)
     """
 
     def __init__(self, sim: Simulator, name: str, bandwidth: float, latency: float = 0.0):

@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.core import FenceState, PhysicalFenceTable, VirtualFenceTable
+from repro.core import FenceState, VirtualFenceTable
 from repro.core.fence import FENCE_TABLE_CAPACITY
 from repro.errors import FenceError, FenceTableFullError
-from repro.sim import SimEvent, Simulator, Timeout
+from repro.sim import Simulator, Timeout
 from repro.units import PAGE_SIZE
 
 
@@ -135,20 +135,6 @@ def test_get_by_index():
     assert table.get(fence.index) is fence
     with pytest.raises(FenceError):
         table.get(99)
-
-
-def test_physical_table_tracks_primitives():
-    sim = Simulator()
-    table = PhysicalFenceTable("gpu")
-    ev = SimEvent(sim)
-    slot = table.insert(ev)
-    assert not table.is_complete(slot)
-    ev.fire()
-    assert table.is_complete(slot)
-    assert table.reap() == 1
-    assert table.outstanding == 0
-    with pytest.raises(FenceError):
-        table.is_complete(slot)
 
 
 def test_invalid_capacity_rejected():

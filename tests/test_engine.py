@@ -190,6 +190,13 @@ def test_corrupt_cache_entry_discarded_and_reexecuted(tmp_path):
     assert again.results == cold.results
 
 
+def test_failed_store_leaves_no_temp_file(tmp_path):
+    store = RunCache(tmp_path)
+    with pytest.raises(Exception):
+        store.store("k", lambda: 0)  # a lambda does not pickle
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_wrong_key_payload_rejected(tmp_path):
     store = RunCache(tmp_path)
     store.store("a" * 64, {"v": 1})

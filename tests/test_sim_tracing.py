@@ -9,6 +9,7 @@ from repro.apps.video import UhdVideoApp
 from repro.experiments.recover import trace_tuples
 from repro.experiments.runner import build_rig, drive
 from repro.sim.tracing import TraceLog, TraceRecord
+from tests.test_stage_path import pop_01
 
 
 def test_record_and_filter_by_kind():
@@ -141,6 +142,7 @@ FULL_STREAM_DIGESTS = {
     ("vSoC", "UhdVideoApp"): "3b03ec5c6e04268c",
     ("QEMU-KVM", "ArApp"): "e66f81f05910c4be",
     ("QEMU-KVM", "UhdVideoApp"): "85a4c9e5d684c6ff",
+    ("vSoC", "pop_01"): "e94948773349de1c",
 }
 
 
@@ -151,6 +153,7 @@ FULL_STREAM_DIGESTS = {
         ("vSoC", UhdVideoApp, "a0ccd60cf84b2c46"),
         ("QEMU-KVM", ArApp, "a7ecbc01f4e040be"),
         ("QEMU-KVM", UhdVideoApp, "7d770577577ba2d1"),
+        ("vSoC", pop_01, "a2f3641a5e27f64d"),
     ],
 )
 def test_record_stream_is_pinned(emulator, app, digest):

@@ -10,9 +10,16 @@ move an event, and bound how deep any live process is ever parked.
 import pytest
 
 from repro.apps.ar import ArApp
+from repro.apps.catalog import build_app, popular_app_params
 from repro.apps.video import UhdVideoApp
 from repro.experiments.runner import build_rig, drive
 from repro.sim.kernel import SimHook
+
+
+def pop_01():
+    """Catalog ``pop-01``: its scratch writes take the zero-shot prediction
+    path and its atlas writes launch GPU prefetches."""
+    return build_app(popular_app_params(0)[0])
 
 
 class _DepthProbe(SimHook):
@@ -40,6 +47,7 @@ class _DepthProbe(SimHook):
         # run > stage > begin_access > begin_access_read > _maintain > _copy > transfer.
         ("vSoC", ArApp, 7_560, 2_464, 7),
         ("vSoC", UhdVideoApp, 4_880, 1_416, 7),
+        ("vSoC", pop_01, 5_929, 2_884, 7),
         # QEMU-KVM's is an executor flush or fetch:
         # _executor > executor_after_write|executor_before_read > _copy > transfer.
         ("QEMU-KVM", ArApp, 3_994, 1_607, 4),
