@@ -159,15 +159,6 @@ class DegradationController:
             "failures_total": self.failures_total,
         }
 
-    def restore_state(self, state: dict) -> None:
-        """Reinstate ladder state captured by :meth:`snapshot_state`."""
-        self.level = state["level"]
-        self._consecutive_failures = state["consecutive_failures"]
-        self._degraded_at = state["degraded_at"]
-        self.degrades = state["degrades"]
-        self.restores = state["restores"]
-        self.failures_total = state["failures_total"]
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<DegradationController {self.name!r} level={self.level} "

@@ -241,33 +241,3 @@ class VirtualFenceTable:
                 for index, fence in sorted(self._slots.items())
             },
         }
-
-    def restore_state(self, state: Dict[str, Any]) -> None:
-        """Reinstate table occupancy from :meth:`snapshot_state` output.
-
-        Restored SIGNALED/POISONED fences have already-fired events so late
-        waiters resume immediately, exactly as in the captured run.
-        """
-        if state["capacity"] != self.capacity:
-            raise FenceError(
-                f"snapshot capacity {state['capacity']} != table capacity {self.capacity}"
-            )
-        self.allocated_total = state["allocated_total"]
-        self.recycled_total = state["recycled_total"]
-        self.poisoned_total = state.get("poisoned_total", 0)
-        self._free = sorted(state["free"], reverse=True)
-        self._slots = {}
-        for key, slot in state["slots"].items():
-            index = int(key)
-            fence = VirtualFence(self._sim, index)
-            fence.state = FenceState(slot["state"])
-            fence.waiters = slot["waiters"]
-            fence.owner = slot["owner"]
-            fence.poison_acked = slot["poison_acked"]
-            fence.first_wait_at = slot["first_wait_at"]
-            if fence.state is FenceState.SIGNALED:
-                fence._event.fire(None)
-            elif fence.state is FenceState.POISONED:
-                fence._event.fire(POISONED_STATUS)
-            self._slots[index] = fence
-        return None

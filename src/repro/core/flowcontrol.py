@@ -16,7 +16,6 @@ like a congestion window around path capacity.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from typing import Deque
 
@@ -94,47 +93,3 @@ class MimdFlowControl:
             "throttle_events": self.throttle_events,
             "backlog": self.backlog,
         }
-
-    def restore_state(self, state: dict) -> None:
-        """Reinstate the numeric window state from :meth:`snapshot_state`.
-
-        Parked waiters are continuations and are not restored here — the
-        deterministic-replay layer reconstructs them by re-running the
-        workload; direct restore targets a quiescent emulator.
-
-        Live-migration restores load this path from bytes that crossed a
-        worker boundary, so a corrupt snapshot must be rejected loudly:
-        missing keys, non-finite or negative values, and non-integer
-        counters all raise :class:`ValueError` naming the offending field
-        instead of surfacing as a ``KeyError`` (or silently installing a
-        window the MIMD invariants do not hold for).
-        """
-        if not isinstance(state, dict):
-            raise ValueError(
-                f"flow-control state must be a dict, got {type(state).__name__}"
-            )
-        missing = [k for k in ("window", "in_flight", "throttle_events")
-                   if k not in state]
-        if missing:
-            raise ValueError(f"flow-control state is missing keys: {missing}")
-        window = state["window"]
-        if isinstance(window, bool) or not isinstance(window, (int, float)):
-            raise ValueError(f"flow-control window must be numeric, got {window!r}")
-        window = float(window)
-        if not math.isfinite(window) or window <= 0:
-            raise ValueError(
-                f"flow-control window must be finite and > 0, got {window}"
-            )
-        counters = {}
-        for key in ("in_flight", "throttle_events"):
-            value = state[key]
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(
-                    f"flow-control {key} must be an integer, got {value!r}"
-                )
-            if value < 0:
-                raise ValueError(f"flow-control {key} must be >= 0, got {value}")
-            counters[key] = value
-        self.window = window
-        self.in_flight = counters["in_flight"]
-        self.throttle_events = counters["throttle_events"]

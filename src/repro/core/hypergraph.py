@@ -30,12 +30,6 @@ def serialize_edge_key(key: EdgeKey) -> List[List[str]]:
     return [sorted(key[0]), sorted(key[1])]
 
 
-def deserialize_edge_key(data: Iterable[Iterable[str]]) -> EdgeKey:
-    """Inverse of :func:`serialize_edge_key`."""
-    sources, destinations = data
-    return (frozenset(sources), frozenset(destinations))
-
-
 class Hyperedge:
     """One data flow: source device(s) → destination device(s) plus stats.
 

@@ -266,7 +266,7 @@ class SvmManager:
             self._ensure_backing(region, location)
         return self.protocol.executor_before_read(region, vdev, location)
 
-    # -- checkpoint / restore (repro.recovery.snapshot) ---------------------------
+    # -- checkpoint (repro.recovery.snapshot) -------------------------------------
     def snapshot_state(self) -> Dict[str, Any]:
         """Deterministic, JSON-able image of all SVM bookkeeping.
 
@@ -285,31 +285,6 @@ class SvmManager:
                 for region_id, region in sorted(self._regions.items())
             },
         }
-
-    def restore_state(self, state: Dict[str, Any], fence_table: Any = None) -> None:
-        """Reinstate SVM state captured by :meth:`snapshot_state`.
-
-        Intended for a quiescent manager (fresh build or post-run): regions
-        are rebuilt from scratch, backing memory is re-allocated from the
-        location pools, and ``write_fence`` links are re-established through
-        ``fence_table`` (which must already be restored) when given.
-        """
-        for region in self._regions.values():
-            region.release_backing()
-        self._regions = {}
-        self._next_id = state["next_id"]
-        self.allocs_total = state["allocs_total"]
-        self.frees_total = state["frees_total"]
-        self.chain_reactions = state["chain_reactions"]
-        for key, region_state in state["regions"].items():
-            region = SvmRegion(int(key), region_state["size"])
-            region.load_state(region_state)
-            for location in region_state["backing"]:
-                self._ensure_backing(region, location)
-            fence_index = region_state["write_fence"]
-            if fence_index is not None and fence_table is not None:
-                region.write_fence = fence_table._slots.get(fence_index)
-            self._regions[region.region_id] = region
 
     # -- §5.2 overhead accounting -------------------------------------------------
     def memory_overhead_bytes(self) -> int:

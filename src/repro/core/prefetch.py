@@ -433,26 +433,3 @@ class PrefetchEngine:
             "suspension_time_ms": self.suspension_time_ms,
             "max_bandwidth": dict(sorted(self._max_bandwidth.items())),
         }
-
-    def restore_state(self, state: Dict[str, object]) -> None:
-        """Reinstate learned state captured by :meth:`snapshot_state`.
-
-        Flow keys were serialized as ``repr`` of their JSON-able form;
-        ``ast.literal_eval`` (no arbitrary code execution) reverses that.
-        ``_suspended_since`` is wall-of-sim-clock bookkeeping for the
-        suspension-time metric and intentionally restarts empty.
-        """
-        import ast
-
-        from repro.core.hypergraph import deserialize_edge_key
-
-        def parse_key(text: str) -> object:
-            return deserialize_edge_key(ast.literal_eval(text))
-
-        for name, value in state["stats"].items():
-            setattr(self.stats, name, value)
-        self._failures = {parse_key(k): v for k, v in state["failures"].items()}
-        self._suspended = {parse_key(k): v for k, v in state["suspended"].items()}
-        self._suspended_since = {}
-        self.suspension_time_ms = state["suspension_time_ms"]
-        self._max_bandwidth = dict(state["max_bandwidth"])

@@ -212,9 +212,9 @@ class SvmRegion:
 
         Live object handles are reduced to stable identifiers: the write
         fence to its table index, the pending-prefetch process to a boolean,
-        backing memory to the list of locations holding it. The restore path
-        re-links fences through the fence table and re-allocates backing
-        lazily, so nothing here depends on object identity.
+        backing memory to the list of locations holding it. Nothing here
+        depends on object identity, so the image of a replayed run at the
+        same time compares equal.
         """
         from repro.core.hypergraph import serialize_edge_key
 
@@ -254,45 +254,6 @@ class SvmRegion:
             "writer_vdevs": sorted(self.writer_vdevs),
             "reader_vdevs": sorted(self.reader_vdevs),
         }
-
-    def load_state(self, state: Dict[str, object]) -> None:
-        """Reinstate state captured by :meth:`state_dict`.
-
-        ``write_fence`` is restored as ``None`` here; the manager re-links
-        it via the fence table after all regions exist. ``pending_prefetch``
-        processes are not resurrected — restore targets a quiescent
-        emulator, where the deterministic-replay layer reconstructs live
-        continuations (see :mod:`repro.recovery.snapshot`).
-        """
-        from repro.core.hypergraph import deserialize_edge_key
-
-        self.freed = bool(state["freed"])
-        self.valid_locations = set(state["valid_locations"])
-        self.last_writer_vdev = state["last_writer_vdev"]
-        self.last_writer_location = state["last_writer_location"]
-        self.dirty_bytes = state["dirty_bytes"]
-        self.write_complete_time = state["write_complete_time"]
-        self.write_fence = None
-        self.write_in_flight = bool(state["write_in_flight"])
-        self.pending_writer_location = state["pending_writer_location"]
-        self.pending_prefetch = None
-        self.prefetch_targets = set(state["prefetch_targets"])
-        predicted = state["prefetch_predicted_vdevs"]
-        self.prefetch_predicted_vdevs = None if predicted is None else frozenset(predicted)
-        vkey = state["prefetch_vkey"]
-        self.prefetch_vkey = None if vkey is None else deserialize_edge_key(vkey)
-        self.prefetch_predicted_slack = state["prefetch_predicted_slack"]
-        self.pending_compensation = state["pending_compensation"]
-        self.flow = state["flow"]
-        self.applied_compensation = state["applied_compensation"]
-        self.last_flush_duration = state["last_flush_duration"]
-        self._open = {
-            vdev: _OpenAccess(vdev, AccessUsage(acc["usage"]), acc["nbytes"])
-            for vdev, acc in state["open"].items()
-        }
-        self.total_accesses = state["total_accesses"]
-        self.writer_vdevs = set(state["writer_vdevs"])
-        self.reader_vdevs = set(state["reader_vdevs"])
 
     # -- lifecycle ---------------------------------------------------------
     def release_backing(self) -> None:

@@ -75,13 +75,5 @@ class ExponentialSmoothing:
             "err_count": self._err_count,
         }
 
-    def load_state(self, state: dict) -> None:
-        """Reinstate predictor state captured by :meth:`state_dict`."""
-        self.alpha = state["alpha"]
-        self._level = state["level"]
-        self.n = state["n"]
-        self._err_sum_sq = state["err_sum_sq"]
-        self._err_count = state["err_count"]
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<ExponentialSmoothing a={self.alpha} level={self._level} n={self.n}>"

@@ -34,8 +34,8 @@ virtual edge and the busiest physical edge overall, each the *first*
 maximal edge in graph order (``max()``'s tie rule). The twin keeps both
 answers current instead of re-scanning the graphs on every prediction: a
 touch that passes the kept edge replaces it; a touch that ties it, the
-first edge where there was none, :meth:`TwinHypergraphs.reset_vdev_history`
-and :meth:`TwinHypergraphs.restore_state` drop it, and the next prediction
+first edge where there was none and
+:meth:`TwinHypergraphs.reset_vdev_history` drop it, and the next prediction
 re-scans.
 """
 
@@ -46,7 +46,6 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Set
 from repro.core.hypergraph import (
     DirectedHypergraph,
     Hyperedge,
-    deserialize_edge_key,
     serialize_edge_key,
 )
 from repro.core.smoothing import ExponentialSmoothing
@@ -216,7 +215,7 @@ class TwinHypergraphs:
         A steady flow names its bound edge again, so that edge is reused
         without a lookup. This is exact: a bound edge is always the graph's
         edge for its key (:meth:`reset_vdev_history` unbinds the edges it
-        removes, and :meth:`restore_state` re-binds).
+        removes).
         """
         if (
             bound is not None
@@ -373,7 +372,8 @@ class TwinHypergraphs:
         virtual device's crash. Returns the number of edges removed.
         """
         removed = set(self.virtual.remove_edges_touching(vdev))
-        self._drop_zero_shot_answers()
+        self._busiest_from.clear()
+        self._busiest_pedge = _RESCAN
         for flow in self._flows.values():
             if flow.vedge is not None and flow.vedge.key in removed:
                 flow.vedge = None
@@ -381,10 +381,6 @@ class TwinHypergraphs:
             if flow.gen_writer_vdev == vdev or vdev in flow.gen_readers:
                 self._reset_generation(flow)
         return len(removed)
-
-    def _drop_zero_shot_answers(self) -> None:
-        self._busiest_from.clear()
-        self._busiest_pedge = _RESCAN
 
     # -- checkpointing ----------------------------------------------------------
     def region_ids(self) -> Set[int]:
@@ -428,39 +424,6 @@ class TwinHypergraphs:
                 for region_id, f in sorted(self._flows.items())
             },
         }
-
-    def restore_state(self, state: Dict[str, object]) -> None:
-        """Reinstate both layers and the hashtable from a snapshot."""
-
-        def load_graph(graph: DirectedHypergraph, data: Dict[str, object]) -> None:
-            graph._edges.clear()
-            for node in data["nodes"]:
-                graph.add_node(node)
-            for entry in data["edges"]:
-                key = deserialize_edge_key(entry["key"])
-                edge = graph.edge(key[0], key[1])
-                edge.observations = entry["observations"]
-                for name, stat_state in entry["stats"].items():
-                    stat = ExponentialSmoothing()
-                    stat.load_state(stat_state)
-                    edge.stats[name] = stat
-
-        load_graph(self.virtual, state["virtual"])
-        load_graph(self.physical, state["physical"])
-        self._drop_zero_shot_answers()
-        self._flows = {}
-        for key, entry in state["flows"].items():
-            flow = _FlowState()
-            if entry["vedge"] is not None:
-                flow.vedge = self.virtual.get_edge(deserialize_edge_key(entry["vedge"]))
-            if entry["pedge"] is not None:
-                flow.pedge = self.physical.get_edge(deserialize_edge_key(entry["pedge"]))
-            flow.gen_writer_vdev = entry["gen_writer_vdev"]
-            flow.gen_writer_loc = entry["gen_writer_loc"]
-            flow.gen_readers = set(entry["gen_readers"])
-            flow.gen_reader_locs = set(entry["gen_reader_locs"])
-            flow.gen_slack_samples = list(entry["gen_slack_samples"])
-            self._flows[int(key)] = flow
 
     # -- bookkeeping for §5.2's memory-overhead claim -------------------------
     def memory_overhead_bytes(self) -> int:

@@ -116,20 +116,6 @@ def run_fig10(machine_spec: MachineSpec = HIGH_END_DESKTOP,
     return results
 
 
-def run_fig11(duration_ms: float = DEFAULT_DURATION_MS, apps_per_category: int = 10,
-              emulators: Sequence[str] = EMULATORS, seed: int = 0,
-              jobs: Optional[int] = None, cache: bool = True):
-    """Fig 11 = Fig 10 on the middle-end laptop (thermal effects active).
-
-    Note: the laptop's thermal collapse develops over ~30-60 simulated
-    seconds, so short durations understate it; 60 s+ is representative.
-    """
-    from repro.hw.machine import MIDDLE_END_LAPTOP
-
-    return run_fig10(MIDDLE_END_LAPTOP, duration_ms, apps_per_category, emulators,
-                     seed, jobs=jobs, cache=cache)
-
-
 def pairwise_comparison(results: Dict[str, AppBenchResult], baseline: str,
                         reference: str = "vSoC") -> Optional[float]:
     """§5.3's pairwise FPS ratio over apps both emulators can run.

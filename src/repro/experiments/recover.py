@@ -3,15 +3,14 @@
 Exercises the three ISSUE-4 pillars end to end and writes a JSON report
 (the CI artifact):
 
-1. **Snapshot round-trip** — capture → serialize → parse → direct
-   component restore → recapture must be digest-identical, and a
-   deliberately corrupted document must be *rejected* (checksum), never
-   half-restored.
+1. **Snapshot serialization** — capture → serialize → parse must keep
+   the digest, and a deliberately corrupted or truncated document must be
+   *rejected* (checksum), never trusted.
 2. **Checkpoint/restore determinism** — for each cut point ``T``:
    capture at ``T``, rebuild from the snapshot's recipe, replay to ``T``
    (verifying the recaptured digest against the snapshot), continue to
    ``T+Δ`` — the trace tail after ``T`` must be bit-identical to an
-   uninterrupted run's.
+   uninterrupted run's. Replay is the only restore.
 3. **Crash recovery + invariants** — the crash-chaos scenarios must
    complete (no deadlock), re-admit every crashed device, and keep the
    frame drop bounded; the invariant auditor must stay clean across the
@@ -148,43 +147,16 @@ def checkpoint_restore_matrix(
     return results
 
 
-def _quiesced_digest(state: Dict[str, Any]) -> str:
-    """State digest with live-continuation markers normalized away.
-
-    ``pending_prefetch`` records that a prefetch *process* was in flight at
-    capture time. Direct component restore deliberately does not resurrect
-    processes (the replay-based restore does — the determinism matrix is
-    what holds that path to bit-identity), so the direct round-trip is
-    compared on the quiesced state.
-    """
-    from repro.recovery import canonical_json, state_digest
-
-    state = json.loads(canonical_json(state))
-    for region_state in state["manager"]["regions"].values():
-        region_state["pending_prefetch"] = False
-    return state_digest(state)
-
-
 def snapshot_roundtrip_check(
     emulator_name: str = "vSoC", app_name: str = "video", cut_ms: float = 2_500.0,
     seed: int = 0,
 ) -> Dict[str, Any]:
-    """Serialization + direct-restore round-trip, and corruption rejection."""
+    """Serialization round-trip, and corruption rejection."""
     snapshot = capture_at(emulator_name, app_name, seed, cut_ms)
     document = snapshot.to_json()
 
     # Serialize → parse must be lossless.
-    reloaded = Snapshot.from_json(document)
-    serialize_ok = reloaded.digest() == snapshot.digest()
-
-    # Direct component restore into a *bare* emulator (no app processes to
-    # perturb state), then recapture and compare quiesced digests.
-    bare = build_rig(emulator_name, seed=seed).emulator
-    reloaded.restore_into(bare)
-    recaptured = Snapshot.capture(bare, recipe=reloaded.recipe)
-    roundtrip_ok = _quiesced_digest(recaptured.state) == _quiesced_digest(
-        reloaded.state
-    )
+    serialize_ok = Snapshot.from_json(document).digest() == snapshot.digest()
 
     # Corruption must be detected, not silently restored: flip one byte in
     # the serialized state (and separately truncate the document).
@@ -202,7 +174,6 @@ def snapshot_roundtrip_check(
 
     return {
         "serialization_lossless": serialize_ok,
-        "roundtrip_digest_identical": roundtrip_ok,
         "corruption_rejected": corrupt_detected,
         "truncation_rejected": truncated_detected,
     }

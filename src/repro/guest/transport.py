@@ -139,12 +139,3 @@ class VirtioTransport:
             "kicks_delayed": self.kicks_delayed,
             "delay_total_ms": self.delay_total_ms,
         }
-
-    def restore_state(self, state: dict) -> None:
-        """Reinstate counters captured by :meth:`snapshot_state`."""
-        self.kicks = state["kicks"]
-        self.commands = state["commands"]
-        self.kick_attempts = state["kick_attempts"]
-        self.kicks_dropped = state["kicks_dropped"]
-        self.kicks_delayed = state["kicks_delayed"]
-        self.delay_total_ms = state["delay_total_ms"]

@@ -10,13 +10,17 @@ per-device flow-control windows, and the simulated clock.
 What a snapshot deliberately does **not** contain is live continuations —
 the generator frames of in-flight processes are not picklable and any
 "best effort" serialization of them would break the bit-identity contract.
-Instead, restore is *deterministic replay*: the driver rebuilds a fresh
-emulator, re-runs the (deterministic) workload to the capture time ``T``,
-recaptures, and verifies the recaptured digest against the snapshot.
-Because every run is a pure function of its inputs, the replayed state at
-``T`` is byte-identical to the crashed run's state at ``T`` — so running on
-to ``T+Δ`` bit-matches an uninterrupted run. The checksum turns silent
-snapshot corruption (truncation, bit flips, hand editing) into a loud
+Instead, the one restore is *deterministic replay*
+(:func:`repro.experiments.recover.restore_and_continue`): rebuild a fresh
+emulator from the snapshot's recipe, re-run the (deterministic) workload to
+the capture time ``T``, recapture, and verify the recaptured digest against
+the snapshot. Because every run is a pure function of its inputs, the
+replayed state at ``T`` is byte-identical to the crashed run's state at
+``T`` — so running on to ``T+Δ`` bit-matches an uninterrupted run. No state
+is ever pushed back into a component; when the replay reaches another
+state, :meth:`Snapshot.verify_against` refuses it and names the first
+diverging key. The checksum turns silent snapshot corruption (truncation,
+bit flips, hand editing) into a loud
 :class:`~repro.errors.SnapshotCorruptError`.
 
 Format
@@ -25,9 +29,9 @@ One canonical-JSON document::
 
     {"version": 1, "recipe": {...}, "state": {...}, "checksum": "sha256..."}
 
-* ``version`` — :data:`SNAPSHOT_FORMAT_VERSION`; readers reject newer
-  versions (forward compatibility is impossible to promise for state
-  layouts that do not exist yet).
+* ``version`` — :data:`SNAPSHOT_FORMAT_VERSION`, an integer; readers
+  reject newer versions (forward compatibility is impossible to promise for
+  state layouts that do not exist yet).
 * ``recipe`` — opaque, caller-provided description of how to re-run the
   workload (emulator name, app, seed, capture time). The replay layer
   round-trips it; this module never interprets it.
@@ -191,8 +195,10 @@ class Snapshot:
     def from_json(cls, text: str) -> "Snapshot":
         """Parse + integrity-check a serialized snapshot.
 
-        Truncated or bit-flipped documents raise
-        :class:`SnapshotCorruptError` — never a half-restored emulator.
+        Truncated, bit-flipped or malformed documents (a ``version`` that is
+        not an integer, a ``recipe`` or ``state`` that is not an object, a
+        ``checksum`` that is not a string) raise
+        :class:`SnapshotCorruptError` — never a snapshot replay would trust.
         """
         try:
             doc = json.loads(text)
@@ -203,6 +209,17 @@ class Snapshot:
         missing = [k for k in ("version", "recipe", "state", "checksum") if k not in doc]
         if missing:
             raise SnapshotCorruptError(f"snapshot is missing keys: {missing}")
+        for key, kind, name in (
+            ("version", int, "an integer"),
+            ("recipe", dict, "an object"),
+            ("state", dict, "an object"),
+            ("checksum", str, "a string"),
+        ):
+            value = doc[key]
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise SnapshotCorruptError(
+                    f"snapshot {key} must be {name}, got {type(value).__name__}"
+                )
         if doc["version"] > SNAPSHOT_FORMAT_VERSION:
             raise SnapshotError(
                 f"snapshot format v{doc['version']} is newer than supported "
@@ -229,44 +246,3 @@ class Snapshot:
     def load(cls, path: str) -> "Snapshot":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_json(fh.read())
-
-    # -- direct restore -------------------------------------------------------
-    def restore_into(self, emulator: Any) -> None:
-        """Reinstate the captured component state into a fresh emulator.
-
-        The emulator must be newly built (same config/machine) with its
-        clock not yet past the capture time; the clock is run forward to
-        exactly ``sim_now`` (draining executor start-up events), then each
-        component's ``restore_state`` is applied — fences first, because
-        regions re-link their write fences through the restored table.
-
-        This rebuilds all *declarative* state. In-flight continuations
-        (blocked guest stages, mid-copy DMA processes) are not resurrected;
-        the deterministic-replay driver in ``repro.experiments.recover`` is
-        the restore path that reconstructs those, using this method's
-        component restores only for verification round-trips.
-        """
-        state = self.state
-        if state["emulator"] != emulator.config.name:
-            raise SnapshotError(
-                f"snapshot of emulator {state['emulator']!r} cannot restore "
-                f"into {emulator.config.name!r}"
-            )
-        sim = emulator.sim
-        if sim.now > state["sim_now"]:
-            raise SnapshotError(
-                f"emulator clock {sim.now:.3f}ms already past capture time "
-                f"{state['sim_now']:.3f}ms — restore needs a fresh emulator"
-            )
-        sim.run(until=state["sim_now"])
-        emulator.fence_table.restore_state(state["fences"])
-        emulator.manager.restore_state(state["manager"], fence_table=emulator.fence_table)
-        emulator.twin.restore_state(state["twin"])
-        emulator.transport.restore_state(state["transport"])
-        for name, flow_state in state["flows"].items():
-            if emulator.has_vdev(name):
-                emulator._vdevs[name].flow.restore_state(flow_state)
-        if state["engine"] is not None and emulator.engine is not None:
-            emulator.engine.restore_state(state["engine"])
-        if state["degradation"] is not None and emulator.degradation is not None:
-            emulator.degradation.restore_state(state["degradation"])

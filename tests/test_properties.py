@@ -168,8 +168,8 @@ def test_retry_delay_monotone_capped_and_repeatable(base, multiplier, cap,
 
 
 def test_retry_delay_deterministic_across_process_boundary():
-    """A restart ladder computed in a fresh interpreter is bit-identical —
-    the supervisor's restart schedule survives checkpoint/restore."""
+    """A ``RetryPolicy`` delay schedule computed in a fresh interpreter is
+    identical, repr for repr, to the one computed in this process."""
     import os
     import subprocess
     import sys

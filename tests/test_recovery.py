@@ -7,8 +7,9 @@ Covers the robustness contract end to end:
 * fault plans reject overlapping windows and out-of-order timelines at
   build/validate time;
 * snapshots round-trip losslessly, reject corruption, and — the property
-  that makes them crash-consistent — restoring at any cut point and running
-  on produces a bit-identical trace tail;
+  that makes them crash-consistent — restoring at any cut point by replay
+  and running on produces a bit-identical trace tail, while a replay that
+  reaches another state is refused;
 * the invariant auditor is clean on healthy runs, observation-transparent,
   and actually fires on deliberately broken state;
 * the kernel primitives recovery is built on (``Process.kill``,
@@ -17,6 +18,7 @@ Covers the robustness contract end to end:
 
 import json
 import random
+import re
 
 import pytest
 
@@ -26,6 +28,7 @@ from repro.errors import (
     FenceError,
     InvariantViolation,
     SnapshotCorruptError,
+    SnapshotMismatchError,
 )
 from repro.experiments.chaos import crash_chaos_plan, crash_with_faults_plan
 from repro.experiments.recover import (
@@ -36,7 +39,7 @@ from repro.experiments.recover import (
     trace_tuples,
 )
 from repro.faults import FaultPlan
-from repro.recovery import Snapshot, install_auditor
+from repro.recovery import Snapshot, canonical_json, install_auditor, state_digest
 from repro.sim import Simulator
 from repro.sim.primitives import FifoQueue, Timeout
 
@@ -170,7 +173,6 @@ def test_snapshot_roundtrip_and_corruption_rejection():
     result = snapshot_roundtrip_check(cut_ms=1_500.0)
     assert result == {
         "serialization_lossless": True,
-        "roundtrip_digest_identical": True,
         "corruption_rejected": True,
         "truncation_rejected": True,
     }
@@ -195,6 +197,18 @@ def test_snapshot_from_garbage_rejected():
         Snapshot.from_json("not json at all")
     with pytest.raises(SnapshotCorruptError):
         Snapshot.from_json("{}")
+    # A field of the wrong type is corrupt, even under a checksum that
+    # matches it.
+    for key, value in (("version", "1"), ("version", None), ("version", True),
+                       ("recipe", []), ("state", [1])):
+        body = dict({"recipe": {}, "state": {}, "version": 1}, **{key: value})
+        document = canonical_json(dict(body, checksum=state_digest(body)))
+        with pytest.raises(SnapshotCorruptError, match=key):
+            Snapshot.from_json(document)
+    with pytest.raises(SnapshotCorruptError, match="checksum"):
+        Snapshot.from_json(canonical_json(
+            {"recipe": {}, "state": {}, "version": 1, "checksum": 5}
+        ))
 
 
 # -- checkpoint/restore determinism (satellite 3) -----------------------------
@@ -220,6 +234,21 @@ def test_restore_then_run_bit_matches_uninterrupted(emulator_name, app_name):
         resumed_tail = [t for t in trace_tuples(resumed.trace) if t[0] >= cut_ms]
         reference_tail = [t for t in ref_tuples if t[0] >= cut_ms]
         assert resumed_tail == reference_tail, f"diverged after restore at {cut_ms}"
+
+
+def test_replay_refuses_a_snapshot_it_does_not_reach():
+    """A well-formed snapshot of a state the replay never reaches is
+    refused at T, naming the first diverging key."""
+    snapshot = capture_at("vSoC", "video", 0, 1_200.0)
+    kicks = snapshot.state["transport"]["kicks"]
+    snapshot.state["transport"]["kicks"] += 1
+    # Re-wrapped, the tampered state carries a valid checksum.
+    tampered = Snapshot.from_json(
+        Snapshot(snapshot.state, recipe=snapshot.recipe).to_json()
+    )
+    expected = f"at 'transport.kicks': snapshot={kicks + 1} replay={kicks}"
+    with pytest.raises(SnapshotMismatchError, match=re.escape(expected)):
+        restore_and_continue(tampered, total_ms=2_000.0)
 
 
 def test_recover_runs_its_crash_scenarios_at_the_given_seed(tmp_path):

@@ -3,12 +3,10 @@
 The twin keeps its zero-shot answers (the busiest virtual edge per writer
 and the busiest physical edge) current instead of re-scanning, and reuses a
 flow's bound edge instead of looking it up again. The hypothesis test drives
-random register/write/read/drop, crash-reset and snapshot/restore sequences
-and, after every step, compares each prediction with a reference that
-re-scans the graphs the way the twin once did on every call.
+random register/write/read/drop and crash-reset sequences and, after every
+step, compares each prediction with a reference that re-scans the graphs the
+way the twin once did on every call.
 """
-
-import json
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -59,7 +57,7 @@ def reference_prediction(twin, region_id, writer_vdev):
 # -- the steps -----------------------------------------------------------------
 
 #: Step kinds, weighted so that most sequences complete generations.
-KINDS = ("write",) * 6 + ("read",) * 9 + ("register", "drop", "reset", "restore")
+KINDS = ("write",) * 6 + ("read",) * 9 + ("register", "drop", "reset")
 steps = st.tuples(
     st.sampled_from(KINDS),
     st.sampled_from(REGIONS),
@@ -73,8 +71,6 @@ def apply(twin, step):
     kind, region_id, vdev, loc, slack = step
     if kind == "reset":
         twin.reset_vdev_history(vdev)
-    elif kind == "restore":
-        twin.restore_state(json.loads(json.dumps(twin.snapshot_state())))
     elif kind == "register":
         twin.register_region(region_id)
     elif kind == "drop":
