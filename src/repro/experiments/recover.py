@@ -62,17 +62,16 @@ def trace_tuples(trace: TraceLog) -> List[Tuple[float, str, tuple]]:
     ]
 
 
-def checkpoint_recipe(
-    emulator_name: str, app_name: str, seed: int, cut_ms: float
-) -> Dict[str, Any]:
-    """The replay recipe a snapshot carries: how to rebuild this run."""
-    return {
-        "emulator": emulator_name,
-        "app": app_name,
-        "seed": seed,
-        "cut_ms": cut_ms,
-        "machine": "high-end-desktop",
-    }
+#: The keys of a replay recipe: exactly the arguments of :func:`build_harness`.
+RECIPE_KEYS = ("emulator", "app", "seed")
+
+
+def checkpoint_recipe(emulator_name: str, app_name: str, seed: int) -> Dict[str, Any]:
+    """The replay recipe a snapshot carries: how to rebuild this run.
+
+    The cut point is the snapshot's own ``sim_now``, so it is not repeated.
+    """
+    return {"emulator": emulator_name, "app": app_name, "seed": seed}
 
 
 def capture_at(
@@ -83,17 +82,26 @@ def capture_at(
     rig.sim.run(until=cut_ms)
     return Snapshot.capture(
         rig.emulator,
-        recipe=checkpoint_recipe(emulator_name, app_name, seed, cut_ms),
+        recipe=checkpoint_recipe(emulator_name, app_name, seed),
     )
 
 
 def restore_and_continue(snapshot: Snapshot, total_ms: float) -> RunRig:
     """The replay-based restore: rebuild, replay to T (verified), run to Δ.
 
-    Raises :class:`~repro.errors.SnapshotMismatchError` if the replayed
-    state at ``T`` diverges from the snapshot — determinism was broken.
+    Raises :class:`~repro.errors.SnapshotError` before building anything
+    if the recipe lacks one of :data:`RECIPE_KEYS` or carries another key
+    (replay would silently ignore it), and
+    :class:`~repro.errors.SnapshotMismatchError` if the replayed state at
+    ``T`` diverges from the snapshot — determinism was broken.
     """
     recipe = snapshot.recipe
+    for key in RECIPE_KEYS:
+        if key not in recipe:
+            raise SnapshotError(f"snapshot recipe lacks {key!r}")
+    for key in sorted(recipe):
+        if key not in RECIPE_KEYS:
+            raise SnapshotError(f"snapshot recipe has {key!r}, which replay does not use")
     rig = build_harness(recipe["emulator"], recipe["app"], seed=recipe["seed"])
     rig.sim.run(until=snapshot.state["sim_now"])
     recaptured = Snapshot.capture(rig.emulator, recipe=recipe)

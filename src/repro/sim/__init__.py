@@ -9,14 +9,13 @@ Public surface:
 
 * :class:`~repro.sim.kernel.Simulator` — the event loop and virtual clock.
 * :class:`~repro.sim.kernel.Process` — a generator-based coroutine.
-* :mod:`~repro.sim.primitives` — ``Timeout``, ``SimEvent``, ``AllOf``,
-  ``Semaphore``, ``Mutex``, ``FifoQueue``.
+* :mod:`~repro.sim.primitives` — ``Timeout``, ``SimEvent``, ``Semaphore``,
+  ``Mutex``, ``FifoQueue``.
 * :mod:`~repro.sim.tracing` — structured trace records.
 """
 
 from repro.sim.kernel import Process, ScheduledCall, Simulator
 from repro.sim.primitives import (
-    AllOf,
     FifoQueue,
     Mutex,
     Semaphore,
@@ -34,7 +33,6 @@ __all__ = [
     "Waitable",
     "Timeout",
     "SimEvent",
-    "AllOf",
     "Semaphore",
     "Mutex",
     "FifoQueue",

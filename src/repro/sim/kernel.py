@@ -20,10 +20,16 @@ Only the kernel writes it.
 
 Determinism
 -----------
-Events scheduled for the same timestamp run in scheduling order (a
-monotonically increasing sequence number breaks ties). No wall-clock or
-unseeded randomness is ever consulted, so a run is a pure function of its
-inputs — tests assert trace-for-trace reproducibility.
+Events scheduled for the same timestamp run in scheduling order. A call
+due later waits in a heap of ``(time, seq, fn, args)`` entries, where
+``seq`` increases with every push and breaks ties. A call due at the
+current clock (a zero delay, or a positive one that rounds away) waits
+in a FIFO lane of ``(fn, args)`` entries instead. A heap entry due now
+was pushed while the clock was earlier, so it precedes every lane entry:
+dispatch runs those first, then the lane in order, then advances the
+clock, which is the ``(time, seq)`` order of one heap holding both. No
+wall-clock or unseeded randomness is ever consulted, so a run is a pure
+function of its inputs — tests assert trace-for-trace reproducibility.
 
 Error handling
 --------------
@@ -34,18 +40,21 @@ observe the same exception at their ``yield``.
 Dispatch hooks
 --------------
 :meth:`Simulator.add_hook` registers a :class:`SimHook`-shaped observer.
-Hooks see every event dispatch (``on_event_dispatch``), including the
-wake-ups a process resumes in place, so they see the same dispatch
-sequence as a kernel that round-trips every wake-up through the heap.
-The invariant auditor is the one hook in ``src``. Hooks are pure
-observers: they must not schedule or mutate, and with none registered
-the kernel pays a single attribute check per dispatch.
+Hooks see every event dispatch (``on_event_dispatch``), from the heap,
+from the lane and the wake-ups a process resumes in place, so they see
+the same dispatch sequence as a kernel that round-trips every wake-up
+through one heap. Each dispatch hands the hook a :class:`ScheduledCall`:
+the handle :meth:`Simulator.schedule` returned, or an equivalent one
+built for an internal entry. The invariant auditor is the one hook in
+``src``. Hooks are pure observers: they must not schedule or mutate, and
+with none registered the kernel pays a single truth test per dispatch.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Dict, Generator, Iterable, List, Optional, Tuple
+from collections import deque
+from typing import Any, Callable, Deque, Dict, Generator, Iterable, List, Optional, Tuple
 
 from repro.errors import DeadlockError, SimulationError
 from repro.sim.primitives import SimEvent, Timeout, Waitable
@@ -65,21 +74,22 @@ class SimHook:
     """
 
     def on_event_dispatch(self, time: float, call: "ScheduledCall") -> None:
-        """An event popped off the heap is about to run."""
+        """An event taken off the queue is about to run."""
 
 
 class ScheduledCall:
     """Handle for a callback registered with :meth:`Simulator.schedule`.
 
-    Supports cancellation: a cancelled call stays in the heap but is
-    skipped when popped (lazy deletion), which keeps ``cancel`` O(1). The
-    live-event counter backing :meth:`Simulator.pending_events` is adjusted
-    here, at cancel time, so the skip-on-pop needs no bookkeeping. Dispatch
-    unbinds the call from its simulator, so cancelling a call that already
-    ran (a watchdog disarmed after it fired) leaves the counter alone.
+    The queue entry holds the handle itself as its callee, so
+    :meth:`cancel` finds the entry by identity and removes it, from the
+    heap or from the lane. A cancelled call therefore never moves the
+    clock and never reaches a hook. The heap holds a handful of entries,
+    so the scan costs little, and cancelling a call that already ran finds
+    nothing and changes nothing. Hooks get an equivalent, unbound handle
+    for an internal entry; cancelling that one does nothing either.
     """
 
-    __slots__ = ("time", "fn", "args", "cancelled", "_sim")
+    __slots__ = ("time", "fn", "args", "_sim")
 
     def __init__(
         self,
@@ -91,24 +101,30 @@ class ScheduledCall:
         self.time = time
         self.fn = fn
         self.args = args
-        self.cancelled = False
         self._sim = sim
+
+    def __call__(self) -> None:
+        self.fn(*self.args)
 
     def cancel(self) -> None:
         """Prevent the callback from running. Idempotent."""
-        if not self.cancelled:
-            self.cancelled = True
-            if self._sim is not None:
-                self._sim._live_events -= 1
+        sim = self._sim
+        if sim is None:
+            return
+        heap = sim._heap
+        for index, entry in enumerate(heap):
+            if entry[2] is self:
+                del heap[index]
+                heapq.heapify(heap)
+                return
+        lane = sim._lane
+        for index, entry in enumerate(lane):
+            if entry[0] is self:
+                del lane[index]
+                return
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self.cancelled else "pending"
-        return f"<ScheduledCall t={self.time:.3f} {getattr(self.fn, '__name__', self.fn)} {state}>"
-
-
-#: Allocate a ScheduledCall without the Python-level ``__init__`` frame —
-#: used on the hottest construction site, the resume push in ``Process._step``.
-_new_call = ScheduledCall.__new__
+        return f"<ScheduledCall t={self.time:.3f} {getattr(self.fn, '__name__', self.fn)}>"
 
 
 class Process(Waitable):
@@ -134,7 +150,6 @@ class Process(Waitable):
         "_gen",
         "_send",
         "_throw",
-        "_schedule",
         "name",
         "alive",
         "value",
@@ -145,11 +160,10 @@ class Process(Waitable):
     def __init__(self, sim: "Simulator", gen: ProcessGenerator, name: str = "process"):
         self._sim = sim
         self._gen = gen
-        # Pre-bound handles: _step runs once per process resumption, so the
-        # attribute chains (gen.send, sim.schedule) are hoisted out of it.
+        # Pre-bound generator methods: _step runs once per process
+        # resumption, so the attribute chains are hoisted out of it.
         self._send = gen.send
         self._throw = gen.throw
-        self._schedule = sim.schedule
         self.name = name
         self.alive = True
         self.value: Any = None
@@ -159,7 +173,7 @@ class Process(Waitable):
     # -- Waitable protocol -------------------------------------------------
     def add_callback(self, fn: Callable[[Any, Optional[BaseException]], None]) -> None:
         if not self.alive:
-            self._schedule(0.0, fn, self.value, self.exception)
+            self._sim._lane.append((fn, (self.value, self.exception)))
         else:
             self._callbacks.append(fn)
 
@@ -190,8 +204,9 @@ class Process(Waitable):
             self.value = None
             self.exception = None
             callbacks, self._callbacks = self._callbacks, []
+            lane = self._sim._lane
             for fn in callbacks:
-                self._schedule(0.0, fn, None, None)
+                lane.append((fn, (None, None)))
             self._sim._processes.pop(self, None)
 
     def _step(self, value: Any, exc: Optional[BaseException]) -> None:
@@ -199,7 +214,7 @@ class Process(Waitable):
 
         Inside :meth:`Simulator.run`, a yield whose wake-up would be the very
         next event dispatched resumes the generator here, in place, instead
-        of pushing an entry that the dispatch loop pops straight back (see
+        of queueing an entry that the dispatch loop takes straight back (see
         :meth:`Simulator.run` for why the order of events is unchanged).
         """
         if not self.alive:
@@ -239,7 +254,7 @@ class Process(Waitable):
                 target.add_callback(self._step)
                 return
             elif isinstance(target, Timeout):  # pragma: no cover - Timeout subclass
-                self._schedule(target.delay, self._step, target.value, None)
+                sim.schedule(target.delay, self._step, target.value, None)
                 return
             else:
                 bad = SimulationError(
@@ -249,31 +264,25 @@ class Process(Waitable):
                 return
 
             heap = sim._heap
+            lane = sim._lane
             if (
                 when <= sim._resume_until
+                and not lane
                 and (not heap or when < heap[0][0])
                 and sim._failure is None
             ):
-                # The wake-up would be the next entry the dispatch loop pops:
+                # The wake-up would be the next entry the dispatch loop takes:
                 # dispatch it here. Hooks see the same event as before.
                 sim.now = when
                 if hooks:
-                    call = ScheduledCall(when, self._step, (value, exc))
-                    for hook in hooks:
-                        hook.on_event_dispatch(when, call)
+                    sim._dispatch_to_hooks(when, self._step, (value, exc))
                 continue
-            # Inline Simulator.schedule, allocating the call without its
-            # Python-level ``__init__``: this is the hottest push site, and
-            # nobody holds the handle to cancel it.
-            call = _new_call(ScheduledCall)
-            call.time = when
-            call.fn = self._step
-            call.args = (value, exc)
-            call.cancelled = False
-            call._sim = sim
-            sim._seq = seq = sim._seq + 1
-            _heappush(heap, (when, seq, call))
-            sim._live_events += 1
+            # Route by computed time: a delay that rounds away is due now.
+            if when == sim.now:
+                lane.append((self._step, (value, exc)))
+            else:
+                sim._seq = seq = sim._seq + 1
+                _heappush(heap, (when, seq, self._step, (value, exc)))
             return
 
     def _finish(self, value: Any, exc: Optional[BaseException]) -> None:
@@ -285,8 +294,9 @@ class Process(Waitable):
             # Nobody is joined on this process: the exception would vanish.
             # Surface it from Simulator.run() instead of failing silently.
             self._sim._note_failure(self, exc)
+        lane = self._sim._lane
         for fn in callbacks:
-            self._schedule(0.0, fn, value, exc)
+            lane.append((fn, (value, exc)))
         # Release the finished process so long runs don't accumulate every
         # process ever spawned (the registry only tracks live ones for the
         # deadlock report).
@@ -316,17 +326,18 @@ class Simulator:
     def __init__(self) -> None:
         #: Current simulated time in milliseconds; only the kernel writes it.
         self.now = 0.0
-        # ``(time, seq, call)`` entries; ``seq`` increases with every push,
-        # so events at equal times dispatch in scheduling order.
-        self._heap: List[Tuple[float, int, ScheduledCall]] = []
+        # ``(time, seq, fn, args)`` entries due after the clock that pushed
+        # them; ``seq`` counts heap pushes, so equal times keep push order.
+        self._heap: List[Tuple[float, int, Callable[..., Any], Tuple[Any, ...]]] = []
         self._seq = 0
+        # ``(fn, args)`` entries due at ``now``, in scheduling order.
+        self._lane: Deque[Tuple[Callable[..., Any], Tuple[Any, ...]]] = deque()
         # Insertion-ordered registry of *live* processes (finished ones are
         # pruned by Process._finish). A dict-as-ordered-set keeps removal
         # O(1) while the deadlock report still lists names in spawn order.
         self._processes: Dict[Process, None] = {}
         self._failure: Optional[Tuple[Process, BaseException]] = None
         self._hooks: List[SimHook] = []
-        self._live_events = 0
         # Latest wake-up a process may resume in place at: ``run``'s horizon
         # while it runs, -inf otherwise (``step`` dispatches one event only).
         self._resume_until = -_INF
@@ -343,49 +354,56 @@ class Simulator:
 
     # -- scheduling ------------------------------------------------------------
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> ScheduledCall:
-        """Run ``fn(*args)`` after ``delay`` ms of simulated time."""
+        """Run ``fn(*args)`` after ``delay`` ms of simulated time.
+
+        A call whose time equals the clock, including a positive ``delay``
+        that rounds away, joins the same-time lane; any later one the heap.
+        """
         if not delay >= 0:  # also rejects NaN, which compares false
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        time = self.now + delay
+        now = self.now
+        time = now + delay
         call = ScheduledCall(time, fn, args, self)
-        self._seq = seq = self._seq + 1
-        _heappush(self._heap, (time, seq, call))
-        self._live_events += 1
+        if time == now:
+            self._lane.append((call, ()))
+        else:
+            self._seq = seq = self._seq + 1
+            _heappush(self._heap, (time, seq, call, ()))
         return call
 
     def spawn(self, gen: ProcessGenerator, name: str = "process") -> Process:
         """Start a generator coroutine as a simulation process.
 
-        The first step of the process runs via the event heap at the current
-        time, not synchronously — so ``spawn`` is safe to call from within
-        another process without re-entrancy surprises.
+        The first step of the process runs via the same-time lane, not
+        synchronously — so ``spawn`` is safe to call from within another
+        process without re-entrancy surprises.
         """
         proc = Process(self, gen, name=name)
         self._processes[proc] = None
-        self.schedule(0.0, proc._start)
+        self._lane.append((proc._start, ()))
         return proc
 
     # -- execution ---------------------------------------------------------
     def step(self) -> bool:
         """Execute the single next event. Returns False if the queue is empty."""
         heap = self._heap
-        while heap:
-            time, _seq, call = _heappop(heap)
-            if call.cancelled:
-                continue
+        lane = self._lane
+        if lane and (not heap or heap[0][0] > self.now):
+            fn, args = lane.popleft()
+            time = self.now
+        elif heap:
+            time, _seq, fn, args = _heappop(heap)
             if time < self.now:
                 raise SimulationError("event queue time went backwards")
             self.now = time
-            self._live_events -= 1
-            call._sim = None
-            if self._hooks:
-                for hook in self._hooks:
-                    hook.on_event_dispatch(time, call)
-            call.fn(*call.args)
-            if self._failure is not None:
-                self._raise_pending_failure()
-            return True
-        return False
+        else:
+            return False
+        if self._hooks:
+            self._dispatch_to_hooks(time, fn, args)
+        fn(*args)
+        if self._failure is not None:
+            self._raise_pending_failure()
+        return True
 
     def run(self, until: Optional[float] = None, check_deadlock: bool = False) -> None:
         """Run events until the queue drains or simulated time passes ``until``.
@@ -396,55 +414,70 @@ class Simulator:
         at the last event, so a later ``schedule`` still lands in finite time.
         A NaN ``until`` raises :class:`SimulationError` before any event
         runs: no time compares past it, so the loop would never stop.
-        ``check_deadlock=True`` raises :class:`DeadlockError` if no live
-        event is left while processes are still alive (useful in unit tests).
+        ``check_deadlock=True`` raises :class:`DeadlockError` if no event is
+        left while processes are still alive (useful in unit tests).
 
         The dispatch loop is the single hottest path of the whole library
-        (every simulated event passes through it), so it pops the heap
-        inline, with locals in place of attribute lookups.
+        (every simulated event passes through it), so it pops inline, with
+        locals in place of attribute lookups. A heap entry due at ``now``
+        runs before the lane (it was pushed first), and a lane entry never
+        runs while the clock is past ``until``.
 
         While this loop runs, :meth:`Process._step` resumes a process in
-        place when its wake-up is strictly earlier than the heap head and not
-        past ``until``. That is exact: ``_step`` only runs as a dispatched
-        event and returns straight here after its push, so an entry that is
-        the heap minimum is the next one popped, with nothing in between. A
-        tie goes to the earlier entry, hence "strictly".
+        place when the lane is empty and its wake-up is strictly earlier
+        than the heap head and not past ``until``. That is exact: ``_step``
+        only runs as a dispatched event and returns straight here after
+        queueing, so such an entry is the next one taken, with nothing in
+        between. A tie goes to the earlier entry, hence "strictly".
         """
         if until is not None and until != until:
             raise SimulationError("cannot run until a NaN time")
         outer = self._resume_until
         self._resume_until = limit = _INF if until is None else until
         heap = self._heap
+        lane = self._lane
+        take = lane.popleft
+        hooks = self._hooks
         try:
-            while heap:
-                entry = heap[0]
-                time = entry[0]
-                if time > limit:
+            while True:
+                if lane and (not heap or heap[0][0] > self.now):
+                    time = self.now
+                    if time > limit:
+                        break
+                    fn, args = take()
+                elif heap:
+                    entry = heap[0]
+                    time = entry[0]
+                    if time > limit:
+                        break
+                    _heappop(heap)
+                    if time < self.now:
+                        raise SimulationError("event queue time went backwards")
+                    self.now = time
+                    fn = entry[2]
+                    args = entry[3]
+                else:
                     break
-                _heappop(heap)
-                call = entry[2]
-                if call.cancelled:
-                    continue
-                if time < self.now:
-                    raise SimulationError("event queue time went backwards")
-                self.now = time
-                self._live_events -= 1
-                call._sim = None
-                hooks = self._hooks
                 if hooks:
-                    for hook in hooks:
-                        hook.on_event_dispatch(time, call)
-                call.fn(*call.args)
+                    self._dispatch_to_hooks(time, fn, args)
+                fn(*args)
                 if self._failure is not None:
                     self._raise_pending_failure()
         finally:
             self._resume_until = outer
         if self.now < limit < _INF:
             self.now = limit
-        if check_deadlock and not self._live_events:
+        if check_deadlock and not heap and not lane:
             stuck = [p.name for p in self._processes if p.alive]
             if stuck:
                 raise DeadlockError(f"no events left but processes blocked: {stuck}")
+
+    def _dispatch_to_hooks(self, time: float, fn: Callable[..., Any], args: Tuple[Any, ...]) -> None:
+        # A public entry's callee is its handle; an internal one gets an
+        # equivalent handle, built for the hooks alone.
+        call = fn if type(fn) is ScheduledCall else ScheduledCall(time, fn, args)
+        for hook in self._hooks:
+            hook.on_event_dispatch(time, call)
 
     # -- failure propagation -------------------------------------------------
     def _note_failure(self, proc: Process, exc: BaseException) -> None:
@@ -464,11 +497,9 @@ class Simulator:
         return [p for p in self._processes if p.alive]
 
     def pending_events(self) -> int:
-        """Number of not-yet-cancelled events in the heap. O(1).
+        """Number of events queued in the heap and the lane. O(1).
 
-        Maintained as a live counter: incremented by :meth:`schedule`,
-        decremented on dispatch and on :meth:`ScheduledCall.cancel` —
-        re-walking the queue made this O(events) and showed up in sweeps
-        that poll it.
+        A cancelled call leaves the queue at once, so nothing it holds is
+        stale.
         """
-        return self._live_events
+        return len(self._heap) + len(self._lane)

@@ -7,7 +7,6 @@ mirrors a construct the real vSoC implementation relies on:
 * :class:`Timeout` — modelled latency (a bus transfer, a decode, a VM exit).
 * :class:`SimEvent` — one-shot completion notification (an emulated
   interrupt, a fence signal).
-* :class:`AllOf` — join on several completions (multi-read hyperedges).
 * :class:`Semaphore` / :class:`Mutex` — host-side locks guarding shared
   device state.
 * :class:`FifoQueue` — command queues between guest drivers and host device
@@ -21,7 +20,7 @@ it allocates nothing. A grant that waits gets its own event, woken FIFO.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, List, Optional, Sequence
+from typing import Any, Callable, Deque, List, Optional
 
 from repro.errors import SimulationError
 
@@ -33,8 +32,9 @@ class Waitable:
 
     Implementations call the registered callback exactly once with
     ``(value, exception)``. If the waitable has already fired, the callback
-    must still be delivered asynchronously (via the event heap) so that
-    resume order stays deterministic.
+    must still be delivered asynchronously (queued at the current time, as
+    ``sim.schedule(0.0, ...)`` does) so that resume order stays
+    deterministic.
     """
 
     __slots__ = ()
@@ -67,7 +67,8 @@ class SimEvent(Waitable):
 
     Late waiters (subscribing after :meth:`fire`) are woken immediately
     (next event-loop turn) with the stored value — the semantics of checking
-    an already-signalled fence.
+    an already-signalled fence. Every wake-up joins the simulator's
+    same-time lane directly, without a :class:`~repro.sim.kernel.ScheduledCall`.
     """
 
     __slots__ = ("_sim", "name", "fired", "value", "_exception", "_callbacks")
@@ -87,8 +88,9 @@ class SimEvent(Waitable):
         self.fired = True
         self.value = value
         callbacks, self._callbacks = self._callbacks, []
+        lane = self._sim._lane
         for fn in callbacks:
-            self._sim.schedule(0.0, fn, value, None)
+            lane.append((fn, (value, None)))
 
     def fail(self, exc: BaseException) -> None:
         """Fire the event with an exception; waiters see it at their yield."""
@@ -97,61 +99,19 @@ class SimEvent(Waitable):
         self.fired = True
         self._exception = exc
         callbacks, self._callbacks = self._callbacks, []
+        lane = self._sim._lane
         for fn in callbacks:
-            self._sim.schedule(0.0, fn, None, exc)
+            lane.append((fn, (None, exc)))
 
     def add_callback(self, fn: Callback) -> None:
         if self.fired:
-            self._sim.schedule(0.0, fn, self.value, self._exception)
+            self._sim._lane.append((fn, (self.value, self._exception)))
         else:
             self._callbacks.append(fn)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "fired" if self.fired else "pending"
         return f"<SimEvent {self.name!r} {state}>"
-
-
-class AllOf(Waitable):
-    """Fires when every child waitable has fired; value is the list of values.
-
-    The first child exception (if any) is propagated once all children have
-    completed, so no completion is lost.
-    """
-
-    __slots__ = ("_sim", "_pending", "_values", "_exception", "_callbacks", "_done")
-
-    def __init__(self, sim: Any, children: Sequence[Waitable]):
-        self._sim = sim
-        self._pending = len(children)
-        self._values: List[Any] = [None] * len(children)
-        self._exception: Optional[BaseException] = None
-        self._callbacks: List[Callback] = []
-        if not children:
-            self._done = True
-        else:
-            self._done = False
-            for index, child in enumerate(children):
-                child.add_callback(self._make_child_callback(index))
-
-    def _make_child_callback(self, index: int) -> Callback:
-        def on_child(value: Any, exc: Optional[BaseException]) -> None:
-            self._values[index] = value
-            if exc is not None and self._exception is None:
-                self._exception = exc
-            self._pending -= 1
-            if self._pending == 0:
-                self._done = True
-                callbacks, self._callbacks = self._callbacks, []
-                for fn in callbacks:
-                    self._sim.schedule(0.0, fn, self._values, self._exception)
-
-        return on_child
-
-    def add_callback(self, fn: Callback) -> None:
-        if self._done:
-            self._sim.schedule(0.0, fn, self._values, self._exception)
-        else:
-            self._callbacks.append(fn)
 
 
 class Semaphore:
@@ -186,13 +146,6 @@ class Semaphore:
         event = SimEvent(self._sim, name=self._acquire_name)
         self._waiters.append(event)
         return event
-
-    def try_acquire(self) -> bool:
-        """Take a permit without waiting; returns False if none are free."""
-        if self._permits > 0:
-            self._permits -= 1
-            return True
-        return False
 
     def release(self) -> None:
         """Return a permit, waking the longest-waiting acquirer if any."""

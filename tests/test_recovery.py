@@ -28,6 +28,7 @@ from repro.errors import (
     FenceError,
     InvariantViolation,
     SnapshotCorruptError,
+    SnapshotError,
     SnapshotMismatchError,
 )
 from repro.experiments.chaos import crash_chaos_plan, crash_with_faults_plan
@@ -249,6 +250,27 @@ def test_replay_refuses_a_snapshot_it_does_not_reach():
     expected = f"at 'transport.kicks': snapshot={kicks + 1} replay={kicks}"
     with pytest.raises(SnapshotMismatchError, match=re.escape(expected)):
         restore_and_continue(tampered, total_ms=2_000.0)
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda recipe: recipe.update(machine="middle-end-laptop"), "'machine'"),
+    (lambda recipe: recipe.pop("seed"), "'seed'"),
+], ids=["extra-machine", "missing-seed"])
+def test_replay_refuses_a_recipe_it_would_not_follow(monkeypatch, edit, named):
+    """A checksummed snapshot whose recipe names a key replay ignores, or
+    lacks one replay needs, is refused before any rig is built."""
+    snapshot = capture_at("vSoC", "video", 0, 600.0)
+    recipe = dict(snapshot.recipe)
+    edit(recipe)
+    # Re-wrapped, the edited recipe carries a valid checksum.
+    edited = Snapshot.from_json(Snapshot(snapshot.state, recipe=recipe).to_json())
+
+    def no_rig(*args, **kwargs):
+        raise AssertionError("a rig was built for a refused recipe")
+
+    monkeypatch.setattr("repro.experiments.recover.build_harness", no_rig)
+    with pytest.raises(SnapshotError, match=re.escape(named)):
+        restore_and_continue(edited, total_ms=1_000.0)
 
 
 def test_recover_runs_its_crash_scenarios_at_the_given_seed(tmp_path):

@@ -2,46 +2,7 @@
 
 import pytest
 
-from repro.sim import AllOf, FifoQueue, SimEvent, Simulator, Timeout
-
-
-def test_allof_propagates_child_exception():
-    sim = Simulator()
-    good = SimEvent(sim)
-    bad = SimEvent(sim)
-    outcome = {}
-
-    def waiter():
-        try:
-            yield AllOf(sim, [good, bad])
-        except RuntimeError as err:
-            outcome["error"] = str(err)
-
-    sim.spawn(waiter())
-    sim.schedule(1.0, good.fire, "ok")
-    sim.schedule(2.0, bad.fail, RuntimeError("child died"))
-    sim.run()
-    assert outcome["error"] == "child died"
-
-
-def test_allof_waits_for_all_even_after_failure():
-    """The failure is only delivered once every child completed."""
-    sim = Simulator()
-    slow = SimEvent(sim)
-    bad = SimEvent(sim)
-    times = {}
-
-    def waiter():
-        try:
-            yield AllOf(sim, [slow, bad])
-        except RuntimeError:
-            times["delivered"] = sim.now
-
-    sim.spawn(waiter())
-    sim.schedule(1.0, bad.fail, RuntimeError("early failure"))
-    sim.schedule(9.0, slow.fire)
-    sim.run()
-    assert times["delivered"] == pytest.approx(9.0)
+from repro.sim import FifoQueue, SimEvent, Simulator, Timeout
 
 
 def test_process_join_chain():

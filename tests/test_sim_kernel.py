@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event kernel (repro.sim.kernel)."""
 
+import random
+
 import pytest
 
 from repro.errors import DeadlockError, SimulationError
@@ -406,3 +408,91 @@ def test_expired_watchdog_leaves_pending_count_alone():
     assert sim.pending_events() == 1
     sim.run()
     assert sim.pending_events() == 0
+
+
+def test_cancelled_timers_leave_the_queue_in_order():
+    """Cancel a seeded half of 60 timers, ties and zero delays among them,
+    some up front and some from a callback at their own time."""
+    rng = random.Random(29)
+    sim = Simulator()
+    count = 60
+    delays = [rng.choice((0.0, 0.0, 1.0, 1.0, 1.0, 2.5, 4.0)) for _ in range(count)]
+    victims = set(rng.sample(range(count), count // 2))
+    survivors = [i for i in range(count) if i not in victims]
+    # A victim tied with an earlier survivor is cancelled from that
+    # survivor's callback, at the victim's own time; the rest up front.
+    cancels_from = {}
+    upfront = []
+    for victim in sorted(victims):
+        tied = [s for s in survivors if s < victim and delays[s] == delays[victim]]
+        if tied and rng.random() < 0.7:
+            cancels_from.setdefault(rng.choice(tied), []).append(victim)
+        else:
+            upfront.append(victim)
+    in_callback = [victim for group in cancels_from.values() for victim in group]
+    # Callbacks cancel from the lane (zero delays) and from the heap alike.
+    assert upfront and {delays[victim] == 0.0 for victim in in_callback} == {True, False}
+    ran = []
+
+    def ring(index):
+        ran.append((sim.now, index))
+        pending = sim.pending_events()
+        handles[index].cancel()  # already dispatched: changes nothing
+        assert sim.pending_events() == pending
+        for victim in cancels_from.get(index, ()):
+            handles[victim].cancel()
+        assert sim.pending_events() == pending - len(cancels_from.get(index, ()))
+
+    handles = [sim.schedule(delay, ring, i) for i, delay in enumerate(delays)]
+    assert sim.pending_events() == count
+    for victim in upfront:
+        handles[victim].cancel()
+        handles[victim].cancel()  # idempotent
+    assert sim.pending_events() == count - len(upfront)
+    for until in (0.0, 1.0, 2.5, 4.0):
+        sim.run(until=until)
+        later = [i for i in range(count) if delays[i] > until and i not in upfront]
+        assert sim.pending_events() == len(later)
+    assert ran == sorted((delays[i], i) for i in survivors)
+
+    # Cancelling every handle again, after the run, leaves a new timer alone.
+    late = sim.schedule(0.0, ring, count)
+    handles.append(late)
+    for handle in handles[:count]:
+        handle.cancel()
+    assert sim.pending_events() == 1
+    sim.run()
+    assert ran[-1] == (4.0, count) and sim.pending_events() == 0
+
+
+def test_a_delay_that_rounds_away_runs_in_scheduling_order():
+    # At 0.0, 1e-18 is a real later time. At 1.0 it rounds away, so the
+    # call is due now: it runs after the heap entries due now, which were
+    # scheduled first, and between the zero delays scheduled around it.
+    sim = Simulator()
+    seen = []
+
+    def first():
+        seen.append(("first", sim.now))
+        sim.schedule(0.0, seen.append, ("zero", sim.now))
+        sim.schedule(1e-18, seen.append, ("tiny", sim.now))
+        sim.schedule(0.0, seen.append, ("zero again", sim.now))
+
+    sim.schedule(1e-18, lambda: seen.append(("at-0", sim.now)))
+    sim.schedule(1.0, first)
+    sim.schedule(1.0, seen.append, ("second", 1.0))
+    sim.run()
+    assert seen == [("at-0", 1e-18), ("first", 1.0), ("second", 1.0),
+                    ("zero", 1.0), ("tiny", 1.0), ("zero again", 1.0)]
+    assert sim.now == 1.0
+
+
+def test_run_until_a_past_time_runs_nothing_due_now():
+    sim = Simulator()
+    seen = []
+    sim.schedule(2.0, sim.schedule, 0.0, seen.append, "due at 2.0")
+    assert sim.step() and sim.now == 2.0
+    sim.run(until=1.0)
+    assert seen == [] and sim.now == 2.0 and sim.pending_events() == 1
+    sim.run(until=2.0)
+    assert seen == ["due at 2.0"]

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import AllOf, FifoQueue, Mutex, Semaphore, SimEvent, Simulator, Timeout
+from repro.sim import FifoQueue, Mutex, Semaphore, SimEvent, Simulator, Timeout
 
 
 # --- SimEvent --------------------------------------------------------------
@@ -80,53 +80,6 @@ def test_event_fail_propagates_exception():
     assert results == ["device error"]
 
 
-# --- AllOf -----------------------------------------------------------------
-
-def test_allof_waits_for_all_children():
-    sim = Simulator()
-    e1, e2 = SimEvent(sim), SimEvent(sim)
-    results = []
-
-    def waiter():
-        values = yield AllOf(sim, [e1, e2])
-        results.append((sim.now, values))
-
-    sim.spawn(waiter())
-    sim.schedule(2.0, e1.fire, "one")
-    sim.schedule(5.0, e2.fire, "two")
-    sim.run()
-    assert results == [(5.0, ["one", "two"])]
-
-
-def test_allof_empty_fires_immediately():
-    sim = Simulator()
-    results = []
-
-    def waiter():
-        values = yield AllOf(sim, [])
-        results.append(values)
-
-    sim.spawn(waiter())
-    sim.run()
-    assert results == [[]]
-
-
-def test_allof_preserves_child_order_not_completion_order():
-    sim = Simulator()
-    e1, e2 = SimEvent(sim), SimEvent(sim)
-    results = []
-
-    def waiter():
-        values = yield AllOf(sim, [e1, e2])
-        results.append(values)
-
-    sim.spawn(waiter())
-    sim.schedule(5.0, e1.fire, "first-child")
-    sim.schedule(1.0, e2.fire, "second-child")
-    sim.run()
-    assert results == [["first-child", "second-child"]]
-
-
 # --- Semaphore / Mutex -------------------------------------------------------
 
 def test_semaphore_allows_up_to_capacity():
@@ -163,15 +116,6 @@ def test_semaphore_fifo_wakeup():
         sim.spawn(worker(label))
     sim.run()
     assert order == ["w1", "w2", "w3"]
-
-
-def test_try_acquire():
-    sim = Simulator()
-    sem = Semaphore(sim, permits=1)
-    assert sem.try_acquire() is True
-    assert sem.try_acquire() is False
-    sem.release()
-    assert sem.available == 1
 
 
 def test_release_without_waiters_increments_permits():

@@ -1,18 +1,21 @@
-"""In-place process resume against the frozen reference kernel.
+"""The live kernel's queues and in-place resume against the frozen kernel.
 
-Inside ``Simulator.run`` the live kernel resumes a process without a heap
-round trip when its wake-up would be the very next event dispatched. The
-frozen kernel in ``tests/_baseline_kernel.py`` always round-trips.
-Seeded random process mixes run through both must give identical resume
-logs, clocks and pending-event counts, and an attached dispatch hook must
-see an identical sequence of dispatches. The mixes also schedule and
-cancel plain timers; the reference counts pending events by scanning its
-heap, so the comparison checks the live kernel's counter too.
+The live kernel keeps calls due at the current clock in a FIFO lane
+beside its heap, and inside ``Simulator.run`` it resumes a process
+without queueing anything when its wake-up would be the very next event
+dispatched. The frozen kernel in ``tests/_baseline_kernel.py`` round-trips
+every call through one heap. Seeded random process mixes run through
+both must give identical resume logs, clocks and pending-event counts,
+and an attached dispatch hook must see an identical sequence of
+dispatches. The mixes also schedule and cancel plain timers; the
+reference counts pending events by scanning its heap, so the comparison
+checks that a cancelled call leaves the live kernel's queues.
 """
 
 from __future__ import annotations
 
 import random
+from collections import deque
 
 import pytest
 
@@ -33,11 +36,16 @@ HORIZON = 100.0
 FAR = 1_000.0
 #: How many actions later a timer is cancelled; None = never.
 CANCEL_AFTER = (0, 1, 2, None)
+#: The grid plus a delay that is a real later time at ``now == 0.0`` but
+#: rounds away at ``now == 1.0``: there the live kernel queues it in the
+#: lane, behind heap entries due now, and the frozen kernel in its heap.
+VANISHING_DELAYS = DELAYS + (1e-18,) * 4
 
 SEEDS = range(300)
+VANISHING_SEEDS = range(100)
 
 
-def random_mix(seed):
+def random_mix(seed, delays=DELAYS):
     """``(events, scripts, plan)``: shared events, one action list per
     process, and the run/step calls that drive them."""
     rng = random.Random(seed)
@@ -49,9 +57,9 @@ def random_mix(seed):
             kind = rng.choice(("timeout", "timeout", "timeout", "wait", "fire",
                                "join", "spawn", "timer"))
             if kind in ("timeout", "spawn"):
-                actions.append((kind, rng.choice(DELAYS)))
+                actions.append((kind, rng.choice(delays)))
             elif kind == "timer":
-                actions.append((kind, (rng.choice(DELAYS + (FAR,)),
+                actions.append((kind, (rng.choice(delays + (FAR,)),
                                        rng.choice(CANCEL_AFTER))))
             elif kind in ("wait", "fire"):
                 actions.append((kind, rng.randrange(events)))
@@ -173,28 +181,75 @@ def test_random_mix_matches_reference_kernel(seed):
     assert live == reference
 
 
+class _CountingLane(deque):
+    """A lane that counts its appends."""
+
+    appends = 0
+
+    def append(self, entry):
+        self.appends += 1
+        super().append(entry)
+
+
+class _CountingSimulator(Simulator):
+    def __init__(self):
+        super().__init__()
+        self._lane = _CountingLane()
+
+
 def test_random_mixes_resume_in_place():
     # The oracle above is only meaningful if the live kernel really skips
-    # heap round trips: it pushes fewer entries than the reference does.
-    live_pushes = reference_pushes = 0
+    # round trips: it queues fewer entries, in its heap and its lane
+    # together, than the reference pushes onto its heap.
+    live_queued = reference_pushes = 0
     for seed in SEEDS:
         mix = random_mix(seed)
-        live_pushes += drive(LIVE, mix)[1]._seq
+        sim = drive((_CountingSimulator, Timeout, SimEvent), mix)[1]
+        live_queued += sim._seq + sim._lane.appends
         reference_pushes += drive(REFERENCE, mix)[1]._seq
-    assert live_pushes < reference_pushes
+    assert live_queued < reference_pushes
 
 
-@pytest.mark.parametrize("seed", range(0, 300, 7))
-def test_profiler_table_matches_reference_kernel(seed):
-    # In-place resumes dispatch to hooks too, so a hook sees the very
-    # dispatch sequence of a kernel that round-trips every wake-up.
-    mix = random_mix(seed)
+def assert_same_dispatches(mix):
     live_profiler, reference_profiler = _DispatchProfiler(), _DispatchProfiler()
     live, _ = drive(LIVE, mix, hook=live_profiler)
     reference, _ = drive(REFERENCE, mix, hook=reference_profiler)
     assert live == reference
     assert live_profiler.table == reference_profiler.table
     assert live_profiler.table
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_profiler_table_matches_reference_kernel(seed):
+    # Lane entries and in-place resumes dispatch to hooks too, so a hook
+    # sees the very dispatch sequence of a kernel that round-trips every
+    # wake-up through one heap.
+    assert_same_dispatches(random_mix(seed))
+
+
+@pytest.mark.parametrize("seed", VANISHING_SEEDS)
+def test_vanishing_delays_match_reference_kernel(seed):
+    mix = random_mix(seed, VANISHING_DELAYS)
+    live, _ = drive(LIVE, mix)
+    reference, _ = drive(REFERENCE, mix)
+    assert live == reference
+    assert_same_dispatches(mix)
+
+
+def test_vanishing_delays_reach_both_queues():
+    # The mixes above are only meaningful if some 1e-18 timer is a real
+    # later time and some other one rounds away.
+    rounded_away = set()
+
+    class Recording(Simulator):
+        def schedule(self, delay, fn, *args):
+            if delay == 1e-18:
+                rounded_away.add(self.now + delay == self.now)
+            return super().schedule(delay, fn, *args)
+
+    for seed in VANISHING_SEEDS:
+        drive((Recording, Timeout, SimEvent), random_mix(seed, VANISHING_DELAYS))
+    assert rounded_away == {True, False}
 
 
 def test_step_never_resumes_in_place():
