@@ -20,7 +20,7 @@ copy: nothing for co-located data (the in-GPU zero-copy special case of
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Any, Dict, Generator, Iterable, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.core.degradation import (
     LEVEL_GUEST_ROUNDTRIP,
@@ -234,19 +234,26 @@ class CopyPlanner:
 class CoherenceProtocol:
     """Hook interface the SVM manager and host executors drive.
 
-    Hooks are generators so implementations can block (bus transfers,
-    waiting for fences); a hook that never blocks may instead do its work
-    when called and return ``()``, which the caller's ``yield from``
-    finishes at once. The manager guarantees the calling context:
+    A hook may block (bus transfers, waiting for fences), so the caller
+    runs what it returns with ``yield from``, in the same expression that
+    calls it. A hook with nothing to block on therefore does its work when
+    called and returns ``()``, which that ``yield from`` finishes at once:
+    exactly a generator whose first step ends without yielding, minus the
+    generator. The manager guarantees the calling context:
 
     * :meth:`begin_access_read` — guest driver context, inside
       ``begin_access``; its elapsed time **is** the access latency the
-      paper measures.
+      paper measures. Always a generator: its return value is that
+      latency, which ``()`` cannot carry.
     * :meth:`executor_after_write` — host executor, right after a write
-      op retires (before its signal fence fires).
+      op retires (before its signal fence fires). ``()`` when it only
+      launches or records (vSoC's prefetch launch, write-invalidate's
+      nothing, broadcast's pushes, the guest-memory CPU write), else the
+      generator of the baseline's flush.
     * :meth:`executor_before_read` — host executor, after the wait fence
       and before the read op; the correctness net for data that guest-side
-      logic did not wait for.
+      logic did not wait for. ``()`` when the reader's copy is current,
+      else the generator that joins the in-flight copy or copies.
     """
 
     name = "abstract"
@@ -259,15 +266,13 @@ class CoherenceProtocol:
 
     def executor_after_write(
         self, region: SvmRegion, writer_vdev: str, writer_loc: str
-    ) -> Generator[Any, Any, None]:
+    ) -> Iterable[Any]:
         raise NotImplementedError  # pragma: no cover - interface
-        yield  # pragma: no cover
 
     def executor_before_read(
         self, region: SvmRegion, reader_vdev: str, reader_loc: str
-    ) -> Generator[Any, Any, None]:
+    ) -> Iterable[Any]:
         raise NotImplementedError  # pragma: no cover - interface
-        yield  # pragma: no cover
 
     def _direct_copy(self, region, reader_loc, path):
         """Process: copy the newest bytes straight to ``reader_loc`` on a
@@ -415,12 +420,17 @@ class UnifiedPrefetchProtocol(CoherenceProtocol):
 
     def executor_before_read(self, region, reader_vdev, reader_loc):
         """Safety net: ensure residency before the device touches the data."""
+        if region.is_valid_at(reader_loc):
+            return ()
+        return self._executor_miss(region, reader_loc)
+
+    def _executor_miss(self, region, reader_loc):
+        """Process: join the in-flight prefetch, else maintain synchronously."""
+        prefetch = region.pending_prefetch
+        if prefetch is not None and reader_loc in region.prefetch_targets:
+            yield prefetch
         if not region.is_valid_at(reader_loc):
-            prefetch = region.pending_prefetch
-            if prefetch is not None and reader_loc in region.prefetch_targets:
-                yield prefetch
-            if not region.is_valid_at(reader_loc):
-                yield from self._maintain(region, reader_loc, "executor-miss")
+            yield from self._maintain(region, reader_loc, "executor-miss")
 
 
 class UnifiedWriteInvalidate(CoherenceProtocol):
@@ -459,8 +469,9 @@ class UnifiedWriteInvalidate(CoherenceProtocol):
         return ()  # lazy: nothing to do until a read
 
     def executor_before_read(self, region, reader_vdev, reader_loc):
-        if not region.is_valid_at(reader_loc):
-            yield from self._direct_copy(region, reader_loc, "write-invalidate-net")
+        if region.is_valid_at(reader_loc):
+            return ()
+        return self._direct_copy(region, reader_loc, "write-invalidate-net")
 
 
 class UnifiedBroadcast(CoherenceProtocol):
@@ -516,7 +527,7 @@ class UnifiedBroadcast(CoherenceProtocol):
         """Push the dirty data everywhere, asynchronously."""
         targets = self._targets(writer_loc)
         if not targets:
-            return
+            return ()
         copies = []
         for target in targets:
             copies.append(self._sim.spawn(
@@ -530,8 +541,7 @@ class UnifiedBroadcast(CoherenceProtocol):
             region.pending_prefetch = self._sim.spawn(
                 self._join(copies), name=f"broadcast:r{region.region_id}:join"
             )
-        return
-        yield  # pragma: no cover - generator form required by the interface
+        return ()
 
     def _push(self, region, src, dst):
         start = self._sim.now
@@ -564,12 +574,17 @@ class UnifiedBroadcast(CoherenceProtocol):
             yield copy
 
     def executor_before_read(self, region, reader_vdev, reader_loc):
-        if not region.is_valid_at(reader_loc):
-            prefetch = region.pending_prefetch
-            if prefetch is not None and reader_loc in region.prefetch_targets:
-                yield prefetch
-            if not region.is_valid_at(reader_loc):  # miss, or the push failed
-                yield from self._direct_copy(region, reader_loc, "broadcast-net")
+        if region.is_valid_at(reader_loc):
+            return ()
+        return self._executor_miss(region, reader_loc)
+
+    def _executor_miss(self, region, reader_loc):
+        """Process: join the in-flight push, else copy directly."""
+        prefetch = region.pending_prefetch
+        if prefetch is not None and reader_loc in region.prefetch_targets:
+            yield prefetch
+        if not region.is_valid_at(reader_loc):  # miss, or the push failed
+            yield from self._direct_copy(region, reader_loc, "broadcast-net")
 
 
 class GuestMemoryWriteInvalidate(CoherenceProtocol):
@@ -621,7 +636,11 @@ class GuestMemoryWriteInvalidate(CoherenceProtocol):
             # SVM *is* guest memory in this architecture, so no flush.
             region.note_copy(GUEST_LOCATION)
             region.last_flush_duration = 0.0
-            return
+            return ()
+        return self._flush_to_guest(region)
+
+    def _flush_to_guest(self, region):
+        """Process: copy the writer's bytes across the boundary."""
         start = self._sim.now
         flow = region.flow
         duration = yield from self._planner.copy_via_boundary(region.dirty_bytes)
@@ -635,7 +654,11 @@ class GuestMemoryWriteInvalidate(CoherenceProtocol):
         """Fetch: guest memory → reader's copy (second boundary crossing)."""
         valid = self._valid_vdevs.setdefault(region.region_id, set())
         if reader_vdev in valid or reader_vdev == "cpu":
-            return  # guest CPU reads its own memory mapping for free
+            return ()  # guest CPU reads its own memory mapping for free
+        return self._fetch_from_guest(region, reader_vdev, reader_loc, valid)
+
+    def _fetch_from_guest(self, region, reader_vdev, reader_loc, valid):
+        """Process: copy guest memory's bytes to the reader."""
         start = self._sim.now
         flow = region.flow
         duration = yield from self._planner.copy_via_boundary(region.dirty_bytes)

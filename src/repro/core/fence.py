@@ -139,6 +139,8 @@ class VirtualFenceTable:
             raise FenceError("fence table capacity must be positive")
         self._sim = sim
         self.capacity = capacity
+        # Fewer free indices than this and allocation recycles first.
+        self._low_water = max(1, int(capacity * RECYCLE_LOW_WATER))
         self._slots: Dict[int, VirtualFence] = {}
         self._free: List[int] = list(range(capacity - 1, -1, -1))  # pop() -> 0,1,2...
         self.allocated_total = 0
@@ -147,7 +149,7 @@ class VirtualFenceTable:
 
     def allocate(self) -> VirtualFence:
         """Allocate a fence slot, recycling signalled entries when low."""
-        if len(self._free) < max(1, int(self.capacity * RECYCLE_LOW_WATER)):
+        if len(self._free) < self._low_water:
             self._recycle_signaled()
         if not self._free:
             raise FenceTableFullError(

@@ -18,7 +18,7 @@ Metric definitions (shared with §5.2):
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, Optional
+from typing import Any, Dict, Generator, Iterable, Optional
 
 from repro.core.coherence import CoherenceProtocol
 from repro.core.degradation import LEVEL_PREFETCHED, DegradationController
@@ -117,6 +117,8 @@ class SvmManager:
         self._trace.record(self._sim.now, "svm.free", region=region_id)
 
     def get(self, region_id: int) -> SvmRegion:
+        """The region with this handle. The access and executor paths read
+        ``_regions`` directly and call this only to raise on a miss."""
         try:
             return self._regions[region_id]
         except KeyError:
@@ -140,7 +142,7 @@ class SvmManager:
         Lazy backing allocation happens here — the first access reveals
         which location actually needs memory (§3.2).
         """
-        region = self.get(region_id)
+        region = self._regions.get(region_id) or self.get(region_id)
         window = nbytes if nbytes is not None else region.size
         region.open_access(vdev, usage, window)
         start = self._sim.now
@@ -211,7 +213,7 @@ class SvmManager:
 
     def end_access(self, vdev: str, region_id: int) -> None:
         """Close an access bracket opened by ``begin_access``."""
-        self.get(region_id).close_access(vdev)
+        (self._regions.get(region_id) or self.get(region_id)).close_access(vdev)
         self.accesses_closed += 1
 
     def _slack_for(self, region: SvmRegion) -> Optional[float]:
@@ -238,16 +240,17 @@ class SvmManager:
     # -- host-executor hooks ------------------------------------------------------
     def host_write_retired(
         self, region_id: int, vdev: str, location: str, nbytes: int
-    ) -> Generator[Any, Any, None]:
+    ) -> Iterable[Any]:
         """Process (executor context): a write op finished on the host.
 
         Performs the invalidation, timestamps the write for slack
         measurement and feeds the twin hypergraphs at once, then calls the
         protocol's after-write hook and returns what it returns for the
         caller to ``yield from``: the baseline flush as a generator, or
-        ``()`` once vSoC's prefetch engine has launched its copies.
+        ``()`` when the hook had nothing to block on (see
+        :class:`~repro.core.coherence.CoherenceProtocol`).
         """
-        region = self.get(region_id)
+        region = self._regions.get(region_id) or self.get(region_id)
         region.note_write(vdev, location, nbytes)
         region.write_in_flight = False
         region.write_complete_time = self._sim.now
@@ -259,9 +262,10 @@ class SvmManager:
 
     def host_before_read(
         self, region_id: int, vdev: str, location: str
-    ) -> Generator[Any, Any, None]:
-        """Process (executor context): coherence net before a device read."""
-        region = self.get(region_id)
+    ) -> Iterable[Any]:
+        """Process (executor context): coherence net before a device read;
+        returns the protocol's hook for the caller to ``yield from``."""
+        region = self._regions.get(region_id) or self.get(region_id)
         if location not in region.backing:
             self._ensure_backing(region, location)
         return self.protocol.executor_before_read(region, vdev, location)

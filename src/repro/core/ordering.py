@@ -11,7 +11,7 @@ head-of-queue blocking the paper describes.
 from __future__ import annotations
 
 import enum
-from typing import Sequence
+from typing import Dict, Sequence
 
 from repro.core.fence import VirtualFence
 from repro.core.region import SvmRegion
@@ -29,6 +29,11 @@ class Command:
     """Base class for host command-queue entries."""
 
     __slots__ = ()
+
+
+#: op -> the name of its commands' done events, formatted once per op. The
+#: name depends on the op alone, so every emulator may share the memo.
+_DONE_NAMES: Dict[str, str] = {}
 
 
 class ExecCommand(Command):
@@ -64,7 +69,10 @@ class ExecCommand(Command):
         self.writes = tuple(writes)
         self.scale = scale
         self.dirty_bytes = dirty_bytes  # 0: the whole region is dirty
-        self.done = SimEvent(sim, name=f"cmd:{op}")
+        name = _DONE_NAMES.get(op)
+        if name is None:
+            name = _DONE_NAMES[op] = f"cmd:{op}"
+        self.done = SimEvent(sim, name)
         self.dispatched_at = dispatched_at
         self.flow = flow  # causal-trace flow id (0 = none)
 

@@ -163,16 +163,20 @@ class PrefetchEngine:
             return
 
         pedge = predicted.pedge
-        copies = [
-            self._sim.spawn(
+        if len(targets) == 1:
+            (target,) = targets
+            region.pending_prefetch = self._sim.spawn(
                 self._prefetch_copy(region, writer_loc, target, pedge),
                 name=f"prefetch:r{region.region_id}->{target}",
             )
-            for target in (sorted(targets) if len(targets) > 1 else targets)
-        ]
-        if len(copies) == 1:
-            region.pending_prefetch = copies[0]
         else:
+            copies = [
+                self._sim.spawn(
+                    self._prefetch_copy(region, writer_loc, target, pedge),
+                    name=f"prefetch:r{region.region_id}->{target}",
+                )
+                for target in sorted(targets)
+            ]
             region.pending_prefetch = self._sim.spawn(
                 self._join_all(copies), name=f"prefetch:r{region.region_id}:join"
             )

@@ -141,6 +141,8 @@ class TwinHypergraphs:
         self._flows.pop(region_id, None)
 
     def _flow(self, region_id: int) -> _FlowState:
+        """The region's entry; the hooks read ``_flows`` directly and call
+        this only to raise on a miss."""
         try:
             return self._flows[region_id]
         except KeyError:
@@ -155,7 +157,7 @@ class TwinHypergraphs:
         self, region_id: int, writer_vdev: str, writer_loc: str, nbytes: int
     ) -> None:
         """A new write generation begins: finalize the previous one."""
-        flow = self._flow(region_id)
+        flow = self._flows.get(region_id) or self._flow(region_id)
         self._finalize_generation(flow)
         flow.gen_writer_vdev = writer_vdev
         flow.gen_writer_loc = writer_loc
@@ -170,7 +172,7 @@ class TwinHypergraphs:
         slack: Optional[float],
     ) -> None:
         """A read joined the current generation; record slack if first."""
-        flow = self._flow(region_id)
+        flow = self._flows.get(region_id) or self._flow(region_id)
         first_reader = not flow.gen_readers
         flow.gen_readers.add(reader_vdev)
         flow.gen_reader_locs.add(reader_loc)
@@ -289,7 +291,7 @@ class TwinHypergraphs:
         the paper argues against: it re-pays cold starts on every pipeline
         switch).
         """
-        flow = self._flow(region_id)
+        flow = self._flows.get(region_id) or self._flow(region_id)
         vedge = flow.vedge
         pedge = flow.pedge
         if vedge is None or writer_vdev not in vedge.sources:

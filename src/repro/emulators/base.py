@@ -119,14 +119,22 @@ class EmulatorConfig:
     extra: Dict[str, float] = field(default_factory=dict)
 
 
-@dataclass
 class StageResult:
     """What a guest-side stage returns to the app."""
 
-    access_latency: float  # total begin_access blocking (ms)
-    dispatch_latency: float  # driver-side time, incl. compensation (ms)
-    done: SimEvent  # fires at host retirement of the stage's op
-    compensation: float = 0.0
+    __slots__ = ("access_latency", "dispatch_latency", "done", "compensation")
+
+    def __init__(
+        self,
+        access_latency: float,  # total begin_access blocking (ms)
+        dispatch_latency: float,  # driver-side time, incl. compensation (ms)
+        done: SimEvent,  # fires at host retirement of the stage's op
+        compensation: float = 0.0,
+    ):
+        self.access_latency = access_latency
+        self.dispatch_latency = dispatch_latency
+        self.done = done
+        self.compensation = compensation
 
 
 class _VirtualDevice:
@@ -221,6 +229,11 @@ class Emulator:
             sim, kick_cost=config.dispatch_cost_ms, tracer=tracer
         )
         self.fence_table = VirtualFenceTable(sim)
+        # Fixed per emulator. Under fences without atomic SVM stages a GPU
+        # hand-over rides the asynchronous command stream (§3.4) and never
+        # stalls, so executors then never price one.
+        self._fenced = config.ordering is OrderingMode.FENCES
+        self._switch_can_stall = not self._fenced or config.atomic_svm_stages
         self._vdevs: Dict[str, _VirtualDevice] = {}
         self._vdev_location_overrides: Dict[str, str] = {}
         self._vdev_locations: Dict[str, str] = {}
@@ -430,13 +443,17 @@ class Emulator:
         advances; it is stamped onto the touched regions so downstream
         coherence/prefetch spans join the frame's flow.
         """
-        device = self._vdev(vdev)
-        location = self.vdev_location(vdev)
+        device = self._vdevs.get(vdev) or self._vdev(vdev)
+        location = self._vdev_locations.get(vdev) or self.vdev_location(vdev)
+        sim = self.sim
+        manager = self.manager
 
-        read_regions = [self.manager.get(r) for r in reads]
-        write_regions = [self.manager.get(r) for r in writes]
+        read_regions = [manager.get(r) for r in reads]
+        write_regions = [manager.get(r) for r in writes]
         if flow != NO_FLOW:
-            for region in (*read_regions, *write_regions):
+            for region in read_regions:
+                region.flow = flow
+            for region in write_regions:
                 region.flow = flow
         tracer = self.tracer
         if tracer.enabled:
@@ -448,23 +465,23 @@ class Emulator:
         access_latency = 0.0
         for region in read_regions:
             usage = AccessUsage.READ_WRITE if region in write_regions else AccessUsage.READ
-            access_latency += yield from self.manager.begin_access(
+            access_latency += yield from manager.begin_access(
                 vdev, region.region_id, usage, location,
                 nbytes=dirty_bytes if usage.writes else None,
             )
         for region in write_regions:
             if region in read_regions:
                 continue  # already opened RW above
-            access_latency += yield from self.manager.begin_access(
+            access_latency += yield from manager.begin_access(
                 vdev, region.region_id, AccessUsage.WRITE, location, nbytes=dirty_bytes
             )
 
         if vdev == "codec":
-            self._last_codec_stage = self.sim.now
+            self._last_codec_stage = sim.now
         if (
             self._stall_gate is not None
             and not self._stall_gate.fired
-            and self.sim.now - self._last_codec_stage < 1_000.0
+            and sim.now - self._last_codec_stage < 1_000.0
         ):
             # Decoder-overload freeze (§5.3: "videos often freeze for
             # seconds on Bluestacks and LDPlayer"; lower resolutions play
@@ -473,66 +490,60 @@ class Emulator:
             yield self._stall_gate
 
         yield device.flow.dispatch()
-        dispatch_start = self.sim.now
+        dispatch_start = sim.now
 
+        fenced = self._fenced
         commands: List[Command] = []
-        if self.config.ordering is OrderingMode.FENCES:
+        if fenced:
             for region in read_regions:
                 if region.write_fence is not None and not region.write_fence.signaled:
-                    commands.append(WaitFenceCommand(region.write_fence, flow=flow))
+                    commands.append(WaitFenceCommand(region.write_fence, flow))
         cmd = ExecCommand(
-            self.sim,
-            op,
-            op_bytes,
-            reads=read_regions,
-            writes=write_regions,
-            scale=self._op_scale(op),
-            dirty_bytes=dirty_bytes or 0,
-            dispatched_at=self.sim.now,
-            flow=flow,
+            sim, op, op_bytes, read_regions, write_regions, self._op_scale(op),
+            dirty_bytes or 0, dispatch_start, flow,
         )
         commands.append(cmd)
         device.outstanding[cmd] = None
-        if self.config.ordering is OrderingMode.FENCES and write_regions:
+        if fenced and write_regions:
             fence = self.fence_table.allocate()
             fence.owner = vdev
             for region in write_regions:
                 region.write_fence = fence
                 region.pending_writer_location = location
-            commands.append(SignalFenceCommand(fence, flow=flow))
+            commands.append(SignalFenceCommand(fence, flow))
 
-        yield from self.transport.kick_reliable(len(commands), flow=flow)
+        yield from self.transport.kick_reliable(len(commands), flow)
         for command in commands:
             yield device.queue.put(command)
 
-        atomic = self.config.ordering is OrderingMode.ATOMIC or (
-            self.config.atomic_svm_stages and (read_regions or write_regions)
-        )
         compensation = 0.0
-        if atomic:
+        if not fenced or (
+            self.config.atomic_svm_stages and (read_regions or write_regions)
+        ):
             yield cmd.done
             if op == "render" and self.config.atomic_render_penalty_ms > 0:
                 yield Timeout(self.config.atomic_render_penalty_ms)
         elif write_regions and self.engine is not None:  # noqa: SIM114
             # Adaptive synchronism (§3.3): block only when predicted slack
             # cannot hide the predicted prefetch.
-            compensation = max(
-                (
-                    self.engine.predicted_compensation(region, vdev, location)
-                    for region in write_regions
-                ),
-                default=0.0,
-            )
+            engine = self.engine
+            for region in write_regions:
+                predicted = engine.predicted_compensation(region, vdev, location)
+                if predicted > compensation:
+                    compensation = predicted
             for region in write_regions:
                 region.applied_compensation = compensation
             if compensation > 0:
                 yield cmd.done
                 yield Timeout(compensation)
-                self._compensation(self.sim.now, vdev, compensation)
+                self._compensation(sim.now, vdev, compensation)
 
-        for region in (*read_regions, *write_regions):
+        for region in read_regions:
             if region.is_open_by(vdev):
-                self.manager.end_access(vdev, region.region_id)
+                manager.end_access(vdev, region.region_id)
+        for region in write_regions:
+            if region.is_open_by(vdev):
+                manager.end_access(vdev, region.region_id)
 
         if tracer.enabled:
             tracer.end(
@@ -540,12 +551,7 @@ class Emulator:
                 access_latency=access_latency,
                 compensation=compensation,
             )
-        return StageResult(
-            access_latency=access_latency,
-            dispatch_latency=self.sim.now - dispatch_start,
-            done=cmd.done,
-            compensation=compensation,
-        )
+        return StageResult(access_latency, sim.now - dispatch_start, cmd.done, compensation)
 
     def compute(self, vdev: str, op: str, op_bytes: int = 0) -> Generator[Any, Any, StageResult]:
         """Process: a pure device op with no SVM regions (e.g. 3D game render)."""
@@ -568,14 +574,20 @@ class Emulator:
     # -- host executor ----------------------------------------------------------
     def _executor(self, vdev: _VirtualDevice):
         """Host-side thread of one virtual device: drain its command queue."""
+        sim = self.sim
         manager = self.manager
         tracer = self.tracer
         observed = tracer.enabled
-        location = self.vdev_location(vdev.name)
-        exec_track = f"{vdev.name}/exec"
+        # Fixed per virtual device, so read once rather than per command.
+        name = vdev.name
+        location = self.vdev_location(name)
+        exec_track = f"{name}/exec"
         op_retired = self._op_retired
+        get = vdev.queue.get
+        run_op = vdev.physical.run_op
+        switches = self._switch_can_stall and vdev.physical.kind is DeviceKind.GPU
         while True:
-            command = yield vdev.queue.get()
+            command = yield get()
             kind = type(command)
             if kind is ExecCommand and command.done.fired:
                 # Aborted by crash recovery while still travelling through
@@ -597,49 +609,43 @@ class Emulator:
                         "fence.signal", exec_track, cat="fence", flow=command.flow
                     )
             elif kind is ExecCommand:
-                start = self.sim.now
+                start = sim.now
                 for region in command.reads:
-                    yield from manager.host_before_read(
-                        region.region_id, vdev.name, location
-                    )
-                stall = self._context_switch(vdev)
-                if stall > 0:
-                    yield Timeout(stall)
-                yield from vdev.physical.run_op(
-                    command.op, command.nbytes, scale=command.scale
-                )
+                    yield from manager.host_before_read(region.region_id, name, location)
+                if switches:
+                    stall = self._context_switch(vdev)
+                    if stall > 0:
+                        yield Timeout(stall)
+                yield from run_op(command.op, command.nbytes, command.scale)
                 for region in command.writes:
                     yield from manager.host_write_retired(
-                        region.region_id, vdev.name, location, command.dirty_window(region)
+                        region.region_id, name, location, command.dirty_window(region)
                     )
-                command.done.fire(self.sim.now)
+                now = sim.now
+                command.done.fire(now)
                 vdev.flow.complete()
                 vdev.outstanding.pop(command, None)
                 op_retired(
-                    self.sim.now, vdev.name, command.op,
-                    self.sim.now - command.dispatched_at,
+                    now, name, command.op, now - command.dispatched_at,
                     start, command.flow, command.nbytes,
                 )
             else:  # pragma: no cover - defensive
                 raise ConfigurationError(f"unknown command {command!r}")
 
     def _context_switch(self, vdev: _VirtualDevice) -> float:
-        """GPU context-switch stall (§3.4) in ms — free under fences.
+        """GPU context-switch stall (§3.4) in ms.
 
         The physical GPU serves several virtual devices (codec engine,
         render, compose); each hand-over re-binds its context. With the
-        fence mechanism the switch rides the asynchronous command stream;
-        under atomic ordering the driver stalls for it.
+        fence mechanism the switch rides the asynchronous command stream,
+        so only a GPU executor of an emulator whose switches can stall
+        calls this; under atomic ordering the driver stalls for it.
         """
         physical = vdev.physical
-        if physical.kind is not DeviceKind.GPU:
-            return 0.0
         previous = self._gpu_context.get(physical.name)
         self._gpu_context[physical.name] = vdev.name
         if previous is None or previous == vdev.name:
             return 0.0
-        if self.config.ordering is OrderingMode.FENCES and not self.config.atomic_svm_stages:
-            return 0.0  # deferred: the switch overlaps queued work
         return self.config.gpu_context_switch_ms
 
     def _op_scale(self, op: str) -> float:

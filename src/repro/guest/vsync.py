@@ -31,20 +31,20 @@ class VSyncSource:
         self.period = period
         self.ticks = 0
         self._next_event = SimEvent(sim, name="vsync")
-        sim.schedule(offset + period, self._tick)
+        # The time the pending tick fires at, which its event delivers.
+        self._next_tick = sim.schedule(offset + period, self._tick).time
 
     def _tick(self) -> None:
         self.ticks += 1
         event, self._next_event = self._next_event, SimEvent(self._sim, name="vsync")
         event.fire(self._sim.now)
-        self._sim.schedule(self.period, self._tick)
+        self._next_tick = self._sim.schedule(self.period, self._tick).time
 
     def wait_next(self) -> Waitable:
         """Waitable firing at the next tick, with the tick time as value."""
         return self._next_event
 
     def next_tick_time(self) -> float:
-        """When the next tick will fire (for deadline math)."""
-        elapsed = self._sim.now
-        periods = int(elapsed / self.period) + 1
-        return periods * self.period
+        """When the next tick will fire (for deadline math): the time the
+        waitable of :meth:`wait_next` delivers."""
+        return self._next_tick

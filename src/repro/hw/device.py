@@ -119,7 +119,11 @@ class PhysicalDevice:
         charged in full-speed-equivalent ms so a throttled device keeps
         itself hot while loaded.
         """
-        duration = self.op_time(op, nbytes, scale)
+        cost = self.op_costs.get(op)
+        if cost is None or self.thermal is not None:
+            duration = self.op_time(op, nbytes, scale)  # raises on an unknown op
+        else:
+            duration = cost.time(nbytes) * scale
         grant = self._exec_lock.acquire()
         try:
             yield grant

@@ -253,9 +253,6 @@ class Process(Waitable):
             elif isinstance(target, Waitable):
                 target.add_callback(self._step)
                 return
-            elif isinstance(target, Timeout):  # pragma: no cover - Timeout subclass
-                sim.schedule(target.delay, self._step, target.value, None)
-                return
             else:
                 bad = SimulationError(
                     f"process {self.name!r} yielded {target!r}; expected a Waitable or Timeout"

@@ -48,9 +48,16 @@ class Timeout:
 
     ``value`` is returned from the ``yield`` expression on resume, which is
     occasionally handy for pipelining (`result = yield Timeout(cost, result)`).
+
+    The kernel recognises a timeout by its exact type, so ``Timeout`` cannot
+    be subclassed: a subclass fails where it is defined, not at its first
+    yield.
     """
 
     __slots__ = ("delay", "value")
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        raise TypeError("Timeout cannot be subclassed: the kernel matches its exact type")
 
     def __init__(self, delay: float, value: Any = None):
         if not delay >= 0:  # also rejects NaN, which compares false
@@ -87,10 +94,12 @@ class SimEvent(Waitable):
             raise SimulationError(f"event {self.name!r} fired twice")
         self.fired = True
         self.value = value
-        callbacks, self._callbacks = self._callbacks, []
-        lane = self._sim._lane
-        for fn in callbacks:
-            lane.append((fn, (value, None)))
+        callbacks = self._callbacks
+        if callbacks:  # an event nobody waits on keeps its empty list
+            self._callbacks = []
+            lane = self._sim._lane
+            for fn in callbacks:
+                lane.append((fn, (value, None)))
 
     def fail(self, exc: BaseException) -> None:
         """Fire the event with an exception; waiters see it at their yield."""
@@ -98,10 +107,12 @@ class SimEvent(Waitable):
             raise SimulationError(f"event {self.name!r} fired twice")
         self.fired = True
         self._exception = exc
-        callbacks, self._callbacks = self._callbacks, []
-        lane = self._sim._lane
-        for fn in callbacks:
-            lane.append((fn, (None, exc)))
+        callbacks = self._callbacks
+        if callbacks:
+            self._callbacks = []
+            lane = self._sim._lane
+            for fn in callbacks:
+                lane.append((fn, (None, exc)))
 
     def add_callback(self, fn: Callback) -> None:
         if self.fired:
@@ -226,11 +237,14 @@ class FifoQueue:
 
     def get(self) -> Waitable:
         """Dequeue one item; the returned waitable fires with the item."""
-        event = SimEvent(self._sim, name=self._get_name)
-        if self._items:
-            item = self._items.popleft()
-            self._admit_parked_putter()
-            event.fire(item)
+        event = SimEvent(self._sim, self._get_name)
+        items = self._items
+        if items:
+            # A fresh event has no waiter to wake: firing it is two stores.
+            event.value = items.popleft()
+            event.fired = True
+            if self._putters:
+                self._admit_parked_putter()
         else:
             self._getters.append(event)
         return event

@@ -40,6 +40,17 @@ def test_fences_defer_gpu_context_switches():
     assert per_round_gap > 0.5
 
 
+def test_only_emulators_whose_switches_can_stall_track_gpu_contexts():
+    """A fenced vSoC never prices a switch, so its executors leave the GPU
+    context untracked; atomic vSoC and the no-prefetch ablation (fences,
+    but atomic SVM stages) still track and stall for every hand-over."""
+    _, fenced = timeline(make_vsoc)
+    assert fenced._gpu_context == {}
+    for kwargs in ({"fences": False}, {"prefetch": False}):
+        _, stalling = timeline(make_vsoc, **kwargs)
+        assert stalling._gpu_context == {"gpu": "display"}
+
+
 def test_same_vdev_ops_pay_no_switch():
     sim = Simulator()
     machine = build_machine(sim)

@@ -1,10 +1,13 @@
 """Unit tests for coherence protocols and the copy planner (repro.core.coherence)."""
 
+import inspect
+
 import pytest
 
 from repro.core.coherence import (
     CopyPlanner,
     GuestMemoryWriteInvalidate,
+    UnifiedBroadcast,
     UnifiedPrefetchProtocol,
     UnifiedWriteInvalidate,
 )
@@ -215,6 +218,78 @@ def test_guest_memory_cpu_read_is_free(setup):
     p = sim.spawn(cycle())
     sim.run()
     assert p.value == 0.0
+
+
+# --- executor hooks: () when there is nothing to do ----------------------------
+
+def _run(sim, hook):
+    """Drive a hook's generator to its end in a process."""
+    def proc():
+        yield from hook
+
+    sim.spawn(proc())
+    sim.run()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        # The before-read net never reads the prefetch engine.
+        lambda sim, planner, trace: UnifiedPrefetchProtocol(sim, planner, None, trace),
+        UnifiedWriteInvalidate,
+        UnifiedBroadcast,
+    ],
+    ids=["prefetch", "write-invalidate", "broadcast"],
+)
+def test_unified_before_read_is_empty_exactly_when_the_reader_is_current(setup, make):
+    sim, _m, planner, trace = setup
+    protocol = make(sim, planner, trace)
+    region = SvmRegion(1, UHD_FRAME_BYTES)
+    region.note_write("codec", HOST_LOCATION, UHD_FRAME_BYTES)
+    assert protocol.executor_before_read(region, "cpu", HOST_LOCATION) == ()
+    net = protocol.executor_before_read(region, "gpu", "gpu")
+    assert inspect.isgenerator(net)
+    _run(sim, net)
+    assert region.is_valid_at("gpu")
+    assert len(trace.of_kind("coherence.maintenance")) == 1
+    assert sim.now > 0.0  # the copy took bus time
+    assert protocol.executor_before_read(region, "gpu", "gpu") == ()
+
+
+def test_broadcast_after_write_returns_empty_and_pushes(setup):
+    sim, _m, planner, trace = setup
+    protocol = UnifiedBroadcast(sim, planner, trace)
+    region = SvmRegion(1, UHD_FRAME_BYTES)
+    region.note_write("gpu", "gpu", UHD_FRAME_BYTES)
+    assert protocol.executor_after_write(region, "gpu", "gpu") == ()
+    assert region.pending_prefetch is not None and sim.now == 0.0
+    sim.run()
+    assert region.is_valid_at(HOST_LOCATION)
+    assert protocol.broadcast_copies == 1
+
+
+def test_guest_memory_hooks_are_empty_exactly_when_nothing_crosses(setup):
+    sim, _m, planner, trace = setup
+    protocol = GuestMemoryWriteInvalidate(sim, planner, trace)
+    region = SvmRegion(1, UHD_FRAME_BYTES)
+    region.note_write("cpu", HOST_LOCATION, UHD_FRAME_BYTES)
+    # A CPU write lands in guest memory: no flush.
+    assert protocol.executor_after_write(region, "cpu", HOST_LOCATION) == ()
+    assert region.is_valid_at(GUEST_LOCATION)
+    assert protocol.executor_before_read(region, "cpu", HOST_LOCATION) == ()
+    fetch = protocol.executor_before_read(region, "gpu", "gpu")
+    assert inspect.isgenerator(fetch)
+    _run(sim, fetch)
+    assert len(trace.of_kind("coherence.maintenance")) == 1
+    assert protocol.executor_before_read(region, "gpu", "gpu") == ()
+    # A device write flushes across the boundary.
+    region.note_write("codec", HOST_LOCATION, UHD_FRAME_BYTES)
+    flush = protocol.executor_after_write(region, "codec", HOST_LOCATION)
+    assert inspect.isgenerator(flush)
+    at_flush = sim.now
+    _run(sim, flush)
+    assert len(trace.of_kind("coherence.flush")) == 1
+    assert sim.now > at_flush
 
 
 # --- copy retries, pinned at the protocols' call sites -------------------------

@@ -65,6 +65,40 @@ def test_next_tick_time():
     assert p.value == pytest.approx(20.0)
 
 
+def test_next_tick_time_honours_the_offset():
+    sim = Simulator()
+    vsync = VSyncSource(sim, period=10.0, offset=3.0)
+    assert vsync.next_tick_time() == 13.0
+
+    def watcher():
+        return (yield vsync.wait_next())
+
+    p = sim.spawn(watcher())
+    sim.run(until=15.0)
+    assert p.value == 13.0
+
+
+def test_next_tick_time_is_the_tick_wait_next_delivers():
+    """Each 60 Hz tick is the last one plus a period, which drifts a few
+    ULPs off ``k * period``; the answer must be the delivered time exactly."""
+    sim = Simulator()
+    vsync = VSyncSource(sim)
+    ticks = 3_000
+    mismatches = []
+
+    def watcher():
+        for _ in range(ticks):
+            expected = vsync.next_tick_time()
+            delivered = yield vsync.wait_next()
+            if delivered != expected:
+                mismatches.append((expected, delivered))
+
+    p = sim.spawn(watcher())
+    sim.run(until=(ticks + 1) * VSYNC_PERIOD_MS)
+    assert not p.alive
+    assert mismatches == []
+
+
 def test_invalid_period_rejected():
     sim = Simulator()
     with pytest.raises(ConfigurationError):

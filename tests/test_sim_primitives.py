@@ -55,6 +55,18 @@ def test_late_waiter_on_fired_event():
     assert results == ["done"]
 
 
+def test_late_waiter_on_an_event_fired_with_no_waiters_resumes_through_the_lane():
+    sim = Simulator()
+    event = SimEvent(sim)
+    event.fire("done")  # nobody waits: nothing is queued
+    assert sim.pending_events() == 0
+    results = []
+    event.add_callback(lambda value, exc: results.append(value))
+    assert sim.pending_events() == 1 and results == []  # queued, not run inline
+    sim.run()
+    assert results == ["done"]
+
+
 def test_event_double_fire_rejected():
     sim = Simulator()
     event = SimEvent(sim)
@@ -248,6 +260,20 @@ def test_bounded_queue_blocks_producer():
     assert put_b[1] >= 5.0  # blocked until the consumer drained one item
 
 
+def test_get_from_a_nonempty_queue_is_fired_with_the_head_and_admits_a_parked_putter():
+    sim = Simulator()
+    q = FifoQueue(sim, capacity=1)
+    assert q.put("a").fired
+    parked = q.put("b")
+    assert not parked.fired
+    got = q.get()
+    assert got.fired and got.value == "a"
+    assert parked.fired and len(q) == 1  # the putter's item took the freed slot
+    again = q.get()
+    assert again.fired and again.value == "b"
+    assert len(q) == 0
+
+
 def test_try_put_respects_capacity():
     sim = Simulator()
     q = FifoQueue(sim, capacity=2)
@@ -289,3 +315,11 @@ def test_nan_timeout_rejected():
     # and the process would resume at now == nan.
     with pytest.raises(SimulationError):
         Timeout(float("nan"))
+
+
+def test_timeout_refuses_subclasses():
+    # The kernel matches a timeout by its exact type, so a subclass fails
+    # where it is defined instead of failing the process that yields it.
+    with pytest.raises(TypeError):
+        class LateTimeout(Timeout):
+            pass
