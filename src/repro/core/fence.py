@@ -55,7 +55,7 @@ class VirtualFence:
     def __init__(self, sim: Simulator, index: int):
         self.index = index
         self.state = FenceState.PENDING
-        self._event = SimEvent(sim, name=f"fence[{index}]")
+        self._event = SimEvent(sim, name="fence")
         self.waiters = 0
         #: Virtual device whose command stream will signal this fence —
         #: stamped at allocation time by the emulator so crash recovery can

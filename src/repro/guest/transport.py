@@ -12,7 +12,7 @@ place, and counts kicks/commands for the experiments.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, Optional, Tuple
 
 from repro.errors import ConfigurationError, TransportDropError
 from repro.obs.span import NO_FLOW, NULL_TRACER, Tracer
@@ -54,6 +54,9 @@ class VirtioTransport:
         self.kicks_delayed = 0
         self.delay_total_ms = 0.0
         self.fault_hook: Optional[TransportFaultHook] = None
+        # Every kick of one batch size costs the same unless a fault hook
+        # stretches it: one Timeout per batch size serves them all.
+        self._waits: Dict[int, Timeout] = {}
 
     def dispatch_cost(self, batch_size: int) -> float:
         """Driver-side delay for one kick carrying ``batch_size`` commands."""
@@ -91,7 +94,10 @@ class VirtioTransport:
             if tracer.enabled:
                 span = tracer.begin("transport.kick", "transport", cat="transport",
                                     flow=flow, batch=batch_size)
-            cost = self.dispatch_cost(batch_size)
+            wait = self._waits.get(batch_size)
+            if wait is None:
+                wait = self._waits[batch_size] = Timeout(self.dispatch_cost(batch_size))
+            cost = wait.delay
             self.kick_attempts += 1
             verdict = self.fault_hook(self, batch_size) if self.fault_hook is not None else None
             if verdict is not None and verdict[0] == "delay":
@@ -99,8 +105,10 @@ class VirtioTransport:
                 self.kicks_delayed += 1
                 self.delay_total_ms += extra
                 cost += extra
-            if cost > 0:
-                yield Timeout(cost)
+                if cost > 0:
+                    yield Timeout(cost)
+            elif cost > 0:
+                yield wait
             if verdict is None or verdict[0] != "drop":
                 break
             self.kicks_dropped += 1

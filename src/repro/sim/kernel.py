@@ -14,6 +14,11 @@ milliseconds (see :mod:`repro.units`). Two execution styles coexist:
   the result of the ``yield`` expression. This is how device executors,
   guest drivers and app pipelines are written.
 
+A process waits by queueing itself: its wake-up entry, or the callback a
+waitable keeps, is the :class:`Process`. :meth:`Simulator.run` is the one
+place that resumes a generator; every other callee is a plain callback,
+called as ``fn(value, exc)``.
+
 The clock, :attr:`Simulator.now`, is a plain attribute: every modelled
 latency, trace record and metric reads it, so it costs no call to read.
 Only the kernel writes it.
@@ -21,15 +26,16 @@ Only the kernel writes it.
 Determinism
 -----------
 Events scheduled for the same timestamp run in scheduling order. A call
-due later waits in a heap of ``(time, seq, fn, args)`` entries, where
-``seq`` increases with every push and breaks ties. A call due at the
-current clock (a zero delay, or a positive one that rounds away) waits
-in a FIFO lane of ``(fn, args)`` entries instead. A heap entry due now
-was pushed while the clock was earlier, so it precedes every lane entry:
-dispatch runs those first, then the lane in order, then advances the
-clock, which is the ``(time, seq)`` order of one heap holding both. No
-wall-clock or unseeded randomness is ever consulted, so a run is a pure
-function of its inputs — tests assert trace-for-trace reproducibility.
+due later waits in a heap of ``(time, seq, callee, value, exc)`` entries,
+where ``seq`` increases with every push and breaks ties. A call due at
+the current clock (a zero delay, or a positive one that rounds away)
+waits in a FIFO lane of ``(callee, value, exc)`` entries instead. A heap
+entry due now was pushed while the clock was earlier, so it precedes
+every lane entry: dispatch runs those first, then the lane in order,
+then advances the clock, which is the ``(time, seq)`` order of one heap
+holding both. No wall-clock or unseeded randomness is ever consulted, so
+a run is a pure function of its inputs — tests assert trace-for-trace
+reproducibility.
 
 Error handling
 --------------
@@ -45,9 +51,12 @@ from the lane and the wake-ups a process resumes in place, so they see
 the same dispatch sequence as a kernel that round-trips every wake-up
 through one heap. Each dispatch hands the hook a :class:`ScheduledCall`:
 the handle :meth:`Simulator.schedule` returned, or an equivalent one
-built for an internal entry. The invariant auditor is the one hook in
-``src``. Hooks are pure observers: they must not schedule or mutate, and
-with none registered the kernel pays a single truth test per dispatch.
+built for an internal entry, whose ``fn`` is the process or callback and
+whose ``args`` are ``(value, exc)``. A killed process's stale entry
+reaches the hooks too, and is then dropped. The invariant auditor is the
+one hook in ``src``. Hooks are pure observers: they must not schedule or
+mutate, and with none registered the kernel pays a single truth test per
+dispatch.
 """
 
 from __future__ import annotations
@@ -57,7 +66,7 @@ from collections import deque
 from typing import Any, Callable, Deque, Dict, Generator, Iterable, List, Optional, Tuple
 
 from repro.errors import DeadlockError, SimulationError
-from repro.sim.primitives import SimEvent, Timeout, Waitable
+from repro.sim.primitives import Callback, SimEvent, Timeout, Waitable
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
@@ -103,7 +112,8 @@ class ScheduledCall:
         self.args = args
         self._sim = sim
 
-    def __call__(self) -> None:
+    def __call__(self, value: Any, exc: Optional[BaseException]) -> None:
+        # Dispatched like any plain callback; a timer's entry carries no value.
         self.fn(*self.args)
 
     def cancel(self) -> None:
@@ -160,27 +170,24 @@ class Process(Waitable):
     def __init__(self, sim: "Simulator", gen: ProcessGenerator, name: str = "process"):
         self._sim = sim
         self._gen = gen
-        # Pre-bound generator methods: _step runs once per process
-        # resumption, so the attribute chains are hoisted out of it.
+        # Pre-bound generator methods: the dispatch loop resumes the
+        # process through them, so the attribute chains are hoisted.
         self._send = gen.send
         self._throw = gen.throw
         self.name = name
         self.alive = True
         self.value: Any = None
         self.exception: Optional[BaseException] = None
-        self._callbacks: List[Callable[[Any, Optional[BaseException]], None]] = []
+        self._callbacks: List[Callback] = []
 
     # -- Waitable protocol -------------------------------------------------
-    def add_callback(self, fn: Callable[[Any, Optional[BaseException]], None]) -> None:
+    def add_callback(self, fn: Callback) -> None:
         if not self.alive:
-            self._sim._lane.append((fn, (self.value, self.exception)))
+            self._sim._lane.append((fn, self.value, self.exception))
         else:
             self._callbacks.append(fn)
 
     # -- internal ----------------------------------------------------------
-    def _start(self) -> None:
-        self._step(None, None)
-
     def kill(self) -> None:
         """Terminate the process immediately (device-crash recovery).
 
@@ -191,9 +198,9 @@ class Process(Waitable):
         exception — a killed process is an administrative act, not a
         failure, so it never routes through ``_note_failure``.
 
-        Waitable callbacks the process already registered (a parked queue
-        get, a pending timeout) may still fire afterwards; the ``alive``
-        guard at the top of :meth:`_step` makes them no-ops. Idempotent.
+        Wake-ups the process already queued (a parked queue get, a pending
+        timeout) may still be dispatched afterwards; :meth:`Simulator.run`
+        hands them to the hooks and then drops them. Idempotent.
         """
         if not self.alive:
             return
@@ -206,81 +213,8 @@ class Process(Waitable):
             callbacks, self._callbacks = self._callbacks, []
             lane = self._sim._lane
             for fn in callbacks:
-                lane.append((fn, (None, None)))
+                lane.append((fn, None, None))
             self._sim._processes.pop(self, None)
-
-    def _step(self, value: Any, exc: Optional[BaseException]) -> None:
-        """Advance the generator by one yield, wiring up the next waitable.
-
-        Inside :meth:`Simulator.run`, a yield whose wake-up would be the very
-        next event dispatched resumes the generator here, in place, instead
-        of queueing an entry that the dispatch loop takes straight back (see
-        :meth:`Simulator.run` for why the order of events is unchanged).
-        """
-        if not self.alive:
-            # A stale waitable callback for a killed process: drop it.
-            return
-        sim = self._sim
-        hooks = sim._hooks
-        while True:
-            try:
-                if exc is not None:
-                    target = self._throw(exc)
-                else:
-                    target = self._send(value)
-            except StopIteration as stop:
-                self._finish(stop.value, None)
-                return
-            except BaseException as err:  # noqa: BLE001 - captured and re-raised by run()
-                self._finish(None, err)
-                return
-
-            # Timeout (every modelled latency) and SimEvent (queues, locks,
-            # fences) are by far the most common yields, so their exact-type
-            # checks run before the generic isinstance.
-            kind = type(target)
-            if kind is Timeout:
-                when = sim.now + target.delay
-                value = target.value
-                exc = None
-            elif kind is SimEvent:
-                if not target.fired:
-                    target._callbacks.append(self._step)
-                    return
-                when = sim.now
-                value = target.value
-                exc = target._exception
-            elif isinstance(target, Waitable):
-                target.add_callback(self._step)
-                return
-            else:
-                bad = SimulationError(
-                    f"process {self.name!r} yielded {target!r}; expected a Waitable or Timeout"
-                )
-                self._finish(None, bad)
-                return
-
-            heap = sim._heap
-            lane = sim._lane
-            if (
-                when <= sim._resume_until
-                and not lane
-                and (not heap or when < heap[0][0])
-                and sim._failure is None
-            ):
-                # The wake-up would be the next entry the dispatch loop takes:
-                # dispatch it here. Hooks see the same event as before.
-                sim.now = when
-                if hooks:
-                    sim._dispatch_to_hooks(when, self._step, (value, exc))
-                continue
-            # Route by computed time: a delay that rounds away is due now.
-            if when == sim.now:
-                lane.append((self._step, (value, exc)))
-            else:
-                sim._seq = seq = sim._seq + 1
-                _heappush(heap, (when, seq, self._step, (value, exc)))
-            return
 
     def _finish(self, value: Any, exc: Optional[BaseException]) -> None:
         self.alive = False
@@ -293,7 +227,7 @@ class Process(Waitable):
             self._sim._note_failure(self, exc)
         lane = self._sim._lane
         for fn in callbacks:
-            lane.append((fn, (value, exc)))
+            lane.append((fn, value, exc))
         # Release the finished process so long runs don't accumulate every
         # process ever spawned (the registry only tracks live ones for the
         # deadlock report).
@@ -323,21 +257,19 @@ class Simulator:
     def __init__(self) -> None:
         #: Current simulated time in milliseconds; only the kernel writes it.
         self.now = 0.0
-        # ``(time, seq, fn, args)`` entries due after the clock that pushed
-        # them; ``seq`` counts heap pushes, so equal times keep push order.
-        self._heap: List[Tuple[float, int, Callable[..., Any], Tuple[Any, ...]]] = []
+        # ``(time, seq, callee, value, exc)`` entries due after the clock
+        # that pushed them; ``seq`` counts heap pushes, so equal times keep
+        # push order and a comparison never reaches the callee.
+        self._heap: List[Tuple[Any, ...]] = []
         self._seq = 0
-        # ``(fn, args)`` entries due at ``now``, in scheduling order.
-        self._lane: Deque[Tuple[Callable[..., Any], Tuple[Any, ...]]] = deque()
+        # ``(callee, value, exc)`` entries due at ``now``, in scheduling order.
+        self._lane: Deque[Tuple[Any, Any, Optional[BaseException]]] = deque()
         # Insertion-ordered registry of *live* processes (finished ones are
         # pruned by Process._finish). A dict-as-ordered-set keeps removal
         # O(1) while the deadlock report still lists names in spawn order.
         self._processes: Dict[Process, None] = {}
         self._failure: Optional[Tuple[Process, BaseException]] = None
         self._hooks: List[SimHook] = []
-        # Latest wake-up a process may resume in place at: ``run``'s horizon
-        # while it runs, -inf otherwise (``step`` dispatches one event only).
-        self._resume_until = -_INF
 
     # -- observability hooks -------------------------------------------------
     def add_hook(self, hook: SimHook) -> None:
@@ -362,46 +294,25 @@ class Simulator:
         time = now + delay
         call = ScheduledCall(time, fn, args, self)
         if time == now:
-            self._lane.append((call, ()))
+            self._lane.append((call, None, None))
         else:
             self._seq = seq = self._seq + 1
-            _heappush(self._heap, (time, seq, call, ()))
+            _heappush(self._heap, (time, seq, call, None, None))
         return call
 
     def spawn(self, gen: ProcessGenerator, name: str = "process") -> Process:
         """Start a generator coroutine as a simulation process.
 
-        The first step of the process runs via the same-time lane, not
+        The first resume of the process runs via the same-time lane, not
         synchronously — so ``spawn`` is safe to call from within another
         process without re-entrancy surprises.
         """
         proc = Process(self, gen, name=name)
         self._processes[proc] = None
-        self._lane.append((proc._start, ()))
+        self._lane.append((proc, None, None))
         return proc
 
     # -- execution ---------------------------------------------------------
-    def step(self) -> bool:
-        """Execute the single next event. Returns False if the queue is empty."""
-        heap = self._heap
-        lane = self._lane
-        if lane and (not heap or heap[0][0] > self.now):
-            fn, args = lane.popleft()
-            time = self.now
-        elif heap:
-            time, _seq, fn, args = _heappop(heap)
-            if time < self.now:
-                raise SimulationError("event queue time went backwards")
-            self.now = time
-        else:
-            return False
-        if self._hooks:
-            self._dispatch_to_hooks(time, fn, args)
-        fn(*args)
-        if self._failure is not None:
-            self._raise_pending_failure()
-        return True
-
     def run(self, until: Optional[float] = None, check_deadlock: bool = False) -> None:
         """Run events until the queue drains or simulated time passes ``until``.
 
@@ -420,48 +331,96 @@ class Simulator:
         runs before the lane (it was pushed first), and a lane entry never
         runs while the clock is past ``until``.
 
-        While this loop runs, :meth:`Process._step` resumes a process in
-        place when the lane is empty and its wake-up is strictly earlier
-        than the heap head and not past ``until``. That is exact: ``_step``
-        only runs as a dispatched event and returns straight here after
-        queueing, so such an entry is the next one taken, with nothing in
-        between. A tie goes to the earlier entry, hence "strictly".
+        A plain callee is called as ``fn(value, exc)``. A process callee is
+        resumed here, and each waitable it yields routes its wake-up: an
+        unfired event or a live process keeps the process as a callback;
+        otherwise the wake-up resumes in place, or joins the lane if it is
+        due now, or the heap. It resumes in place when the lane is empty and
+        the wake-up is strictly earlier than the heap head and not past
+        ``until``. That is exact: the entry would be the next one taken,
+        with nothing in between. A tie goes to the earlier entry, hence
+        "strictly". A pending failure needs no check there: only a process
+        that finishes notes one, and that ends its resume.
         """
         if until is not None and until != until:
             raise SimulationError("cannot run until a NaN time")
-        outer = self._resume_until
-        self._resume_until = limit = _INF if until is None else until
+        limit = _INF if until is None else until
         heap = self._heap
         lane = self._lane
         take = lane.popleft
         hooks = self._hooks
-        try:
-            while True:
-                if lane and (not heap or heap[0][0] > self.now):
-                    time = self.now
-                    if time > limit:
-                        break
-                    fn, args = take()
-                elif heap:
-                    entry = heap[0]
-                    time = entry[0]
-                    if time > limit:
-                        break
-                    _heappop(heap)
-                    if time < self.now:
-                        raise SimulationError("event queue time went backwards")
-                    self.now = time
-                    fn = entry[2]
-                    args = entry[3]
-                else:
+        while True:
+            now = self.now
+            if lane and (not heap or heap[0][0] > now):
+                if now > limit:
                     break
-                if hooks:
-                    self._dispatch_to_hooks(time, fn, args)
-                fn(*args)
-                if self._failure is not None:
-                    self._raise_pending_failure()
-        finally:
-            self._resume_until = outer
+                callee, value, exc = take()
+            elif heap:
+                time, _seq, callee, value, exc = heap[0]
+                if time > limit:
+                    break
+                _heappop(heap)
+                if time < now:
+                    raise SimulationError("event queue time went backwards")
+                self.now = now = time
+            else:
+                break
+            if hooks:
+                self._dispatch_to_hooks(now, callee, value, exc)
+            if type(callee) is not Process:
+                callee(value, exc)
+            elif callee.alive:  # a killed process's stale entry is dropped
+                while True:
+                    try:
+                        if exc is None:
+                            target = callee._send(value)
+                        else:
+                            target = callee._throw(exc)
+                    except StopIteration as stop:
+                        callee._finish(stop.value, None)
+                        break
+                    except BaseException as err:  # noqa: BLE001 - re-raised below
+                        callee._finish(None, err)
+                        break
+                    # Timeout (every modelled latency) and SimEvent (queues,
+                    # locks, fences) are by far the most common yields, so
+                    # their exact-type checks run before the isinstance.
+                    kind = type(target)
+                    if kind is Timeout:
+                        when = now + target.delay
+                        value = target.value
+                        exc = None
+                    elif kind is SimEvent:
+                        if not target.fired:
+                            target._callbacks.append(callee)
+                            break
+                        when = now
+                        value = target.value
+                        exc = target._exception
+                    elif isinstance(target, Waitable):
+                        target.add_callback(callee)
+                        break
+                    else:
+                        callee._finish(None, SimulationError(
+                            f"process {callee.name!r} yielded {target!r}; "
+                            "expected a Waitable or Timeout"
+                        ))
+                        break
+                    if when <= limit and not lane and (not heap or when < heap[0][0]):
+                        # In place: this wake-up is the next entry taken.
+                        self.now = now = when
+                        if hooks:
+                            self._dispatch_to_hooks(now, callee, value, exc)
+                        continue
+                    # Route by computed time: a delay that rounds away is due now.
+                    if when == now:
+                        lane.append((callee, value, exc))
+                    else:
+                        self._seq = seq = self._seq + 1
+                        _heappush(heap, (when, seq, callee, value, exc))
+                    break
+            if self._failure is not None:
+                self._raise_pending_failure()
         if self.now < limit < _INF:
             self.now = limit
         if check_deadlock and not heap and not lane:
@@ -469,10 +428,15 @@ class Simulator:
             if stuck:
                 raise DeadlockError(f"no events left but processes blocked: {stuck}")
 
-    def _dispatch_to_hooks(self, time: float, fn: Callable[..., Any], args: Tuple[Any, ...]) -> None:
+    def _dispatch_to_hooks(
+        self, time: float, callee: Any, value: Any, exc: Optional[BaseException]
+    ) -> None:
         # A public entry's callee is its handle; an internal one gets an
         # equivalent handle, built for the hooks alone.
-        call = fn if type(fn) is ScheduledCall else ScheduledCall(time, fn, args)
+        call = (
+            callee if type(callee) is ScheduledCall
+            else ScheduledCall(time, callee, (value, exc))
+        )
         for hook in self._hooks:
             hook.on_event_dispatch(time, call)
 

@@ -20,21 +20,26 @@ it allocates nothing. A grant that waits gets its own event, woken FIFO.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Deque, List, Optional, Union
 
 from repro.errors import SimulationError
 
-Callback = Callable[[Any, Optional[BaseException]], None]
+if TYPE_CHECKING:
+    from repro.sim.kernel import Process
+
+#: What a waitable wakes: a waiting process, which the kernel resumes, or
+#: a plain callback, which it calls as ``fn(value, exception)``.
+Callback = Union["Process", Callable[[Any, Optional[BaseException]], None]]
 
 
 class Waitable:
     """Protocol for objects a process may ``yield``.
 
-    Implementations call the registered callback exactly once with
-    ``(value, exception)``. If the waitable has already fired, the callback
-    must still be delivered asynchronously (queued at the current time, as
-    ``sim.schedule(0.0, ...)`` does) so that resume order stays
-    deterministic.
+    Implementations deliver each registered callback exactly once, by
+    appending ``(callback, value, exception)`` to the simulator's same-time
+    lane: the kernel resumes a waiting process from there and calls any
+    other callback. A waitable that has already fired still delivers
+    through the lane, so that resume order stays deterministic.
     """
 
     __slots__ = ()
@@ -99,7 +104,7 @@ class SimEvent(Waitable):
             self._callbacks = []
             lane = self._sim._lane
             for fn in callbacks:
-                lane.append((fn, (value, None)))
+                lane.append((fn, value, None))
 
     def fail(self, exc: BaseException) -> None:
         """Fire the event with an exception; waiters see it at their yield."""
@@ -112,11 +117,11 @@ class SimEvent(Waitable):
             self._callbacks = []
             lane = self._sim._lane
             for fn in callbacks:
-                lane.append((fn, (None, exc)))
+                lane.append((fn, None, exc))
 
     def add_callback(self, fn: Callback) -> None:
         if self.fired:
-            self._sim._lane.append((fn, (self.value, self._exception)))
+            self._sim._lane.append((fn, self.value, self._exception))
         else:
             self._callbacks.append(fn)
 

@@ -112,6 +112,28 @@ def test_transport_kick_advances_clock():
     assert transport.commands == 4
 
 
+def test_a_stretched_kick_leaves_the_next_kick_its_plain_cost():
+    # Clean kicks of one batch size share one Timeout; the kick the fault
+    # hook delays waits on its own, so the kick after it is not stretched.
+    sim = Simulator()
+    transport = VirtioTransport(sim, kick_cost=0.02, per_command_cost=0.005)
+    transport.fault_hook = lambda t, n: ("delay", 1.0) if t.kick_attempts == 2 else None
+    kicks = []
+
+    def proc():
+        for _ in range(3):
+            start = sim.now
+            cost = yield from transport.kick(4)
+            kicks.append((cost, sim.now - start))
+
+    sim.spawn(proc())
+    sim.run()
+    plain = transport.dispatch_cost(4)
+    assert [cost for cost, _ in kicks] == [plain, plain + 1.0, plain]
+    assert [elapsed for _, elapsed in kicks] == pytest.approx([plain, plain + 1.0, plain])
+    assert transport.kicks_delayed == 1 and transport.kicks == 3
+
+
 def test_transport_amortized_cost():
     sim = Simulator()
     transport = VirtioTransport(sim, kick_cost=0.1, per_command_cost=0.0)

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.errors import DeadlockError, SimulationError
-from repro.sim import Simulator, Timeout
+from repro.sim import SimEvent, Simulator, Timeout
 
 
 def test_clock_starts_at_zero():
@@ -290,11 +290,6 @@ def test_live_processes_and_pending_events():
     assert list(sim.live_processes) == []
 
 
-def test_step_returns_false_on_empty_heap():
-    sim = Simulator()
-    assert sim.step() is False
-
-
 def test_determinism_two_identical_runs():
     def build():
         sim = Simulator()
@@ -369,12 +364,12 @@ def test_pending_events_tracks_dispatch():
         yield Timeout(1.0)
 
     sim.spawn(proc(), name="p")
-    counts = []
-    while sim.step():
+    counts = [sim.pending_events()]
+    for until in (0.0, 1.0, 2.0):
+        sim.run(until=until)
         counts.append(sim.pending_events())
-    assert counts[-1] == 0
-    # Each dispatched event left the live count consistent with the heap.
-    assert all(c >= 0 for c in counts)
+    # The start waits in the lane, each wake-up in the heap until it runs.
+    assert counts == [1, 1, 1, 0]
 
 
 def test_cancel_after_dispatch_leaves_pending_count_alone():
@@ -490,9 +485,87 @@ def test_a_delay_that_rounds_away_runs_in_scheduling_order():
 def test_run_until_a_past_time_runs_nothing_due_now():
     sim = Simulator()
     seen = []
-    sim.schedule(2.0, sim.schedule, 0.0, seen.append, "due at 2.0")
-    assert sim.step() and sim.now == 2.0
+    sim.run(until=2.0)
+    sim.schedule(0.0, seen.append, "due at 2.0")
     sim.run(until=1.0)
     assert seen == [] and sim.now == 2.0 and sim.pending_events() == 1
     sim.run(until=2.0)
     assert seen == ["due at 2.0"]
+
+
+class _Dispatches:
+    """A hook that logs ``(time, callee)`` for every dispatch."""
+
+    def __init__(self):
+        self.log = []
+
+    def on_event_dispatch(self, time, call):
+        self.log.append((time, call.fn))
+
+
+def _kill_at_yield(park):
+    """Kill a process at 1.0 while ``park(sim)`` holds its wake-up, and
+    run on to 5.0. Returns what the victim, its joiners and a hook saw."""
+    sim = Simulator()
+    hook = _Dispatches()
+    sim.add_hook(hook)
+    seen = {"cleanups": [], "resumed": [], "joined": [], "callback": []}
+
+    def victim():
+        try:
+            yield from park(sim)
+            seen["resumed"].append(sim.now)
+        finally:
+            seen["cleanups"].append(sim.now)
+
+    def joiner():
+        seen["joined"].append((yield proc))
+
+    proc = sim.spawn(victim(), name="victim")
+    sim.spawn(joiner(), name="joiner")
+    proc.add_callback(lambda value, exc: seen["callback"].append((value, exc)))
+    sim.run(until=0.0)  # both start, so the kill queues after the first yield
+    sim.schedule(1.0, proc.kill)
+    sim.run(until=5.0)
+    seen["dispatches"] = [time for time, callee in hook.log if callee is proc]
+    return seen
+
+
+def _in_the_heap(sim):
+    yield Timeout(3.0)
+
+
+def _in_the_lane(sim):
+    # The kill is due at 1.0 too, behind this wake-up: the next one cannot
+    # resume in place and waits in the lane while the kill runs.
+    yield Timeout(1.0)
+    yield Timeout(0.0)
+
+
+def _on_an_event(sim):
+    event = SimEvent(sim, name="later")
+    sim.schedule(2.0, event.fire, "late")
+    yield event
+
+
+def _on_a_failing_event(sim):
+    # Resumed, the closed generator would raise this and fail the run.
+    event = SimEvent(sim, name="later")
+    sim.schedule(2.0, event.fail, ValueError("late"))
+    yield event
+
+
+@pytest.mark.parametrize("park, dispatches", [
+    (_in_the_heap, [0.0, 3.0]),
+    (_in_the_lane, [0.0, 1.0, 1.0]),
+    (_on_an_event, [0.0, 2.0]),
+    (_on_a_failing_event, [0.0, 2.0]),
+])
+def test_a_killed_process_cleans_up_once_and_never_resumes(park, dispatches):
+    seen = _kill_at_yield(park)
+    assert seen["cleanups"] == [1.0]
+    assert seen["resumed"] == []
+    assert seen["joined"] == [None]
+    assert seen["callback"] == [(None, None)]
+    # The hook still counts the wake-up the kill left queued, the last one.
+    assert seen["dispatches"] == dispatches

@@ -20,7 +20,7 @@ from collections import deque
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import SimEvent, Simulator, Timeout
+from repro.sim import Process, SimEvent, Simulator, Timeout
 from tests import _baseline_kernel as ref
 
 LIVE = (Simulator, Timeout, SimEvent)
@@ -47,7 +47,8 @@ VANISHING_SEEDS = range(100)
 
 def random_mix(seed, delays=DELAYS):
     """``(events, scripts, plan)``: shared events, one action list per
-    process, and the run/step calls that drive them."""
+    process, and the ``run(until=now + offset)`` offsets that drive them
+    (``None`` runs until the queue drains)."""
     rng = random.Random(seed)
     events = rng.randint(1, 4)
     scripts = []
@@ -71,10 +72,12 @@ def random_mix(seed, delays=DELAYS):
     plan = []
     for _ in range(rng.randint(0, 4)):
         if rng.random() < 0.4:
-            plan.append(("step", rng.randint(1, 5)))
+            # Runs everything due now; the unused draw keeps each seed's mix.
+            rng.randint(1, 5)
+            plan.append(0.0)
         else:
-            plan.append(("run", rng.choice(OFFSETS)))
-    plan.append(("run", rng.choice((None, HORIZON))))
+            plan.append(rng.choice(OFFSETS))
+    plan.append(rng.choice((None, HORIZON)))
     return events, scripts, plan
 
 
@@ -140,14 +143,10 @@ def drive(kernel, mix, hook=None):
             return False
 
     checkpoints = []
-    for kind, arg in plan:
-        if kind == "step":
-            for _ in range(arg):
-                call(sim.step)
-        else:
-            until = None if arg is None else sim.now + arg
-            while not call(sim.run, until):
-                pass
+    for offset in plan:
+        until = None if offset is None else sim.now + offset
+        while not call(sim.run, until):
+            pass
         checkpoints.append((sim.now, sim.pending_events()))
     return {"log": log, "checkpoints": checkpoints, "now": sim.now,
             "pending": sim.pending_events()}, sim
@@ -156,15 +155,21 @@ def drive(kernel, mix, hook=None):
 class _DispatchProfiler:
     """Profiles dispatches: its table logs ``(time, callee)`` for each one.
 
-    The frozen kernel also calls resume and yield hooks, which the live
-    kernel does not have; here they do nothing.
+    A process callee is the process itself on the live kernel and a bound
+    ``_start`` or ``_step`` on the frozen one; both log as the process's
+    name. The frozen kernel also calls resume and yield hooks, which the
+    live kernel does not have; here they do nothing.
     """
 
     def __init__(self):
         self.table = []
 
     def on_event_dispatch(self, time, call):
-        self.table.append((time, call.fn.__qualname__))
+        owner = getattr(call.fn, "__self__", call.fn)
+        if isinstance(owner, (Process, ref.Process)):
+            self.table.append((time, ("process", owner.name)))
+        else:
+            self.table.append((time, call.fn.__qualname__))
 
     def on_process_resume(self, time, process):
         pass
@@ -250,18 +255,3 @@ def test_vanishing_delays_reach_both_queues():
     for seed in VANISHING_SEEDS:
         drive((Recording, Timeout, SimEvent), random_mix(seed, VANISHING_DELAYS))
     assert rounded_away == {True, False}
-
-
-def test_step_never_resumes_in_place():
-    sim = Simulator()
-
-    def worker():
-        yield Timeout(1.0)
-        yield Timeout(1.0)
-
-    sim.spawn(worker(), name="w")
-    assert sim.step() and sim.now == 0.0  # start: yields the first Timeout
-    assert sim.step() and sim.now == 1.0  # one wake-up, not both
-    assert sim.pending_events() == 1
-    sim.run()
-    assert sim.now == 2.0 and sim.pending_events() == 0
