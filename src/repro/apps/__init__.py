@@ -6,8 +6,6 @@ from repro.apps.camera import CameraApp
 from repro.apps.catalog import (
     EMERGING_CATEGORIES,
     emerging_apps,
-    popular_apps,
-    heavy_3d_apps,
     can_run,
 )
 from repro.apps.livestream import LivestreamApp
@@ -27,7 +25,5 @@ __all__ = [
     "Heavy3dApp",
     "EMERGING_CATEGORIES",
     "emerging_apps",
-    "popular_apps",
-    "heavy_3d_apps",
     "can_run",
 ]

@@ -213,32 +213,3 @@ def popular_app_params(seed: int = 0) -> List[AppParams]:
                 )))
             index += 1
     return params
-
-
-def popular_apps(seed: int = 0) -> List[App]:
-    """The top-25 popular apps of §5.5 (pop-01 ... pop-25)."""
-    return [build_app(p) for p in popular_app_params(seed)]
-
-
-def heavy_3d_app_params(seed: int = 0, count: int = 5) -> List[AppParams]:
-    """Declarative parameters for the Trinity-evaluation gaming set."""
-    params: List[AppParams] = []
-    for i in range(count):
-        name = f"game-{i + 1:02d}"
-        r = _rng(name, seed)
-        params.append((_FACTORY_PATHS[Heavy3dApp], dict(
-            name=name, render_bytes=int(r.uniform(380, 460) * MIB),
-        )))
-    return params
-
-
-def heavy_3d_apps(seed: int = 0, count: int = 5) -> List[App]:
-    """The Trinity-evaluation gaming set (§5.3's heavy-3D comparison)."""
-    return [build_app(p) for p in heavy_3d_app_params(seed, count)]
-
-
-def apps_of_category(category: str, seed: int = 0) -> List[App]:
-    """The ten Table-1 apps of one category."""
-    if category not in EMERGING_CATEGORIES:
-        raise ValueError(f"unknown category {category!r}")
-    return [a for a in emerging_apps(seed) if a.category == category]

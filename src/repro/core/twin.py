@@ -330,40 +330,6 @@ class TwinHypergraphs:
                 best = pedge
         return best
 
-    # -- visualization ----------------------------------------------------------
-    def to_dot(self) -> str:
-        """Render both hypergraph layers as Graphviz DOT (for inspection).
-
-        Hyperedges with multiple destinations are drawn through a small
-        junction node, the standard hypergraph-to-digraph expansion.
-        """
-        lines = ["digraph twin_hypergraphs {", "  rankdir=LR;"]
-        for layer, graph in (("virtual", self.virtual), ("physical", self.physical)):
-            lines.append(f"  subgraph cluster_{layer} {{")
-            lines.append(f'    label="{layer} layer";')
-            for node in sorted(graph.nodes):
-                lines.append(f'    "{layer}:{node}" [label="{node}"];')
-            for index, edge in enumerate(graph):
-                slack = edge.stats.get("slack")
-                label = f"obs={edge.observations}"
-                if slack is not None and slack.predict() is not None:
-                    label += f"\\nslack={slack.predict():.1f}ms"
-                source = next(iter(edge.sources))
-                if len(edge.destinations) == 1:
-                    dest = next(iter(edge.destinations))
-                    lines.append(
-                        f'    "{layer}:{source}" -> "{layer}:{dest}" [label="{label}"];'
-                    )
-                else:
-                    junction = f"{layer}:e{index}"
-                    lines.append(f'    "{junction}" [shape=point];')
-                    lines.append(f'    "{layer}:{source}" -> "{junction}" [label="{label}"];')
-                    for dest in sorted(edge.destinations):
-                        lines.append(f'    "{junction}" -> "{layer}:{dest}";')
-            lines.append("  }")
-        lines.append("}")
-        return "\n".join(lines)
-
     # -- crash recovery ---------------------------------------------------------
     def reset_vdev_history(self, vdev: str) -> int:
         """Forget everything learned about flows involving ``vdev``.

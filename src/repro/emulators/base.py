@@ -553,10 +553,6 @@ class Emulator:
             )
         return StageResult(access_latency, sim.now - dispatch_start, cmd.done, compensation)
 
-    def compute(self, vdev: str, op: str, op_bytes: int = 0) -> Generator[Any, Any, StageResult]:
-        """Process: a pure device op with no SVM regions (e.g. 3D game render)."""
-        return self.stage(vdev, op, op_bytes)
-
     # -- convenience stage wrappers used by app pipelines ------------------------
     def decode_op(self) -> str:
         """The decode op this emulator's codec path uses (hw vs software)."""

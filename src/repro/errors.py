@@ -28,10 +28,6 @@ class TransientCopyError(HardwareError):
     """A DMA/bus transfer failed mid-flight; the copy may be retried."""
 
 
-class TransportDropError(ReproError):
-    """A guest→host transport kick was lost before the host observed it."""
-
-
 class DeadlineExceededError(ReproError):
     """An operation outlived its watchdog deadline."""
 

@@ -497,6 +497,23 @@ def _positive_ms(text: str) -> float:
     return value
 
 
+def _positive_count(text: str) -> int:
+    """argparse type for ``--max-samples``: an integer > 0.
+
+    A zero or negative count runs no sample and would report the campaign
+    clean.
+    """
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value <= 0:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer > 0, got {text!r}"
+        )
+    return value
+
+
 def main(argv=None) -> int:
     """CLI entry point: regenerate one experiment (or ``all``)."""
     parser = argparse.ArgumentParser(
@@ -536,9 +553,6 @@ def main(argv=None) -> int:
                                help="simulated ms to observe (default 8000)")
     observe_group.add_argument("--seed", type=int, default=0,
                                help="run seed (default 0)")
-    observe_group.add_argument("--include-tracelog", action="store_true",
-                               help="also digest legacy TraceLog records into "
-                                    "the exported trace")
     explain_group = parser.add_argument_group("explain options")
     explain_group.add_argument("--against", metavar="EMULATOR", default=None,
                                help="diff mode: run EMULATOR on the same app "
@@ -562,7 +576,8 @@ def main(argv=None) -> int:
                                   "REPRODUCE line (chaos/recover; fuzz is "
                                   "always strict)")
     fuzz_group = parser.add_argument_group("fuzz options")
-    fuzz_group.add_argument("--max-samples", type=int, default=50, metavar="N",
+    fuzz_group.add_argument("--max-samples", type=_positive_count, default=50,
+                            metavar="N",
                             help="scenario samples to draw (default 50)")
     fuzz_group.add_argument("--fuzz-dir", metavar="DIR",
                             default="fuzz-reproducers",
@@ -597,7 +612,6 @@ def main(argv=None) -> int:
             export_path=args.export,
             metrics_path=args.metrics,
             seed=args.seed,
-            include_tracelog=args.include_tracelog,
         )
     if args.experiment == "explain":
         from repro.experiments.explain import DEFAULT_DURATION_MS, cmd_explain

@@ -1,10 +1,11 @@
 """Application benchmarks: Figures 10, 11, 13 and 14 (§5.3).
 
 Runs the 50 emerging apps on every emulator, on either evaluation machine,
-and aggregates FPS per category (Figs 10/11) and motion-to-photon latency
-for the camera/AR/livestream categories (Figs 13/14). Also provides the
-pairwise comparison of §5.3 (averages over the apps *both* emulators can
-run) and the runnable-app counts.
+and aggregates FPS per category (Figs 10/11), motion-to-photon latency
+for the camera/AR/livestream categories (Figs 13/14) and the runnable-app
+counts. §5.3's pairwise comparison over the apps *both* emulators can run
+is :func:`repro.experiments.popular.pairwise_improvement`, which reads
+only ``per_app``.
 """
 
 from __future__ import annotations
@@ -72,24 +73,6 @@ def _collect_appbench(
     return bench
 
 
-def run_appbench(
-    emulator_name: str,
-    machine_spec: MachineSpec = HIGH_END_DESKTOP,
-    duration_ms: float = DEFAULT_DURATION_MS,
-    apps_per_category: int = 10,
-    seed: int = 0,
-    jobs: Optional[int] = None,
-    cache: bool = True,
-) -> AppBenchResult:
-    """All emerging apps on one emulator/machine (engine-backed)."""
-    specs = specs_for_apps(
-        emerging_app_params(seed=seed, per_category=apps_per_category),
-        emulator_name, machine_spec, duration_ms, seed=seed,
-    )
-    report = run_many(specs, jobs=jobs, cache=cache)
-    return _collect_appbench(emulator_name, machine_spec, report.results)
-
-
 def run_fig10(machine_spec: MachineSpec = HIGH_END_DESKTOP,
               duration_ms: float = DEFAULT_DURATION_MS,
               apps_per_category: int = 10,
@@ -114,29 +97,3 @@ def run_fig10(machine_spec: MachineSpec = HIGH_END_DESKTOP,
         chunk = report.results[slot * len(params):(slot + 1) * len(params)]
         results[name] = _collect_appbench(name, machine_spec, chunk)
     return results
-
-
-def pairwise_comparison(results: Dict[str, AppBenchResult], baseline: str,
-                        reference: str = "vSoC") -> Optional[float]:
-    """§5.3's pairwise FPS ratio over apps both emulators can run.
-
-    Returns reference/baseline mean-FPS ratio, or None with no overlap.
-    """
-    ref, base = results[reference], results[baseline]
-    common = [
-        name
-        for name, fps in ref.per_app.items()
-        if fps is not None and base.per_app.get(name) is not None
-    ]
-    if not common:
-        return None
-    ref_mean = sum(ref.per_app[n] for n in common) / len(common)
-    base_mean = sum(base.per_app[n] for n in common) / len(common)
-    if base_mean <= 0:
-        return None
-    return ref_mean / base_mean
-
-
-def runnable_counts(results: Dict[str, AppBenchResult]) -> Dict[str, int]:
-    """§5.3's 48/47/42/43/44/20-style counts."""
-    return {name: r.runnable for name, r in results.items()}

@@ -35,11 +35,6 @@ class DensityResult:
     machine: str
     fps_by_instances: Dict[int, float] = field(default_factory=dict)
 
-    def max_instances_at(self, fps_floor: float) -> int:
-        """Largest tested instance count whose mean FPS clears the floor."""
-        eligible = [n for n, fps in self.fps_by_instances.items() if fps >= fps_floor]
-        return max(eligible) if eligible else 0
-
 
 def density_point(
     emulator_name: str,
@@ -81,25 +76,6 @@ def _density_specs(emulator_name, instance_counts, machine_spec, duration_ms,
         )
         for count in instance_counts
     ]
-
-
-def run_density(
-    emulator_name: str,
-    instance_counts=(1, 2, 4),
-    machine_spec: MachineSpec = HIGH_END_DESKTOP,
-    duration_ms: float = 10_000.0,
-    seed: int = 0,
-    jobs: Optional[int] = None,
-    cache: bool = True,
-) -> DensityResult:
-    """Run N video-playing emulator instances on one shared host."""
-    result = DensityResult(emulator=emulator_name, machine=machine_spec.name)
-    specs = _density_specs(emulator_name, instance_counts, machine_spec,
-                           duration_ms, seed)
-    report = run_many(specs, jobs=jobs, cache=cache)
-    for count, fps in zip(instance_counts, report.results):
-        result.fps_by_instances[count] = fps
-    return result
 
 
 def run_density_comparison(

@@ -74,16 +74,12 @@ def run_observe(
     duration_ms: float = DEFAULT_DURATION_MS,
     seed: int = 0,
     machine_spec=HIGH_END_DESKTOP,
-    include_tracelog: bool = False,
 ) -> ObserveResult:
     """Run one observed app; returns the trace + metrics dicts.
 
     ``emulator`` is matched the way ``explain`` matches it
     (:func:`~repro.experiments.explain.resolve_emulator`), so ``vsoc`` and
     ``qemu_kvm`` name vSoC and QEMU-KVM.
-    ``include_tracelog`` digests the legacy :class:`TraceLog` records into
-    the exported trace as instant events (one thread per record ``vdev``),
-    so pre-observability instrumentation shows up alongside the spans.
     """
     if app not in APP_FACTORIES:
         raise ValueError(f"unknown app {app!r}; choose from {sorted(APP_FACTORIES)}")
@@ -99,7 +95,6 @@ def run_observe(
     trace_dict = chrome_trace(
         spans,
         track_groups=rig.emulator.track_groups(),
-        tracelog=rig.trace if include_tracelog else None,
         end_time=rig.sim.now,
     )
     snapshot = derive_run_metrics(rig.trace, rig.emulator, [observed_app.fps])
@@ -126,13 +121,9 @@ def cmd_observe(
     export_path: Optional[str] = None,
     metrics_path: Optional[str] = None,
     seed: int = 0,
-    include_tracelog: bool = False,
 ) -> int:
     """CLI body: run, validate, write artifacts, print a digest."""
-    run = run_observe(
-        app=app, emulator=emulator, duration_ms=duration_ms, seed=seed,
-        include_tracelog=include_tracelog,
-    )
+    run = run_observe(app=app, emulator=emulator, duration_ms=duration_ms, seed=seed)
     errors = validate_chrome_trace(run.trace)
     if errors:
         for error in errors:

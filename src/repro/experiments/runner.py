@@ -8,10 +8,9 @@ seeds — rerunning an experiment reproduces its numbers bit-for-bit.
 (app runs, ``observe``, scenarios, chaos, recovery, Table 2, the ablations
 and trace replay all use it) and :func:`drive` the one run path for an app
 or an app mix, observed or not. :func:`run_app` is the in-process primitive
-(it is what the engine's workers execute); :func:`run_category` and
-:func:`run_emulator_suite` are sweep helpers that route through
-:mod:`repro.experiments.engine` for parallelism and memoization when given
-declarative app parameters.
+(it is what the engine's workers execute); sweeps submit declarative app
+parameters through :mod:`repro.experiments.engine` for parallelism and
+memoization.
 """
 
 from __future__ import annotations
@@ -19,10 +18,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from math import isfinite
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.apps.base import App, AppResult
-from repro.apps.catalog import AppParams, can_run
+from repro.apps.catalog import can_run
 from repro.emulators import EMULATOR_FACTORIES
 from repro.emulators.base import Emulator
 from repro.hw.machine import HIGH_END_DESKTOP, HostMachine, MachineSpec, build_machine
@@ -203,101 +202,3 @@ def _capture_telemetry(rig, app, duration_ms, seed, result, budget):
         meta["presented"] = result.presented
     snapshot = derive_run_metrics(rig.trace, rig.emulator, [app.fps])
     return replace(snapshot, meta=labels_key(meta), attribution=budget)
-
-
-def run_category(
-    apps: Sequence[Union[App, AppParams]],
-    emulator_name: str,
-    machine_spec: MachineSpec = HIGH_END_DESKTOP,
-    duration_ms: float = DEFAULT_DURATION_MS,
-    seed: int = 0,
-    jobs: Optional[int] = None,
-    cache: bool = True,
-) -> List[AppRun]:
-    """Run a list of apps on one emulator.
-
-    Declarative ``(factory, kwargs)`` parameters (see
-    :func:`repro.apps.catalog.emerging_app_params`) route through the
-    engine — parallel across ``jobs`` cores, memoized on disk. Live
-    :class:`App` instances cannot cross a process boundary, so they take
-    the direct in-process path with no memoization.
-    """
-    if any(isinstance(a, App) for a in apps):
-        from repro.apps.catalog import build_app
-
-        return [
-            run_app(
-                app if isinstance(app, App) else build_app(app),
-                emulator_name, machine_spec, duration_ms, seed=seed,
-            )
-            for app in apps
-        ]
-    from repro.experiments.engine import run_many, specs_for_apps
-
-    specs = specs_for_apps(
-        list(apps), emulator_name, machine_spec, duration_ms, seed=seed
-    )
-    report = run_many(specs, jobs=jobs, cache=cache)
-    return [
-        AppRun(result=r.result, emulator=None, stats=r.stats)
-        for r in report.results
-    ]
-
-
-def run_emulator_suite(
-    make_apps: Callable[[], Sequence[Union[App, AppParams]]],
-    emulator_names: Sequence[str],
-    machine_spec: MachineSpec = HIGH_END_DESKTOP,
-    duration_ms: float = DEFAULT_DURATION_MS,
-    seed: int = 0,
-    jobs: Optional[int] = None,
-    cache: bool = True,
-) -> Dict[str, List[AppRun]]:
-    """Run a (re-instantiated) app list on every emulator.
-
-    With a parameter-producing ``make_apps`` (e.g.
-    ``lambda: emerging_app_params(seed=0)``) the whole suite — every
-    (app, emulator) pair — is fanned out through the engine at once, so
-    parallelism is not limited to one emulator's apps at a time.
-    """
-    per_emulator = {name: list(make_apps()) for name in emulator_names}
-    if any(isinstance(a, App) for apps in per_emulator.values() for a in apps):
-        return {
-            name: run_category(apps, name, machine_spec, duration_ms, seed=seed)
-            for name, apps in per_emulator.items()
-        }
-    from repro.experiments.engine import run_many, specs_for_apps
-
-    flat = []
-    for name, params in per_emulator.items():
-        flat.extend(
-            specs_for_apps(params, name, machine_spec, duration_ms, seed=seed)
-        )
-    report = run_many(flat, jobs=jobs, cache=cache)
-    merged: Dict[str, List[AppRun]] = {}
-    cursor = 0
-    for name, params in per_emulator.items():
-        chunk = report.results[cursor:cursor + len(params)]
-        cursor += len(params)
-        merged[name] = [
-            AppRun(result=r.result, emulator=None, stats=r.stats) for r in chunk
-        ]
-    return merged
-
-
-def mean_fps(runs: Sequence[AppRun]) -> Optional[float]:
-    """Average FPS over the runs that ran; None if none did."""
-    values = [r.result.fps for r in runs if r.result.ran]
-    if not values:
-        return None
-    return sum(values) / len(values)
-
-
-def mean_latency(runs: Sequence[AppRun]) -> Optional[float]:
-    """Average motion-to-photon latency over runs that measured one."""
-    values = [
-        r.result.latency_avg for r in runs if r.result.ran and r.result.latency_avg
-    ]
-    if not values:
-        return None
-    return sum(values) / len(values)

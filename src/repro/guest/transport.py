@@ -7,25 +7,27 @@ the reason §3.4's command queues accept asynchronous commands "in batch to
 reduce transport overhead across the virtualization boundary".
 
 :class:`VirtioTransport` turns (batch size → dispatch delay) into one
-place, and counts kicks/commands for the experiments.
+place, and counts kicks/commands for the experiments. A kick always lands:
+a dropped attempt is paid for, counted, and retried after a backoff.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Dict, Generator, Optional, Tuple
 
-from repro.errors import ConfigurationError, TransportDropError
+from repro.errors import ConfigurationError
 from repro.obs.span import NO_FLOW, NULL_TRACER, Tracer
 from repro.sim import RetryPolicy, Simulator, Timeout
 
-#: Optional fault hook: called once per kick with ``(transport, batch_size)``.
-#: Return ``None`` for a clean kick, ``("drop",)`` to lose the kick after its
-#: cost is paid (raises :class:`TransportDropError`), or ``("delay", ms)`` to
-#: stretch the dispatch by ``ms`` — a stalled VM exit.
+#: Optional fault hook: called once per kick attempt with
+#: ``(transport, batch_size)``. Return ``None`` for a clean kick,
+#: ``("drop",)`` to lose the attempt after its cost is paid (the kick backs
+#: off and tries again), or ``("delay", ms)`` to stretch the dispatch by
+#: ``ms`` — a stalled VM exit.
 TransportFaultHook = Callable[["VirtioTransport", int], Optional[Tuple[Any, ...]]]
 
-#: Dropped kicks clear when the fault window closes, so the reliable path
-#: retries forever with a capped backoff rather than giving up mid-window.
+#: Dropped kicks clear when the fault window closes, so a kick retries
+#: forever with a capped backoff rather than giving up mid-window.
 KICK_RETRY_POLICY = RetryPolicy(
     max_attempts=None, base_delay_ms=0.02, multiplier=2.0, max_delay_ms=1.0
 )
@@ -64,30 +66,19 @@ class VirtioTransport:
             raise ConfigurationError("batch size must be positive")
         return self.kick_cost + batch_size * self.per_command_cost
 
-    def kick(self, batch_size: int = 1, flow: int = NO_FLOW) -> Generator[Any, Any, float]:
-        """Process: pay the dispatch cost for a batch; returns the delay.
-
-        With a fault hook installed, a kick may be delayed (dispatch takes
-        longer) or dropped — the cost is paid, then :class:`TransportDropError`
-        is raised, because a lost doorbell burns the VM exit regardless.
-        ``kicks``/``commands`` count only *successful* kicks so
-        :attr:`amortized_cost` keeps its meaning under fault injection.
-        ``flow`` stamps the kick's trace span with the frame it carries.
-        """
-        return self._kick(batch_size, flow, None)
-
     def kick_reliable(
         self, batch_size: int = 1, flow: int = NO_FLOW
     ) -> Generator[Any, Any, float]:
-        """Process: :meth:`kick`, retried per :data:`KICK_RETRY_POLICY` until
-        it lands; each dropped attempt is paid for and counted."""
-        return self._kick(batch_size, flow, KICK_RETRY_POLICY)
+        """Process: pay the dispatch cost for a batch; returns the delay.
 
-    def _kick(
-        self, batch_size: int, flow: int, retry: Optional[RetryPolicy]
-    ) -> Generator[Any, Any, float]:
-        """Kick attempts until one lands; a drop raises when ``retry`` is
-        ``None`` or exhausted, and otherwise backs off and tries again."""
+        With a fault hook installed, an attempt may be delayed (dispatch
+        takes longer) or dropped. A dropped attempt is paid for, because a
+        lost doorbell burns the VM exit regardless, and counted; the kick
+        then backs off per :data:`KICK_RETRY_POLICY` and tries again until
+        one lands. ``kicks``/``commands`` count only the attempts that
+        land. ``flow`` stamps the kick's trace span with the frame it
+        carries.
+        """
         tracer = self._tracer
         failures = 0
         while True:
@@ -115,26 +106,12 @@ class VirtioTransport:
             if tracer.enabled:
                 tracer.end(span, dropped=True)
             failures += 1
-            if retry is None or retry.exhausted(failures):
-                raise TransportDropError(
-                    f"kick of {batch_size} command(s) lost across the boundary"
-                )
-            delay = retry.delay_before_retry(failures)
-            if delay > 0:
-                yield Timeout(delay)
+            yield Timeout(KICK_RETRY_POLICY.delay_before_retry(failures))
         self.kicks += 1
         self.commands += batch_size
         if tracer.enabled:
             tracer.end(span)
         return cost
-
-    @property
-    def amortized_cost(self) -> float:
-        """Average per-command transport cost so far."""
-        if self.commands == 0:
-            return 0.0
-        total = self.kicks * self.kick_cost + self.commands * self.per_command_cost
-        return total / self.commands
 
     # -- checkpointing -------------------------------------------------------
     def snapshot_state(self) -> dict:

@@ -8,8 +8,6 @@ and hands out per-tick waitables.
 
 from __future__ import annotations
 
-
-
 from repro.errors import ConfigurationError
 from repro.sim import SimEvent, Simulator
 from repro.sim.primitives import Waitable
@@ -31,20 +29,14 @@ class VSyncSource:
         self.period = period
         self.ticks = 0
         self._next_event = SimEvent(sim, name="vsync")
-        # The time the pending tick fires at, which its event delivers.
-        self._next_tick = sim.schedule(offset + period, self._tick).time
+        sim.schedule(offset + period, self._tick)
 
     def _tick(self) -> None:
         self.ticks += 1
         event, self._next_event = self._next_event, SimEvent(self._sim, name="vsync")
         event.fire(self._sim.now)
-        self._next_tick = self._sim.schedule(self.period, self._tick).time
+        self._sim.schedule(self.period, self._tick)
 
     def wait_next(self) -> Waitable:
         """Waitable firing at the next tick, with the tick time as value."""
         return self._next_event
-
-    def next_tick_time(self) -> float:
-        """When the next tick will fire (for deadline math): the time the
-        waitable of :meth:`wait_next` delivers."""
-        return self._next_tick

@@ -11,10 +11,7 @@ from repro.hw.device import (
     Camera,
     Cpu,
     DeviceKind,
-    Display,
     Gpu,
-    HwCodec,
-    IspEngine,
     Nic,
     PhysicalDevice,
 )
@@ -36,10 +33,7 @@ __all__ = [
     "PhysicalDevice",
     "Cpu",
     "Gpu",
-    "HwCodec",
-    "IspEngine",
     "Camera",
-    "Display",
     "Nic",
     "ThermalModel",
     "HostMachine",

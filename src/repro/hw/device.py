@@ -11,8 +11,9 @@ correspond one-to-one to physical devices. On a PC, the display is managed
 by the GPU, hardware video decode (NVDEC) is an engine *on* the GPU, and ISP
 colorspace conversion runs either in-GPU (YUVConverter) or on the CPU
 (libswscale). The machine presets therefore expose only CPU, GPU, camera and
-NIC as physical devices, while :class:`HwCodec` and :class:`IspEngine`
-remain available for custom machines with discrete engines.
+NIC as physical devices. A custom machine's discrete engine (a standalone
+codec, ISP or NPU) is a plain :class:`PhysicalDevice` given its kind, link,
+local memory and op costs.
 """
 
 from __future__ import annotations
@@ -266,54 +267,6 @@ class Gpu(PhysicalDevice):
         )
 
 
-class HwCodec(PhysicalDevice):
-    """A discrete hardware codec engine (for custom machine topologies)."""
-
-    def __init__(
-        self,
-        sim: Simulator,
-        link: Bus,
-        decode_fixed: float,
-        decode_bandwidth: float,
-        encode_fixed: float,
-        encode_bandwidth: float,
-        local_memory: Optional[MemoryPool] = None,
-        name: str = "hwcodec",
-    ):
-        super().__init__(
-            sim,
-            name,
-            DeviceKind.CODEC,
-            local_memory=local_memory,
-            link=link,
-            op_costs={
-                "hw_decode": OpCost(fixed=decode_fixed, bandwidth=decode_bandwidth),
-                "hw_encode": OpCost(fixed=encode_fixed, bandwidth=encode_bandwidth),
-            },
-        )
-
-
-class IspEngine(PhysicalDevice):
-    """A discrete image-signal-processor engine (for custom topologies)."""
-
-    def __init__(
-        self,
-        sim: Simulator,
-        link: Bus,
-        convert_bandwidth: float,
-        local_memory: Optional[MemoryPool] = None,
-        name: str = "isp",
-    ):
-        super().__init__(
-            sim,
-            name,
-            DeviceKind.ISP,
-            local_memory=local_memory,
-            link=link,
-            op_costs={"convert": OpCost(fixed=0.05, bandwidth=convert_bandwidth)},
-        )
-
-
 class Camera(PhysicalDevice):
     """Host camera (USB or integrated).
 
@@ -348,20 +301,6 @@ class Camera(PhysicalDevice):
         )
         self.capture_latency = capture_latency
         self.frame_interval = frame_interval
-
-
-class Display(PhysicalDevice):
-    """Host display window (GLFW in the real system). Present is cheap."""
-
-    def __init__(self, sim: Simulator, present_cost: float = 0.05, name: str = "display"):
-        super().__init__(
-            sim,
-            name,
-            DeviceKind.DISPLAY,
-            local_memory=None,
-            link=None,
-            op_costs={"present": OpCost(fixed=present_cost)},
-        )
 
 
 class Nic(PhysicalDevice):

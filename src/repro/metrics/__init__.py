@@ -6,7 +6,7 @@ from repro.metrics.collectors import (
     ResilienceStats,
     SvmStats,
 )
-from repro.metrics.stats import cdf_points, mean, percentile, summarize
+from repro.metrics.stats import cdf_points, mean, percentile
 
 __all__ = [
     "FpsCollector",
@@ -16,5 +16,4 @@ __all__ = [
     "mean",
     "percentile",
     "cdf_points",
-    "summarize",
 ]

@@ -40,10 +40,6 @@ class FpsCollector:
     def note_dropped(self, reason: str) -> None:
         self.dropped[reason] = self.dropped.get(reason, 0) + 1
 
-    @property
-    def dropped_total(self) -> int:
-        return sum(self.dropped.values())
-
     def fps(self, duration_ms: float, warmup_ms: float = 0.0) -> float:
         """Average presented frames per second over the run.
 
@@ -146,10 +142,6 @@ class ResilienceStats:
             if kind.startswith("fault.")
         }
 
-    @property
-    def faults_injected(self) -> int:
-        return sum(self.fault_counts().values())
-
     # -- recovery machinery --------------------------------------------------
     @property
     def retries(self) -> int:
@@ -214,17 +206,3 @@ class ResilienceStats:
         if entered is not None:
             total += max(0.0, end_ms - entered)
         return total
-
-    def summary(self) -> Dict[str, object]:
-        return {
-            "faults_injected": self.faults_injected,
-            "fault_counts": self.fault_counts(),
-            "retries": self.retries,
-            "prefetch_failures": self.prefetch_failures,
-            "degrades": self.degrades,
-            "restores": self.restores,
-            "crashes": self.crashes,
-            "recoveries": self.recoveries,
-            "replayed_copies": self.replayed_copies,
-            "audit_violations": self.audit_violations,
-        }

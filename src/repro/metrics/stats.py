@@ -7,7 +7,7 @@ to means, percentiles and empirical CDFs over trace-derived samples.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -64,16 +64,3 @@ def cdf_points(values: Sequence[float]) -> List[Tuple[float, float]]:
     ordered = sorted(values)
     n = len(ordered)
     return [(v, (i + 1) / n) for i, v in enumerate(ordered)]
-
-
-def summarize(values: Sequence[float]) -> Dict[str, float]:
-    """The summary block experiment reports print per metric."""
-    return {
-        "n": float(len(values)),
-        "mean": mean(values),
-        "p50": percentile(values, 50),
-        "p95": percentile(values, 95),
-        "p99": percentile(values, 99),
-        "min": min(values),
-        "max": max(values),
-    }

@@ -14,9 +14,7 @@ The trace exporter follows the Trace Event Format that both
 
 Timestamps convert from simulated milliseconds to the format's
 microseconds. :func:`validate_chrome_trace` is the schema check CI runs on
-the exported artifact; :func:`tracelog_events` digests a classic
-:class:`~repro.sim.tracing.TraceLog` into instant events so pre-span
-instrumentation shows up in the same timeline.
+the exported artifact.
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 from repro.metrics.stats import percentile
 from repro.obs.span import NO_FLOW, Span, SpanView
 from repro.obs.telemetry import TelemetrySnapshot
-from repro.sim.tracing import TraceLog
 
 #: Track group (= Chrome pid) used when no mapping is provided.
 DEFAULT_GROUP = "host"
@@ -143,40 +140,12 @@ def _flow_events(
     return events
 
 
-def tracelog_events(
-    log: TraceLog, table: _TrackTable, track_field: str = "vdev"
-) -> List[Dict[str, Any]]:
-    """Digest classic TraceLog records into instant events.
-
-    Records carrying a ``vdev`` field land on that virtual device's track;
-    everything else goes to a shared ``trace`` track. This keeps legacy
-    instrumentation visible in the exported timeline without porting every
-    call site to spans.
-    """
-    events: List[Dict[str, Any]] = []
-    for record in log:
-        track = str(record.get(track_field) or "trace")
-        pid, tid = table.ids_for(track)
-        events.append({
-            "ph": "i",
-            "s": "t",
-            "name": record.kind,
-            "cat": "tracelog",
-            "ts": record.time * _MS_TO_US,
-            "pid": pid,
-            "tid": tid,
-            "args": {k: _jsonable(v) for k, v in record.fields.items()},
-        })
-    return events
-
-
 def chrome_trace(
     view: SpanView,
     track_groups: Optional[Mapping[str, str]] = None,
-    tracelog: Optional[TraceLog] = None,
     end_time: Optional[float] = None,
 ) -> Dict[str, Any]:
-    """Export a run's spans (and optionally its TraceLog) as a Chrome trace dict.
+    """Export a run's spans as a Chrome trace dict.
 
     ``track_groups`` maps track names to their process group (physical
     device); unmapped tracks join the ``host`` group. ``end_time`` clamps
@@ -196,8 +165,6 @@ def chrome_trace(
         events.append(_instant_event(span, pid, tid))
     for flow, chain in view.flow_chains().items():
         events.extend(_flow_events(flow, chain, table))
-    if tracelog is not None:
-        events.extend(tracelog_events(tracelog, table))
     # Stable sort on ts only: flow events are appended in chain order, so
     # s → t → f survives timestamp ties (a (ts, pid, tid) key would not).
     events.sort(key=lambda e: e.get("ts", 0.0))

@@ -1,4 +1,4 @@
-"""Declarative scenarios: schema, compiler, runner, fuzzer (ROADMAP item 5).
+"""Declarative scenarios: schema, compiler, runner, fuzzer.
 
 A *scenario* is a plain JSON-able dict describing everything one run
 needs — emulator, machine, a mix of concurrent apps (catalog templates or
@@ -20,7 +20,7 @@ events, a full :class:`~repro.faults.plan.FaultPlan`). The pieces:
   minimal reproducer files.
 """
 
-from repro.scenario.compiler import CompiledScenario, compile_scenario, scenario_document
+from repro.scenario.compiler import CompiledScenario, compile_scenario
 from repro.scenario.fuzz import load_reproducer, run_fuzz, sample_scenario
 from repro.scenario.runner import ScenarioResult, run_scenario, scenario_point
 from repro.scenario.schema import (
@@ -42,7 +42,6 @@ __all__ = [
     "run_scenario",
     "sample_scenario",
     "scenario_digest",
-    "scenario_document",
     "scenario_point",
     "shrink_scenario",
     "validate_scenario",

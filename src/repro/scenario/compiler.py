@@ -20,10 +20,6 @@ Lowering rules:
   merged plan re-runs ``validate()``);
 * ``environment.thermal`` events schedule ``ThermalModel.note_busy``
   calls at run time (devices without a thermal model skip silently).
-
-``scenario_document`` is the inverse — it reconstructs a plain document
-from a CompiledScenario and re-validates it, so reproducer files can be
-emitted from compiled state and are guaranteed loadable.
 """
 
 from __future__ import annotations
@@ -40,11 +36,6 @@ from repro.scenario.schema import (
     PIPELINES,
     validate_scenario,
 )
-
-#: factory path -> pipeline name, for re-serialization.
-_FACTORY_TO_PIPELINE = {
-    pipeline.factory: name for name, pipeline in PIPELINES.items()
-}
 
 
 @dataclass
@@ -113,45 +104,3 @@ def compile_scenario(doc: Mapping[str, Any]) -> CompiledScenario:
         fence_deadline_ms=float(audit.get("fence_wait_deadline_ms",
                                           DEFAULT_FENCE_DEADLINE_MS)),
     )
-
-
-def scenario_document(compiled: CompiledScenario) -> Dict[str, Any]:
-    """Reconstruct a document from compiled state (and re-validate it).
-
-    This is a genuine inverse, not a cached copy: apps are re-derived
-    from ``app_params``, the environment from the merged plan. Compiling
-    the reconstruction yields the same run configuration — the round-trip
-    property the digest tests pin down.
-    """
-    apps: List[Dict[str, Any]] = []
-    for factory, kwargs in compiled.app_params:
-        pipeline_name = _FACTORY_TO_PIPELINE.get(factory)
-        if pipeline_name is None:
-            raise ValueError(f"no pipeline lowers to factory {factory!r}")
-        stanza: Dict[str, Any] = dict(kwargs)
-        stanza["pipeline"] = pipeline_name
-        apps.append(stanza)
-
-    doc: Dict[str, Any] = {
-        "name": compiled.name,
-        "emulator": compiled.emulator,
-        "machine": compiled.machine,
-        "duration_ms": compiled.duration_ms,
-        "seed": compiled.seed,
-        "apps": apps,
-    }
-    environment: Dict[str, Any] = {}
-    if not compiled.plan.is_empty():
-        environment["faults"] = compiled.plan.to_dict()
-    if compiled.thermal:
-        environment["thermal"] = [
-            {"time_ms": t, "device": device, "busy_ms": busy}
-            for t, device, busy in compiled.thermal
-        ]
-    if environment:
-        doc["environment"] = environment
-    doc["audit"] = {
-        "interval_ms": compiled.audit_interval_ms,
-        "fence_wait_deadline_ms": compiled.fence_deadline_ms,
-    }
-    return validate_scenario(doc)

@@ -276,11 +276,6 @@ class Simulator:
         """Register a kernel observer (see :class:`SimHook`)."""
         self._hooks.append(hook)
 
-    def remove_hook(self, hook: SimHook) -> None:
-        """Unregister a previously added observer. Idempotent."""
-        if hook in self._hooks:
-            self._hooks.remove(hook)
-
     # -- scheduling ------------------------------------------------------------
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> ScheduledCall:
         """Run ``fn(*args)`` after ``delay`` ms of simulated time.

@@ -45,9 +45,6 @@ class TraceRecord:
     def __getitem__(self, key: str) -> Any:
         return self.fields[key]
 
-    def get(self, key: str, default: Any = None) -> Any:
-        return self.fields.get(key, default)
-
     def __eq__(self, other: Any) -> bool:
         if not isinstance(other, TraceRecord):
             return NotImplemented

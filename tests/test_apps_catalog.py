@@ -1,7 +1,5 @@
 """Tests for workloads and the compatibility catalog (repro.apps)."""
 
-import pytest
-
 from repro.apps import (
     ArApp,
     CameraApp,
@@ -10,14 +8,13 @@ from repro.apps import (
     Video360App,
     can_run,
     emerging_apps,
-    heavy_3d_apps,
-    popular_apps,
 )
 from repro.apps.catalog import (
     EMERGING_CATEGORIES,
     EMERGING_INCOMPATIBLE,
     POPULAR_INCOMPATIBLE,
-    apps_of_category,
+    build_app,
+    popular_app_params,
 )
 from repro.units import UHD_FRAME_BYTES
 
@@ -30,7 +27,8 @@ def test_catalog_has_fifty_emerging_apps():
 
 
 def test_catalog_names_unique():
-    names = [a.name for a in emerging_apps()] + [a.name for a in popular_apps()]
+    names = ([a.name for a in emerging_apps()]
+             + [kwargs["name"] for _factory, kwargs in popular_app_params()])
     assert len(names) == len(set(names))
 
 
@@ -47,21 +45,14 @@ def test_catalog_returns_fresh_instances():
 
 
 def test_popular_catalog_has_25_apps():
-    assert len(popular_apps()) == 25
+    assert len(popular_app_params()) == 25
 
 
 def test_heavy_3d_catalog():
-    games = heavy_3d_apps(count=5)
-    assert len(games) == 5
-    assert all(g.category == "Heavy3D" for g in games)
-
-
-def test_apps_of_category():
-    cams = apps_of_category("Camera")
-    assert len(cams) == 10
-    assert all(isinstance(a, CameraApp) for a in cams)
-    with pytest.raises(ValueError):
-        apps_of_category("Spreadsheets")
+    """The popular mix ends in six heavy games, pop-20 ... pop-25."""
+    apps = [build_app(p) for p in popular_app_params()]
+    games = [a for a in apps if a.category == "Heavy3D"]
+    assert [g.name for g in games] == [f"pop-{i}" for i in range(20, 26)]
 
 
 def test_emerging_runnable_counts_match_paper():
@@ -83,11 +74,11 @@ def test_emerging_runnable_counts_match_paper():
 
 def test_popular_runnable_counts_match_paper():
     """§5.5: 25/21/17/25/24/24 of the top-25 popular apps."""
-    apps = popular_apps()
+    names = [kwargs["name"] for _factory, kwargs in popular_app_params()]
     expected = {"vSoC": 25, "GAE": 21, "QEMU-KVM": 17,
                 "LDPlayer": 25, "Bluestacks": 24, "Trinity": 24}
     for emulator, count in expected.items():
-        runnable = sum(1 for a in apps if can_run(a.name, emulator))
+        runnable = sum(1 for name in names if can_run(name, emulator))
         assert runnable == count, emulator
 
 
@@ -95,15 +86,16 @@ def test_incompatible_names_exist_in_catalog():
     emerging_names = {a.name for a in emerging_apps()}
     for names in EMERGING_INCOMPATIBLE.values():
         assert set(names) <= emerging_names
-    popular_names = {a.name for a in popular_apps()}
+    popular_names = {kwargs["name"] for _factory, kwargs in popular_app_params()}
     for names in POPULAR_INCOMPATIBLE.values():
         assert set(names) <= popular_names
 
 
 def test_video_apps_use_uhd_frames():
     """Fig 4's 15.8 MiB spike: video buffers are UHD frames."""
-    for app in apps_of_category("UHD Video"):
-        assert app.frame_bytes == UHD_FRAME_BYTES
+    for app in emerging_apps():
+        if app.category == "UHD Video":
+            assert app.frame_bytes == UHD_FRAME_BYTES
 
 
 def test_360_apps_render_heavier_than_flat_video():

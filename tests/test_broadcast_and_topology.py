@@ -10,8 +10,9 @@ from repro.emulators import make_vsoc
 from repro.emulators.base import Emulator, EmulatorConfig
 from repro.errors import ConfigurationError
 from repro.experiments.runner import run_app
-from repro.hw import HwCodec, IspEngine, build_machine
+from repro.hw import DeviceKind, PhysicalDevice, build_machine
 from repro.hw.bus import Bus
+from repro.hw.device import OpCost
 from repro.hw.memory import MemoryPool
 from repro.sim import Simulator
 from repro.units import GIB, UHD_FRAME_BYTES, gb_per_s
@@ -72,19 +73,23 @@ def test_broadcast_moves_more_bus_bytes_than_prefetch():
 # --- custom topology: discrete codec/ISP engines ---------------------------------
 
 def test_discrete_engine_topology():
-    """HwCodec/IspEngine as standalone physical devices with local memory:
+    """A codec and an ISP as standalone physical devices with local memory:
     the copy planner routes device→device copies over both links."""
     sim = Simulator()
     machine = build_machine(sim)
-    codec_mem = MemoryPool("codec-mem", GIB)
     codec_link = Bus(sim, "codec-link", gb_per_s(5.0), latency=0.02)
-    codec = HwCodec(sim, link=codec_link, decode_fixed=1.0,
-                    decode_bandwidth=gb_per_s(3.0), encode_fixed=2.0,
-                    encode_bandwidth=gb_per_s(2.0), local_memory=codec_mem)
+    codec = PhysicalDevice(
+        sim, "hwcodec", DeviceKind.CODEC,
+        local_memory=MemoryPool("codec-mem", GIB), link=codec_link,
+        op_costs={"hw_decode": OpCost(fixed=1.0, bandwidth=gb_per_s(3.0))},
+    )
     machine.add_device(codec)
     isp_link = Bus(sim, "isp-link", gb_per_s(4.0), latency=0.02)
-    isp = IspEngine(sim, link=isp_link, convert_bandwidth=gb_per_s(6.0),
-                    local_memory=MemoryPool("isp-mem", GIB))
+    isp = PhysicalDevice(
+        sim, "isp", DeviceKind.ISP,
+        local_memory=MemoryPool("isp-mem", GIB), link=isp_link,
+        op_costs={"convert": OpCost(fixed=0.05, bandwidth=gb_per_s(6.0))},
+    )
     machine.add_device(isp)
 
     from repro.core.coherence import CopyPlanner

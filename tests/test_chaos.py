@@ -144,9 +144,8 @@ def test_device_crash_frame_drop_is_bounded(crash_run, baseline_run):
 
 def test_device_crash_counters_flow_into_resilience_stats(crash_run):
     stats = ResilienceStats(crash_run.trace)
-    summary = stats.summary()
-    assert summary["crashes"] == 2
-    assert summary["recoveries"] == 2
+    assert stats.crashes == 2
+    assert stats.recoveries == 2
     assert stats.fault_counts().get("fault.device_crash") == 2
     # The recovery state machine demonstrably ran end to end.
     assert crash_run.trace.count("recovery.crash") == 2

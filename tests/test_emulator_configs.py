@@ -80,14 +80,3 @@ def test_config_defaults_are_sane():
     assert config.flow_control_window >= 1.0
     assert 0 < config.gpu_context_switch_ms < 2.0
     assert config.dispatch_cost_ms >= 0.0
-
-
-def test_display_device_class():
-    """The Display physical device (custom topologies) presents cheaply."""
-    from repro.hw.device import Display
-    from repro.sim import Simulator
-
-    sim = Simulator()
-    display = Display(sim, present_cost=0.05)
-    assert display.op_time("present") == 0.05
-    assert display.local_memory is None

@@ -226,7 +226,7 @@ def test_compute_stage_without_regions():
     sim, vsoc = make(make_vsoc)
 
     def app():
-        result = yield from vsoc.compute("gpu", "render", 100 * MIB)
+        result = yield from vsoc.stage("gpu", "render", 100 * MIB)
         yield result.done
 
     p = sim.spawn(app())

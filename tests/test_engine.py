@@ -16,7 +16,7 @@ from repro.experiments.engine import (
     source_fingerprint,
     specs_for_apps,
 )
-from repro.experiments.runner import run_app, run_category
+from repro.experiments.runner import run_app
 from repro.metrics.collectors import SvmStats
 
 EMULATORS = ("vSoC", "GAE", "QEMU-KVM")
@@ -87,11 +87,11 @@ def test_parallel_bit_identical_to_serial(monkeypatch):
 
 def test_engine_path_matches_legacy_app_instances():
     params = emerging_app_params(seed=0, per_category=1)[:2]
-    legacy = run_category([build_app(p) for p in params], "vSoC",
-                          duration_ms=2_000.0)
-    engine_backed = run_category(params, "vSoC", duration_ms=2_000.0,
-                                 cache=False)
-    assert [r.result for r in legacy] == [r.result for r in engine_backed]
+    legacy = [run_app(build_app(p), "vSoC", duration_ms=2_000.0) for p in params]
+    engine_backed = run_many(
+        specs_for_apps(params, "vSoC", duration_ms=2_000.0), cache=False
+    )
+    assert [r.result for r in legacy] == [r.result for r in engine_backed.results]
 
 
 # ---------------------------------------------------------------------------

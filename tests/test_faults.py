@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.errors import (
-    ConfigurationError,
-    TransientCopyError,
-    TransportDropError,
-)
+from repro.errors import ConfigurationError, TransientCopyError
 from repro.faults import FaultInjector, FaultPlan
 from repro.guest.transport import VirtioTransport
 from repro.hw import MIDDLE_END_LAPTOP, build_machine
@@ -187,27 +183,30 @@ def test_unknown_device_raises():
 
 # -- transport faults ----------------------------------------------------------
 
-def test_transport_drop_raises_and_counts():
+def test_transport_drop_is_paid_and_counted():
     sim = Simulator()
     transport = VirtioTransport(sim)
-    plan = FaultPlan().transport_faults(0.0, 100.0, drop_probability=1.0)
+    # The window closes before the retry: one attempt drops, the next lands.
+    plan = FaultPlan().transport_faults(0.0, 0.04, drop_probability=1.0)
     injector = FaultInjector(sim, plan, trace=TraceLog())
     injector.install_transport(transport)
 
-    outcome = {}
+    result = {}
 
     def kick():
-        try:
-            yield from transport.kick(2)
-        except TransportDropError as err:
-            outcome["error"] = err
+        result["cost"] = yield from transport.kick_reliable(2)
+        result["landed_at"] = sim.now
 
     sim.spawn(kick(), name="kick")
     sim.run()
-    assert "error" in outcome
+    cost = transport.dispatch_cost(2)
+    # The dropped attempt's cost and the first backoff are paid before the
+    # kick that lands; the kick returns the landing attempt's cost.
+    assert result["landed_at"] == pytest.approx(cost + 0.02 + cost)
+    assert result["cost"] == pytest.approx(cost)
     assert transport.kicks_dropped == 1
-    assert transport.kicks == 0  # successes only
-    assert transport.kick_attempts == 1
+    assert transport.kick_attempts == 2
+    assert (transport.kicks, transport.commands) == (1, 2)  # successes only
     assert injector.stats.transport_drops == 1
 
 
@@ -222,7 +221,7 @@ def test_transport_delay_stretches_dispatch():
     result = {}
 
     def kick():
-        result["cost"] = yield from transport.kick(1)
+        result["cost"] = yield from transport.kick_reliable(1)
 
     sim.spawn(kick(), name="kick")
     sim.run()
@@ -302,10 +301,7 @@ def _chaos_machine_run(seed):
                 yield from machine.pcie.transfer(2 * MIB)
             except TransientCopyError:
                 pass
-            try:
-                yield from transport.kick(1)
-            except TransportDropError:
-                pass
+            yield from transport.kick_reliable(1)
 
     sim.spawn(traffic(), name="traffic")
     sim.run()

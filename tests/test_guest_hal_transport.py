@@ -102,7 +102,7 @@ def test_transport_kick_advances_clock():
     transport = VirtioTransport(sim, kick_cost=0.02, per_command_cost=0.005)
 
     def proc():
-        return (yield from transport.kick(4))
+        return (yield from transport.kick_reliable(4))
 
     p = sim.spawn(proc())
     sim.run()
@@ -123,7 +123,7 @@ def test_a_stretched_kick_leaves_the_next_kick_its_plain_cost():
     def proc():
         for _ in range(3):
             start = sim.now
-            cost = yield from transport.kick(4)
+            cost = yield from transport.kick_reliable(4)
             kicks.append((cost, sim.now - start))
 
     sim.spawn(proc())
@@ -132,18 +132,6 @@ def test_a_stretched_kick_leaves_the_next_kick_its_plain_cost():
     assert [cost for cost, _ in kicks] == [plain, plain + 1.0, plain]
     assert [elapsed for _, elapsed in kicks] == pytest.approx([plain, plain + 1.0, plain])
     assert transport.kicks_delayed == 1 and transport.kicks == 3
-
-
-def test_transport_amortized_cost():
-    sim = Simulator()
-    transport = VirtioTransport(sim, kick_cost=0.1, per_command_cost=0.0)
-
-    def proc():
-        yield from transport.kick(10)
-
-    sim.spawn(proc())
-    sim.run()
-    assert transport.amortized_cost == pytest.approx(0.01)
 
 
 def test_transport_invalid_params_rejected():

@@ -58,17 +58,16 @@ def test_next_tick_time():
 
     def watcher():
         yield Timeout(12.0)
-        return vsync.next_tick_time()
+        return (yield vsync.wait_next())
 
     p = sim.spawn(watcher())
-    sim.run(until=15.0)
-    assert p.value == pytest.approx(20.0)
+    sim.run(until=25.0)
+    assert p.value == 20.0
 
 
 def test_next_tick_time_honours_the_offset():
     sim = Simulator()
     vsync = VSyncSource(sim, period=10.0, offset=3.0)
-    assert vsync.next_tick_time() == 13.0
 
     def watcher():
         return (yield vsync.wait_next())
@@ -79,24 +78,27 @@ def test_next_tick_time_honours_the_offset():
 
 
 def test_next_tick_time_is_the_tick_wait_next_delivers():
-    """Each 60 Hz tick is the last one plus a period, which drifts a few
-    ULPs off ``k * period``; the answer must be the delivered time exactly."""
+    """A 60 Hz tick is the last one plus a period, which drifts a few ULPs
+    off ``k * period``; each delivered value is the clock at delivery."""
     sim = Simulator()
     vsync = VSyncSource(sim)
     ticks = 3_000
+    delivered = []
     mismatches = []
 
     def watcher():
         for _ in range(ticks):
-            expected = vsync.next_tick_time()
-            delivered = yield vsync.wait_next()
-            if delivered != expected:
-                mismatches.append((expected, delivered))
+            tick = yield vsync.wait_next()
+            if tick != sim.now:
+                mismatches.append((tick, sim.now))
+            delivered.append(tick)
 
     p = sim.spawn(watcher())
     sim.run(until=(ticks + 1) * VSYNC_PERIOD_MS)
     assert not p.alive
     assert mismatches == []
+    assert delivered[0] == VSYNC_PERIOD_MS
+    assert all(b == a + VSYNC_PERIOD_MS for a, b in zip(delivered, delivered[1:]))
 
 
 def test_invalid_period_rejected():
@@ -120,56 +122,53 @@ def test_buffer_queue_allocates_svm_regions(queue_setup):
     before = emulator.manager.live_regions
     queue = BufferQueue(sim, emulator, count=3, size=MIB)
     assert emulator.manager.live_regions == before + 3
-    assert queue.free_depth == 3
-    queue.destroy()
-    assert emulator.manager.live_regions == before
+    buffers = [queue.try_dequeue_free() for _ in range(3)]
+    assert len({b.region_id for b in buffers}) == 3
+    assert queue.try_dequeue_free() is None
 
 
 def test_buffer_rotation(queue_setup):
+    """Released buffers return to the producer in release order."""
     sim, emulator = queue_setup
     queue = BufferQueue(sim, emulator, count=2, size=MIB)
+    first, second = queue.try_dequeue_free(), queue.try_dequeue_free()
     seen = []
 
     def producer():
-        for pts in (1.0, 2.0, 3.0):
-            buffer = yield queue.dequeue_free()
-            yield queue.queue_filled(buffer, pts=pts)
-
-    def consumer():
         for _ in range(3):
-            buffer = yield queue.acquire_filled()
-            seen.append(buffer.pts)
+            buffer = yield queue.dequeue_free()
+            seen.append(buffer)
             queue.release(buffer)
 
+    queue.release(second)
+    queue.release(first)
     sim.spawn(producer())
-    sim.spawn(consumer())
     sim.run()
-    assert seen == [1.0, 2.0, 3.0]
+    assert seen == [second, first, second]
 
 
 def test_dequeue_blocks_when_all_in_flight(queue_setup):
     sim, emulator = queue_setup
     queue = BufferQueue(sim, emulator, count=1, size=MIB)
+    in_flight = []
     order = []
 
     def producer():
         first = yield queue.dequeue_free()
-        yield queue.queue_filled(first)
+        in_flight.append(first)
         order.append(("got-first", sim.now))
         second = yield queue.dequeue_free()  # blocked until release
         order.append(("got-second", sim.now))
-        yield queue.queue_filled(second)
+        assert second is first
 
     def consumer():
         yield Timeout(5.0)
-        buffer = yield queue.acquire_filled()
-        queue.release(buffer)
+        queue.release(in_flight.pop())
 
     sim.spawn(producer())
     sim.spawn(consumer())
     sim.run()
-    assert order[0] == ("got-first", 0.0)
-    assert order[1][1] >= 5.0
+    assert order == [("got-first", 0.0), ("got-second", 5.0)]
 
 
 def test_try_dequeue_free_nonblocking(queue_setup):
@@ -180,18 +179,6 @@ def test_try_dequeue_free_nonblocking(queue_setup):
     assert queue.try_dequeue_free() is None
     queue.release(first)
     assert queue.try_dequeue_free() is not None
-
-
-def test_release_clears_frame_state(queue_setup):
-    sim, emulator = queue_setup
-    queue = BufferQueue(sim, emulator, count=1, size=MIB)
-    buffer = queue.try_dequeue_free()
-    buffer.pts = 42.0
-    buffer.payload = "frame"
-    queue.release(buffer)
-    fresh = queue.try_dequeue_free()
-    assert fresh.pts is None
-    assert fresh.payload is None
 
 
 def test_invalid_queue_params_rejected(queue_setup):

@@ -7,9 +7,10 @@ from repro.hw import (
     HIGH_END_DESKTOP,
     MIDDLE_END_LAPTOP,
     DeviceKind,
-    IspEngine,
+    PhysicalDevice,
     build_machine,
 )
+from repro.hw.device import OpCost
 from repro.sim import Simulator
 from repro.units import UHD_FRAME_BYTES, gb_per_s, to_gb_per_s
 
@@ -49,7 +50,10 @@ def test_unknown_device_raises():
 def test_add_custom_device():
     sim = Simulator()
     machine = build_machine(sim)
-    isp = IspEngine(sim, link=machine.pcie, convert_bandwidth=gb_per_s(5.0))
+    isp = PhysicalDevice(
+        sim, "isp", DeviceKind.ISP, link=machine.pcie,
+        op_costs={"convert": OpCost(fixed=0.05, bandwidth=gb_per_s(5.0))},
+    )
     machine.add_device(isp)
     assert machine.device("isp") is isp
     with pytest.raises(HardwareError, match="duplicate"):

@@ -15,7 +15,6 @@ PACKAGES = [
     "repro.metrics",
     "repro.workloads",
     "repro.experiments",
-    "repro.experiments.export",
     "repro.experiments.ablations",
     "repro.experiments.sweeps",
     "repro.experiments.density",

@@ -1,10 +1,9 @@
-"""Scenario compiler + fuzzer acceptance tests (ISSUE 9).
+"""Scenario compiler + fuzzer acceptance tests.
 
-Covers the tentpole contract end to end: schema validation with precise
-error paths, bit-identity of compiled catalog scenarios against the
-hand-written apps, document round-trips (dict → compile → re-serialize →
-compile), FaultPlan serialization properties under the fuzzer's raw
-sampler, shrinker convergence on an injected invariant violation, and
+Covers the contract end to end: schema validation with precise error
+paths, bit-identity of compiled catalog scenarios against the
+hand-written apps, FaultPlan serialization properties under the fuzzer's
+raw sampler, shrinker convergence on an injected invariant violation, and
 the fuzz CLI (campaign + reproducer replay).
 """
 
@@ -17,13 +16,11 @@ from repro.experiments.runner import run_app
 from repro.faults.plan import FaultPlan
 from repro.scenario import (
     canonical_json,
-    compile_scenario,
     load_reproducer,
     run_fuzz,
     run_scenario,
     sample_scenario,
     scenario_digest,
-    scenario_document,
     scenario_point,
     shrink_scenario,
     validate_scenario,
@@ -118,18 +115,6 @@ def test_catalog_scenarios_bit_identical(path, factory_path):
     assert result.digest == app_digest([reference])
     assert result.apps[0].fps == reference.fps
     assert result.apps[0].presented == reference.presented
-
-
-def test_roundtrip_document_compiles_to_identical_digest():
-    doc = json.load(open("scenarios/mixed-chaos.json"))
-    compiled = compile_scenario(doc)
-    rebuilt = scenario_document(compiled)
-    first = run_scenario(compiled, duration_ms=2_500.0)
-    second = run_scenario(rebuilt, duration_ms=2_500.0)
-    assert first.digest == second.digest
-    # And the re-serialized document is a fixpoint.
-    again = scenario_document(compile_scenario(rebuilt))
-    assert canonical_json(again) == canonical_json(rebuilt)
 
 
 def test_mixed_chaos_scenario_recovers():

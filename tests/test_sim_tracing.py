@@ -8,7 +8,7 @@ from repro.apps.ar import ArApp
 from repro.apps.video import UhdVideoApp
 from repro.experiments.recover import trace_tuples
 from repro.experiments.runner import build_rig, drive
-from repro.sim.tracing import TraceLog, TraceRecord
+from repro.sim.tracing import TraceLog
 from tests.test_stage_path import pop_01
 
 
@@ -37,13 +37,6 @@ def test_clear():
     assert len(log) == 1
 
 
-def test_record_get_default():
-    record = TraceRecord(1.0, "a", {"x": 1})
-    assert record.get("x") == 1
-    assert record.get("missing", 42) == 42
-    assert record["x"] == 1
-
-
 def test_iteration_in_time_order():
     log = TraceLog()
     for t in (1.0, 2.0, 3.0):
@@ -60,7 +53,6 @@ def test_missing_trailing_field_reads_as_absent():
     slack(2.0, 7, 3.0, 4.0)
     unscored, scored = log.of_kind("svm.slack")
     assert unscored.fields == {"region": 7, "slack": 2.5}
-    assert unscored.get("predicted", "absent") == "absent"
     assert scored.fields == {"region": 7, "slack": 3.0, "predicted": 4.0}
     assert log.values("svm.slack", "slack") == [2.5, 3.0]
 
