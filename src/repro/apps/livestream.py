@@ -52,7 +52,6 @@ class LivestreamApp(App):
         self.bitstream_bytes = bitstream_bytes
         self.network_latency_ms = network_latency_ms
         self.compose_dirty_fraction = compose_dirty_fraction
-        self._stopped = False
 
     def check_capabilities(self, emulator: Emulator) -> None:
         if not emulator.supports_encoding():
@@ -96,7 +95,7 @@ class LivestreamApp(App):
         rng = random.Random(f"{self.name}:server")
         sequence = 0
         yield Timeout(rng.uniform(0.0, VSYNC_PERIOD_MS))
-        while not self._stopped:
+        while True:
             yield Timeout(VSYNC_PERIOD_MS * (1.0 + rng.uniform(-0.04, 0.04)))
             meta = FrameMeta(
                 birth=sim.now,
@@ -109,7 +108,7 @@ class LivestreamApp(App):
 
     def _receiver(self, sim: Simulator, emulator: Emulator, wire: FifoQueue, bitstream: FifoQueue):
         """Process: NIC receive loop — overlaps with the server's pacing."""
-        while not self._stopped:
+        while True:
             meta = yield wire.get()
             yield Timeout(self.network_latency_ms)
             result = yield from emulator.stage("modem", "recv", self.bitstream_bytes)
@@ -123,7 +122,7 @@ class LivestreamApp(App):
         Submission happens at the decode-complete callback (host
         retirement), matching MediaCodec semantics.
         """
-        while not self._stopped:
+        while True:
             meta = yield bitstream.get()
             buffer = yield queue.dequeue_free()
             result = yield from emulator.stage(

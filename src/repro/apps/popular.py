@@ -50,7 +50,6 @@ class PopularApp(App):
         # the cross-device SVM flow "commonly used in other system
         # components of the Android framework" (§5.5). 0 disables.
         self.atlas_bytes = atlas_bytes
-        self._stopped = False
 
     def build(self, sim: Simulator, emulator: Emulator, vsync: VSyncSource) -> None:
         windows = BufferQueue(sim, emulator, 3, self.window_bytes, name=f"{self.name}.win")
@@ -83,7 +82,7 @@ class PopularApp(App):
         atlas = hal.alloc(self.atlas_bytes) if self.atlas_bytes else None
         sequence = 0
         previous_render = None
-        while not self._stopped:
+        while True:
             yield vsync.wait_next()
             if previous_render is not None and not previous_render.done.fired:
                 yield previous_render.done
@@ -140,7 +139,7 @@ class Heavy3dApp(PopularApp):
         scratch = hal.alloc(self.svm_call_bytes)
         previous = None
         frame = 0
-        while not self._stopped:
+        while True:
             yield vsync.wait_next()
             if previous is not None and not previous.done.fired:
                 yield previous.done

@@ -42,7 +42,7 @@ from repro.sim.tracing import TraceLog
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.prefetch import PrefetchEngine
 
-#: Default retry schedule for coherence copies: three tries with a short,
+#: Retry schedule for coherence copies: three tries with a short,
 #: steep backoff — a coherence copy sits on the access-latency critical
 #: path, so waiting long before retrying is worse than failing over.
 COPY_RETRY_POLICY = RetryPolicy(
@@ -70,8 +70,9 @@ class CopyPlanner:
     Each copy path — :meth:`copy_unified`, :meth:`copy_via_boundary` and
     :meth:`copy_roundtrip` — runs its bus legs through one retry loop:
 
-    * a copy that fails transiently is retried per ``retry_policy``, with
-      a ``retry.backoff`` trace record per retry;
+    * a copy that fails transiently is retried per
+      :data:`COPY_RETRY_POLICY`, with a ``retry.backoff`` trace record per
+      retry;
     * when ``watchdog_margin`` is set, each attempt must finish within
       ``margin × queueing-free-estimate`` or it counts as failed (the
       orphaned transfer still drains its bus).
@@ -85,7 +86,6 @@ class CopyPlanner:
         sim: Simulator,
         machine: HostMachine,
         boundary: Optional[Bus] = None,
-        retry_policy: RetryPolicy = COPY_RETRY_POLICY,
         watchdog_margin: Optional[float] = None,
         trace: Optional[TraceLog] = None,
     ):
@@ -97,7 +97,6 @@ class CopyPlanner:
         self._sim = sim
         self._machine = machine
         self.boundary = boundary if boundary is not None else machine.boundary
-        self.retry_policy = retry_policy
         self.watchdog_margin = watchdog_margin
         self.trace = trace
         self.copy_retries = 0
@@ -150,9 +149,6 @@ class CopyPlanner:
         """
         return self._copy((self.boundary,), nbytes, "boundary")
 
-    def estimate_boundary(self, nbytes: int) -> float:
-        return self.boundary.transfer_time(nbytes)
-
     def copy_roundtrip(self, nbytes: int) -> Generator[Any, Any, float]:
         """Process: the full legacy 4-copy path — two boundary crossings.
 
@@ -166,7 +162,7 @@ class CopyPlanner:
     def _copy(
         self, legs: Sequence[Bus], nbytes: int, src: str, dst: Optional[str] = None
     ) -> Generator[Any, Any, float]:
-        """Move ``nbytes`` over ``legs`` in turn, retried per ``retry_policy``.
+        """Move ``nbytes`` over ``legs`` in turn, retried per :data:`COPY_RETRY_POLICY`.
 
         ``src``/``dst`` name the route in the ``copy:`` label of retry
         records and watchdog processes (a boundary path passes its name as
@@ -196,10 +192,10 @@ class CopyPlanner:
                 if isinstance(err, DeadlineExceededError):
                     self.watchdog_expiries += 1
                 failures += 1
-                if self.retry_policy.exhausted(failures):
+                if COPY_RETRY_POLICY.exhausted(failures):
                     self.copy_failures += 1
                     raise
-                delay = self.retry_policy.delay_before_retry(failures)
+                delay = COPY_RETRY_POLICY.delay_before_retry(failures)
                 if self.trace is not None:
                     self.trace.record(
                         sim.now,

@@ -15,18 +15,16 @@ a ladder of progressively cheaper-to-trust strategies:
 
 A :class:`DegradationController` owns the current level. Copy paths report
 outcomes via :meth:`note_success` / :meth:`note_failure`; after
-``failure_threshold`` consecutive failures the ladder escalates (trace kind
-``coherence.degrade``), and after ``reprobe_after_ms`` of quiet it offers
-the next-better level as a probe — one success there restores it (trace
-kind ``coherence.restore``).
+:data:`FAILURE_THRESHOLD` consecutive failures the ladder escalates (trace
+kind ``coherence.degrade``), and after :data:`REPROBE_AFTER_MS` of quiet it
+offers the next-better level as a probe — one success there restores it
+(trace kind ``coherence.restore``).
 """
 
 from __future__ import annotations
 
-import math
 from typing import Optional
 
-from repro.errors import ConfigurationError
 from repro.sim import Simulator
 from repro.sim.tracing import TraceLog
 
@@ -40,41 +38,20 @@ LEVEL_NAMES = {
     LEVEL_GUEST_ROUNDTRIP: "guest-roundtrip",
 }
 
+#: Consecutive copy failures (after retries) before escalating one level —
+#: mirrors the paper's 3-misprediction suspension rule.
+FAILURE_THRESHOLD = 3
+#: Quiet time after the last failure before the next-better level is
+#: offered as a probe via :meth:`DegradationController.plan_level`.
+REPROBE_AFTER_MS = 250.0
+
 
 class DegradationController:
-    """Tracks the coherence degradation level and when to re-probe.
+    """Tracks the coherence degradation level and when to re-probe."""
 
-    Parameters
-    ----------
-    failure_threshold:
-        Consecutive copy failures (after retries) before escalating one
-        level — mirrors the paper's 3-misprediction suspension rule.
-    reprobe_after_ms:
-        Quiet time after the last failure before the next-better level is
-        offered as a probe via :meth:`plan_level`.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        trace: Optional[TraceLog] = None,
-        failure_threshold: int = 3,
-        reprobe_after_ms: float = 250.0,
-        name: str = "coherence",
-    ):
-        if failure_threshold < 1:
-            raise ConfigurationError(
-                f"failure_threshold must be >= 1, got {failure_threshold}"
-            )
-        if not math.isfinite(reprobe_after_ms) or reprobe_after_ms <= 0:
-            raise ConfigurationError(
-                f"reprobe_after_ms must be finite and > 0, got {reprobe_after_ms}"
-            )
+    def __init__(self, sim: Simulator, trace: Optional[TraceLog] = None):
         self._sim = sim
         self.trace = trace
-        self.failure_threshold = failure_threshold
-        self.reprobe_after_ms = reprobe_after_ms
-        self.name = name
         self.level = LEVEL_PREFETCHED
         self._consecutive_failures = 0
         self._degraded_at: Optional[float] = None
@@ -90,13 +67,13 @@ class DegradationController:
     def plan_level(self) -> int:
         """Level the next operation should attempt.
 
-        Usually the current level; once ``reprobe_after_ms`` has passed
+        Usually the current level; once :data:`REPROBE_AFTER_MS` has passed
         since the last failure, the next-better level instead — a probe.
         Success at a probe level restores it, failure pushes the re-probe
         clock forward without escalating further.
         """
         if self.level > LEVEL_PREFETCHED and self._degraded_at is not None:
-            if self._sim.now - self._degraded_at >= self.reprobe_after_ms:
+            if self._sim.now - self._degraded_at >= REPROBE_AFTER_MS:
                 return self.level - 1
         return self.level
 
@@ -112,7 +89,7 @@ class DegradationController:
             if self.trace is not None:
                 self.trace.record(
                     self._sim.now,
-                    f"{self.name}.restore",
+                    "coherence.restore",
                     level=self.level,
                     from_level=old,
                     mode=LEVEL_NAMES[self.level],
@@ -127,7 +104,7 @@ class DegradationController:
             return
         self._consecutive_failures += 1
         if (
-            self._consecutive_failures >= self.failure_threshold
+            self._consecutive_failures >= FAILURE_THRESHOLD
             and self.level < LEVEL_GUEST_ROUNDTRIP
         ):
             old = self.level
@@ -138,7 +115,7 @@ class DegradationController:
             if self.trace is not None:
                 self.trace.record(
                     self._sim.now,
-                    f"{self.name}.degrade",
+                    "coherence.degrade",
                     level=self.level,
                     from_level=old,
                     mode=LEVEL_NAMES[self.level],
@@ -161,6 +138,6 @@ class DegradationController:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"<DegradationController {self.name!r} level={self.level} "
+            f"<DegradationController level={self.level} "
             f"({LEVEL_NAMES[self.level]}) fails={self._consecutive_failures}>"
         )

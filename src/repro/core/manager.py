@@ -33,6 +33,14 @@ from repro.units import VSYNC_PERIOD_MS
 if False:  # pragma: no cover - typing only
     from repro.core.prefetch import PrefetchEngine
 
+#: A read blocked longer than this (ms) makes a VSync-scheduled caller miss
+#: its frame deadline (§3.3's chain reaction).
+CHAIN_REACTION_THRESHOLD_MS = 2.0
+#: Only VSync-scheduled render/composition threads suffer the missed-frame
+#: chain reaction; pipeline worker threads just absorb the delay into their
+#: period.
+CHAIN_REACTION_VDEVS = frozenset({"gpu", "display"})
+
 
 class SvmManager:
     """Host-side manager for every SVM region of one emulator instance."""
@@ -47,8 +55,6 @@ class SvmManager:
         page_map_cost: float,
         extra_access_overhead: float = 0.0,
         engine: Optional["PrefetchEngine"] = None,
-        chain_reaction_threshold: Optional[float] = 2.0,
-        chain_reaction_vdevs: Optional[set] = None,
         degradation: Optional[DegradationController] = None,
     ):
         self._sim = sim
@@ -72,13 +78,6 @@ class SvmManager:
         mapping_cost = page_map_cost + extra_access_overhead
         # Every access pays the same mapping cost: one Timeout serves them all.
         self._mapping = Timeout(mapping_cost) if mapping_cost > 0 else None
-        self.chain_reaction_threshold = chain_reaction_threshold
-        # Only VSync-scheduled render/composition threads suffer the
-        # missed-frame chain reaction; pipeline worker threads just absorb
-        # the delay into their period.
-        self.chain_reaction_vdevs = (
-            chain_reaction_vdevs if chain_reaction_vdevs is not None else {"gpu", "display"}
-        )
         self.chain_reactions = 0
         self.accesses_closed = 0
         self._regions: Dict[int, SvmRegion] = {}
@@ -180,12 +179,7 @@ class SvmManager:
             # deadline and wait for the next VSync ("even a slightly longer
             # SVM access latency (e.g., 2 ms) ... causes apps to miss the
             # current frame deadline and wait for the next").
-            if (
-                self.chain_reaction_threshold is not None
-                and vdev in self.chain_reaction_vdevs
-                and blocked is not None
-                and blocked > self.chain_reaction_threshold
-            ):
+            if vdev in CHAIN_REACTION_VDEVS and blocked > CHAIN_REACTION_THRESHOLD_MS:
                 next_tick = (int(self._sim.now / VSYNC_PERIOD_MS) + 1) * VSYNC_PERIOD_MS
                 self.chain_reactions += 1
                 yield Timeout(next_tick - self._sim.now)

@@ -95,11 +95,6 @@ class PrefetchEngine:
         planner: CopyPlanner,
         vdev_location: Callable[[str], str],
         trace: TraceLog,
-        failure_threshold: int = FAILURE_SUSPEND_THRESHOLD,
-        bandwidth_ratio: float = BANDWIDTH_SUSPEND_RATIO,
-        suspend_cooldown: int = SUSPEND_COOLDOWN,
-        default_slack: float = VSYNC_PERIOD_MS,
-        zero_shot: bool = True,
         degradation: Optional[DegradationController] = None,
     ):
         self._sim = sim
@@ -109,13 +104,13 @@ class PrefetchEngine:
         self._trace = trace
         self._maintenance = trace.channel("coherence.maintenance", *MAINTENANCE_FIELDS)
         self.degradation = degradation
-        self.failure_threshold = failure_threshold
-        self.bandwidth_ratio = bandwidth_ratio
-        self.suspend_cooldown = suspend_cooldown
-        self.default_slack = default_slack
+        # The suspension rule's figures; ablations and tests vary them on a
+        # built engine.
+        self.failure_threshold = FAILURE_SUSPEND_THRESHOLD
+        self.suspend_cooldown = SUSPEND_COOLDOWN
         # Flow-level (coarse-grained) history enables zero-shot predictions
         # for fresh regions (§3.3); False = per-region history only.
-        self.zero_shot = zero_shot
+        self.zero_shot = True
         self.stats = PrefetchStats()
         self._failures: Dict[object, int] = {}
         self._suspended: Dict[object, int] = {}
@@ -273,7 +268,7 @@ class PrefetchEngine:
                 if current > seen_max:
                     self._max_bandwidth[bus.name] = current
                     seen_max = current
-                if seen_max > 0 and current < self.bandwidth_ratio * seen_max:
+                if seen_max > 0 and current < BANDWIDTH_SUSPEND_RATIO * seen_max:
                     return False
         return True
 
@@ -282,7 +277,8 @@ class PrefetchEngine:
     ) -> float:
         """``max(0, predicted prefetch time − predicted slack)`` (Figure 8).
 
-        ``slack`` is the twin's prediction for the flow's virtual edge.
+        ``slack`` is the twin's prediction for the flow's virtual edge; with
+        none yet, one VSync period stands in for it.
         """
         prefetch_time = self._twin.predict_prefetch_time(pedge)
         if prefetch_time is None:
@@ -290,7 +286,7 @@ class PrefetchEngine:
                 self._planner.estimate_unified(writer_loc, t, nbytes) for t in targets
             )
         if slack is None:
-            slack = self.default_slack
+            slack = VSYNC_PERIOD_MS
         return max(0.0, prefetch_time - slack)
 
     # -- driver-side prediction (guest context) ---------------------------------

@@ -49,21 +49,12 @@ class ExponentialSmoothing:
         """One-step-ahead forecast; ``None`` before any observation."""
         return self._level
 
-    def predict_or(self, default: float) -> float:
-        """Forecast with a fallback for the cold-start case."""
-        return self._level if self._level is not None else default
-
     @property
     def std_error(self) -> Optional[float]:
         """RMS one-step forecast error; ``None`` with fewer than 2 samples."""
         if self._err_count == 0:
             return None
         return math.sqrt(self._err_sum_sq / self._err_count)
-
-    @property
-    def warmed_up(self) -> bool:
-        """True once at least one observation has been folded in."""
-        return self._level is not None
 
     def state_dict(self) -> dict:
         """JSON-able predictor state for checkpointing."""

@@ -1,8 +1,9 @@
 """Emulator assemblies: vSoC and the five comparison emulators of §5.1.
 
-Every emulator is an :class:`~repro.emulators.base.Emulator` configured
-with a memory architecture (unified vs guest-memory), a coherence protocol,
-an ordering mechanism, a virtual→physical device mapping policy, and
+Every emulator is an :class:`~repro.emulators.base.Emulator` built from an
+:class:`~repro.emulators.base.EmulatorConfig`: a coherence protocol class
+(which also fixes the memory architecture, unified vs guest-memory), an
+ordering mechanism, a virtual→physical device mapping policy, and
 per-implementation efficiency factors. The factory functions return ready
 instances bound to a simulator and host machine.
 """

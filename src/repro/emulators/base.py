@@ -12,6 +12,13 @@ An :class:`Emulator` wires the paper's moving parts together:
   blocking **atomic** dispatch (the baseline and the §5.4 ablation);
 * per-device **MIMD flow control** pacing guest dispatch.
 
+An :class:`EmulatorConfig` holds only what differs between emulators: the
+coherence protocol class, the command ordering, the virtual→physical
+device mapping, and a few fitted efficiency figures. What every emulator
+shares is a module constant here (:data:`DISPATCH_COST_MS`,
+:data:`COMMAND_QUEUE_DEPTH`, :data:`ATOMIC_RENDER_PENALTY_MS`,
+:data:`GPU_CONTEXT_SWITCH_MS`).
+
 Apps talk to the emulator through *stages*: one stage = (optional SVM
 accesses) + one device op, e.g. "codec decodes a frame into region 7" or
 "GPU renders reading region 7, writing framebuffer region 9". Stages return
@@ -22,8 +29,8 @@ is how apps observe true frame-presentation times.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple, Type
 
 from repro.core.coherence import (
     CoherenceProtocol,
@@ -63,8 +70,24 @@ from repro.units import gb_per_s
 #: The common set of paravirtualized virtual SoC devices (§3.1).
 VDEV_NAMES = ("gpu", "display", "codec", "camera", "isp", "modem", "cpu")
 
+#: Guest-driver cost of one virtio kick, in ms.
+DISPATCH_COST_MS = 0.03
+#: Capacity of each virtual device's host command queue.
+COMMAND_QUEUE_DEPTH = 64
+#: Atomic ordering serializes the guest-host round trip of every
+#: command inside a render pass (draw calls, state changes) instead of
+#: letting them stream past fences — Figure 9b's head-of-queue
+#: blocking, amortized here as a per-render-stage penalty (ms).
+ATOMIC_RENDER_PENALTY_MS = 1.5
+#: §3.4: "the mechanism is also applied in GPU context switches to
+#: avoid GPU driver stalls". Switching the physical GPU between
+#: virtual-device contexts (codec engine ↔ render ↔ compose) costs a
+#: stall under atomic ordering; with fences the switch is deferred and
+#: pipelined (costs nothing extra). In ms.
+GPU_CONTEXT_SWITCH_MS = 0.45
 
-@dataclass
+
+@dataclass(frozen=True)
 class EmulatorConfig:
     """Everything that differentiates one emulator from another.
 
@@ -73,50 +96,25 @@ class EmulatorConfig:
     """
 
     name: str
-    # memory architecture + protocols
-    unified_svm: bool  # True: vSoC's framework; False: guest-memory (§2.2)
-    prefetch_enabled: bool = False  # only meaningful with unified_svm
-    broadcast_coherence: bool = False  # §7's broadcast baseline (research)
+    # memory architecture: the coherence protocol class. Guest memory
+    # (§2.2) for the baselines; vSoC's unified framework runs prefetch
+    # (§3.3), write-invalidate (the §5.4 ablation) or broadcast (§7).
+    coherence: Type[CoherenceProtocol] = GuestMemoryWriteInvalidate
     ordering: OrderingMode = OrderingMode.ATOMIC
-    # §5.4: the write-invalidate ablation needs synchronous guest-host
-    # execution for SVM operations, "thus virtual command fences cannot be
-    # used" — stages that touch SVM regions become atomic even when the
-    # ordering mode is FENCES.
-    atomic_svm_stages: bool = False
     # device capabilities / virtual→physical mapping policy
-    hw_decode: bool = True  # codec maps onto the GPU's decode engine
-    hw_encode: bool = True
+    hw_codec: bool = True  # codec maps onto the GPU's decode/encode engines
     can_encode: bool = True  # False: no video encoder at all (Trinity)
     has_camera: bool = True
     isp_on_gpu: bool = True
     # efficiency factors (>1 = slower than the reference implementation)
     render_scale: float = 1.0
     decode_scale: float = 1.0
-    encode_scale: float = 1.0
-    convert_scale: float = 1.0
     # SVM interface costs
-    page_map_scale: float = 1.0
     extra_access_overhead_ms: float = 0.0
     coherence_bandwidth_scale: float = 1.0  # scales the boundary bus
-    dispatch_cost_ms: float = 0.03
-    command_queue_depth: int = 64
-    # Atomic ordering serializes the guest-host round trip of every
-    # command inside a render pass (draw calls, state changes) instead of
-    # letting them stream past fences — Figure 9b's head-of-queue
-    # blocking, amortized here as a per-render-stage penalty.
-    atomic_render_penalty_ms: float = 1.5
-    # §3.4: "the mechanism is also applied in GPU context switches to
-    # avoid GPU driver stalls". Switching the physical GPU between
-    # virtual-device contexts (codec engine ↔ render ↔ compose) costs a
-    # stall under atomic ordering; with fences the switch is deferred and
-    # pipelined (costs nothing extra).
-    gpu_context_switch_ms: float = 0.45
     # periodic whole-emulator stalls (closed-source emulators, §5.3)
     stall_period_ms: float = 0.0  # 0 disables
     stall_duration_ms: float = 0.0
-    # misc
-    flow_control_window: float = 8.0
-    extra: Dict[str, float] = field(default_factory=dict)
 
 
 class StageResult:
@@ -217,7 +215,7 @@ class Emulator:
             self.protocol,
             location_pools,
             self.trace,
-            page_map_cost=spec.page_map_cost_ms * config.page_map_scale,
+            page_map_cost=spec.page_map_cost_ms,
             extra_access_overhead=config.extra_access_overhead_ms,
             engine=self.engine,
             degradation=self.degradation,
@@ -226,14 +224,19 @@ class Emulator:
         from repro.guest.transport import VirtioTransport  # local: avoids cycle
 
         self.transport = VirtioTransport(
-            sim, kick_cost=config.dispatch_cost_ms, tracer=tracer
+            sim, kick_cost=DISPATCH_COST_MS, tracer=tracer
         )
         self.fence_table = VirtualFenceTable(sim)
-        # Fixed per emulator. Under fences without atomic SVM stages a GPU
-        # hand-over rides the asynchronous command stream (§3.4) and never
-        # stalls, so executors then never price one.
+        # Fixed per emulator. §5.4: the write-invalidate ablation needs
+        # synchronous guest-host execution for SVM operations, "thus
+        # virtual command fences cannot be used" — stages that touch SVM
+        # regions become atomic even when the ordering mode is FENCES.
         self._fenced = config.ordering is OrderingMode.FENCES
-        self._switch_can_stall = not self._fenced or config.atomic_svm_stages
+        self.atomic_svm_stages = config.coherence is UnifiedWriteInvalidate
+        # Under fences without atomic SVM stages a GPU hand-over rides the
+        # asynchronous command stream (§3.4) and never stalls, so
+        # executors then never price one.
+        self._switch_can_stall = not self._fenced or self.atomic_svm_stages
         self._vdevs: Dict[str, _VirtualDevice] = {}
         self._vdev_location_overrides: Dict[str, str] = {}
         self._vdev_locations: Dict[str, str] = {}
@@ -244,8 +247,8 @@ class Emulator:
             vdev = _VirtualDevice(
                 vdev_name,
                 physical,
-                FifoQueue(sim, capacity=config.command_queue_depth, name=f"q:{vdev_name}"),
-                MimdFlowControl(sim, initial_window=config.flow_control_window),
+                FifoQueue(sim, capacity=COMMAND_QUEUE_DEPTH, name=f"q:{vdev_name}"),
+                MimdFlowControl(sim),
             )
             vdev.executor = sim.spawn(self._executor(vdev), name=f"exec:{vdev_name}")
             self._vdevs[vdev_name] = vdev
@@ -262,17 +265,8 @@ class Emulator:
 
     # -- construction helpers -----------------------------------------------
     def _build_protocol(self) -> CoherenceProtocol:
-        if not self.config.unified_svm:
-            if self.config.prefetch_enabled or self.config.broadcast_coherence:
-                raise ConfigurationError(
-                    "prefetch/broadcast require the unified SVM framework"
-                )
-            return GuestMemoryWriteInvalidate(self.sim, self.planner, self.trace)
-        if self.config.broadcast_coherence:
-            from repro.core.coherence import UnifiedBroadcast
-
-            return UnifiedBroadcast(self.sim, self.planner, self.trace)
-        if self.config.prefetch_enabled:
+        coherence = self.config.coherence
+        if coherence is UnifiedPrefetchProtocol:
             self.degradation = DegradationController(self.sim, trace=self.trace)
             self.engine = PrefetchEngine(
                 self.sim, self.twin, self.planner, self.vdev_location, self.trace,
@@ -282,7 +276,7 @@ class Emulator:
                 self.sim, self.planner, self.engine, self.trace,
                 degradation=self.degradation,
             )
-        return UnifiedWriteInvalidate(self.sim, self.planner, self.trace)
+        return coherence(self.sim, self.planner, self.trace)
 
     def _resolve_physical(self, vdev: str) -> Optional[PhysicalDevice]:
         """The dynamic virtual→physical mapping of §3.2."""
@@ -290,7 +284,7 @@ class Emulator:
         if vdev in ("gpu", "display"):
             return machine.gpu  # displays are managed by the GPU on PCs
         if vdev == "codec":
-            return machine.gpu if self.config.hw_decode else machine.cpu
+            return machine.gpu if self.config.hw_codec else machine.cpu
         if vdev == "isp":
             return machine.gpu if self.config.isp_on_gpu else machine.cpu
         if vdev == "camera":
@@ -323,8 +317,8 @@ class Emulator:
         vdev = _VirtualDevice(
             name,
             physical,
-            FifoQueue(self.sim, capacity=self.config.command_queue_depth, name=f"q:{name}"),
-            MimdFlowControl(self.sim, initial_window=self.config.flow_control_window),
+            FifoQueue(self.sim, capacity=COMMAND_QUEUE_DEPTH, name=f"q:{name}"),
+            MimdFlowControl(self.sim),
         )
         vdev.executor = self.sim.spawn(self._executor(vdev), name=f"exec:{name}")
         self._vdevs[name] = vdev
@@ -397,7 +391,7 @@ class Emulator:
         """Livestream/camera recording capability (Trinity lacks it)."""
         if not self.config.can_encode:
             return False
-        return self.config.hw_encode or self.physical_for("codec").supports("sw_encode")
+        return self.config.hw_codec or self.physical_for("codec").supports("sw_encode")
 
     def track_groups(self) -> Dict[str, str]:
         """Trace-track → physical-device grouping for the Perfetto exporter.
@@ -517,12 +511,10 @@ class Emulator:
             yield device.queue.put(command)
 
         compensation = 0.0
-        if not fenced or (
-            self.config.atomic_svm_stages and (read_regions or write_regions)
-        ):
+        if not fenced or (self.atomic_svm_stages and (read_regions or write_regions)):
             yield cmd.done
-            if op == "render" and self.config.atomic_render_penalty_ms > 0:
-                yield Timeout(self.config.atomic_render_penalty_ms)
+            if op == "render":
+                yield Timeout(ATOMIC_RENDER_PENALTY_MS)
         elif write_regions and self.engine is not None:  # noqa: SIM114
             # Adaptive synchronism (§3.3): block only when predicted slack
             # cannot hide the predicted prefetch.
@@ -556,12 +548,12 @@ class Emulator:
     # -- convenience stage wrappers used by app pipelines ------------------------
     def decode_op(self) -> str:
         """The decode op this emulator's codec path uses (hw vs software)."""
-        return "hw_decode" if self.config.hw_decode else "sw_decode"
+        return "hw_decode" if self.config.hw_codec else "sw_decode"
 
     def encode_op(self) -> str:
         if not self.supports_encoding():
             raise CapabilityError(f"{self.config.name} cannot encode video")
-        return "hw_encode" if self.config.hw_encode else "sw_encode"
+        return "hw_encode" if self.config.hw_codec else "sw_encode"
 
     def convert_op(self) -> str:
         """The colorspace-conversion op (in-GPU YUVConverter vs libswscale)."""
@@ -642,7 +634,7 @@ class Emulator:
         self._gpu_context[physical.name] = vdev.name
         if previous is None or previous == vdev.name:
             return 0.0
-        return self.config.gpu_context_switch_ms
+        return GPU_CONTEXT_SWITCH_MS
 
     def _op_scale(self, op: str) -> float:
         config = self.config
@@ -650,10 +642,6 @@ class Emulator:
             return config.render_scale
         if op in ("hw_decode", "sw_decode"):
             return config.decode_scale
-        if op in ("hw_encode", "sw_encode"):
-            return config.encode_scale
-        if op in ("convert", "sw_convert"):
-            return config.convert_scale
         return 1.0
 
     def _vdev(self, name: str) -> _VirtualDevice:

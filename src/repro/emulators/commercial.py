@@ -35,11 +35,8 @@ def ldplayer_config() -> EmulatorConfig:
     """LDPlayer configuration (fitted parameters; see module docstring)."""
     return EmulatorConfig(
         name="LDPlayer",
-        unified_svm=False,
-        prefetch_enabled=False,
         ordering=OrderingMode.ATOMIC,
-        hw_decode=False,
-        hw_encode=False,
+        hw_codec=False,
         has_camera=True,
         isp_on_gpu=False,
         render_scale=1.25,
@@ -55,11 +52,8 @@ def bluestacks_config() -> EmulatorConfig:
     """Bluestacks configuration (fitted parameters; see module docstring)."""
     return EmulatorConfig(
         name="Bluestacks",
-        unified_svm=False,
-        prefetch_enabled=False,
         ordering=OrderingMode.ATOMIC,
-        hw_decode=False,
-        hw_encode=False,
+        hw_codec=False,
         has_camera=True,
         isp_on_gpu=False,
         render_scale=1.35,

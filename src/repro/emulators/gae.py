@@ -34,11 +34,8 @@ def gae_config() -> EmulatorConfig:
     """Google Android Emulator configuration (calibration in module docstring)."""
     return EmulatorConfig(
         name="GAE",
-        unified_svm=False,
-        prefetch_enabled=False,
         ordering=OrderingMode.ATOMIC,
-        hw_decode=False,  # software decoder (the §5.3 thermal story)
-        hw_encode=False,
+        hw_codec=False,  # software decoder (the §5.3 thermal story)
         has_camera=True,
         isp_on_gpu=True,  # GAE's YUVConverter is the in-GPU path vSoC reuses
         render_scale=1.15,

@@ -32,11 +32,8 @@ def qemu_kvm_config() -> EmulatorConfig:
     """QEMU-KVM configuration (calibration in module docstring)."""
     return EmulatorConfig(
         name="QEMU-KVM",
-        unified_svm=False,
-        prefetch_enabled=False,
         ordering=OrderingMode.ATOMIC,
-        hw_decode=False,
-        hw_encode=False,
+        hw_codec=False,
         has_camera=True,
         isp_on_gpu=False,  # libswscale on the CPU
         render_scale=2.2,

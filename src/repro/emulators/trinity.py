@@ -33,11 +33,8 @@ def trinity_config() -> EmulatorConfig:
     """Trinity configuration (calibration in module docstring)."""
     return EmulatorConfig(
         name="Trinity",
-        unified_svm=False,
-        prefetch_enabled=False,
         ordering=OrderingMode.ATOMIC,
-        hw_decode=False,
-        hw_encode=False,
+        hw_codec=False,
         can_encode=False,
         has_camera=False,
         isp_on_gpu=True,

@@ -6,12 +6,17 @@ engines (libavcodec + interop in the real system), ISP conversion runs
 in-GPU (the YUVConverter path), and the virtual display is a GPU-managed
 host window.
 
-The two §5.4 ablation switches are exposed directly:
+The §5.4 ablation switches and the §7 broadcast protocol are flags of
+:func:`vsoc_config` (and :func:`make_vsoc`), which picks the coherence
+protocol class and names the configuration:
 
-* ``prefetch=False`` swaps in the classic write-invalidate protocol over
-  the same unified copy paths (Figure 12 / Figure 16);
+* ``prefetch=False`` swaps in :class:`~repro.core.coherence.UnifiedWriteInvalidate`,
+  the classic write-invalidate protocol over the same unified copy paths
+  (Figure 12 / Figure 16); its SVM stages are atomic even under fences;
 * ``fences=False`` falls back to atomic shared-resource operations
-  (Figure 12's fence ablation).
+  (Figure 12's fence ablation);
+* ``broadcast=True`` swaps in :class:`~repro.core.coherence.UnifiedBroadcast`
+  and takes precedence over ``prefetch``.
 """
 
 from __future__ import annotations
@@ -19,6 +24,11 @@ from __future__ import annotations
 import random
 from typing import Optional
 
+from repro.core.coherence import (
+    UnifiedBroadcast,
+    UnifiedPrefetchProtocol,
+    UnifiedWriteInvalidate,
+)
 from repro.core.ordering import OrderingMode
 from repro.emulators.base import Emulator, EmulatorConfig
 from repro.hw.machine import HostMachine
@@ -27,22 +37,34 @@ from repro.sim import Simulator
 from repro.sim.tracing import TraceLog
 
 
-def vsoc_config(prefetch: bool = True, fences: bool = True) -> EmulatorConfig:
+def vsoc_config(
+    prefetch: bool = True, fences: bool = True, broadcast: bool = False
+) -> EmulatorConfig:
     """vSoC's configuration; all efficiency scales are 1.0 (the reference).
 
     With ``prefetch=False``, SVM-touching stages additionally become
     atomic: §5.4 — "coherence maintenance needs synchronous guest-host
     execution, and thus virtual command fences cannot be used (other
-    usages of the fences are not touched)".
+    usages of the fences are not touched)". ``broadcast=True`` swaps in
+    the §7-related-work broadcast protocol on the same unified framework
+    and ignores ``prefetch``; reads never block, but every write is
+    pushed to every location (the bandwidth overhead the paper rejects).
     """
+    if broadcast:
+        coherence, name = UnifiedBroadcast, "vSoC(broadcast)"
+    else:
+        coherence = UnifiedPrefetchProtocol if prefetch else UnifiedWriteInvalidate
+        ablated = []
+        if not prefetch:
+            ablated.append("no-prefetch")
+        if not fences:
+            ablated.append("no-fence")
+        name = f"vSoC({','.join(ablated)})" if ablated else "vSoC"
     return EmulatorConfig(
-        name="vSoC",
-        unified_svm=True,
-        prefetch_enabled=prefetch,
+        name=name,
+        coherence=coherence,
         ordering=OrderingMode.FENCES if fences else OrderingMode.ATOMIC,
-        atomic_svm_stages=not prefetch,
-        hw_decode=True,
-        hw_encode=True,
+        hw_codec=True,
         has_camera=True,
         isp_on_gpu=True,
     )
@@ -58,23 +80,6 @@ def make_vsoc(
     broadcast: bool = False,
     tracer: Tracer = NULL_TRACER,
 ) -> Emulator:
-    """Build a vSoC instance; ablation flags mirror §5.4.
-
-    ``broadcast=True`` swaps in the §7-related-work broadcast protocol on
-    the same unified framework — reads never block, but every write is
-    pushed to every location (the bandwidth overhead the paper rejects).
-    """
-    config = vsoc_config(prefetch=prefetch and not broadcast, fences=fences)
-    if broadcast:
-        config.prefetch_enabled = False
-        config.broadcast_coherence = True
-        config.atomic_svm_stages = False
-        config.name = "vSoC(broadcast)"
-    elif not (prefetch and fences):
-        suffix = []
-        if not prefetch:
-            suffix.append("no-prefetch")
-        if not fences:
-            suffix.append("no-fence")
-        config.name = "vSoC(" + ",".join(suffix) + ")"
+    """Build a vSoC instance; the flags are :func:`vsoc_config`'s (§5.4, §7)."""
+    config = vsoc_config(prefetch=prefetch, fences=fences, broadcast=broadcast)
     return Emulator(sim, machine, config, trace=trace, rng=rng, tracer=tracer)

@@ -88,18 +88,10 @@ class SurfaceFlinger:
         self._framebuffers = [emulator.svm_alloc(display_bytes) for _ in range(2)]
         self._fb_index = 0
         self.frames_rendered = 0
-        self._stopped = False
 
     def submit(self, buffer: GuestBuffer, queue: BufferQueue, meta: FrameMeta) -> None:
         """Producer side: queue a filled buffer for composition."""
         self._inbox.put(_Submission(buffer, queue, meta))
-
-    @property
-    def backlog(self) -> int:
-        return len(self._inbox)
-
-    def stop(self) -> None:
-        self._stopped = True
 
     def run(self) -> Generator[Any, Any, None]:
         """Process: the compositor loop.
@@ -112,7 +104,7 @@ class SurfaceFlinger:
         The newest submission is rendered into the back framebuffer, then
         composed for display; it is presented when the compose retires.
         """
-        while not self._stopped:
+        while True:
             yield self._vsync.wait_next()
             submission = self._inbox.try_get()
             if submission is None:
@@ -284,10 +276,6 @@ class CameraService:
         self.extra_cpu_bytes = extra_cpu_bytes
         self._pending: FifoQueue = FifoQueue(sim, name="camera.pending")
         self._sequence = 0
-        self._stopped = False
-
-    def stop(self) -> None:
-        self._stopped = True
 
     def run_sensor(self) -> Generator[Any, Any, None]:
         """Process: the sensor ticks at its native rate, never pausing.
@@ -307,7 +295,7 @@ class CameraService:
         # unlucky) phase.
         skew = 1.004
         yield Timeout(rng.uniform(0.0, camera.frame_interval))
-        while not self._stopped:
+        while True:
             yield Timeout(camera.frame_interval * skew * (1.0 + rng.uniform(-0.003, 0.003)))
             raw = self._raw.try_dequeue_free()
             if raw is None:
@@ -325,7 +313,7 @@ class CameraService:
     def run_pipeline(self) -> Generator[Any, Any, None]:
         """Process: deliver → ISP convert → (optional CPU work) → submit."""
         emulator = self._emulator
-        while not self._stopped:
+        while True:
             raw, meta, ready_at = yield self._pending.get()
             if ready_at > self._sim.now:
                 yield Timeout(ready_at - self._sim.now)

@@ -37,8 +37,7 @@ class Bus:
     latency:
         Fixed per-transfer setup time in ms (arbitration, doorbells).
 
-    The bus records total bytes moved and busy time, from which
-    :meth:`observed_bandwidth` derives the average achieved bandwidth.
+    The bus records total bytes moved, busy time and transfer count.
     ``set_load`` injects external contention: a load of 0.5 halves the
     :attr:`effective_bandwidth` available to transfers, which is the
     figure the prefetch engine's "suspend prefetch below 50% of maximum
@@ -128,13 +127,6 @@ class Bus:
         finally:
             self._lock.release()
         return self._sim.now - start
-
-    # -- statistics ---------------------------------------------------------
-    def observed_bandwidth(self) -> float:
-        """Average achieved bytes/ms over all completed transfers."""
-        if self.busy_time <= 0:
-            return self.effective_bandwidth
-        return self.bytes_moved / self.busy_time
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -25,7 +25,7 @@ cache effects. They are the model's only fitted constants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.errors import HardwareError
@@ -82,7 +82,6 @@ class MachineSpec:
     camera_frame_interval_ms: float = 1000.0 / 60.0
     nic_gbps: float = 0.125  # Gigabit Ethernet
     nic_latency_ms: float = 0.3
-    extra: Dict[str, float] = field(default_factory=dict)
 
 
 #: The 24-core i9-13900K + RTX 3060 desktop of §2.3 / §5.1.

@@ -36,6 +36,7 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, List, Tuple
 
+from repro.core.coherence import GuestMemoryWriteInvalidate
 from repro.errors import InvariantViolation
 from repro.sim.kernel import SimHook
 
@@ -65,7 +66,9 @@ class InvariantAuditor(SimHook):
         #: Inline read-visibility checks only make sense for the unified
         #: SVM architecture; the guest-memory baseline tracks validity
         #: through the guest copy, which is not location-resolved.
-        self.check_visibility = bool(emulator.config.unified_svm)
+        self.check_visibility = (
+            emulator.config.coherence is not GuestMemoryWriteInvalidate
+        )
         self.audits = 0
         self.checks = 0
         self.violations: List[Dict[str, Any]] = []

@@ -314,11 +314,20 @@ def run_fuzz(
     ``documents`` bypasses sampling (replay mode). Returns a JSON-able
     report: per-sample outcomes, the findings (with shrunk documents and
     reproducer paths), and engine cache accounting.
+
+    A campaign of no sample (``max_samples <= 0``, or an empty
+    ``documents``) raises :class:`ConfigurationError` before anything
+    runs: its report would read clean although nothing was checked.
     """
     from repro.experiments.engine import PointSpec, run_many
     from repro.scenario.runner import scenario_point
     from repro.scenario.shrink import shrink_scenario
 
+    samples = len(documents) if documents is not None else max_samples
+    if samples <= 0:
+        raise ConfigurationError(
+            f"a fuzz campaign needs at least one sample, got {samples}"
+        )
     if documents is not None:
         docs = [validate_scenario(doc) for doc in documents]
         sample_seeds = list(range(len(docs)))

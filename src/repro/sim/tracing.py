@@ -154,8 +154,3 @@ class TraceLog:
             for index in dict.fromkeys(self._order)
         }
 
-    def clear(self) -> None:
-        """Drop every record; declared kinds and their channels stay."""
-        del self._order[:]
-        for rows in self._rows:
-            rows.clear()

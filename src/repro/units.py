@@ -20,8 +20,6 @@ US = 1e-3
 MS = 1.0
 #: One second.
 SECOND = 1000.0
-#: One minute.
-MINUTE = 60 * SECOND
 
 # --- sizes --------------------------------------------------------------
 KIB = 1024
@@ -58,15 +56,3 @@ def gb_per_s(gigabytes_per_second: float) -> float:
 def to_gb_per_s(bytes_per_ms: float) -> float:
     """Convert internal bytes/ms back into GB/s for reporting."""
     return bytes_per_ms * SECOND / 1e9
-
-
-def mib(n: float) -> int:
-    """``n`` mebibytes, in bytes."""
-    return int(n * MIB)
-
-
-def transfer_time_ms(nbytes: int, bandwidth_bytes_per_ms: float) -> float:
-    """Pure transfer time for ``nbytes`` over a link, excluding latency."""
-    if bandwidth_bytes_per_ms <= 0:
-        raise ValueError("bandwidth must be positive")
-    return nbytes / bandwidth_bytes_per_ms

@@ -7,8 +7,6 @@ import pytest
 
 from repro.apps import UhdVideoApp
 from repro.emulators import make_vsoc
-from repro.emulators.base import Emulator, EmulatorConfig
-from repro.errors import ConfigurationError
 from repro.experiments.runner import run_app
 from repro.hw import DeviceKind, PhysicalDevice, build_machine
 from repro.hw.bus import Bus
@@ -27,14 +25,6 @@ def test_broadcast_factory_flag():
     assert emulator.protocol.name == "unified-broadcast"
     assert emulator.engine is None
     assert emulator.name == "vSoC(broadcast)"
-
-
-def test_broadcast_requires_unified_framework():
-    sim = Simulator()
-    machine = build_machine(sim)
-    config = EmulatorConfig(name="x", unified_svm=False, broadcast_coherence=True)
-    with pytest.raises(ConfigurationError):
-        Emulator(sim, machine, config)
 
 
 def test_broadcast_pushes_writes_everywhere():

@@ -97,7 +97,7 @@ def test_vsoc_direct_path_beats_guest_memory_path(setup):
     """The architectural claim of §3.2: direct < double boundary crossing."""
     _sim, _m, planner, _t = setup
     direct = planner.estimate_unified(HOST_LOCATION, "gpu", UHD_FRAME_BYTES)
-    guest_path = 2 * planner.estimate_boundary(UHD_FRAME_BYTES)
+    guest_path = 2 * planner.boundary.transfer_time(UHD_FRAME_BYTES)
     assert direct < 0.5 * guest_path
 
 
@@ -155,7 +155,7 @@ def test_guest_memory_two_crossings(setup):
     maintenances = trace.of_kind("coherence.maintenance")
     assert len(maintenances) == 1
     # flush + fetch: two boundary crossings of the frame (§2.2).
-    expected = 2 * planner.estimate_boundary(UHD_FRAME_BYTES)
+    expected = 2 * planner.boundary.transfer_time(UHD_FRAME_BYTES)
     assert maintenances[0]["duration"] == pytest.approx(expected, rel=0.05)
 
 

@@ -10,15 +10,12 @@ from repro.errors import ConfigurationError
 def test_cold_start_predicts_none():
     s = ExponentialSmoothing()
     assert s.predict() is None
-    assert not s.warmed_up
-    assert s.predict_or(42.0) == 42.0
 
 
 def test_first_observation_becomes_level():
     s = ExponentialSmoothing()
     s.update(10.0)
     assert s.predict() == 10.0
-    assert s.warmed_up
 
 
 def test_alpha_half_recurrence():

@@ -1,6 +1,6 @@
 """Invariants across the emulator configurations (calibration sanity)."""
 
-from repro.emulators.base import EmulatorConfig
+from repro.core.coherence import GuestMemoryWriteInvalidate, UnifiedPrefetchProtocol
 from repro.emulators.commercial import bluestacks_config, ldplayer_config
 from repro.emulators.gae import gae_config
 from repro.emulators.qemu_kvm import qemu_kvm_config
@@ -18,10 +18,12 @@ ALL_CONFIGS = {
 
 
 def test_only_vsoc_has_unified_svm():
-    assert ALL_CONFIGS["vSoC"].unified_svm
+    """vSoC runs the prefetch protocol over unified SVM; every baseline
+    keeps coherence through guest memory (§2.2)."""
+    assert ALL_CONFIGS["vSoC"].coherence is UnifiedPrefetchProtocol
     for name, config in ALL_CONFIGS.items():
         if name != "vSoC":
-            assert not config.unified_svm, name
+            assert config.coherence is GuestMemoryWriteInvalidate, name
 
 
 def test_only_vsoc_uses_fences():
@@ -36,10 +38,10 @@ def test_only_vsoc_uses_fences():
 def test_only_vsoc_has_hardware_codecs():
     """§5.3: the baselines decode in software (the thermal story depends
     on it); vSoC uses the GPU's decode engine."""
-    assert ALL_CONFIGS["vSoC"].hw_decode
+    assert ALL_CONFIGS["vSoC"].hw_codec
     for name, config in ALL_CONFIGS.items():
         if name != "vSoC":
-            assert not config.hw_decode, name
+            assert not config.hw_codec, name
 
 
 def test_decode_efficiency_ordering():
@@ -72,11 +74,3 @@ def test_access_overhead_matches_table2():
     """GAE's extra per-access cost lifts it to ~0.76 ms over the 0.22 floor."""
     assert ALL_CONFIGS["QEMU-KVM"].extra_access_overhead_ms == 0.0
     assert 0.4 < ALL_CONFIGS["GAE"].extra_access_overhead_ms < 0.6
-
-
-def test_config_defaults_are_sane():
-    config = EmulatorConfig(name="x", unified_svm=True)
-    assert config.command_queue_depth > 0
-    assert config.flow_control_window >= 1.0
-    assert 0 < config.gpu_context_switch_ms < 2.0
-    assert config.dispatch_cost_ms >= 0.0

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.core.coherence import UnifiedWriteInvalidate
 from repro.core.ordering import OrderingMode
 from repro.emulators import (
     EMULATOR_FACTORIES,
@@ -12,7 +13,7 @@ from repro.emulators import (
     make_trinity,
     make_vsoc,
 )
-from repro.errors import CapabilityError, ConfigurationError
+from repro.errors import CapabilityError
 from repro.hw import build_machine
 from repro.sim import Simulator, Timeout
 from repro.units import MIB, UHD_FRAME_BYTES
@@ -48,21 +49,57 @@ def test_baselines_use_guest_memory_protocol():
 
 def test_ablation_flags():
     _sim, no_prefetch = make(make_vsoc, prefetch=False)
+    assert no_prefetch.config.coherence is UnifiedWriteInvalidate
     assert no_prefetch.protocol.name == "unified-write-invalidate"
-    assert no_prefetch.config.atomic_svm_stages
+    assert no_prefetch.atomic_svm_stages  # §5.4: fences cannot order SVM stages
     _sim, no_fence = make(make_vsoc, fences=False)
     assert no_fence.config.ordering is OrderingMode.ATOMIC
+    assert not no_fence.atomic_svm_stages
     assert no_fence.engine is not None
 
 
-def test_prefetch_without_unified_svm_rejected():
-    from repro.emulators.base import Emulator, EmulatorConfig
+#: (prefetch, fences, broadcast) -> (protocol, emulator name, ordering,
+#: has an engine, a read-only SVM stage returns after host retirement).
+VSOC_FLAG_TABLE = {
+    (True, True, False): ("unified-prefetch", "vSoC", "FENCES", True, False),
+    (True, False, False): ("unified-prefetch", "vSoC(no-fence)", "ATOMIC", True, True),
+    (False, True, False): (
+        "unified-write-invalidate", "vSoC(no-prefetch)", "FENCES", False, True,
+    ),
+    (False, False, False): (
+        "unified-write-invalidate", "vSoC(no-prefetch,no-fence)", "ATOMIC", False, True,
+    ),
+    (True, True, True): ("unified-broadcast", "vSoC(broadcast)", "FENCES", False, False),
+    (True, False, True): ("unified-broadcast", "vSoC(broadcast)", "ATOMIC", False, True),
+    (False, True, True): ("unified-broadcast", "vSoC(broadcast)", "FENCES", False, False),
+    (False, False, True): ("unified-broadcast", "vSoC(broadcast)", "ATOMIC", False, True),
+}
 
-    sim = Simulator()
-    machine = build_machine(sim)
-    config = EmulatorConfig(name="broken", unified_svm=False, prefetch_enabled=True)
-    with pytest.raises(ConfigurationError):
-        Emulator(sim, machine, config)
+
+@pytest.mark.parametrize("flags", sorted(VSOC_FLAG_TABLE))
+def test_make_vsoc_flag_table(flags):
+    """Every combination of make_vsoc's three flags builds one emulator:
+    broadcast wins over prefetch, and SVM stages block to host retirement
+    under atomic ordering or write-invalidate (§5.4)."""
+    prefetch, fences, broadcast = flags
+    protocol, name, ordering, has_engine, read_waits = VSOC_FLAG_TABLE[flags]
+    sim, emulator = make(make_vsoc, prefetch=prefetch, fences=fences, broadcast=broadcast)
+    assert emulator.protocol.name == protocol
+    assert emulator.name == name
+    assert emulator.config.ordering is OrderingMode[ordering]
+    assert (emulator.engine is not None) == has_engine
+    returned = {}
+
+    def app():
+        rid = emulator.svm_alloc(MIB)
+        write = yield from emulator.stage("codec", "hw_decode", MIB, writes=[rid])
+        yield write.done
+        read = yield from emulator.stage("gpu", "render", MIB, reads=[rid])
+        returned["retired"] = read.done.fired
+
+    sim.spawn(app())
+    sim.run()
+    assert returned["retired"] == read_waits
 
 
 def test_trinity_lacks_camera_and_encoder():

@@ -117,14 +117,3 @@ def test_camera_service_measures_capture_latency():
     # motion-to-photon must at least include the 25 ms USB capture path
     assert latency.average > 25.0
     assert latency.average < 100.0  # the §1 comfort bound on vSoC
-
-
-def test_flinger_stop_halts_composition():
-    sim, emulator, vsync, fps = build()
-    flinger, media = spawn_video(sim, emulator, vsync, fps)
-    sim.run(until=1_000.0)
-    presented = fps.presented
-    flinger.stop()
-    media.stop()
-    sim.run(until=1_200.0)
-    assert fps.presented <= presented + 2  # at most one in-flight frame

@@ -98,7 +98,7 @@ def test_statistics_accumulate():
     sim.run()
     assert bus.bytes_moved == 2000
     assert bus.transfer_count == 2
-    assert bus.observed_bandwidth() == pytest.approx(1000.0)
+    assert bus.busy_time == pytest.approx(2.0)  # 2000 bytes at 1000 bytes/ms
 
 
 def test_load_reduces_effective_bandwidth():

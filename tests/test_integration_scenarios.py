@@ -11,6 +11,7 @@ import pytest
 
 from repro.apps import CameraApp, PopularApp, UhdVideoApp
 from repro.emulators import make_vsoc
+from repro.emulators.base import COMMAND_QUEUE_DEPTH
 from repro.guest.vsync import VSyncSource
 from repro.hw import build_machine
 from repro.sim import Simulator
@@ -69,7 +70,7 @@ def test_flow_control_throttles_runaway_guest():
     sim.run(until=3_000.0)
     gpu = emulator._vdevs["gpu"]
     assert gpu.flow.throttle_events > 0
-    assert len(gpu.queue) <= emulator.config.command_queue_depth
+    assert len(gpu.queue) <= COMMAND_QUEUE_DEPTH
 
 
 def test_region_churn_allocation_free_cycles():

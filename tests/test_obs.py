@@ -508,6 +508,25 @@ def test_cli_rejects_a_bad_sample_count_before_running(monkeypatch, capsys, valu
     assert "integer > 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"max_samples": 0}, {"max_samples": -3}, {"documents": []},
+])
+def test_run_fuzz_refuses_an_empty_campaign(monkeypatch, tmp_path, kwargs):
+    """The library entry refuses what the CLI refuses: a campaign of no
+    sample, before it samples or runs anything."""
+    from repro.errors import ConfigurationError
+    from repro.experiments import engine
+    from repro.scenario import fuzz
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("run_fuzz sampled or ran an empty campaign")
+
+    monkeypatch.setattr(fuzz, "sample_scenario", must_not_run)
+    monkeypatch.setattr(engine, "run_many", must_not_run)
+    with pytest.raises(ConfigurationError, match="at least one sample"):
+        fuzz.run_fuzz(out_dir=str(tmp_path), **kwargs)
+
+
 def test_observe_resolves_emulator_names_like_explain():
     from repro.experiments.observe import run_observe
 

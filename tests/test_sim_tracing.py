@@ -28,15 +28,6 @@ def test_values_extraction():
     assert log.values("svm.slack", "slack") == [0.0, 2.0, 4.0, 6.0, 8.0]
 
 
-def test_clear():
-    log = TraceLog()
-    log.record(1.0, "a")
-    log.clear()
-    assert len(log) == 0
-    log.record(2.0, "a")  # still records after clear
-    assert len(log) == 1
-
-
 def test_iteration_in_time_order():
     log = TraceLog()
     for t in (1.0, 2.0, 3.0):
@@ -68,16 +59,6 @@ def test_redeclaring_a_kind_with_conflicting_fields_raises():
     with pytest.raises(ValueError):
         log.record(2.0, "a", y=1)
     assert [r.fields for r in log] == [{"x": 1}]
-
-
-def test_clear_leaves_channels_writing():
-    log = TraceLog()
-    write = log.channel("a", "x")
-    write(1.0, 1)
-    log.clear()
-    assert (len(log), log.count("a"), log.kind_counts()) == (0, 0, {})
-    write(2.0, 2)
-    assert [(r.time, r.kind, r.fields) for r in log] == [(2.0, "a", {"x": 2})]
 
 
 def test_kind_counts_lists_recorded_kinds_in_first_record_order():
