@@ -80,9 +80,10 @@ def main() -> None:
     machine.pcie.set_load(0.0)
 
     stats = engine.stats
+    compensated = emulator.trace.count("svm.compensation")  # one per blocking write
     print(f"\nTotals: {stats.launched} prefetches, {stats.predictions} "
           f"predictions, {stats.misses} misses, "
-          f"{stats.compensations} compensated writes.")
+          f"{compensated} compensated writes.")
 
 
 if __name__ == "__main__":

@@ -1,17 +1,27 @@
 """Coherence protocols and the copy-path planner.
 
 Coherence maintenance is data copying that makes a reader's location hold
-the newest bytes (§2.2). Three protocols are implemented:
+the newest bytes (§2.2). Four protocols are implemented; the first three
+share the unified SVM framework's direct copy paths (§3.2) and one read
+side, and differ only in what a write retirement does and how a miss
+copies:
 
 * :class:`UnifiedPrefetchProtocol` — vSoC's protocol (§3.3): copies run on
   the shortest host-side path, launched *ahead of time* by the prefetch
-  engine at write retirement, so reads find data already resident.
+  engine at write retirement, so reads find data already resident; a
+  miss walks the degradation ladder.
 * :class:`UnifiedWriteInvalidate` — the §5.4 ablation: same direct copy
   paths, but lazily at ``begin_access`` and necessarily synchronous with
   host execution (the classic write-invalidate protocol [36]).
+* :class:`UnifiedBroadcast` — the broadcast protocol §7 rejects: every
+  write retirement pushes the data to every location.
 * :class:`GuestMemoryWriteInvalidate` — the baseline architecture of §2.2
   (GAE, QEMU-KVM): every maintenance round-trips through guest memory,
   costing two crossings of the virtualization boundary.
+
+A unified protocol's stale reader waits for a write in flight elsewhere,
+joins the copy already headed to it, else copies; the ``path`` of each
+``coherence.maintenance`` row names which protocol and hook copied.
 
 The :class:`CopyPlanner` knows the machine topology and picks the legs of a
 copy: nothing for co-located data (the in-GPU zero-copy special case of
@@ -95,7 +105,6 @@ class CopyPlanner:
                 f"got {watchdog_margin}"
             )
         self._sim = sim
-        self._machine = machine
         self.boundary = boundary if boundary is not None else machine.boundary
         self.watchdog_margin = watchdog_margin
         self.trace = trace
@@ -270,7 +279,78 @@ class CoherenceProtocol:
     ) -> Iterable[Any]:
         raise NotImplementedError  # pragma: no cover - interface
 
-    def _direct_copy(self, region, reader_loc, path):
+
+def join_copies(copies):
+    """Process: wait for each of ``copies`` in turn.
+
+    A write that sends its data to several locations at once keeps this as
+    the region's one in-flight copy, so a reader joins all of them; every
+    joiner discards the value.
+    """
+    for copy in copies:
+        yield copy
+
+
+class _UnifiedProtocol(CoherenceProtocol):
+    """The read side the three unified protocols share (§3.2).
+
+    A stale reader first waits for a write still in flight at another
+    location, then joins the copy already headed to it (a prefetch or a
+    broadcast push), else copies through :meth:`_maintain`, a direct copy
+    from the newest writer's location. Subclasses differ in what a write
+    retirement does and name the path tag of each miss: ``read_tag`` for a
+    copy in :meth:`begin_access_read`, ``net_tag`` for one in the executor
+    net.
+    """
+
+    read_tag: str
+    net_tag: str
+
+    def __init__(self, sim: Simulator, planner: CopyPlanner, trace: TraceLog):
+        self._sim = sim
+        self._planner = planner
+        self._maintenance = trace.channel("coherence.maintenance", *MAINTENANCE_FIELDS)
+
+    def begin_access_read(self, region, reader_vdev, reader_loc):
+        """Block until coherent at the reader — near zero after a good prefetch."""
+        start = self._sim.now
+        if (
+            region.write_in_flight
+            and region.write_fence is not None
+            and region.pending_writer_location != reader_loc
+        ):
+            # The newest data is still being produced *somewhere else*;
+            # a coherence copy needs it finalized first. (Co-located
+            # readers don't wait here — command fences order them on the
+            # device itself, the weak-state case of §3.4.)
+            yield region.write_fence.wait()
+        # The join and the copy stay inline: a helper generator here would
+        # add a frame under every stage that misses.
+        if not region.is_valid_at(reader_loc):
+            prefetch = region.pending_prefetch
+            if prefetch is not None and reader_loc in region.prefetch_targets:
+                yield prefetch  # join the copy already headed here
+            if not region.is_valid_at(reader_loc):
+                # No copy was headed here (a misprediction, a suspension, a
+                # lazy protocol), or it died on a transient fault.
+                yield from self._maintain(region, reader_loc, self.read_tag)
+        return self._sim.now - start
+
+    def executor_before_read(self, region, reader_vdev, reader_loc):
+        """Safety net: ensure residency before the device touches the data."""
+        if region.is_valid_at(reader_loc):
+            return ()
+        return self._executor_miss(region, reader_loc)
+
+    def _executor_miss(self, region, reader_loc):
+        """Process: join the copy headed to the reader, else copy."""
+        prefetch = region.pending_prefetch
+        if prefetch is not None and reader_loc in region.prefetch_targets:
+            yield prefetch
+        if not region.is_valid_at(reader_loc):
+            yield from self._maintain(region, reader_loc, self.net_tag)
+
+    def _maintain(self, region, reader_loc, path):
         """Process: copy the newest bytes straight to ``reader_loc`` on a
         unified path, and record the maintenance on ``path``."""
         start = self._sim.now
@@ -286,18 +366,19 @@ class CoherenceProtocol:
         )
 
 
-class UnifiedPrefetchProtocol(CoherenceProtocol):
+class UnifiedPrefetchProtocol(_UnifiedProtocol):
     """vSoC's protocol: direct paths + ahead-of-time copies (§3.3).
 
-    With a :class:`~repro.core.degradation.DegradationController` attached,
-    synchronous maintenance consults the degradation ladder: level 0/1 use
-    the direct unified path (retried), level 2 falls back to the 4-copy
-    guest-memory round-trip. Repeated failures escalate; successes at a
-    probe level restore. Without a controller the behavior is byte-for-byte
-    the pre-fault-model protocol.
+    A write retirement launches the prefetch engine's copy. A miss walks
+    the :class:`~repro.core.degradation.DegradationController`'s ladder:
+    level 0/1 use the direct unified path (retried), level 2 falls back to
+    the 4-copy guest-memory round-trip. Repeated failures escalate;
+    successes at a probe level restore.
     """
 
     name = "unified-prefetch"
+    read_tag = "sync-miss"
+    net_tag = "executor-miss"
 
     #: Hard cap on ladder rounds inside one maintenance call — with a
     #: 3-level ladder and 3 failures per escalation, 12 covers the worst
@@ -310,21 +391,25 @@ class UnifiedPrefetchProtocol(CoherenceProtocol):
         planner: CopyPlanner,
         engine: "PrefetchEngine",
         trace: TraceLog,
-        degradation: Optional[DegradationController] = None,
+        degradation: DegradationController,
     ):
-        self._sim = sim
-        self._planner = planner
+        super().__init__(sim, planner, trace)
         self._engine = engine
-        self._maintenance = trace.channel("coherence.maintenance", *MAINTENANCE_FIELDS)
         self._failed = trace.channel(
             "coherence.failed", "bytes", "region", "start", "flow"
         )
         self.degradation = degradation
-        self.sync_misses = 0
-        self.prefetch_joins = 0
-        self.degraded_copies = 0
 
-    def _maintain(self, region, reader_loc, path_tag):
+    def executor_after_write(self, region, writer_vdev, writer_loc):
+        """Launch the ahead-of-time copy at once; never blocks the executor.
+
+        Returns ``()``: the caller's ``yield from`` then finishes at once,
+        at the point where a generator's first step would have launched.
+        """
+        self._engine.launch(region, writer_vdev, writer_loc)
+        return ()
+
+    def _maintain(self, region, reader_loc, path):
         """Process: synchronous maintenance, walking the degradation ladder.
 
         Tries the level :meth:`DegradationController.plan_level` plans
@@ -337,26 +422,23 @@ class UnifiedPrefetchProtocol(CoherenceProtocol):
         src = region.last_writer_location or HOST_LOCATION
         start = self._sim.now
         flow = region.flow
+        ladder = self.degradation
         for _ in range(self.MAX_MAINTENANCE_ROUNDS):
-            ctl = self.degradation
-            level = ctl.plan_level() if ctl is not None else 0
+            level = ladder.plan_level()
             try:
                 if level >= LEVEL_GUEST_ROUNDTRIP:
-                    self.degraded_copies += 1
                     duration = yield from self._planner.copy_roundtrip(
                         region.dirty_bytes
                     )
                     region.note_copy(GUEST_LOCATION)
-                    tag = f"{path_tag}-degraded"
+                    tag = f"{path}-degraded"
                 else:
                     duration = yield from self._planner.copy_unified(
                         src, reader_loc, region.dirty_bytes
                     )
-                    tag = path_tag
+                    tag = path
             except RECOVERABLE_COPY_ERRORS as err:
-                if ctl is None:
-                    raise
-                ctl.note_failure(level, reason=type(err).__name__)
+                ladder.note_failure(level, reason=type(err).__name__)
                 if level >= LEVEL_GUEST_ROUNDTRIP:
                     self._failed(
                         self._sim.now, region.dirty_bytes, region.region_id, start, flow
@@ -366,8 +448,7 @@ class UnifiedPrefetchProtocol(CoherenceProtocol):
                         f"the {LEVEL_NAMES[LEVEL_GUEST_ROUNDTRIP]} path"
                     ) from err
                 continue
-            if ctl is not None:
-                ctl.note_success(level)
+            ladder.note_success(level)
             region.note_copy(reader_loc)
             self._maintenance(
                 self._sim.now, duration, region.dirty_bytes, tag, region.region_id,
@@ -380,97 +461,25 @@ class UnifiedPrefetchProtocol(CoherenceProtocol):
             f"{self.MAX_MAINTENANCE_ROUNDS} ladder rounds"
         )
 
-    def begin_access_read(self, region, reader_vdev, reader_loc):
-        """Block until coherent at the reader — near zero after a good prefetch."""
-        start = self._sim.now
-        if (
-            region.write_in_flight
-            and region.write_fence is not None
-            and region.pending_writer_location != reader_loc
-        ):
-            # The newest data is still being produced *somewhere else*;
-            # a coherence copy needs it finalized first. (Co-located
-            # readers don't wait here — command fences order them on the
-            # device itself, the weak-state case of §3.4.)
-            yield region.write_fence.wait()
-        if not region.is_valid_at(reader_loc):
-            prefetch = region.pending_prefetch
-            if prefetch is not None and reader_loc in region.prefetch_targets:
-                self.prefetch_joins += 1
-                yield prefetch  # join the in-flight ahead-of-time copy
-            if not region.is_valid_at(reader_loc):
-                # Misprediction, suspension, or a prefetch that died on a
-                # transient fault: synchronous maintenance.
-                self.sync_misses += 1
-                yield from self._maintain(region, reader_loc, "sync-miss")
-        return self._sim.now - start
 
-    def executor_after_write(self, region, writer_vdev, writer_loc):
-        """Launch the ahead-of-time copy at once; never blocks the executor.
-
-        Returns ``()``: the caller's ``yield from`` then finishes at once,
-        at the point where a generator's first step would have launched.
-        """
-        self._engine.launch(region, writer_vdev, writer_loc)
-        return ()
-
-    def executor_before_read(self, region, reader_vdev, reader_loc):
-        """Safety net: ensure residency before the device touches the data."""
-        if region.is_valid_at(reader_loc):
-            return ()
-        return self._executor_miss(region, reader_loc)
-
-    def _executor_miss(self, region, reader_loc):
-        """Process: join the in-flight prefetch, else maintain synchronously."""
-        prefetch = region.pending_prefetch
-        if prefetch is not None and reader_loc in region.prefetch_targets:
-            yield prefetch
-        if not region.is_valid_at(reader_loc):
-            yield from self._maintain(region, reader_loc, "executor-miss")
-
-
-class UnifiedWriteInvalidate(CoherenceProtocol):
+class UnifiedWriteInvalidate(_UnifiedProtocol):
     """The §5.4 ablation: direct paths, but lazy and synchronous.
 
     Memory is updated at the beginning of each SVM access; coherence needs
     synchronous guest-host execution, so ``begin_access`` first waits out
     the producing write — the source of the chain reaction in Figure 16.
+    Nothing ever copies ahead, so a stale reader always copies itself.
     """
 
     name = "unified-write-invalidate"
-
-    def __init__(
-        self,
-        sim: Simulator,
-        planner: CopyPlanner,
-        trace: TraceLog,
-    ):
-        self._sim = sim
-        self._planner = planner
-        self._maintenance = trace.channel("coherence.maintenance", *MAINTENANCE_FIELDS)
-
-    def begin_access_read(self, region, reader_vdev, reader_loc):
-        start = self._sim.now
-        if (
-            region.write_in_flight
-            and region.write_fence is not None
-            and region.pending_writer_location != reader_loc
-        ):
-            yield region.write_fence.wait()
-        if not region.is_valid_at(reader_loc):
-            yield from self._direct_copy(region, reader_loc, "write-invalidate")
-        return self._sim.now - start
+    read_tag = "write-invalidate"
+    net_tag = "write-invalidate-net"
 
     def executor_after_write(self, region, writer_vdev, writer_loc):
         return ()  # lazy: nothing to do until a read
 
-    def executor_before_read(self, region, reader_vdev, reader_loc):
-        if region.is_valid_at(reader_loc):
-            return ()
-        return self._direct_copy(region, reader_loc, "write-invalidate-net")
 
-
-class UnifiedBroadcast(CoherenceProtocol):
+class UnifiedBroadcast(_UnifiedProtocol):
     """A classical broadcast protocol over the unified framework (§7).
 
     At every write retirement, the new data is pushed to *every* location —
@@ -483,41 +492,19 @@ class UnifiedBroadcast(CoherenceProtocol):
     """
 
     name = "unified-broadcast"
+    read_tag = "broadcast-miss"
+    net_tag = "broadcast-net"
 
-    def __init__(
-        self,
-        sim: Simulator,
-        planner: CopyPlanner,
-        trace: TraceLog,
-    ):
-        self._sim = sim
-        self._planner = planner
+    def __init__(self, sim: Simulator, planner: CopyPlanner, trace: TraceLog):
+        super().__init__(sim, planner, trace)
         self._trace = trace
-        self._maintenance = trace.channel("coherence.maintenance", *MAINTENANCE_FIELDS)
         self.broadcast_copies = 0
-        self.broadcast_failures = 0
 
     def _targets(self, writer_loc: str):
         return [
             loc for loc in self._planner.known_locations()
             if loc not in (writer_loc, GUEST_LOCATION)
         ]
-
-    def begin_access_read(self, region, reader_vdev, reader_loc):
-        start = self._sim.now
-        if (
-            region.write_in_flight
-            and region.write_fence is not None
-            and region.pending_writer_location != reader_loc
-        ):
-            yield region.write_fence.wait()
-        if not region.is_valid_at(reader_loc):
-            prefetch = region.pending_prefetch
-            if prefetch is not None and reader_loc in region.prefetch_targets:
-                yield prefetch  # join the in-flight broadcast
-            if not region.is_valid_at(reader_loc):  # miss, or the push failed
-                yield from self._direct_copy(region, reader_loc, "broadcast-miss")
-        return self._sim.now - start
 
     def executor_after_write(self, region, writer_vdev, writer_loc):
         """Push the dirty data everywhere, asynchronously."""
@@ -535,7 +522,7 @@ class UnifiedBroadcast(CoherenceProtocol):
             region.pending_prefetch = copies[0]
         else:
             region.pending_prefetch = self._sim.spawn(
-                self._join(copies), name=f"broadcast:r{region.region_id}:join"
+                join_copies(copies), name=f"broadcast:r{region.region_id}:join"
             )
         return ()
 
@@ -549,7 +536,6 @@ class UnifiedBroadcast(CoherenceProtocol):
         except RECOVERABLE_COPY_ERRORS as err:
             # A failed push only costs bandwidth savings: the reader-side
             # safety net re-copies on demand. Never poison the joiners.
-            self.broadcast_failures += 1
             self._trace.record(
                 self._sim.now, "broadcast.failed",
                 bytes=region.dirty_bytes, region=region.region_id,
@@ -563,24 +549,6 @@ class UnifiedBroadcast(CoherenceProtocol):
             start, flow, src, dst,
         )
         return duration
-
-    @staticmethod
-    def _join(copies):
-        for copy in copies:
-            yield copy
-
-    def executor_before_read(self, region, reader_vdev, reader_loc):
-        if region.is_valid_at(reader_loc):
-            return ()
-        return self._executor_miss(region, reader_loc)
-
-    def _executor_miss(self, region, reader_loc):
-        """Process: join the in-flight push, else copy directly."""
-        prefetch = region.pending_prefetch
-        if prefetch is not None and reader_loc in region.prefetch_targets:
-            yield prefetch
-        if not region.is_valid_at(reader_loc):  # miss, or the push failed
-            yield from self._direct_copy(region, reader_loc, "broadcast-net")
 
 
 class GuestMemoryWriteInvalidate(CoherenceProtocol):

@@ -73,8 +73,6 @@ class SvmManager:
         self._write_retired = trace.channel(
             "svm.write_retired", "region", "vdev", "bytes", "flow"
         )
-        self.page_map_cost = page_map_cost
-        self.extra_access_overhead = extra_access_overhead
         mapping_cost = page_map_cost + extra_access_overhead
         # Every access pays the same mapping cost: one Timeout serves them all.
         self._mapping = Timeout(mapping_cost) if mapping_cost > 0 else None

@@ -1,15 +1,19 @@
 """The prefetch engine (§3.3): robust ahead-of-time coherence.
 
-At every host write retirement the engine:
+For each write the engine:
 
-1. predicts the next reader(s) from the region's data flow in the twin
-   hypergraphs (falling back to the busiest flow from the writing virtual
-   device — the zero-shot path for freshly allocated regions);
+1. at host write retirement, predicts the next reader(s) from the
+   region's data flow in the twin hypergraphs (falling back to the
+   busiest flow from the writing virtual device — the zero-shot path for
+   freshly allocated regions);
 2. unless suspended, launches the coherence copy immediately as a
    background DMA process;
-3. computes the *compensation* the guest driver must block for —
-   ``max(0, predicted_prefetch_time − predicted_slack)`` — so that by the
-   time the next access arrives, the copy has finished (Figure 8).
+3. earlier, at the write's dispatch, tells the guest driver how long to
+   block — the *compensation* ``max(0, predicted_prefetch_time −
+   predicted_slack)`` — so that by the time the next access arrives, the
+   copy has finished (Figure 8). :meth:`PrefetchEngine.predicted_compensation`
+   is the only place it is computed: the driver applies it, and the
+   launch computes none.
 
 Robustness policies from the paper's corner cases:
 
@@ -27,6 +31,7 @@ from repro.core.coherence import (
     MAINTENANCE_FIELDS,
     RECOVERABLE_COPY_ERRORS,
     CopyPlanner,
+    join_copies,
 )
 from repro.core.degradation import LEVEL_PREFETCHED, DegradationController
 from repro.core.region import SvmRegion
@@ -56,8 +61,6 @@ class PrefetchStats:
         self.launched = 0
         self.suspended_skips = 0
         self.bandwidth_skips = 0
-        self.compensation_total_ms = 0.0
-        self.compensations = 0
         self.wasted_prefetches = 0
         self.degraded_skips = 0
         self.prefetch_failures = 0
@@ -95,7 +98,7 @@ class PrefetchEngine:
         planner: CopyPlanner,
         vdev_location: Callable[[str], str],
         trace: TraceLog,
-        degradation: Optional[DegradationController] = None,
+        degradation: DegradationController,
     ):
         self._sim = sim
         self._twin = twin
@@ -122,7 +125,6 @@ class PrefetchEngine:
     # -- write-side: prediction and launch -------------------------------------
     def launch(self, region: SvmRegion, writer_vdev: str, writer_loc: str) -> None:
         """Called at host write retirement; spawns the ahead-of-time copy."""
-        region.pending_compensation = 0.0
         if self._degraded():
             # The ladder stepped past the prefetched level: stay quiet until
             # the controller offers level 0 again as a probe.
@@ -173,24 +175,16 @@ class PrefetchEngine:
                 for target in sorted(targets)
             ]
             region.pending_prefetch = self._sim.spawn(
-                self._join_all(copies), name=f"prefetch:r{region.region_id}:join"
+                join_copies(copies), name=f"prefetch:r{region.region_id}:join"
             )
         region.prefetch_targets = targets
         self.stats.launched += 1
-
-        region.pending_compensation = self._compensation(
-            slack, pedge, writer_loc, targets, region.dirty_bytes
-        )
-        if region.pending_compensation > 0:
-            self.stats.compensations += 1
-            self.stats.compensation_total_ms += region.pending_compensation
 
     def _degraded(self) -> bool:
         # At level 0, plan_level() is the level itself.
         degradation = self.degradation
         return (
-            degradation is not None
-            and degradation.level > LEVEL_PREFETCHED
+            degradation.level > LEVEL_PREFETCHED
             and degradation.plan_level() > LEVEL_PREFETCHED
         )
 
@@ -205,10 +199,7 @@ class PrefetchEngine:
             # A dead prefetch must not poison its joiners: readers re-check
             # validity after the join and fall back to sync maintenance.
             self.stats.prefetch_failures += 1
-            if self.degradation is not None:
-                self.degradation.note_failure(
-                    LEVEL_PREFETCHED, reason=type(err).__name__
-                )
+            self.degradation.note_failure(LEVEL_PREFETCHED, reason=type(err).__name__)
             self._trace.record(
                 self._sim.now,
                 "prefetch.failed",
@@ -222,8 +213,7 @@ class PrefetchEngine:
             )
             return None
         region.note_copy(dst)
-        if self.degradation is not None:
-            self.degradation.note_success(LEVEL_PREFETCHED)
+        self.degradation.note_success(LEVEL_PREFETCHED)
         if pedge is not None:
             self._twin.note_prefetch_duration(pedge, duration)
         self._maintenance(
@@ -231,14 +221,6 @@ class PrefetchEngine:
             start, flow, src, dst,
         )
         return duration
-
-    @staticmethod
-    def _join_all(copies):
-        results = []
-        for copy in copies:
-            result = yield copy
-            results.append(result)
-        return results
 
     def _remote_targets(self, reader_vdevs: FrozenSet[str], writer_loc: str) -> Set[str]:
         """Reader locations other than the writer's, memoized per flow.
@@ -272,34 +254,20 @@ class PrefetchEngine:
                     return False
         return True
 
-    def _compensation(
-        self, slack: Optional[float], pedge, writer_loc: str, targets: Set[str], nbytes: int
-    ) -> float:
-        """``max(0, predicted prefetch time − predicted slack)`` (Figure 8).
-
-        ``slack`` is the twin's prediction for the flow's virtual edge; with
-        none yet, one VSync period stands in for it.
-        """
-        prefetch_time = self._twin.predict_prefetch_time(pedge)
-        if prefetch_time is None:
-            prefetch_time = max(
-                self._planner.estimate_unified(writer_loc, t, nbytes) for t in targets
-            )
-        if slack is None:
-            slack = VSYNC_PERIOD_MS
-        return max(0.0, prefetch_time - slack)
-
     # -- driver-side prediction (guest context) ---------------------------------
     def predicted_compensation(
         self, region: SvmRegion, writer_vdev: str, writer_loc: str
     ) -> float:
-        """What the guest driver should block for, computed at dispatch time.
+        """``max(0, predicted prefetch time − predicted slack)`` (Figure 8).
 
-        The driver consults the (guest-shared) hypergraph statistics before
-        the host retires the write, so its view uses the same predictors as
-        :meth:`launch` — both sides independently arrive at the Figure 8
-        time delta. Returns 0 when no prediction exists or the flow is
-        suspended (the driver then stays fully asynchronous).
+        What the guest driver blocks for, computed at dispatch time. This
+        is the only place compensation is computed: the driver applies it
+        and records it as an ``svm.compensation`` row. It consults the
+        (guest-shared) hypergraph statistics before the host retires the
+        write, with the predictors and the suspension verdict
+        :meth:`launch` uses. Returns 0 when no prediction exists, the ladder
+        is past the prefetched level or the flow is suspended (the driver
+        then stays fully asynchronous).
         """
         predicted = self._twin.predict_readers(
             region.region_id, writer_vdev, allow_zero_shot=self.zero_shot
@@ -312,10 +280,18 @@ class PrefetchEngine:
         targets = self._remote_targets(predicted.reader_vdevs, writer_loc)
         if not targets:
             return 0.0
+        # The twin's predictions for the flow; with no slack observed yet,
+        # one VSync period stands in for it.
         slack = self._twin.predict_slack(predicted.vedge)
-        return self._compensation(
-            slack, predicted.pedge, writer_loc, targets, region.dirty_bytes
-        )
+        if slack is None:
+            slack = VSYNC_PERIOD_MS
+        prefetch_time = self._twin.predict_prefetch_time(predicted.pedge)
+        if prefetch_time is None:
+            prefetch_time = max(
+                self._planner.estimate_unified(writer_loc, t, region.dirty_bytes)
+                for t in targets
+            )
+        return max(0.0, prefetch_time - slack)
 
     # -- read-side: accuracy accounting and suspension -----------------------------
     def on_read(

@@ -124,7 +124,6 @@ class SvmRegion:
         self.prefetch_predicted_vdevs: Optional[FrozenSet[str]] = None
         self.prefetch_vkey = None
         self.prefetch_predicted_slack: Optional[float] = None
-        self.pending_compensation = 0.0
         # Causal-trace flow id of the frame currently moving through this
         # region (0 = none). Stamped by the emulator at stage dispatch so
         # coherence/prefetch spans inherit the frame's flow.
@@ -190,7 +189,6 @@ class SvmRegion:
         self.prefetch_predicted_vdevs = None
         self.prefetch_vkey = None
         self.prefetch_predicted_slack = None
-        self.pending_compensation = 0.0
 
     def note_copy(self, dst_location: str) -> None:
         """A coherence copy landed an up-to-date replica at ``dst_location``."""
@@ -241,7 +239,6 @@ class SvmRegion:
                 None if self.prefetch_vkey is None else serialize_edge_key(self.prefetch_vkey)
             ),
             "prefetch_predicted_slack": self.prefetch_predicted_slack,
-            "pending_compensation": self.pending_compensation,
             "flow": self.flow,
             "applied_compensation": self.applied_compensation,
             "last_flush_duration": self.last_flush_duration,

@@ -8,15 +8,17 @@ host window.
 
 The §5.4 ablation switches and the §7 broadcast protocol are flags of
 :func:`vsoc_config` (and :func:`make_vsoc`), which picks the coherence
-protocol class and names the configuration:
+protocol class and names the configuration after every flag it changes.
+All three protocols share the unified framework's read side and direct
+copy paths (:mod:`repro.core.coherence`):
 
 * ``prefetch=False`` swaps in :class:`~repro.core.coherence.UnifiedWriteInvalidate`,
   the classic write-invalidate protocol over the same unified copy paths
   (Figure 12 / Figure 16); its SVM stages are atomic even under fences;
 * ``fences=False`` falls back to atomic shared-resource operations
-  (Figure 12's fence ablation);
+  (Figure 12's fence ablation), named ``no-fence``;
 * ``broadcast=True`` swaps in :class:`~repro.core.coherence.UnifiedBroadcast`
-  and takes precedence over ``prefetch``.
+  in place of the prefetch protocol, so it refuses ``prefetch=False``.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from repro.core.coherence import (
 )
 from repro.core.ordering import OrderingMode
 from repro.emulators.base import Emulator, EmulatorConfig
+from repro.errors import ConfigurationError
 from repro.hw.machine import HostMachine
 from repro.obs.span import NULL_TRACER, Tracer
 from repro.sim import Simulator
@@ -47,19 +50,25 @@ def vsoc_config(
     execution, and thus virtual command fences cannot be used (other
     usages of the fences are not touched)". ``broadcast=True`` swaps in
     the §7-related-work broadcast protocol on the same unified framework
-    and ignores ``prefetch``; reads never block, but every write is
-    pushed to every location (the bandwidth overhead the paper rejects).
+    in place of the prefetch protocol; reads never block, but every write
+    is pushed to every location (the bandwidth overhead the paper
+    rejects). It replaces the prefetch protocol, so ``prefetch=False``
+    with it raises :class:`ConfigurationError`.
     """
     if broadcast:
-        coherence, name = UnifiedBroadcast, "vSoC(broadcast)"
-    else:
-        coherence = UnifiedPrefetchProtocol if prefetch else UnifiedWriteInvalidate
-        ablated = []
         if not prefetch:
-            ablated.append("no-prefetch")
-        if not fences:
-            ablated.append("no-fence")
-        name = f"vSoC({','.join(ablated)})" if ablated else "vSoC"
+            raise ConfigurationError(
+                "broadcast=True replaces the prefetch protocol; "
+                "prefetch=False would be ignored"
+            )
+        coherence, changed = UnifiedBroadcast, ["broadcast"]
+    elif prefetch:
+        coherence, changed = UnifiedPrefetchProtocol, []
+    else:
+        coherence, changed = UnifiedWriteInvalidate, ["no-prefetch"]
+    if not fences:
+        changed.append("no-fence")
+    name = f"vSoC({','.join(changed)})" if changed else "vSoC"
     return EmulatorConfig(
         name=name,
         coherence=coherence,

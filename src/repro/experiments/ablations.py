@@ -73,6 +73,7 @@ def sweep_alpha(
 class CompensationResult:
     enabled: bool
     mean_read_latency_ms: float
+    #: What the driver blocked for: the sum of the run's ``svm.compensation`` rows.
     compensation_total_ms: float
 
 
@@ -115,7 +116,9 @@ def compensation_ablation(
         results[enabled] = CompensationResult(
             enabled=enabled,
             mean_read_latency_ms=sum(steady) / len(steady),
-            compensation_total_ms=emulator.engine.stats.compensation_total_ms,
+            compensation_total_ms=sum(
+                rig.trace.values("svm.compensation", "compensation")
+            ),
         )
     return results
 

@@ -451,8 +451,6 @@ def specs_for_apps(
     seed: int = 0,
     emulator_factory: Optional[str] = None,
     emulator_kwargs: Optional[Mapping[str, Any]] = None,
-    telemetry: bool = False,
-    attribution: bool = False,
 ) -> List[RunSpec]:
     """RunSpecs for a catalog parameter list on one emulator/machine."""
     return [
@@ -465,8 +463,6 @@ def specs_for_apps(
             seed=seed,
             emulator_factory=emulator_factory,
             emulator_kwargs=dict(emulator_kwargs or {}),
-            telemetry=telemetry,
-            attribution=attribution,
         )
         for path, kwargs in app_params
     ]

@@ -87,7 +87,6 @@ class SurfaceFlinger:
         # Double-buffered framebuffers, rotated per frame.
         self._framebuffers = [emulator.svm_alloc(display_bytes) for _ in range(2)]
         self._fb_index = 0
-        self.frames_rendered = 0
 
     def submit(self, buffer: GuestBuffer, queue: BufferQueue, meta: FrameMeta) -> None:
         """Producer side: queue a filled buffer for composition."""
@@ -137,7 +136,6 @@ class SurfaceFlinger:
                 "display", "compose", dirty, reads=[framebuffer], flow=meta.flow,
             )
             done_at = yield present.done
-            self.frames_rendered += 1
             tracer = self._emulator.tracer
             if tracer.enabled:
                 tracer.instant(

@@ -1,6 +1,8 @@
 """Fast unit tests for the ablation experiments (heavy paths live in
 benchmarks/bench_ablations.py)."""
 
+import pytest
+
 from repro.experiments.ablations import sweep_alpha
 
 
@@ -50,3 +52,29 @@ def test_dirty_window_clamps():
     assert oversized.dirty_window(region) == 1000
     windowed = ExecCommand(sim, "render", 5000, writes=[region], dirty_bytes=500)
     assert windowed.dirty_window(region) == 500
+
+
+def test_compensation_total_is_what_the_driver_applied(monkeypatch):
+    """Each arm of the Figure 8 ablation reports the compensation its driver
+    blocked for: the sum of its ``svm.compensation`` rows, and nothing when
+    the driver-side wait is switched off."""
+    from repro.experiments import ablations
+
+    rigs = []
+    build = ablations.build_rig
+
+    def recording(*args, **kwargs):
+        rigs.append(build(*args, **kwargs))
+        return rigs[-1]
+
+    monkeypatch.setattr(ablations, "build_rig", recording)
+    results = ablations.compensation_ablation()
+    # The enabled arm is built first.
+    applied = {
+        enabled: sum(rig.trace.values("svm.compensation", "compensation"))
+        for enabled, rig in zip((True, False), rigs)
+    }
+    assert applied[False] == 0.0
+    assert results[False].compensation_total_ms == 0.0
+    assert applied[True] > 0.0
+    assert results[True].compensation_total_ms == pytest.approx(applied[True])

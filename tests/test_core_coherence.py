@@ -231,17 +231,25 @@ def _run(sim, hook):
     sim.run()
 
 
+def _prefetch_protocol(sim, planner, trace):
+    # The read side never reads the prefetch engine.
+    return UnifiedPrefetchProtocol(
+        sim, planner, None, trace, degradation=DegradationController(sim)
+    )
+
+
 @pytest.mark.parametrize(
-    "make",
+    "make, net_tag",
     [
-        # The before-read net never reads the prefetch engine.
-        lambda sim, planner, trace: UnifiedPrefetchProtocol(sim, planner, None, trace),
-        UnifiedWriteInvalidate,
-        UnifiedBroadcast,
+        (_prefetch_protocol, "executor-miss"),
+        (UnifiedWriteInvalidate, "write-invalidate-net"),
+        (UnifiedBroadcast, "broadcast-net"),
     ],
     ids=["prefetch", "write-invalidate", "broadcast"],
 )
-def test_unified_before_read_is_empty_exactly_when_the_reader_is_current(setup, make):
+def test_unified_before_read_is_empty_exactly_when_the_reader_is_current(
+    setup, make, net_tag
+):
     sim, _m, planner, trace = setup
     protocol = make(sim, planner, trace)
     region = SvmRegion(1, UHD_FRAME_BYTES)
@@ -251,9 +259,62 @@ def test_unified_before_read_is_empty_exactly_when_the_reader_is_current(setup, 
     assert inspect.isgenerator(net)
     _run(sim, net)
     assert region.is_valid_at("gpu")
-    assert len(trace.of_kind("coherence.maintenance")) == 1
+    assert trace.values("coherence.maintenance", "path") == [net_tag]
     assert sim.now > 0.0  # the copy took bus time
     assert protocol.executor_before_read(region, "gpu", "gpu") == ()
+
+
+@pytest.mark.parametrize(
+    "make, read_tag",
+    [
+        (_prefetch_protocol, "sync-miss"),
+        (UnifiedWriteInvalidate, "write-invalidate"),
+        (UnifiedBroadcast, "broadcast-miss"),
+    ],
+    ids=["prefetch", "write-invalidate", "broadcast"],
+)
+def test_unified_stale_read_copies_once_under_its_read_tag(setup, make, read_tag):
+    sim, _m, planner, trace = setup
+    protocol = make(sim, planner, trace)
+    region = SvmRegion(1, UHD_FRAME_BYTES)
+    region.note_write("codec", HOST_LOCATION, UHD_FRAME_BYTES)
+
+    def read():
+        return (yield from protocol.begin_access_read(region, "gpu", "gpu"))
+
+    p = sim.spawn(read())
+    sim.run()
+    assert region.is_valid_at("gpu")
+    assert trace.values("coherence.maintenance", "path") == [read_tag]
+    rows = trace.of_kind("coherence.maintenance")
+    assert (rows[0]["src"], rows[0]["dst"]) == (HOST_LOCATION, "gpu")
+    assert p.value == pytest.approx(sim.now) and sim.now > 0.0
+
+
+@pytest.mark.parametrize(
+    "make", [_prefetch_protocol, UnifiedBroadcast], ids=["prefetch", "broadcast"]
+)
+@pytest.mark.parametrize("hook", ["executor_before_read", "begin_access_read"])
+def test_unified_stale_reader_joins_the_copy_in_flight_to_it(setup, make, hook):
+    """A copy already headed to the reader is joined, not redone: the
+    reader waits for it and writes no maintenance row of its own."""
+    sim, _m, planner, trace = setup
+    protocol = make(sim, planner, trace)
+    region = SvmRegion(1, UHD_FRAME_BYTES)
+    region.note_write("codec", HOST_LOCATION, UHD_FRAME_BYTES)
+
+    def in_flight():
+        yield from planner.copy_unified(HOST_LOCATION, "gpu", UHD_FRAME_BYTES)
+        region.note_copy("gpu")
+
+    region.pending_prefetch = sim.spawn(in_flight())
+    region.prefetch_targets = {"gpu"}
+    _run(sim, getattr(protocol, hook)(region, "gpu", "gpu"))
+    assert region.is_valid_at("gpu")
+    assert trace.count("coherence.maintenance") == 0
+    assert sim.now == pytest.approx(
+        planner.estimate_unified(HOST_LOCATION, "gpu", UHD_FRAME_BYTES)
+    )
 
 
 def test_broadcast_after_write_returns_empty_and_pushes(setup):

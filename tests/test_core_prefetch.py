@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.coherence import CopyPlanner
+from repro.core.degradation import DegradationController
 from repro.core.prefetch import PrefetchEngine
 from repro.core.region import HOST_LOCATION, SvmRegion
 from repro.core.twin import TwinHypergraphs
@@ -21,7 +22,9 @@ def engine_setup():
     planner = CopyPlanner(sim, machine)
     twin = TwinHypergraphs(VDEV_LOCATIONS.keys(), [HOST_LOCATION, "gpu", "guest"])
     trace = TraceLog()
-    engine = PrefetchEngine(sim, twin, planner, VDEV_LOCATIONS.get, trace)
+    engine = PrefetchEngine(
+        sim, twin, planner, VDEV_LOCATIONS.get, trace, DegradationController(sim)
+    )
     return sim, machine, twin, engine, trace
 
 

@@ -42,10 +42,10 @@ def test_copy_extends_valid_set():
 def test_write_clears_prefetch_state():
     region = SvmRegion(1, MIB)
     region.prefetch_targets = {"gpu"}
-    region.pending_compensation = 2.0
+    region.prefetch_predicted_slack = 2.0
     region.note_write("codec", HOST_LOCATION, MIB)
     assert region.prefetch_targets == set()
-    assert region.pending_compensation == 0.0
+    assert region.prefetch_predicted_slack is None
     assert region.pending_prefetch is None
 
 

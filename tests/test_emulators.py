@@ -13,7 +13,7 @@ from repro.emulators import (
     make_trinity,
     make_vsoc,
 )
-from repro.errors import CapabilityError
+from repro.errors import CapabilityError, ConfigurationError
 from repro.hw import build_machine
 from repro.sim import Simulator, Timeout
 from repro.units import MIB, UHD_FRAME_BYTES
@@ -70,18 +70,26 @@ VSOC_FLAG_TABLE = {
         "unified-write-invalidate", "vSoC(no-prefetch,no-fence)", "ATOMIC", False, True,
     ),
     (True, True, True): ("unified-broadcast", "vSoC(broadcast)", "FENCES", False, False),
-    (True, False, True): ("unified-broadcast", "vSoC(broadcast)", "ATOMIC", False, True),
-    (False, True, True): ("unified-broadcast", "vSoC(broadcast)", "FENCES", False, False),
-    (False, False, True): ("unified-broadcast", "vSoC(broadcast)", "ATOMIC", False, True),
+    (True, False, True): (
+        "unified-broadcast", "vSoC(broadcast,no-fence)", "ATOMIC", False, True,
+    ),
+    # Broadcast replaces the prefetch protocol: without it, refused.
+    (False, True, True): ConfigurationError,
+    (False, False, True): ConfigurationError,
 }
 
 
 @pytest.mark.parametrize("flags", sorted(VSOC_FLAG_TABLE))
 def test_make_vsoc_flag_table(flags):
-    """Every combination of make_vsoc's three flags builds one emulator:
-    broadcast wins over prefetch, and SVM stages block to host retirement
-    under atomic ordering or write-invalidate (§5.4)."""
+    """Every combination of make_vsoc's three flags builds one emulator,
+    named after each flag it changes, except broadcast without prefetch,
+    which it refuses; SVM stages block to host retirement under atomic
+    ordering or write-invalidate (§5.4)."""
     prefetch, fences, broadcast = flags
+    if VSOC_FLAG_TABLE[flags] is ConfigurationError:
+        with pytest.raises(ConfigurationError, match="prefetch=False"):
+            make(make_vsoc, prefetch=prefetch, fences=fences, broadcast=broadcast)
+        return
     protocol, name, ordering, has_engine, read_waits = VSOC_FLAG_TABLE[flags]
     sim, emulator = make(make_vsoc, prefetch=prefetch, fences=fences, broadcast=broadcast)
     assert emulator.protocol.name == protocol

@@ -11,6 +11,7 @@ way the twin once did on every call.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.degradation import DegradationController
 from repro.core.hypergraph import DirectedHypergraph
 from repro.core.prefetch import PrefetchEngine
 from repro.core.twin import TwinHypergraphs
@@ -169,7 +170,8 @@ def test_remote_targets_asks_each_location_once_per_flow():
         return {"gpu": "gpu", "display": "gpu", "codec": "host"}[vdev]
 
     twin = TwinHypergraphs(VDEVS, LOCS)
-    engine = PrefetchEngine(Simulator(), twin, None, location, TraceLog())
+    sim = Simulator()
+    engine = PrefetchEngine(sim, twin, None, location, TraceLog(), DegradationController(sim))
     readers = frozenset({"gpu", "display"})
     first = engine._remote_targets(readers, "host")
     assert first == {"gpu"}
